@@ -12,8 +12,8 @@ from .embedding import (EmbeddingConfig, EmbeddingSet, load_embeddings,
 from .radicals import (RadicalTable, default_table, load_radical_table,
                        radical_index, radical_of)
 from .segmenter import (EvalReport, Hyperparams, SegmenterModel, TrainLog,
-                        build_model, evaluate, load_model, model_forward,
-                        save_model, segment, train)
+                        build_model, evaluate, load_model, save_model,
+                        segment, train)
 
 __version__ = "0.1.0"
 
@@ -26,5 +26,5 @@ __all__ = [
     "RadicalTable", "default_table", "load_radical_table", "radical_index",
     "radical_of",
     "EvalReport", "Hyperparams", "SegmenterModel", "TrainLog", "build_model",
-    "evaluate", "load_model", "model_forward", "save_model", "segment", "train",
+    "evaluate", "load_model", "save_model", "segment", "train",
 ]

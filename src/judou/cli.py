@@ -129,7 +129,6 @@ def _table2_options(f):
     opts = [
         click.option("--embed-dim", default=100, show_default=True, type=click.IntRange(1)),
         click.option("--hidden", default=100, show_default=True, type=click.IntRange(1)),
-        click.option("--layers", default=1, show_default=True, type=click.IntRange(1)),
         click.option("--batch", default=50, show_default=True, type=click.IntRange(1)),
         click.option("--epochs", default=30, show_default=True, type=click.IntRange(0)),
         click.option("--learning-rate", default=0.01, show_default=True,
@@ -157,12 +156,10 @@ def _table2_options(f):
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 @click.option("--log", "log_path", type=click.Path(path_type=Path),
               help="Training log destination [default: OUT.log].")
-def train_cmd(data_dir, emb_path, embed_dim, hidden, layers, batch, epochs,
+def train_cmd(data_dir, emb_path, embed_dim, hidden, batch, epochs,
               learning_rate, clip_norm, dropout, seed, freeze_embeddings,
               eval_on_train, out_path, log_path):
     """Train the tagger and write a checkpoint plus a per-epoch log."""
-    if layers != 1:
-        _fail(f"only --layers 1 is supported, got {layers}")
     try:
         emb = load_embeddings(emb_path, radtable=default_table())
     except OSError as e:
@@ -177,9 +174,8 @@ def train_cmd(data_dir, emb_path, embed_dim, hidden, layers, batch, epochs,
         _fail("training split is empty", EXIT_EMPTY)
     valid_path = data_dir / "valid.tsv"
     valid_units = _load_units(valid_path) if valid_path.exists() else []
-    hp = Hyperparams(embed_dim=embed_dim, hidden=hidden, layers=layers,
-                     batch=batch, epochs=epochs, learning_rate=learning_rate,
-                     clip_norm=clip_norm, dropout=dropout)
+    hp = Hyperparams(embed_dim=embed_dim, hidden=hidden, batch=batch, epochs=epochs,
+                     learning_rate=learning_rate, clip_norm=clip_norm, dropout=dropout)
     model = build_model(emb, hidden=hidden, seed=seed)
     splits = CorpusSplits(train=train_units,
                           valid=train_units if eval_on_train else valid_units,

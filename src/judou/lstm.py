@@ -4,7 +4,8 @@ The peephole connections are full H x H matrices, taken literally from the
 gate definitions rather than the diagonal form many implementations use.
 The output gate peeks at the freshly computed cell state, not the previous one.
 
-Internally everything runs over a batch axis; single sequences are batch 1.
+Every pass runs over a (B, n, d) batch of equal-length sequences, each
+starting from a zero state; there is no separate single-sequence path.
 """
 
 from dataclasses import dataclass, field
@@ -62,12 +63,6 @@ def new_lstm_params(d_in: int, hidden: int, rng: np.random.Generator, prefix: st
         W_xo=mat((d_in, hidden), "W_xo"), W_ho=mat((hidden, hidden), "W_ho"),
         W_co=mat((hidden, hidden), "W_co"), b_o=bias("b_o"),
     )
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
 
 
 @dataclass
@@ -143,22 +138,10 @@ def _cell_backward(p: LstmParams, cache: dict, dh, dc_in):
     return dx, dh_prev, dc_prev
 
 
-def lstm_step(p: LstmParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
-    """One cell update for a single input vector."""
-    if x_t.shape != (p.d_in,):
-        raise ValueError(f"input shape {x_t.shape} != ({p.d_in},)")
-    cache = _cell_forward(p, x_t[None, :], prev.h[None, :], prev.c[None, :])
-    return LstmState(h=cache["h"][0], c=cache["c"][0])
-
-
-def zero_state(p: LstmParams) -> LstmState:
-    return LstmState(h=np.zeros(p.hidden), c=np.zeros(p.hidden))
-
-
 # ---------------------------------------------------------------------------
 # sequence passes (batched)
 
-def _direction_forward(p: LstmParams, xs, reverse: bool):
+def _direction_forward(p: LstmParams, xs, reverse: bool, keep_cache: bool):
     batch, n, _ = xs.shape
     h = np.zeros((batch, p.hidden))
     c = np.zeros((batch, p.hidden))
@@ -167,7 +150,7 @@ def _direction_forward(p: LstmParams, xs, reverse: bool):
     steps = range(n - 1, -1, -1) if reverse else range(n)
     for t in steps:
         cache = _cell_forward(p, xs[:, t, :], h, c)
-        caches[t] = cache
+        caches[t] = cache if keep_cache else None
         h, c = cache["h"], cache["c"]
         hs[:, t, :] = h
     return hs, caches
@@ -185,12 +168,13 @@ def _direction_backward(p: LstmParams, caches, dhs, reverse: bool):
     return dxs
 
 
-def bilstm_forward_batch(p: BiLstmParams, xs: np.ndarray):
-    """xs (B, n, d_in) -> outputs (B, n, 2H) plus the cache for backprop."""
-    hs_f, caches_f = _direction_forward(p.forward, xs, reverse=False)
-    hs_b, caches_b = _direction_forward(p.backward, xs, reverse=True)
+def bilstm_forward_batch(p: BiLstmParams, xs: np.ndarray, keep_cache: bool = True):
+    """xs (B, n, d_in) -> outputs (B, n, 2H) plus the cache for backprop, or
+    None in place of it with keep_cache False (each step's gates freed at once)."""
+    hs_f, caches_f = _direction_forward(p.forward, xs, False, keep_cache)
+    hs_b, caches_b = _direction_forward(p.backward, xs, True, keep_cache)
     out = np.concatenate([hs_f, hs_b], axis=2)
-    return out, (caches_f, caches_b)
+    return out, (caches_f, caches_b) if keep_cache else None
 
 
 def bilstm_backward_batch(p: BiLstmParams, cache, douts: np.ndarray) -> np.ndarray:
@@ -201,11 +185,3 @@ def bilstm_backward_batch(p: BiLstmParams, cache, douts: np.ndarray) -> np.ndarr
     dxs += _direction_backward(p.backward, caches_b, douts[:, :, H:], reverse=True)
     return dxs
 
-
-def bilstm_forward(p: BiLstmParams, inputs: np.ndarray) -> np.ndarray:
-    """Per-position forward/backward hidden states for one sequence (n, d_in) -> (n, 2H)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.size == 0:
-        return np.zeros((0, 2 * p.hidden))
-    out, _ = bilstm_forward_batch(p, inputs[None, :, :])
-    return out[0]

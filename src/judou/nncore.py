@@ -10,10 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
 class NumericError(ValueError):
     """A parameter produced non-finite values."""
 
@@ -50,40 +46,16 @@ class Param:
 class SgdConfig:
     learning_rate: float = 0.01
     clip_norm: float = 5.0
-    dropout_rate: float = 0.5
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.clip_norm <= 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 # ---------------------------------------------------------------------------
-# elementary ops (mostly thin shape-checked numpy wrappers)
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are not aligned")
-    return a @ b
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    return a + b
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
-    return a * b
-
-def concat_rows(*mats: np.ndarray) -> np.ndarray:
-    cols = {m.shape[-1] for m in mats}
-    if len(cols) != 1:
-        raise ShapeError(f"concat_rows: column counts differ: {[m.shape for m in mats]}")
-    return np.concatenate([np.atleast_2d(m) for m in mats], axis=0)
+# elementary ops
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # split by sign to avoid overflow in exp
@@ -93,9 +65,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
 
 
 def glorot_uniform(shape, rng: np.random.Generator) -> np.ndarray:

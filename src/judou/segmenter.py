@@ -6,7 +6,7 @@ validation F1, and restores those parameters at the end. Evaluation scores
 sentence boundaries (positions after each E tag), never the tags themselves.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .corpus import (DEFAULT_PUNCT, LabeledSequence, TAG_CHARS, TAG_E,
                      TAG_TO_ID, Vocab, boundary_positions, normalize_text,
                      tags_to_text)
 from .crf import CrfParams, crf_nll, new_transitions, viterbi_decode
-from .embedding import EmbeddingSet, EncodedUnit, encode_chars
+from .embedding import EmbeddingConfig, EmbeddingSet, encode_chars
 from .lstm import (BiLstmParams, bilstm_backward_batch, bilstm_forward_batch,
                    new_bilstm_params)
 from .nncore import Param, SgdConfig, dropout_mask, glorot_uniform, make_rng, sgd_step
@@ -24,13 +24,15 @@ from .radicals import RadicalTable
 MAGIC = b"GJSEG01\n"
 VERSION = 1
 N_TAGS = 3
+# units decoded in one forward pass at most: the paper's minibatch size, which
+# bounds the arrays one decode pass holds
+DECODE_BATCH = 50
 
 
 @dataclass
 class Hyperparams:
     embed_dim: int = 100
     hidden: int = 100
-    layers: int = 1
     batch: int = 50
     epochs: int = 30
     learning_rate: float = 0.01
@@ -38,7 +40,7 @@ class Hyperparams:
     dropout: float = 0.5
 
     def __post_init__(self):
-        if min(self.embed_dim, self.hidden, self.layers, self.batch) < 1:
+        if min(self.embed_dim, self.hidden, self.batch) < 1:
             raise ValueError(f"dimensions and batch must be positive: {self}")
         if self.epochs < 0 or self.learning_rate < 0 or self.clip_norm <= 0:
             raise ValueError(f"bad optimization settings: {self}")
@@ -109,12 +111,16 @@ class SegmenterModel:
 
 def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
                 use_radicals: bool = True) -> SegmenterModel:
+    """A fresh tagger over its own copy of the embedding arrays; training the
+    model leaves the caller's EmbeddingSet as it was."""
     rng = make_rng(seed)
-    d_in = embeddings.d_char + (embeddings.d_radical if use_radicals else 0)
+    emb = replace(embeddings, char_vectors=embeddings.char_vectors.copy(),
+                  radical_vectors=embeddings.radical_vectors.copy())
+    d_in = emb.d_char + (emb.d_radical if use_radicals else 0)
     return SegmenterModel(
-        embeddings=embeddings,
-        char_param=Param.of(embeddings.char_vectors, "emb.char_vectors"),
-        rad_param=Param.of(embeddings.radical_vectors, "emb.radical_vectors"),
+        embeddings=emb,
+        char_param=Param.of(emb.char_vectors, "emb.char_vectors"),
+        rad_param=Param.of(emb.radical_vectors, "emb.radical_vectors"),
         bilstm=new_bilstm_params(d_in, hidden, rng),
         emit_W=Param.of(glorot_uniform((2 * hidden, N_TAGS), rng), "emit.W"),
         emit_b=Param.zeros(N_TAGS, "emit.b"),
@@ -127,17 +133,17 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
 # forward / backward over a batch of equal-length units
 
 def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndarray,
-                   training: bool, rng, dropout_rate: float):
+                   training: bool, rng, dropout: float, keep_cache: bool = True):
     X = model.char_param.value[char_ids]
     if model.use_radicals:
         X = np.concatenate([X, model.rad_param.value[rad_ids]], axis=2)
     in_mask = out_mask = None
-    if training and dropout_rate > 0:
-        in_mask = dropout_mask(X.shape, dropout_rate, rng)
+    if training and dropout > 0:
+        in_mask = dropout_mask(X.shape, dropout, rng)
         X = X * in_mask
-    H2, lstm_cache = bilstm_forward_batch(model.bilstm, X)
-    if training and dropout_rate > 0:
-        out_mask = dropout_mask(H2.shape, dropout_rate, rng)
+    H2, lstm_cache = bilstm_forward_batch(model.bilstm, X, keep_cache=keep_cache)
+    if training and dropout > 0:
+        out_mask = dropout_mask(H2.shape, dropout, rng)
         H2 = H2 * out_mask
     P = np.tensordot(H2, model.emit_W.value, axes=([2], [0])) + model.emit_b.value
     cache = {"char_ids": char_ids, "rad_ids": rad_ids, "in_mask": in_mask,
@@ -162,17 +168,6 @@ def _backward_batch(model: SegmenterModel, cache: dict, dP: np.ndarray) -> None:
         np.add.at(model.rad_param.grad, cache["rad_ids"], dX[:, :, d_c:])
 
 
-def model_forward(model: SegmenterModel, chars: str, training: bool = False,
-                  rng=None, dropout_rate: float = 0.0) -> np.ndarray:
-    """Emission scores (n, 3) for one unit; unknown characters encode as UNK."""
-    if not chars:
-        raise ValueError("cannot run the model on an empty unit")
-    enc = encode_chars(chars, model.vocab, model.radtable)
-    P, _ = _forward_batch(model, enc.char_ids[None, :], enc.rad_ids[None, :],
-                          training, rng, dropout_rate)
-    return P[0]
-
-
 # ---------------------------------------------------------------------------
 # training / evaluation / segmentation
 
@@ -184,12 +179,41 @@ def _gold_ids(units: list) -> list:
     return [np.array([TAG_TO_ID[t] for t in u.seq.tags], dtype=np.intp) for u in units]
 
 
+def _length_groups(encoded: list, idxs):
+    """Yield (indices, char_ids, rad_ids) for each distinct length among
+    encoded[i], i in idxs, in order of first appearance; the id arrays stack
+    the group's units to (B, n)."""
+    by_len: dict = {}
+    for i in idxs:
+        by_len.setdefault(len(encoded[i]), []).append(i)
+    for group in by_len.values():
+        yield (group, np.stack([encoded[i].char_ids for i in group]),
+               np.stack([encoded[i].rad_ids for i in group]))
+
+
+def _decode(model: SegmenterModel, encoded: list) -> list:
+    """Viterbi tag ids (one array per unit) from forward passes over
+    equal-length units, at most DECODE_BATCH units per pass."""
+    if any(len(e) == 0 for e in encoded):
+        raise ValueError("cannot run the model on an empty unit")
+    tags = [None] * len(encoded)
+    for idxs, char_ids, rad_ids in _length_groups(encoded, range(len(encoded))):
+        for start in range(0, len(idxs), DECODE_BATCH):
+            part = slice(start, start + DECODE_BATCH)
+            # no LSTM cache: a kept one takes fresh pages for every step's gates
+            P = _forward_batch(model, char_ids[part], rad_ids[part], False, None, 0.0, False)[0]
+            for row, i in enumerate(idxs[part]):
+                tags[i] = viterbi_decode(P[row], model.crf).tags
+    return tags
+
+
 def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
           freeze_embeddings: bool = False, progress=None) -> TrainLog:
     """Minibatch SGD on the mean sequence NLL; returns the per-epoch log.
 
     The model ends up with the parameters of the epoch with the best
-    validation F1 (earliest on ties).
+    validation F1 (earliest on ties). With no validation units there is
+    nothing to select by, and the last epoch's parameters stand.
     """
     if not splits.train:
         raise ValueError("training split is empty")
@@ -199,8 +223,7 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     # lr 0 is a supported null update (losses and evals still run)
     cfg = None
     if hp.learning_rate > 0:
-        cfg = SgdConfig(learning_rate=hp.learning_rate, clip_norm=hp.clip_norm,
-                        dropout_rate=hp.dropout)
+        cfg = SgdConfig(learning_rate=hp.learning_rate, clip_norm=hp.clip_norm)
     encoded = _encode_units(model, splits.train)
     golds = _gold_ids(splits.train)
 
@@ -214,12 +237,7 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
         for start in range(0, len(order), hp.batch):
             batch = order[start:start + hp.batch]
             n_batch = len(batch)
-            by_len: dict = {}
-            for idx in batch:
-                by_len.setdefault(len(encoded[idx]), []).append(idx)
-            for idxs in by_len.values():
-                char_ids = np.stack([encoded[i].char_ids for i in idxs])
-                rad_ids = np.stack([encoded[i].rad_ids for i in idxs])
+            for idxs, char_ids, rad_ids in _length_groups(encoded, batch):
                 P, cache = _forward_batch(model, char_ids, rad_ids, True, rng, hp.dropout)
                 dP = np.empty_like(P)
                 for row, i in enumerate(idxs):
@@ -228,6 +246,7 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
                     dP[row] = dP_i / n_batch
                     model.crf.trans.grad += dA_i / n_batch
                 _backward_batch(model, cache, dP)
+                del P, cache  # free the LSTM cache before the next pass allocates one
             if cfg is not None:
                 sgd_step(trainable, cfg)
             else:
@@ -240,7 +259,9 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
         records.append(EpochRecord(mean_loss=mean_loss, val_report=val_report))
         if progress is not None:
             progress(epoch, mean_loss, val_report)
-        if val_report.f1 > best_f1:
+        if not splits.valid:
+            best_epoch = epoch
+        elif val_report.f1 > best_f1:
             best_f1 = val_report.f1
             best_epoch = epoch
             best_values = [p.value.copy() for p in model.all_params()]
@@ -250,21 +271,12 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     return TrainLog(epochs=records, best_epoch=best_epoch)
 
 
-def predict_tags(model: SegmenterModel, chars: str) -> str:
-    """Viterbi-decoded tag string for one unit."""
-    P = model_forward(model, chars)
-    path = viterbi_decode(P, model.crf)
-    return "".join(TAG_CHARS[t] for t in path.tags)
-
-
 def evaluate(model: SegmenterModel, units: list) -> EvalReport:
     """Boundary-level precision/recall/F1 over gold-tagged units."""
     tp = fp = fn = 0
-    for unit in units:
+    for unit, tags in zip(units, _decode(model, _encode_units(model, units))):
         gold = boundary_positions(unit.seq.tags)
-        P = model_forward(model, unit.seq.chars)
-        path = viterbi_decode(P, model.crf)
-        pred = {i + 1 for i, t in enumerate(path.tags) if t == TAG_E}
+        pred = {i + 1 for i, t in enumerate(tags) if t == TAG_E}
         tp += len(gold & pred)
         fp += len(pred - gold)
         fn += len(gold - pred)
@@ -279,11 +291,11 @@ def segment(model: SegmenterModel, raw: str, separator: str = "/",
     chars = "".join(c for c in norm if c not in punct.stops)
     if not chars:
         return ""
-    tags = []
-    for start in range(0, len(chars), unit_size):
-        tags.append(predict_tags(model, chars[start:start + unit_size]))
+    units = [encode_chars(chars[start:start + unit_size], model.vocab, model.radtable)
+             for start in range(0, len(chars), unit_size)]
+    tags = "".join(TAG_CHARS[t] for unit_tags in _decode(model, units) for t in unit_tags)
     # reconstruct over the whole stream so boundaries at unit joins survive
-    return tags_to_text(LabeledSequence(chars, "".join(tags)), separator)
+    return tags_to_text(LabeledSequence(chars, tags), separator)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +359,11 @@ def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
         end = offset + rows * cols * 8
         if end > len(blob):
             raise binio.FormatError(f"section {name!r}: data [{offset}:{end}) beyond blob of {len(blob)}")
-        matrices[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(rows, cols).copy()
+        # read-only views of the blob: build_model and the loop below copy them
+        matrices[name] = np.frombuffer(blob, "<f8", rows * cols, offset).reshape(rows, cols)
+    furthest = max((offset + rows * cols * 8 for _, rows, cols, offset in entries), default=0)
+    if len(blob) > furthest:
+        raise binio.FormatError(f"{len(blob) - furthest} trailing bytes after the last section")
 
     def take(name, expect_rows=None):
         if name not in matrices:
@@ -363,7 +379,6 @@ def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
         char_to_index={ch: i for i, ch in enumerate(index_to_char) if i >= 2},
         index_to_char=index_to_char,
     )
-    from .embedding import EmbeddingConfig
     emb = EmbeddingSet(char_vectors=char_vectors, radical_vectors=radical_vectors,
                        vocab=vocab, radtable=radtable,
                        config=EmbeddingConfig(d_char=char_vectors.shape[1],

@@ -160,12 +160,6 @@ def random_embeddings(vocab: Vocab, table: RadicalTable, d_char: int,
     )
 
 
-def _clone_embeddings(emb: EmbeddingSet) -> EmbeddingSet:
-    return EmbeddingSet(char_vectors=emb.char_vectors.copy(),
-                        radical_vectors=emb.radical_vectors.copy(),
-                        vocab=emb.vocab, radtable=emb.radtable, config=emb.config)
-
-
 @dataclass
 class AblationRun:
     seed: int
@@ -219,8 +213,8 @@ def run_radical_signal(seeds=(0, 1, 2, 3, 4), table: RadicalTable = None,
 
         scores = {}
         for use_radicals in (True, False):
-            model = build_model(_clone_embeddings(emb), hidden=hp.hidden,
-                                seed=seed, use_radicals=use_radicals)
+            model = build_model(emb, hidden=hp.hidden, seed=seed,
+                                use_radicals=use_radicals)
             train(model, splits, hp, seed=seed)
             scores[use_radicals] = evaluate(model, splits.test).f1
         run = AblationRun(seed=seed, f1_radical=scores[True], f1_char_only=scores[False])

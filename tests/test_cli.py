@@ -65,7 +65,6 @@ def test_train_defaults_match_reference_settings():
     defaults = {o.name: o.default for o in main.commands["train"].params}
     assert defaults["embed_dim"] == 100
     assert defaults["hidden"] == 100
-    assert defaults["layers"] == 1
     assert defaults["batch"] == 50
     assert defaults["epochs"] == 30
     assert defaults["learning_rate"] == 0.01
@@ -205,13 +204,6 @@ def test_train_missing_embeddings(runner, data_dir, tmp_path):
                              "--embed-dim", "10", "--out", str(tmp_path / "m")])
     assert r.exit_code == 2
     assert "cannot read embeddings" in r.stderr
-
-
-def test_train_rejects_multiple_layers(runner, data_dir, emb_path, tmp_path):
-    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
-                             "--embed-dim", "10", "--layers", "2", "--out", str(tmp_path / "m")])
-    assert r.exit_code == 2
-    assert "--layers 1" in r.stderr
 
 
 # ---------------------------------------------------------------------------

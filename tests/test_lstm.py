@@ -5,14 +5,11 @@ import pytest
 
 from judou.lstm import (
     BiLstmParams,
-    LstmState,
+    _cell_forward,
     bilstm_backward_batch,
-    bilstm_forward,
     bilstm_forward_batch,
-    lstm_step,
     new_bilstm_params,
     new_lstm_params,
-    zero_state,
 )
 from judou.nncore import grad_check
 
@@ -24,30 +21,38 @@ def zeroed_params(d_in, hidden):
     return p
 
 
+def step(p, x, h, c):
+    """One cell update for a single sequence, as a batch of one row."""
+    cache = _cell_forward(p, x[None, :], h[None, :], c[None, :])
+    return cache["h"][0], cache["c"][0]
+
+
 # ---------------------------------------------------------------------------
 # closed-form single steps
 
 def test_zero_params_zero_input_gives_zero_state():
-    p = zeroed_params(3, 4)
-    s = lstm_step(p, np.zeros(3), zero_state(p))
-    # all gate preactivations are 0: i = f = o = 0.5, g = 0, so c = h = 0
-    assert np.array_equal(s.c, np.zeros(4))
-    assert np.array_equal(s.h, np.zeros(4))
+    # every sequence starts from the zero state; with zero weights all gate
+    # preactivations are 0: i = f = o = 0.5, g = 0, so c = h = 0 at every step
+    shared = zeroed_params(3, 4)
+    out, (caches_f, caches_b) = bilstm_forward_batch(BiLstmParams(shared, shared),
+                                                     np.zeros((2, 3, 3)))
+    assert np.array_equal(out, np.zeros((2, 3, 8)))
+    for cache in caches_f + caches_b:
+        assert np.array_equal(cache["c"], np.zeros((2, 4)))
 
 
 def test_zero_params_carried_cell_closed_form():
     # with zero weights and c_prev = 1: c = f*1 + i*0 = 0.5, h = 0.5*tanh(0.5)
     p = zeroed_params(2, 5)
-    prev = LstmState(h=np.zeros(5), c=np.ones(5))
-    s = lstm_step(p, np.zeros(2), prev)
-    assert np.allclose(s.c, 0.5)
-    assert np.allclose(s.h, 0.5 * np.tanh(0.5))
+    h, c = step(p, np.zeros(2), np.zeros(5), np.ones(5))
+    assert np.allclose(c, 0.5)
+    assert np.allclose(h, 0.5 * np.tanh(0.5))
 
 
 def test_step_rejects_wrong_input_shape():
-    p = zeroed_params(3, 4)
-    with pytest.raises(ValueError, match="input shape"):
-        lstm_step(p, np.zeros(5), zero_state(p))
+    p = new_bilstm_params(3, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        bilstm_forward_batch(p, np.zeros((1, 2, 5)))
 
 
 def test_gate_ranges_on_random_inputs():
@@ -71,36 +76,36 @@ def test_gate_ranges_on_random_inputs():
 def test_output_shape_is_n_by_2h():
     rng = np.random.default_rng(1)
     p = new_bilstm_params(3, 7, rng)
-    out = bilstm_forward(p, rng.normal(size=(9, 3)))
-    assert out.shape == (9, 14)
+    out, _ = bilstm_forward_batch(p, rng.normal(size=(2, 9, 3)))
+    assert out.shape == (2, 9, 14)
 
 
 def test_empty_sequence_gives_empty_output():
     p = new_bilstm_params(3, 4, np.random.default_rng(2))
-    out = bilstm_forward(p, np.zeros((0, 3)))
-    assert out.shape == (0, 8)
+    out, _ = bilstm_forward_batch(p, np.zeros((1, 0, 3)))
+    assert out.shape == (1, 0, 8)
 
 
 def test_length_one_equals_single_steps():
     rng = np.random.default_rng(3)
     p = new_bilstm_params(4, 5, rng)
     x = rng.normal(size=4)
-    out = bilstm_forward(p, x[None, :])
-    fwd = lstm_step(p.forward, x, zero_state(p.forward))
-    bwd = lstm_step(p.backward, x, zero_state(p.backward))
-    assert np.allclose(out[0, :5], fwd.h)
-    assert np.allclose(out[0, 5:], bwd.h)
+    out, _ = bilstm_forward_batch(p, x[None, None, :])
+    fwd_h, _ = step(p.forward, x, np.zeros(5), np.zeros(5))
+    bwd_h, _ = step(p.backward, x, np.zeros(5), np.zeros(5))
+    assert np.allclose(out[0, 0, :5], fwd_h)
+    assert np.allclose(out[0, 0, 5:], bwd_h)
 
 
 def test_forward_half_matches_manual_step_chain():
     rng = np.random.default_rng(4)
     p = new_bilstm_params(3, 4, rng)
     xs = rng.normal(size=(6, 3))
-    out = bilstm_forward(p, xs)
-    state = zero_state(p.forward)
+    out, _ = bilstm_forward_batch(p, xs[None])
+    h, c = np.zeros(4), np.zeros(4)
     for t in range(6):
-        state = lstm_step(p.forward, xs[t], state)
-        assert np.allclose(out[t, :4], state.h)
+        h, c = step(p.forward, xs[t], h, c)
+        assert np.allclose(out[0, t, :4], h)
 
 
 def test_reverse_swap_symmetry():
@@ -109,13 +114,13 @@ def test_reverse_swap_symmetry():
     rng = np.random.default_rng(6)
     shared = new_lstm_params(3, 4, rng)
     p = BiLstmParams(forward=shared, backward=shared)
-    xs = rng.normal(size=(8, 3))
-    out = bilstm_forward(p, xs)
-    out_rev = bilstm_forward(p, xs[::-1])
-    n = len(xs)
+    xs = rng.normal(size=(2, 8, 3))
+    out, _ = bilstm_forward_batch(p, xs)
+    out_rev, _ = bilstm_forward_batch(p, xs[:, ::-1])
+    n = xs.shape[1]
     for t in range(n):
-        assert np.allclose(out_rev[t, :4], out[n - 1 - t, 4:])
-        assert np.allclose(out_rev[t, 4:], out[n - 1 - t, :4])
+        assert np.allclose(out_rev[:, t, :4], out[:, n - 1 - t, 4:])
+        assert np.allclose(out_rev[:, t, 4:], out[:, n - 1 - t, :4])
 
 
 def test_saturated_gates_carry_cell_state_unchanged():
@@ -125,10 +130,10 @@ def test_saturated_gates_carry_cell_state_unchanged():
     p.b_i.value[:] = -50.0
     p.b_f.value[:] = 50.0
     c0 = rng.normal(size=4)
-    state = LstmState(h=np.zeros(4), c=c0.copy())
+    h, c = np.zeros(4), c0.copy()
     for _ in range(6):
-        state = lstm_step(p, rng.normal(size=3), state)
-    assert np.allclose(state.c, c0, atol=1e-10)
+        h, c = step(p, rng.normal(size=3), h, c)
+    assert np.allclose(c, c0, atol=1e-10)
 
 
 def test_batch_forward_matches_per_sequence():
@@ -137,7 +142,18 @@ def test_batch_forward_matches_per_sequence():
     xs = rng.normal(size=(3, 5, 4))
     out, _ = bilstm_forward_batch(p, xs)
     for b in range(3):
-        assert np.allclose(out[b], bilstm_forward(p, xs[b]))
+        single, _ = bilstm_forward_batch(p, xs[b:b + 1])
+        assert np.allclose(out[b], single[0])
+
+
+def test_forward_without_cache_gives_the_same_outputs():
+    rng = np.random.default_rng(9)
+    p = new_bilstm_params(4, 3, rng)
+    xs = rng.normal(size=(3, 5, 4))
+    out, cache = bilstm_forward_batch(p, xs)
+    bare, no_cache = bilstm_forward_batch(p, xs, keep_cache=False)
+    assert np.array_equal(bare, out)
+    assert cache is not None and no_cache is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,26 +2,35 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from judou import segmenter
 from judou.binio import FormatError
 from judou.corpus import (
+    TAG_CHARS,
     CorpusSplits,
     LabeledSequence,
     Unit,
     boundary_positions,
+    build_vocab,
 )
+from judou.embedding import encode_chars
 from judou.segmenter import (
+    DECODE_BATCH,
     EvalReport,
     Hyperparams,
     SegmenterModel,
+    _decode,
+    _forward_batch,
+    build_model,
     evaluate,
     load_model,
-    model_forward,
-    predict_tags,
     save_model,
     segment,
     train,
 )
+from judou.synthetic import random_embeddings
 
 from conftest import unit_of
 
@@ -30,12 +39,26 @@ PERIOD3 = [(3, 0), (0, 2), (2, 1), (1, 0), (1, 4), (2, 4)]
 ALL_O = [(3, 2), (2, 2), (2, 4)]
 
 
+def emissions(model, *texts):
+    """Emission scores (B, n, 3) of equal-length texts from one forward pass."""
+    encoded = [encode_chars(t, model.vocab, model.radtable) for t in texts]
+    P, _ = _forward_batch(model, np.stack([e.char_ids for e in encoded]),
+                          np.stack([e.rad_ids for e in encoded]), False, None, 0.0)
+    return P
+
+
+def predict_tags(model, *texts):
+    """Decoded tag strings, all texts decoded together."""
+    encoded = [encode_chars(t, model.vocab, model.radtable) for t in texts]
+    return ["".join(TAG_CHARS[t] for t in tags) for tags in _decode(model, encoded)]
+
+
 # ---------------------------------------------------------------------------
 # configuration and report arithmetic
 
 def test_hyperparam_defaults():
     hp = Hyperparams()
-    assert (hp.embed_dim, hp.hidden, hp.layers) == (100, 100, 1)
+    assert (hp.embed_dim, hp.hidden) == (100, 100)
     assert (hp.batch, hp.epochs) == (50, 30)
     assert (hp.learning_rate, hp.clip_norm, hp.dropout) == (0.01, 5.0, 0.5)
 
@@ -43,7 +66,6 @@ def test_hyperparam_defaults():
 @pytest.mark.parametrize("bad", [
     {"embed_dim": 0},
     {"hidden": -1},
-    {"layers": 0},
     {"batch": 0},
     {"epochs": -1},
     {"learning_rate": -0.1},
@@ -83,24 +105,36 @@ def test_eval_report_degenerate_denominators():
 
 def test_model_forward_shape(make_model):
     model = make_model([unit_of("天地人山水火", "BOEBOE")])
-    assert model_forward(model, "天地人山").shape == (4, 3)
+    assert emissions(model, "天地人山").shape == (1, 4, 3)
+    assert emissions(model, "天地人山", "水火天地").shape == (2, 4, 3)
 
 
 def test_model_forward_rejects_empty(make_model):
     model = make_model([unit_of("天地", "BE")])
     with pytest.raises(ValueError, match="empty"):
-        model_forward(model, "")
+        evaluate(model, [unit_of("天地", "BE"), unit_of("", "")])
+    with pytest.raises(ValueError, match="empty"):
+        predict_tags(model, "")
 
 
 def test_oov_emissions_differ_only_through_radicals(make_model):
     units = [unit_of("天地人山水火", "BOEBOE")]
     model = make_model(units)
     # both characters are out of vocabulary; only their radicals distinguish them
-    with_rad = model_forward(model, "雲") - model_forward(model, "江")
-    assert np.abs(with_rad).max() > 0
+    cloud, river = emissions(model, "雲", "江")
+    assert np.abs(cloud - river).max() > 0
     char_only = make_model(units, use_radicals=False)
-    assert np.array_equal(model_forward(char_only, "雲"),
-                          model_forward(char_only, "江"))
+    cloud, river = emissions(char_only, "雲", "江")
+    assert np.array_equal(cloud, river)
+
+
+def test_batched_emissions_match_single_rows(make_model):
+    model = make_model([unit_of("天地人山水火", "BOEBOE")])
+    texts = ["天地人山", "水火雲江", "山山山山"]
+    batch = emissions(model, *texts)
+    for row, text in zip(batch, texts):
+        # BLAS may sum a batched product in another order: last-bit differences only
+        assert np.allclose(row, emissions(model, text)[0], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +143,25 @@ def test_oov_emissions_differ_only_through_radicals(make_model):
 def test_predict_tags_follows_forced_transitions(make_model, force_transitions):
     model = make_model([unit_of("天地人山水火", "BOEBOE")])
     force_transitions(model, PERIOD3)
-    assert predict_tags(model, "天地人山水火") == "BOEBOE"
-    assert predict_tags(model, "天地人山水") == "BOEBO"
+    # mixed lengths in one call: each length is its own forward pass
+    assert predict_tags(model, "天地人山水火", "天地人山水", "天地人") == ["BOEBOE", "BOEBO", "BOE"]
     force_transitions(model, ALL_O)
-    assert predict_tags(model, "天地人山") == "OOOO"
+    assert predict_tags(model, "天地人山") == ["OOOO"]
+
+
+def test_decode_batches_by_length_up_to_the_cap(make_model, force_transitions, monkeypatch):
+    model = make_model([unit_of("天地人山水火", "BOEBOE")])
+    force_transitions(model, PERIOD3)
+    shapes = []
+
+    def recording_forward(model, char_ids, *args):
+        shapes.append(char_ids.shape)
+        return _forward_batch(model, char_ids, *args)
+
+    monkeypatch.setattr(segmenter, "_forward_batch", recording_forward)
+    texts = ["天地人山水火", "天地人"] * DECODE_BATCH + ["天地人山水火"]
+    assert predict_tags(model, *texts) == ["BOEBOE", "BOE"] * DECODE_BATCH + ["BOEBOE"]
+    assert shapes == [(DECODE_BATCH, 6), (1, 6), (DECODE_BATCH, 3)]
 
 
 def test_evaluate_perfect(make_model, force_transitions):
@@ -258,6 +307,34 @@ def test_best_epoch_parameters_are_restored(make_model):
     assert evaluate(model, splits.valid).f1 == best.f1
 
 
+def test_empty_validation_keeps_the_last_epoch(make_model):
+    splits = tiny_splits()
+    no_valid = CorpusSplits(train=splits.train, valid=[], test=[], seed=0)
+    model = make_model(splits.train)
+    snapshots = []
+
+    def snapshot(*_):
+        snapshots.append([p.value.copy() for p in model.all_params()])
+
+    log = train(model, no_valid, tiny_hp(epochs=3), seed=6, progress=snapshot)
+    assert log.best_epoch == 2
+    assert not np.array_equal(snapshots[0][-1], snapshots[-1][-1])  # later epochs moved
+    for p, v in zip(model.all_params(), snapshots[-1]):
+        assert np.array_equal(p.value, v)
+
+
+def test_training_leaves_the_callers_embeddings_alone(table):
+    splits = tiny_splits()
+    emb = random_embeddings(build_vocab(splits.train), table, d_char=4, d_radical=3, seed=0)
+    chars, rads = emb.char_vectors.copy(), emb.radical_vectors.copy()
+    model = build_model(emb, hidden=3)
+    train(model, splits, tiny_hp(), seed=2)
+    assert not np.array_equal(model.char_param.value, chars)
+    assert not np.array_equal(model.rad_param.value, rads)
+    assert np.array_equal(emb.char_vectors, chars)
+    assert np.array_equal(emb.radical_vectors, rads)
+
+
 def test_training_learns_mixed_length_sentences(make_model):
     # O->E and O->O both occur, so transitions alone cannot fit the data
     units = [
@@ -270,7 +347,7 @@ def test_training_learns_mixed_length_sentences(make_model):
                      learning_rate=0.5, clip_norm=5.0, dropout=0.0)
     log = train(model, splits, hp, seed=4)
     assert log.epochs[log.best_epoch].val_report.f1 == 1.0
-    assert predict_tags(model, "三人行必有我師焉") == "BOEBOOOE"
+    assert predict_tags(model, "三人行必有我師焉") == ["BOEBOOOE"]
     assert segment(model, "三人行,必有我師焉。") == "三人行/必有我師焉"
 
 
@@ -384,4 +461,41 @@ def test_load_rejects_truncated_blob(make_model, table, tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-16])
     with pytest.raises(FormatError, match="beyond blob"):
+        load_model(path, radtable=table)
+
+
+def test_load_rejects_trailing_bytes(make_model, table, tmp_path):
+    model = trained_model(make_model)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="trailing"):
+        load_model(path, radtable=table)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(table, tmp_path_factory):
+    """(bytes of a valid checkpoint, a scratch path to write variants to)."""
+    units = tiny_splits().train
+    emb = random_embeddings(build_vocab(units), table, d_char=4, d_radical=3, seed=0)
+    path = tmp_path_factory.mktemp("checkpoint") / "model.bin"
+    save_model(build_model(emb, hidden=3), path)
+    return path.read_bytes(), path
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_load_rejects_every_truncation(checkpoint, table, data):
+    blob, path = checkpoint
+    path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")])
+    with pytest.raises(FormatError):
+        load_model(path, radtable=table)
+
+
+@settings(deadline=None)
+@given(suffix=st.binary(min_size=1, max_size=64))
+def test_load_rejects_every_suffix(checkpoint, table, suffix):
+    blob, path = checkpoint
+    path.write_bytes(blob + suffix)
+    with pytest.raises(FormatError, match="trailing"):
         load_model(path, radtable=table)
