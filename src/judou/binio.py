@@ -4,9 +4,11 @@ import struct
 
 import numpy as np
 
+from .corpus import Vocab
+
 
 class FormatError(ValueError):
-    """A binary file failed magic, version, shape, or truncation checks."""
+    """A binary file failed magic, version, shape, encoding, or truncation checks."""
 
 
 def read_exact(f, n: int, what: str) -> bytes:
@@ -36,7 +38,26 @@ def write_string(f, s: str) -> None:
 
 def read_string(f, what: str) -> str:
     n = read_u32(f, f"{what} length")
-    return read_exact(f, n, what).decode("utf-8")
+    try:
+        return read_exact(f, n, what).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} is not valid UTF-8: {e.reason} at byte {e.start}") from None
+
+
+def write_vocab(f, vocab: Vocab) -> None:
+    for s in vocab.index_to_char:
+        write_string(f, s)
+
+def read_vocab(f, size: int) -> Vocab:
+    """size entries, PAD and UNK first; a repeated entry would leave a row no
+    character maps to, so it is rejected."""
+    first = {}
+    for i in range(size):
+        s = read_string(f, f"vocab entry {i}")
+        if first.setdefault(s, i) != i:
+            raise FormatError(f"duplicate vocab entry {i} {s!r}, first at {first[s]}")
+    return Vocab(char_to_index={s: i for s, i in first.items() if i > Vocab.UNK},
+                 index_to_char=list(first))
 
 
 def write_matrix(f, m: np.ndarray) -> None:

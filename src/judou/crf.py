@@ -96,23 +96,18 @@ def log_partition(P: np.ndarray, crf: CrfParams) -> float:
     return float(_logsumexp(alphas[-1] + crf.A[:N_TAGS, STOP]))
 
 
-def log_partition_reverse(P: np.ndarray, crf: CrfParams) -> float:
-    """Same quantity from the backward recursion; used as a cross-check."""
-    betas = _backward_betas(P, crf.A)
-    return float(_logsumexp(crf.A[START, :N_TAGS] + P[0] + betas[0]))
-
-
 def viterbi_decode(P: np.ndarray, crf: CrfParams) -> TagPath:
     """Best-scoring tag path; ties resolve to the lowest tag index at each
     backtrack step (so the returned path minimizes (y_n, ..., y_1) among optima)."""
     A = crf.A
+    T = A[:N_TAGS, :N_TAGS]
     n = P.shape[0]
     score = A[START, :N_TAGS] + P[0]
     backptr = np.empty((n, N_TAGS), dtype=np.intp)
     for t in range(1, n):
-        cand = score[:, None] + A[:N_TAGS, :N_TAGS]
-        backptr[t] = np.argmax(cand, axis=0)  # argmax takes the first (lowest) index
-        score = cand[backptr[t], np.arange(N_TAGS)] + P[t]
+        cand = score[:, None] + T
+        cand.argmax(axis=0, out=backptr[t])  # argmax takes the first (lowest) index
+        score = cand.max(axis=0) + P[t]
     final = score + A[:N_TAGS, STOP]
     last = int(np.argmax(final))
     tags = np.empty(n, dtype=np.intp)

@@ -228,8 +228,7 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
         f.write(MAGIC)
         for v in (emb.vocab.size, emb.d_char, emb.d_radical, emb.config.window, 0):
             binio.write_u32(f, v)
-        for s in emb.vocab.index_to_char:
-            binio.write_string(f, s)
+        binio.write_vocab(f, emb.vocab)
         binio.write_matrix(f, emb.char_vectors)
         binio.write_matrix(f, emb.radical_vectors)
 
@@ -244,16 +243,12 @@ def load_embeddings(path, radtable: RadicalTable = None) -> EmbeddingSet:
         d_radical = binio.read_u32(f, "radical dim")
         window = binio.read_u32(f, "window")
         binio.read_u32(f, "reserved")
-        index_to_char = [binio.read_string(f, f"vocab entry {i}") for i in range(vocab_size)]
+        vocab = binio.read_vocab(f, vocab_size)
         char_vectors = binio.read_matrix(f, vocab_size, d_char, "char vectors")
         radical_vectors = binio.read_matrix(f, N_RADICAL_ROWS, d_radical, "radical vectors")
         extra = f.read(1)
         if extra:
             raise binio.FormatError("trailing bytes after radical vectors")
-    vocab = Vocab(
-        char_to_index={ch: i for i, ch in enumerate(index_to_char) if i >= 2},
-        index_to_char=index_to_char,
-    )
     cfg = EmbeddingConfig(d_char=d_char, d_radical=d_radical, window=window)
     return EmbeddingSet(char_vectors=char_vectors, radical_vectors=radical_vectors,
                         vocab=vocab, radtable=radtable, config=cfg)

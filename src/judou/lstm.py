@@ -1,14 +1,19 @@
-"""Peephole LSTM cell and its bidirectional sequence wrapper.
+"""Peephole LSTM and its bidirectional wrapper, with the four gates fused.
 
 The peephole connections are full H x H matrices, taken literally from the
 gate definitions rather than the diagonal form many implementations use.
 The output gate peeks at the freshly computed cell state, not the previous one.
 
-Every pass runs over a (B, n, d) batch of equal-length sequences, each
-starting from a zero state; there is no separate single-sequence path.
+Gates are fused per direction as [i f g o] (Appleyard et al., arXiv
+1604.01946): one GEMM projects the inputs of all timesteps, then each step
+adds one recurrent and two peephole products and activates in place. Passes
+run over (B, n, d_in) batches of equal-length sequences from a zero state.
+A direction's backprop cache is (gates, c, tanh_c): the activated [i f g o]
+(B, n, 4H) and the cell states (B, n, H), in the direction's own step order.
+The backward pass writes the gate gradients over it, so it serves once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,51 +22,36 @@ from .nncore import Param, glorot_uniform, sigmoid
 
 @dataclass
 class LstmParams:
-    """Weights for one direction: input/forget/cell/output blocks."""
+    """Weights for one direction, gates fused as [i f g o]."""
 
-    d_in: int
     hidden: int
-    W_xi: Param = field(repr=False, default=None)
-    W_hi: Param = field(repr=False, default=None)
-    W_ci: Param = field(repr=False, default=None)
-    b_i: Param = field(repr=False, default=None)
-    W_xf: Param = field(repr=False, default=None)
-    W_hf: Param = field(repr=False, default=None)
-    W_cf: Param = field(repr=False, default=None)
-    b_f: Param = field(repr=False, default=None)
-    W_xc: Param = field(repr=False, default=None)
-    W_hc: Param = field(repr=False, default=None)
-    b_c: Param = field(repr=False, default=None)
-    W_xo: Param = field(repr=False, default=None)
-    W_ho: Param = field(repr=False, default=None)
-    W_co: Param = field(repr=False, default=None)
-    b_o: Param = field(repr=False, default=None)
+    W_x: Param  # (d_in, 4H)
+    W_h: Param  # (H, 4H)
+    W_c: Param  # (H, 2H): peephole on c_prev for i and f
+    W_co: Param  # (H, H): peephole on the new c for o
+    b: Param  # (4H,)
 
     def params(self) -> list:
-        return [
-            self.W_xi, self.W_hi, self.W_ci, self.b_i,
-            self.W_xf, self.W_hf, self.W_cf, self.b_f,
-            self.W_xc, self.W_hc, self.b_c,
-            self.W_xo, self.W_ho, self.W_co, self.b_o,
-        ]
+        return [self.W_x, self.W_h, self.W_c, self.W_co, self.b]
 
 
 def new_lstm_params(d_in: int, hidden: int, rng: np.random.Generator, prefix: str = "lstm") -> LstmParams:
-    def mat(shape, name):
-        return Param.of(glorot_uniform(shape, rng), f"{prefix}.{name}")
-
-    def bias(name):
-        return Param.zeros(hidden, f"{prefix}.{name}")
-
+    H = hidden
+    W_x, W_h = np.empty((d_in, 4 * H)), np.empty((H, 4 * H))
+    W_c, W_co = np.empty((H, 2 * H)), np.empty((H, H))
+    # each gate's blocks are drawn as separate H-wide matrices in the order
+    # x, h, peephole, gate by gate, so the Glorot limits are per gate
+    for k, peephole in enumerate((W_c[:, :H], W_c[:, H:], None, W_co)):
+        cols = slice(k * H, (k + 1) * H)
+        W_x[:, cols] = glorot_uniform((d_in, H), rng)
+        W_h[:, cols] = glorot_uniform((H, H), rng)
+        if peephole is not None:
+            peephole[...] = glorot_uniform((H, H), rng)
     return LstmParams(
-        d_in=d_in, hidden=hidden,
-        W_xi=mat((d_in, hidden), "W_xi"), W_hi=mat((hidden, hidden), "W_hi"),
-        W_ci=mat((hidden, hidden), "W_ci"), b_i=bias("b_i"),
-        W_xf=mat((d_in, hidden), "W_xf"), W_hf=mat((hidden, hidden), "W_hf"),
-        W_cf=mat((hidden, hidden), "W_cf"), b_f=bias("b_f"),
-        W_xc=mat((d_in, hidden), "W_xc"), W_hc=mat((hidden, hidden), "W_hc"), b_c=bias("b_c"),
-        W_xo=mat((d_in, hidden), "W_xo"), W_ho=mat((hidden, hidden), "W_ho"),
-        W_co=mat((hidden, hidden), "W_co"), b_o=bias("b_o"),
+        hidden=H,
+        W_x=Param.of(W_x, f"{prefix}.W_x"), W_h=Param.of(W_h, f"{prefix}.W_h"),
+        W_c=Param.of(W_c, f"{prefix}.W_c"), W_co=Param.of(W_co, f"{prefix}.W_co"),
+        b=Param.zeros(4 * H, f"{prefix}.b"),
     )
 
 
@@ -86,102 +76,107 @@ def new_bilstm_params(d_in: int, hidden: int, rng: np.random.Generator) -> BiLst
 
 
 # ---------------------------------------------------------------------------
-# cell forward/backward over a (B, ...) batch
+# one direction over a (B, n, d_in) batch
 
-def _cell_forward(p: LstmParams, x, h_prev, c_prev) -> dict:
-    i = sigmoid(x @ p.W_xi.value + h_prev @ p.W_hi.value + c_prev @ p.W_ci.value + p.b_i.value)
-    f = sigmoid(x @ p.W_xf.value + h_prev @ p.W_hf.value + c_prev @ p.W_cf.value + p.b_f.value)
-    g = np.tanh(x @ p.W_xc.value + h_prev @ p.W_hc.value + p.b_c.value)
-    c = f * c_prev + i * g
-    o = sigmoid(x @ p.W_xo.value + h_prev @ p.W_ho.value + c @ p.W_co.value + p.b_o.value)
-    tc = np.tanh(c)
-    h = o * tc
-    return {"x": x, "h_prev": h_prev, "c_prev": c_prev,
-            "i": i, "f": f, "g": g, "c": c, "o": o, "tc": tc, "h": h}
+def _direction_forward(p: LstmParams, xs, hs):
+    """One direction in step order, writing h into hs (B, n, H); the backward
+    direction is this pass over xs and hs reversed along time."""
+    batch, n, d = xs.shape
+    H = p.hidden
+    W_h, W_c, W_co = p.W_h.value, p.W_c.value, p.W_co.value
+    A = (xs.reshape(-1, d) @ p.W_x.value).reshape(batch, n, 4 * H)
+    A += p.b.value
+    C, TC = np.empty((batch, n, H)), np.empty((batch, n, H))
+    h = c = np.zeros((batch, H))
+    for t in range(n):
+        a = A[:, t]
+        i_f, i, f, g, o = a[:, :2 * H], a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        a += h @ W_h
+        i_f += c @ W_c
+        sigmoid(i_f, out=i_f)
+        np.tanh(g, out=g)
+        c = np.multiply(f, c, out=C[:, t])
+        c += i * g
+        o += c @ W_co
+        sigmoid(o, out=o)
+        h = np.multiply(o, np.tanh(c, out=TC[:, t]), out=hs[:, t])
+    return A, C, TC
 
 
-def _cell_backward(p: LstmParams, cache: dict, dh, dc_in):
-    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
-    i, f, g, c, o, tc = cache["i"], cache["f"], cache["g"], cache["c"], cache["o"], cache["tc"]
+def _direction_backward(p: LstmParams, xs, cache, dhs) -> np.ndarray:
+    """Accumulate one direction's parameter gradients from xs, the cache and
+    dhs in its step order; returns dxs flattened to (B*n, d_in)."""
+    A, C, TC = cache
+    batch, n, H = C.shape
+    W_h, W_c, W_co = p.W_h.value, p.W_c.value, p.W_co.value
+    i, f, g, o = (A[:, :, k * H:(k + 1) * H] for k in range(4))
+    # In place, turn the activations into the factors the steps multiply by:
+    # i -> g i(1-i), g -> i(1-g^2), o -> tc o(1-o), tanh_c -> o(1-tc^2); f
+    # stays. The one scratch array then holds h, for dW_h.
+    scratch = np.multiply(g, g)
+    np.subtract(1.0, scratch, out=scratch)
+    scratch *= i
+    g *= i
+    np.subtract(1.0, i, out=i)
+    i *= g
+    g[...] = scratch
+    Hs = np.multiply(o, TC, out=scratch)
+    np.multiply(TC, TC, out=TC)
+    np.subtract(1.0, TC, out=TC)
+    TC *= o
+    np.subtract(1.0, o, out=o)
+    o *= Hs
 
-    do = dh * tc
-    da_o = do * o * (1.0 - o)
-    # c receives gradient through h, through the future step, and through the
-    # output gate's peephole on the new cell state
-    dc = dh * o * (1.0 - tc * tc) + dc_in + da_o @ p.W_co.value.T
-    di = dc * g
-    da_i = di * i * (1.0 - i)
-    df = dc * c_prev
-    da_f = df * f * (1.0 - f)
-    dg = dc * i
-    da_g = dg * (1.0 - g * g)
+    dh, dc = np.zeros((batch, H)), np.zeros((batch, H))
+    for t in range(n - 1, -1, -1):
+        a, f_t = A[:, t], A[:, t, H:2 * H]
+        dh += dhs[:, t]
+        # c gets gradient through h, from the next step and through the o peephole
+        dc += dh * TC[:, t]
+        dc += np.multiply(a[:, 3 * H:], dh, out=a[:, 3 * H:]) @ W_co.T
+        dc_prev = dc * f_t
+        f_t *= 1.0 - f_t
+        f_t *= C[:, t - 1] if t else 0.0  # c_prev is zero at the first step
+        f_t *= dc
+        a[:, :H] *= dc
+        a[:, 2 * H:3 * H] *= dc
+        dc_prev += a[:, :2 * H] @ W_c.T
+        dh, dc = a @ W_h.T, dc_prev
 
-    p.W_xi.grad += x.T @ da_i
-    p.W_hi.grad += h_prev.T @ da_i
-    p.W_ci.grad += c_prev.T @ da_i
-    p.b_i.grad += da_i.sum(axis=0)
-    p.W_xf.grad += x.T @ da_f
-    p.W_hf.grad += h_prev.T @ da_f
-    p.W_cf.grad += c_prev.T @ da_f
-    p.b_f.grad += da_f.sum(axis=0)
-    p.W_xc.grad += x.T @ da_g
-    p.W_hc.grad += h_prev.T @ da_g
-    p.b_c.grad += da_g.sum(axis=0)
-    p.W_xo.grad += x.T @ da_o
-    p.W_ho.grad += h_prev.T @ da_o
-    p.W_co.grad += c.T @ da_o
-    p.b_o.grad += da_o.sum(axis=0)
-
-    dx = da_i @ p.W_xi.value.T + da_f @ p.W_xf.value.T + da_g @ p.W_xc.value.T + da_o @ p.W_xo.value.T
-    dh_prev = da_i @ p.W_hi.value.T + da_f @ p.W_hf.value.T + da_g @ p.W_hc.value.T + da_o @ p.W_ho.value.T
-    dc_prev = dc * f + da_i @ p.W_ci.value.T + da_f @ p.W_cf.value.T
-    return dx, dh_prev, dc_prev
+    dA = A.reshape(-1, 4 * H)
+    p.b.grad += dA.sum(axis=0)
+    p.W_x.grad += xs.reshape(-1, xs.shape[2]).T @ dA
+    p.W_co.grad += C.reshape(-1, H).T @ dA[:, 3 * H:]
+    # Row r of the flattened (B*n, .) arrays has its previous state in row r-1,
+    # except at each sequence's first step. Zeroing each sequence's last step,
+    # which is no step's previous state, makes the one-row shift exact.
+    if n > 0:
+        Hs[:, -1] = C[:, -1] = 0.0
+        p.W_h.grad += Hs.reshape(-1, H)[:-1].T @ dA[1:]
+        p.W_c.grad += C.reshape(-1, H)[:-1].T @ dA[1:, :2 * H]
+    return dA @ p.W_x.value.T
 
 
 # ---------------------------------------------------------------------------
-# sequence passes (batched)
-
-def _direction_forward(p: LstmParams, xs, reverse: bool, keep_cache: bool):
-    batch, n, _ = xs.shape
-    h = np.zeros((batch, p.hidden))
-    c = np.zeros((batch, p.hidden))
-    caches = [None] * n
-    hs = np.empty((batch, n, p.hidden))
-    steps = range(n - 1, -1, -1) if reverse else range(n)
-    for t in steps:
-        cache = _cell_forward(p, xs[:, t, :], h, c)
-        caches[t] = cache if keep_cache else None
-        h, c = cache["h"], cache["c"]
-        hs[:, t, :] = h
-    return hs, caches
-
-
-def _direction_backward(p: LstmParams, caches, dhs, reverse: bool):
-    batch, n, _ = dhs.shape
-    dxs = np.zeros((batch, n, p.d_in))
-    dh_next = np.zeros((batch, p.hidden))
-    dc_next = np.zeros((batch, p.hidden))
-    steps = range(n) if reverse else range(n - 1, -1, -1)
-    for t in steps:
-        dx, dh_next, dc_next = _cell_backward(p, caches[t], dhs[:, t, :] + dh_next, dc_next)
-        dxs[:, t, :] = dx
-    return dxs
-
+# bidirectional passes
 
 def bilstm_forward_batch(p: BiLstmParams, xs: np.ndarray, keep_cache: bool = True):
     """xs (B, n, d_in) -> outputs (B, n, 2H) plus the cache for backprop, or
-    None in place of it with keep_cache False (each step's gates freed at once)."""
-    hs_f, caches_f = _direction_forward(p.forward, xs, False, keep_cache)
-    hs_b, caches_b = _direction_forward(p.backward, xs, True, keep_cache)
-    out = np.concatenate([hs_f, hs_b], axis=2)
-    return out, (caches_f, caches_b) if keep_cache else None
+    None in place of it with keep_cache False."""
+    H = p.hidden
+    out = np.empty(xs.shape[:2] + (2 * H,))
+    fwd = _direction_forward(p.forward, xs, out[:, :, :H])
+    fwd = fwd if keep_cache else None  # freed before the backward direction allocates
+    bwd = _direction_forward(p.backward, xs[:, ::-1], out[:, ::-1, H:])
+    return out, (xs, fwd, bwd) if keep_cache else None
 
 
 def bilstm_backward_batch(p: BiLstmParams, cache, douts: np.ndarray) -> np.ndarray:
-    """Accumulate parameter gradients; returns gradients w.r.t. the inputs."""
-    caches_f, caches_b = cache
+    """Accumulate parameter gradients; returns gradients w.r.t. the inputs.
+    Consumes the cache: the gate gradients are written over it."""
+    xs, fwd, bwd = cache
     H = p.hidden
-    dxs = _direction_backward(p.forward, caches_f, douts[:, :, :H], reverse=False)
-    dxs += _direction_backward(p.backward, caches_b, douts[:, :, H:], reverse=True)
+    dxs = _direction_backward(p.forward, xs, fwd, douts[:, :, :H]).reshape(xs.shape)
+    dxs_b = _direction_backward(p.backward, xs[:, ::-1], bwd, douts[:, ::-1, H:])
+    dxs += dxs_b.reshape(xs.shape)[:, ::-1]
     return dxs
-

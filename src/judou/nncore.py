@@ -57,13 +57,13 @@ class SgdConfig:
 # ---------------------------------------------------------------------------
 # elementary ops
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Logistic function in its tanh form, 0.5 + 0.5 tanh(x / 2): it cannot
+    overflow and needs no masks. out may be x itself."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 

@@ -22,7 +22,7 @@ from .nncore import Param, SgdConfig, dropout_mask, glorot_uniform, make_rng, sg
 from .radicals import RadicalTable
 
 MAGIC = b"GJSEG01\n"
-VERSION = 1
+VERSION = 2
 N_TAGS = 3
 # units decoded in one forward pass at most: the paper's minibatch size, which
 # bounds the arrays one decode pass holds
@@ -315,8 +315,7 @@ def save_model(model: SegmenterModel, path) -> None:
         table = model.radtable
         binio.write_string(f, table.sha256 if table is not None else "")
         binio.write_u32(f, model.vocab.size)
-        for s in model.vocab.index_to_char:
-            binio.write_string(f, s)
+        binio.write_vocab(f, model.vocab)
         binio.write_u32(f, len(sections))
         for name, rows, cols, offset in sections:
             binio.write_string(f, name)
@@ -343,8 +342,7 @@ def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
         if saved_hash != (radtable.sha256 or ""):
             raise binio.FormatError(
                 f"radical table hash mismatch: checkpoint has {saved_hash[:12]!r}")
-        vocab_size = binio.read_u32(f, "vocab size")
-        index_to_char = [binio.read_string(f, f"vocab entry {i}") for i in range(vocab_size)]
+        vocab = binio.read_vocab(f, binio.read_u32(f, "vocab size"))
         n_sections = binio.read_u32(f, "section count")
         entries = []
         for _ in range(n_sections):
@@ -373,21 +371,16 @@ def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
             raise binio.FormatError(f"section {name!r}: {m.shape[0]} rows, expected {expect_rows}")
         return m
 
-    char_vectors = take("emb.char_vectors", expect_rows=vocab_size)
+    char_vectors = take("emb.char_vectors", expect_rows=vocab.size)
     radical_vectors = take("emb.radical_vectors")
-    vocab = Vocab(
-        char_to_index={ch: i for i, ch in enumerate(index_to_char) if i >= 2},
-        index_to_char=index_to_char,
-    )
     emb = EmbeddingSet(char_vectors=char_vectors, radical_vectors=radical_vectors,
                        vocab=vocab, radtable=radtable,
                        config=EmbeddingConfig(d_char=char_vectors.shape[1],
                                               d_radical=radical_vectors.shape[1]))
-    hidden = take("fwd.W_hi").shape[0]
-    model = build_model(emb, hidden=hidden, seed=0, use_radicals=use_radicals)
+    model = build_model(emb, hidden=take("fwd.W_h").shape[0], seed=0, use_radicals=use_radicals)
     for p in model.all_params():
         m = take(p.name)
-        if m.size != p.value.size:
+        if m.shape != np.atleast_2d(p.value).shape:  # as save_model writes it
             raise binio.FormatError(
                 f"section {p.name!r}: shape {m.shape} incompatible with {p.value.shape}")
         p.value[...] = m.reshape(p.value.shape)

@@ -1,11 +1,13 @@
-"""Brute-force CRF oracles: independent reimplementations with explicit loops,
-used to check the dynamic-programming routines by exhaustive enumeration."""
+"""Independent reimplementations with explicit loops: brute-force CRF oracles
+that check the dynamic-programming routines by exhaustive enumeration, and the
+unfused per-gate LSTM cell that checks the fused one."""
 
 import itertools
 
 import numpy as np
 
-from judou.crf import N_TAGS, START, STOP, CrfParams, new_transitions
+from judou.crf import (N_TAGS, START, STOP, CrfParams, _backward_betas, _logsumexp,
+                       new_transitions)
 
 
 def all_paths(n):
@@ -54,6 +56,13 @@ def oracle_marginals(P, A):
     return marg, trans
 
 
+def log_partition_reverse(P, crf: CrfParams) -> float:
+    """log Z from the backward recursion that crf_nll uses, as a cross-check
+    on the forward one."""
+    betas = _backward_betas(P, crf.A)
+    return float(_logsumexp(crf.A[START, :N_TAGS] + P[0] + betas[0]))
+
+
 def random_crf(rng, scale=1.0) -> CrfParams:
     """Random transitions on the structurally possible cells only."""
     crf = CrfParams(trans=new_transitions())
@@ -62,3 +71,89 @@ def random_crf(rng, scale=1.0) -> CrfParams:
     a[START, :N_TAGS] = rng.normal(scale=scale, size=N_TAGS)
     a[:N_TAGS, STOP] = rng.normal(scale=scale, size=N_TAGS)
     return crf
+
+
+# ---------------------------------------------------------------------------
+# LSTM oracle: the unfused peephole cell, one gate and one step at a time
+
+GATES = "ifco"  # input, forget, cell candidate, output: the fused column order
+
+
+def lstm_gate_weights(p) -> dict:
+    """Per-gate blocks (views) of fused LstmParams values, by unfused names."""
+    H = p.hidden
+    w = {"W_ci": p.W_c.value[:, :H], "W_cf": p.W_c.value[:, H:], "W_co": p.W_co.value}
+    for k, gate in enumerate(GATES):
+        cols = slice(k * H, (k + 1) * H)
+        w[f"W_x{gate}"] = p.W_x.value[:, cols]
+        w[f"W_h{gate}"] = p.W_h.value[:, cols]
+        w[f"b_{gate}"] = p.b.value[cols]
+    return w
+
+
+def fuse_gate_grads(g: dict) -> list:
+    """Per-gate gradients assembled in the order of LstmParams.params()."""
+    return [np.hstack([g[f"W_x{k}"] for k in GATES]),
+            np.hstack([g[f"W_h{k}"] for k in GATES]),
+            np.hstack([g["W_ci"], g["W_cf"]]),
+            g["W_co"],
+            np.concatenate([g[f"b_{k}"] for k in GATES])]
+
+
+def _logistic(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def oracle_cell_forward(w, x, h_prev, c_prev) -> dict:
+    i = _logistic(x @ w["W_xi"] + h_prev @ w["W_hi"] + c_prev @ w["W_ci"] + w["b_i"])
+    f = _logistic(x @ w["W_xf"] + h_prev @ w["W_hf"] + c_prev @ w["W_cf"] + w["b_f"])
+    g = np.tanh(x @ w["W_xc"] + h_prev @ w["W_hc"] + w["b_c"])
+    c = f * c_prev + i * g
+    o = _logistic(x @ w["W_xo"] + h_prev @ w["W_ho"] + c @ w["W_co"] + w["b_o"])
+    tc = np.tanh(c)
+    return {"x": x, "h_prev": h_prev, "c_prev": c_prev,
+            "i": i, "f": f, "g": g, "c": c, "o": o, "tc": tc, "h": o * tc}
+
+
+def oracle_cell_backward(w, grads, cache, dh, dc_in):
+    """Accumulate per-gate gradients into grads; returns (dx, dh_prev, dc_prev)."""
+    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
+    i, f, g, c, o, tc = cache["i"], cache["f"], cache["g"], cache["c"], cache["o"], cache["tc"]
+    da_o = dh * tc * o * (1.0 - o)
+    # c receives gradient through h, through the future step, and through the
+    # output gate's peephole on the new cell state
+    dc = dh * o * (1.0 - tc * tc) + dc_in + da_o @ w["W_co"].T
+    da = {"i": dc * g * i * (1.0 - i), "f": dc * c_prev * f * (1.0 - f),
+          "c": dc * i * (1.0 - g * g), "o": da_o}
+    for k in GATES:
+        grads[f"W_x{k}"] += x.T @ da[k]
+        grads[f"W_h{k}"] += h_prev.T @ da[k]
+        grads[f"b_{k}"] += da[k].sum(axis=0)
+    grads["W_ci"] += c_prev.T @ da["i"]
+    grads["W_cf"] += c_prev.T @ da["f"]
+    grads["W_co"] += c.T @ da["o"]
+    dx = sum(da[k] @ w[f"W_x{k}"].T for k in GATES)
+    dh_prev = sum(da[k] @ w[f"W_h{k}"].T for k in GATES)
+    dc_prev = dc * f + da["i"] @ w["W_ci"].T + da["f"] @ w["W_cf"].T
+    return dx, dh_prev, dc_prev
+
+
+def oracle_lstm_direction(p, xs, dhs, reverse: bool):
+    """One direction over xs (B, n, d) step by step from a zero state, then
+    back again: (hs, dxs, fused parameter gradients)."""
+    w = lstm_gate_weights(p)
+    grads = {k: np.zeros_like(v) for k, v in w.items()}
+    batch, n, _ = xs.shape
+    steps = list(range(n - 1, -1, -1) if reverse else range(n))
+    h = c = np.zeros((batch, p.hidden))
+    hs = np.zeros((batch, n, p.hidden))
+    caches = [None] * n
+    for t in steps:
+        caches[t] = oracle_cell_forward(w, xs[:, t], h, c)
+        h, c = caches[t]["h"], caches[t]["c"]
+        hs[:, t] = h
+    dxs = np.zeros_like(xs)
+    dh = dc = np.zeros((batch, p.hidden))
+    for t in reversed(steps):
+        dxs[:, t], dh, dc = oracle_cell_backward(w, grads, caches[t], dhs[:, t] + dh, dc)
+    return hs, dxs, fuse_gate_grads(grads)

@@ -253,6 +253,16 @@ def test_eval_missing_data(runner, make_model, force_transitions, tmp_path):
     assert r.exit_code == 2
 
 
+def test_segment_rejects_a_checkpoint_with_invalid_utf8(runner, make_model, force_transitions,
+                                                       tmp_path):
+    ckpt = tmp_path / "m.bin"
+    rigged_checkpoint(make_model, force_transitions, ALL_O, ckpt)
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"<UNK>", b"\xffUNK>", 1))
+    r = runner.invoke(main, ["segment", "--model", str(ckpt)], input="天地")
+    assert r.exit_code == 2
+    assert "bad checkpoint" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # segment
 

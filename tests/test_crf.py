@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from judou.crf import (N_TAGS, NEG_INF, START, STOP, CrfParams, crf_nll,
-                       log_partition, log_partition_reverse, new_transitions,
-                       path_score, viterbi_decode)
+                       log_partition, new_transitions, path_score, viterbi_decode)
 from judou.nncore import Param, grad_check, make_rng
-from oracles import (all_paths, oracle_log_partition, oracle_marginals,
-                     oracle_path_score, oracle_viterbi, random_crf)
+from oracles import (all_paths, log_partition_reverse, oracle_log_partition,
+                     oracle_marginals, oracle_path_score, oracle_viterbi, random_crf)
 
 
 def zero_crf():

@@ -241,6 +241,20 @@ def test_load_rejects_trailing_bytes(table, tmp_path):
         load_embeddings(path)
 
 
+def test_load_rejects_invalid_utf8_in_the_vocab(table, tmp_path):
+    _, path = trained(table, tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"<UNK>", b"\xffUNK>", 1))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_embeddings(path)
+
+
+def test_load_rejects_duplicate_vocab_entries(table, tmp_path):
+    _, path = trained(table, tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"<UNK>", b"<PAD>", 1))
+    with pytest.raises(FormatError, match="duplicate"):
+        load_embeddings(path)
+
+
 def test_export_text_format(table, tmp_path):
     emb, _ = trained(table, tmp_path)
     out = tmp_path / "emb.txt"

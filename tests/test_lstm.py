@@ -1,17 +1,19 @@
-"""Peephole LSTM and Bi-LSTM tests: closed forms, invariants, gradients."""
+"""Peephole LSTM and Bi-LSTM tests: closed forms, invariants, gradients, and
+the fused layout against the per-gate oracle."""
 
 import numpy as np
 import pytest
 
 from judou.lstm import (
     BiLstmParams,
-    _cell_forward,
     bilstm_backward_batch,
     bilstm_forward_batch,
     new_bilstm_params,
     new_lstm_params,
 )
-from judou.nncore import grad_check
+from judou.nncore import glorot_uniform, grad_check
+
+from oracles import lstm_gate_weights, oracle_cell_forward, oracle_lstm_direction
 
 
 def zeroed_params(d_in, hidden):
@@ -22,31 +24,41 @@ def zeroed_params(d_in, hidden):
 
 
 def step(p, x, h, c):
-    """One cell update for a single sequence, as a batch of one row."""
-    cache = _cell_forward(p, x[None, :], h[None, :], c[None, :])
+    """One per-gate cell update for a single sequence (the oracle)."""
+    cache = oracle_cell_forward(lstm_gate_weights(p), x[None, :], h[None, :], c[None, :])
     return cache["h"][0], cache["c"][0]
 
 
+def gates(A, H):
+    """The [i f g o] blocks of a cached gate array."""
+    return [A[..., k * H:(k + 1) * H] for k in range(4)]
+
+
 # ---------------------------------------------------------------------------
-# closed-form single steps
+# closed forms
 
 def test_zero_params_zero_input_gives_zero_state():
     # every sequence starts from the zero state; with zero weights all gate
     # preactivations are 0: i = f = o = 0.5, g = 0, so c = h = 0 at every step
     shared = zeroed_params(3, 4)
-    out, (caches_f, caches_b) = bilstm_forward_batch(BiLstmParams(shared, shared),
-                                                     np.zeros((2, 3, 3)))
+    out, (_, fwd, bwd) = bilstm_forward_batch(BiLstmParams(shared, shared), np.zeros((2, 3, 3)))
     assert np.array_equal(out, np.zeros((2, 3, 8)))
-    for cache in caches_f + caches_b:
-        assert np.array_equal(cache["c"], np.zeros((2, 4)))
+    for A, C, TC in (fwd, bwd):
+        assert np.array_equal(C, np.zeros((2, 3, 4)))
+        assert np.array_equal(TC, np.zeros((2, 3, 4)))
 
 
 def test_zero_params_carried_cell_closed_form():
-    # with zero weights and c_prev = 1: c = f*1 + i*0 = 0.5, h = 0.5*tanh(0.5)
+    # with zero weights i = f = o = 0.5 and g = tanh(b_g) = 0.5, so the cell
+    # carries half of itself: c_t = 0.5 c_{t-1} + 0.25, h_t = 0.5 tanh(c_t)
     p = zeroed_params(2, 5)
-    h, c = step(p, np.zeros(2), np.zeros(5), np.ones(5))
-    assert np.allclose(c, 0.5)
-    assert np.allclose(h, 0.5 * np.tanh(0.5))
+    p.b.value[10:15] = np.arctanh(0.5)
+    out, (_, (A, C, TC), _) = bilstm_forward_batch(BiLstmParams(p, p), np.zeros((1, 3, 2)))
+    c = 0.0
+    for t in range(3):
+        c = 0.5 * c + 0.25
+        assert np.allclose(C[0, t], c)
+        assert np.allclose(out[0, t, :5], 0.5 * np.tanh(c))
 
 
 def test_step_rejects_wrong_input_shape():
@@ -59,13 +71,15 @@ def test_gate_ranges_on_random_inputs():
     rng = np.random.default_rng(5)
     p = new_bilstm_params(4, 6, rng)
     xs = rng.normal(size=(2, 7, 4))
-    out, (caches_f, caches_b) = bilstm_forward_batch(p, xs)
-    for caches in (caches_f, caches_b):
-        for cache in caches:
-            for gate in ("i", "f", "o"):
-                assert np.all((cache[gate] > 0.0) & (cache[gate] < 1.0))
-            assert np.all(np.abs(cache["g"]) < 1.0)
-            assert np.allclose(cache["h"], cache["o"] * np.tanh(cache["c"]))
+    out, (_, fwd, bwd) = bilstm_forward_batch(p, xs)
+    # the backward direction's cache runs in its own step order: reversed time
+    for (A, C, TC), hs in ((fwd, out[:, :, :6]), (bwd, out[:, ::-1, 6:])):
+        i, f, g, o = gates(A, 6)
+        for gate in (i, f, o):
+            assert np.all((gate > 0.0) & (gate < 1.0))
+        assert np.all(np.abs(g) < 1.0)
+        assert np.array_equal(TC, np.tanh(C))
+        assert np.allclose(hs, o * np.tanh(C))
     # h = o * tanh(c) with o in (0,1) keeps every output inside (-1, 1)
     assert np.all(np.abs(out) < 1.0)
 
@@ -124,16 +138,22 @@ def test_reverse_swap_symmetry():
 
 
 def test_saturated_gates_carry_cell_state_unchanged():
-    # i ~ 0 and f ~ 1 via large biases: c_t stays at c_0 across steps
+    # i ~ 0 and f ~ 1 via large biases b[:H] and b[H:2H]; only the first
+    # input, whose feature 0 is on, opens the input gate. From then on c_t
+    # stays at c_0, the first step's cell state.
     rng = np.random.default_rng(7)
     p = new_lstm_params(3, 4, rng)
-    p.b_i.value[:] = -50.0
-    p.b_f.value[:] = 50.0
-    c0 = rng.normal(size=4)
-    h, c = np.zeros(4), c0.copy()
-    for _ in range(6):
-        h, c = step(p, rng.normal(size=3), h, c)
-    assert np.allclose(c, c0, atol=1e-10)
+    p.b.value[:4] = -50.0
+    p.b.value[4:8] = 50.0
+    p.W_x.value[0, :4] = 100.0
+    xs = rng.normal(size=(1, 7, 3))
+    xs[0, 0, 0] = 1.0
+    xs[0, 1:, 0] = 0.0
+    _, (_, (A, C, TC), _) = bilstm_forward_batch(BiLstmParams(p, p), xs)
+    c0 = C[0, 0]
+    assert np.all(np.abs(c0) > 0.01)
+    for t in range(1, 7):
+        assert np.allclose(C[0, t], c0, atol=1e-10)
 
 
 def test_batch_forward_matches_per_sequence():
@@ -154,6 +174,63 @@ def test_forward_without_cache_gives_the_same_outputs():
     bare, no_cache = bilstm_forward_batch(p, xs, keep_cache=False)
     assert np.array_equal(bare, out)
     assert cache is not None and no_cache is None
+
+
+# ---------------------------------------------------------------------------
+# the fused layout
+
+@pytest.mark.parametrize("batch,n,d_in,hidden",
+                         [(1, 1, 3, 2), (3, 1, 4, 5), (1, 0, 3, 4), (3, 0, 2, 2),
+                          (2, 6, 3, 4), (4, 11, 5, 3), (1, 9, 2, 6)])
+def test_fused_pass_matches_per_gate_oracle(batch, n, d_in, hidden):
+    rng = np.random.default_rng(100 * n + 10 * batch + hidden)
+    p = new_bilstm_params(d_in, hidden, rng)
+    for q in p.params():
+        q.value[...] = rng.normal(scale=0.5, size=q.value.shape)
+    xs = rng.normal(size=(batch, n, d_in))
+    douts = rng.normal(size=(batch, n, 2 * hidden))
+
+    out, cache = bilstm_forward_batch(p, xs)
+    dxs = bilstm_backward_batch(p, cache, douts)
+    hs_f, dxs_f, grads_f = oracle_lstm_direction(p.forward, xs, douts[:, :, :hidden], False)
+    hs_b, dxs_b, grads_b = oracle_lstm_direction(p.backward, xs, douts[:, :, hidden:], True)
+
+    assert out.shape == (batch, n, 2 * hidden) and dxs.shape == xs.shape
+    assert np.allclose(out, np.concatenate([hs_f, hs_b], axis=2), rtol=0, atol=1e-12)
+    assert np.allclose(dxs, dxs_f + dxs_b, rtol=0, atol=1e-12)
+    for q, g in zip(p.params(), grads_f + grads_b):
+        assert q.grad.shape == g.shape, q.name
+        assert np.allclose(q.grad, g, rtol=0, atol=1e-12), q.name
+
+
+def test_new_params_follow_the_per_gate_draw_order():
+    d_in, H = 5, 3
+    p = new_lstm_params(d_in, H, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    w = lstm_gate_weights(p)
+    for gate in "ifco":
+        assert np.array_equal(w[f"W_x{gate}"], glorot_uniform((d_in, H), rng))
+        assert np.array_equal(w[f"W_h{gate}"], glorot_uniform((H, H), rng))
+        if gate != "c":
+            assert np.array_equal(w[f"W_c{gate}"], glorot_uniform((H, H), rng))
+        assert np.array_equal(w[f"b_{gate}"], np.zeros(H))
+    assert [q.name for q in p.params()] == ["lstm.W_x", "lstm.W_h", "lstm.W_c", "lstm.W_co", "lstm.b"]
+
+
+def test_cache_holds_six_h_floats_per_position():
+    B, n, d, H = 50, 100, 100, 100
+    rng = np.random.default_rng(22)
+    p = new_bilstm_params(d, H, rng)
+    xs = rng.normal(size=(B, n, d))
+    _, (cached_xs, fwd, bwd) = bilstm_forward_batch(p, xs)
+    assert cached_xs is xs  # the input is referenced, not copied
+    for direction in (fwd, bwd):
+        owners = {}
+        for a in direction:
+            while a.base is not None:  # count a view as the array that owns its memory
+                a = a.base
+            owners[id(a)] = a.size
+        assert sum(owners.values()) <= (4 * H + 2 * H) * B * n
 
 
 # ---------------------------------------------------------------------------

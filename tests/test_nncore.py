@@ -16,6 +16,27 @@ class TestElementaryOps:
         out = sigmoid(np.array([-1000.0, 1000.0]))
         assert out == pytest.approx([0.0, 1.0])
         assert np.all(np.isfinite(out))
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
+    def test_sigmoid_matches_the_exp_form(self):
+        x = np.linspace(-40.0, 40.0, 8001)
+        assert np.max(np.abs(sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) <= 1e-15
+
+    def test_sigmoid_writes_into_out(self):
+        x = np.linspace(-5.0, 5.0, 11)
+        out = np.empty_like(x)
+        assert sigmoid(x, out=out) is out
+        assert np.array_equal(out, sigmoid(x))
+        assert np.array_equal(x, np.linspace(-5.0, 5.0, 11))
+
+    def test_sigmoid_in_place_on_a_view(self):
+        x = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        expected = sigmoid(x[:, :2])
+        rest = x[:, 2:].copy()
+        view = x[:, :2]
+        assert sigmoid(view, out=view) is view
+        assert np.array_equal(x[:, :2], expected)
+        assert np.array_equal(x[:, 2:], rest)
 
 
 class TestGlorot:

@@ -1,5 +1,7 @@
 """Tagger-level tests: config, metrics, training behaviour, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -470,6 +472,54 @@ def test_load_rejects_trailing_bytes(make_model, table, tmp_path):
     save_model(model, path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
+        load_model(path, radtable=table)
+
+
+def test_load_rejects_a_version_1_checkpoint(make_model, table, tmp_path):
+    # version 1 held per-gate LSTM sections; the fused layout is version 2
+    model = trained_model(make_model)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = bytearray(path.read_bytes())
+    assert data[8] == 2
+    data[8] = 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="version 1"):
+        load_model(path, radtable=table)
+
+
+def test_load_rejects_invalid_utf8_in_the_vocab(make_model, table, tmp_path):
+    model = trained_model(make_model)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"<UNK>", b"\xffUNK>", 1))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_model(path, radtable=table)
+
+
+def test_load_rejects_duplicate_vocab_entries(make_model, table, tmp_path):
+    model = trained_model(make_model)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"<UNK>", b"<PAD>", 1))
+    with pytest.raises(FormatError, match="duplicate"):
+        load_model(path, radtable=table)
+
+
+def test_load_rejects_a_section_of_the_right_size_but_wrong_shape(make_model, table, tmp_path):
+    model = trained_model(make_model)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = bytearray(path.read_bytes())
+    name = b"fwd.W_c"
+    at = data.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    rows, cols = struct.unpack("<II", data[at:at + 8])
+    assert rows != cols
+    data[at:at + 8] = struct.pack("<II", cols, rows)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="fwd.W_c"):
         load_model(path, radtable=table)
 
 
