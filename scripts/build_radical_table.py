@@ -9,6 +9,8 @@ from Unicode structure alone, so it can be rebuilt offline:
   * The original CJK Unified Ideographs block (U+4E00..U+9FA5) is laid out in
     radical-then-residual-stroke order, so every codepoint belongs to the
     section of the greatest head codepoint not exceeding it.
+  * A CJK Compatibility Ideograph (U+F900..U+FAFF) whose NFKC form is one
+    character of that block takes that character's radical.
 
 The script asserts the 214 section heads are strictly increasing before
 emitting anything; a wrong head would corrupt every assignment after it.
@@ -22,6 +24,7 @@ from pathlib import Path
 URO_FIRST = 0x4E00
 URO_LAST = 0x9FA5  # original block; later extensions are not radical-ordered
 KANGXI_BLOCK_FIRST = 0x2F00
+COMPAT_FIRST, COMPAT_LAST = 0xF900, 0xFAFF
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "src" / "judou" / "data" / "kangxi_radicals.tsv"
 
@@ -44,6 +47,10 @@ def build_entries() -> list[tuple[int, int]]:
         entries.append((KANGXI_BLOCK_FIRST + i, i + 1))
     for cp in range(URO_FIRST, URO_LAST + 1):
         entries.append((cp, bisect.bisect_right(heads, cp)))
+    for cp in range(COMPAT_FIRST, COMPAT_LAST + 1):
+        unified = unicodedata.normalize("NFKC", chr(cp))
+        if len(unified) == 1 and URO_FIRST <= ord(unified) <= URO_LAST:
+            entries.append((cp, bisect.bisect_right(heads, ord(unified))))
     return entries
 
 
@@ -52,7 +59,8 @@ def main() -> None:
     lines = [
         "# Kangxi radical numbers (1..214) for Han codepoints.",
         "# Derived from the Unicode Kangxi Radicals block and the radical-section",
-        "# layout of the original CJK Unified Ideographs block (U+4E00..U+9FA5).",
+        "# layout of the original CJK Unified Ideographs block (U+4E00..U+9FA5);",
+        "# CJK Compatibility Ideographs take the radical of their NFKC form there.",
         "# Regenerate with: python scripts/build_radical_table.py",
         f"# unicodedata version: {unicodedata.unidata_version}",
     ]

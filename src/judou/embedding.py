@@ -8,7 +8,6 @@ positional order (instead of averaging the context) is what lets the model
 weight the radical slots differently from the character slots.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ from .nncore import Param, make_rng
 from .radicals import N_RADICALS, RadicalTable, radical_index
 
 MAGIC = b"GJEMB01\n"
+VERSION = 2
 N_RADICAL_ROWS = N_RADICALS + 1  # row 0 is the no-radical sentinel
 
 
@@ -224,44 +224,28 @@ def train_embeddings(corpus: list, radtable: RadicalTable, cfg: EmbeddingConfig,
 # persistence
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        for v in (emb.vocab.size, emb.d_char, emb.d_radical, emb.config.window, 0):
-            binio.write_u32(f, v)
-        binio.write_vocab(f, emb.vocab)
-        binio.write_matrix(f, emb.char_vectors)
-        binio.write_matrix(f, emb.radical_vectors)
+    binio.write_container(path, MAGIC, VERSION, emb.config.window, emb.vocab,
+                          [("emb.char_vectors", emb.char_vectors),
+                           ("emb.radical_vectors", emb.radical_vectors)])
+
+
+def take_embeddings(c: binio.Container, radtable: RadicalTable,
+                    window: int = EmbeddingConfig.window) -> EmbeddingSet:
+    """The two embedding sections of a container (embedding file or checkpoint),
+    as read-only views of the file's bytes."""
+    char_vectors = c.take("emb.char_vectors", (c.vocab.size, None))
+    radical_vectors = c.take("emb.radical_vectors", (N_RADICAL_ROWS, None))
+    try:
+        cfg = EmbeddingConfig(d_char=char_vectors.shape[1],
+                              d_radical=radical_vectors.shape[1], window=window)
+    except ValueError as e:
+        raise binio.FormatError(str(e)) from None
+    return EmbeddingSet(char_vectors=char_vectors, radical_vectors=radical_vectors,
+                        vocab=c.vocab, radtable=radtable, config=cfg)
 
 
 def load_embeddings(path, radtable: RadicalTable = None) -> EmbeddingSet:
-    with open(path, "rb") as f:
-        magic = binio.read_exact(f, len(MAGIC), "magic")
-        if magic != MAGIC:
-            raise binio.FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        vocab_size = binio.read_u32(f, "vocab size")
-        d_char = binio.read_u32(f, "char dim")
-        d_radical = binio.read_u32(f, "radical dim")
-        window = binio.read_u32(f, "window")
-        binio.read_u32(f, "reserved")
-        vocab = binio.read_vocab(f, vocab_size)
-        char_vectors = binio.read_matrix(f, vocab_size, d_char, "char vectors")
-        radical_vectors = binio.read_matrix(f, N_RADICAL_ROWS, d_radical, "radical vectors")
-        extra = f.read(1)
-        if extra:
-            raise binio.FormatError("trailing bytes after radical vectors")
-    cfg = EmbeddingConfig(d_char=d_char, d_radical=d_radical, window=window)
-    return EmbeddingSet(char_vectors=char_vectors, radical_vectors=radical_vectors,
-                        vocab=vocab, radtable=radtable, config=cfg)
-
-
-def export_text(emb: EmbeddingSet, path) -> None:
-    """word2vec-style text export of the concatenated (char ++ radical) vectors."""
-    vocab = emb.vocab
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        dim = emb.d_char + emb.d_radical
-        f.write(f"{vocab.size - 2} {dim}\n")
-        for i in range(2, vocab.size):
-            ch = vocab.index_to_char[i]
-            rid = radical_index(emb.radtable, ch) if emb.radtable else 0
-            vec = np.concatenate([emb.char_vectors[i], emb.radical_vectors[rid]])
-            f.write(ch + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+    c = binio.read_container(path, MAGIC, VERSION, int)
+    emb = take_embeddings(c, radtable, window=c.field)
+    c.done()
+    return emb

@@ -5,8 +5,9 @@ Most Han characters carry one of 214 radicals (the semantic component, e.g.
 with index 0 reserved for symbols that have no radical at all.
 
 The bundled table (data/kangxi_radicals.tsv) is regenerated by
-scripts/build_radical_table.py and covers the Kangxi Radicals block plus the
-original CJK Unified Ideographs block.
+scripts/build_radical_table.py and covers the Kangxi Radicals block, the
+original CJK Unified Ideographs block, and the CJK Compatibility Ideographs
+that NFKC maps into it.
 """
 
 from dataclasses import dataclass, field

@@ -15,14 +15,14 @@ from .corpus import (DEFAULT_PUNCT, LabeledSequence, TAG_CHARS, TAG_E,
                      TAG_TO_ID, Vocab, boundary_positions, normalize_text,
                      tags_to_text)
 from .crf import CrfParams, crf_nll, new_transitions, viterbi_decode
-from .embedding import EmbeddingConfig, EmbeddingSet, encode_chars
+from .embedding import EmbeddingSet, encode_chars, take_embeddings
 from .lstm import (BiLstmParams, bilstm_backward_batch, bilstm_forward_batch,
                    new_bilstm_params)
 from .nncore import Param, SgdConfig, dropout_mask, glorot_uniform, make_rng, sgd_step
 from .radicals import RadicalTable
 
 MAGIC = b"GJSEG01\n"
-VERSION = 2
+VERSION = 3
 N_TAGS = 3
 # units decoded in one forward pass at most: the paper's minibatch size, which
 # bounds the arrays one decode pass holds
@@ -302,86 +302,29 @@ def segment(model: SegmenterModel, raw: str, separator: str = "/",
 # checkpoints
 
 def save_model(model: SegmenterModel, path) -> None:
-    sections = []
-    blob = bytearray()
-    for p in model.all_params():
-        mat = p.value if p.value.ndim == 2 else p.value.reshape(1, -1)
-        sections.append((p.name, mat.shape[0], mat.shape[1], len(blob)))
-        blob.extend(np.ascontiguousarray(mat, dtype="<f8").tobytes())
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(bytes([VERSION]))
-        f.write(bytes([1 if model.use_radicals else 0]))
-        table = model.radtable
-        binio.write_string(f, table.sha256 if table is not None else "")
-        binio.write_u32(f, model.vocab.size)
-        binio.write_vocab(f, model.vocab)
-        binio.write_u32(f, len(sections))
-        for name, rows, cols, offset in sections:
-            binio.write_string(f, name)
-            binio.write_u32(f, rows)
-            binio.write_u32(f, cols)
-            binio.write_u64(f, offset)
-        f.write(bytes(blob))
+    table = model.radtable
+    binio.write_container(path, MAGIC, VERSION, table.sha256 if table is not None else "",
+                          model.vocab,
+                          [(p.name, np.atleast_2d(p.value)) for p in model.all_params()])
 
 
 def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
-    """Rebuild a model from a checkpoint, verifying the radical table hash."""
+    """Rebuild a model from a checkpoint, verifying the radical table hash.
+    The model is char-only when fwd.W_x has d_char rows, not d_char + d_radical."""
     if radtable is None:
         from .radicals import default_table
         radtable = default_table()
-    with open(path, "rb") as f:
-        magic = binio.read_exact(f, len(MAGIC), "magic")
-        if magic != MAGIC:
-            raise binio.FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version = binio.read_exact(f, 1, "version")[0]
-        if version != VERSION:
-            raise binio.FormatError(f"unsupported checkpoint version {version}")
-        use_radicals = bool(binio.read_exact(f, 1, "radical flag")[0])
-        saved_hash = binio.read_string(f, "radical table hash")
-        if saved_hash != (radtable.sha256 or ""):
-            raise binio.FormatError(
-                f"radical table hash mismatch: checkpoint has {saved_hash[:12]!r}")
-        vocab = binio.read_vocab(f, binio.read_u32(f, "vocab size"))
-        n_sections = binio.read_u32(f, "section count")
-        entries = []
-        for _ in range(n_sections):
-            name = binio.read_string(f, "section name")
-            rows = binio.read_u32(f, f"section {name} rows")
-            cols = binio.read_u32(f, f"section {name} cols")
-            offset = binio.read_u64(f, f"section {name} offset")
-            entries.append((name, rows, cols, offset))
-        blob = f.read()
-    matrices = {}
-    for name, rows, cols, offset in entries:
-        end = offset + rows * cols * 8
-        if end > len(blob):
-            raise binio.FormatError(f"section {name!r}: data [{offset}:{end}) beyond blob of {len(blob)}")
-        # read-only views of the blob: build_model and the loop below copy them
-        matrices[name] = np.frombuffer(blob, "<f8", rows * cols, offset).reshape(rows, cols)
-    furthest = max((offset + rows * cols * 8 for _, rows, cols, offset in entries), default=0)
-    if len(blob) > furthest:
-        raise binio.FormatError(f"{len(blob) - furthest} trailing bytes after the last section")
-
-    def take(name, expect_rows=None):
-        if name not in matrices:
-            raise binio.FormatError(f"section {name!r} missing from checkpoint")
-        m = matrices[name]
-        if expect_rows is not None and m.shape[0] != expect_rows:
-            raise binio.FormatError(f"section {name!r}: {m.shape[0]} rows, expected {expect_rows}")
-        return m
-
-    char_vectors = take("emb.char_vectors", expect_rows=vocab.size)
-    radical_vectors = take("emb.radical_vectors")
-    emb = EmbeddingSet(char_vectors=char_vectors, radical_vectors=radical_vectors,
-                       vocab=vocab, radtable=radtable,
-                       config=EmbeddingConfig(d_char=char_vectors.shape[1],
-                                              d_radical=radical_vectors.shape[1]))
-    model = build_model(emb, hidden=take("fwd.W_h").shape[0], seed=0, use_radicals=use_radicals)
-    for p in model.all_params():
-        m = take(p.name)
-        if m.shape != np.atleast_2d(p.value).shape:  # as save_model writes it
-            raise binio.FormatError(
-                f"section {p.name!r}: shape {m.shape} incompatible with {p.value.shape}")
-        p.value[...] = m.reshape(p.value.shape)
+    c = binio.read_container(path, MAGIC, VERSION, str)
+    if c.field != (radtable.sha256 or ""):
+        raise binio.FormatError(f"radical table hash mismatch: checkpoint has {c.field[:12]!r}")
+    d_in, hidden = c.shape("fwd.W_x")[0], c.shape("fwd.W_h")[0]
+    emb = take_embeddings(c, radtable)
+    if d_in not in (emb.d_char, emb.d_char + emb.d_radical) or hidden < 1:
+        raise binio.FormatError(f"fwd.W_x rows {d_in} and hidden size {hidden} do not fit "
+                                f"embeddings of {emb.d_char}+{emb.d_radical} dims")
+    # build_model copies the embedding views; every other section is copied here
+    model = build_model(emb, hidden=hidden, seed=0, use_radicals=d_in != emb.d_char)
+    for p in model.all_params()[2:]:
+        p.value[...] = c.take(p.name, np.atleast_2d(p.value).shape).reshape(p.value.shape)
+    c.done()
     return model

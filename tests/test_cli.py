@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from judou.cli import main
 from judou.corpus import read_units, read_vocab
-from judou.embedding import load_embeddings
+from judou.embedding import load_embeddings, save_embeddings
 from judou.segmenter import load_model, save_model
 from judou.corpus import write_units
 
@@ -206,6 +206,17 @@ def test_train_missing_embeddings(runner, data_dir, tmp_path):
     assert "cannot read embeddings" in r.stderr
 
 
+def test_train_rejects_an_embedding_file_with_window_zero(runner, data_dir, emb_path, tmp_path):
+    emb = load_embeddings(emb_path)
+    emb.config.window = 0
+    bad = tmp_path / "emb.bin"
+    save_embeddings(emb, bad)
+    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(bad),
+                             "--embed-dim", "10", "--out", str(tmp_path / "m")])
+    assert r.exit_code == 2
+    assert "bad embedding file" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # eval (rigged checkpoints give exact scores)
 
@@ -259,6 +270,21 @@ def test_segment_rejects_a_checkpoint_with_invalid_utf8(runner, make_model, forc
     rigged_checkpoint(make_model, force_transitions, ALL_O, ckpt)
     ckpt.write_bytes(ckpt.read_bytes().replace(b"<UNK>", b"\xffUNK>", 1))
     r = runner.invoke(main, ["segment", "--model", str(ckpt)], input="天地")
+    assert r.exit_code == 2
+    assert "bad checkpoint" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "segment"])
+def test_a_checkpoint_with_214_radical_rows_is_a_bad_checkpoint(runner, make_model, command,
+                                                                tmp_path):
+    ckpt = tmp_path / "m.bin"
+    model = make_model([unit_of("天地人山水火", "BOEBOE")])
+    model.rad_param.value = model.rad_param.value[:214]
+    save_model(model, ckpt)
+    data = tmp_path / "gold.tsv"
+    write_units([unit_of("天地", "BE")], data)
+    args = ["--data", str(data)] if command == "eval" else []
+    r = runner.invoke(main, [command, "--model", str(ckpt)] + args, input="天地")
     assert r.exit_code == 2
     assert "bad checkpoint" in r.stderr
 

@@ -1,5 +1,7 @@
 """Modified-CBOW pretraining tests: context layout, gradients, persistence."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from judou.embedding import (
     CbowModel,
     EmbeddingConfig,
     EmbeddingSet,
+    MAGIC,
     cbow_forward_loss,
     cbow_loss_and_grads,
     context_vector,
     encode_chars,
-    export_text,
     load_embeddings,
     new_cbow_model,
     save_embeddings,
@@ -241,6 +243,27 @@ def test_load_rejects_trailing_bytes(table, tmp_path):
         load_embeddings(path)
 
 
+def test_load_rejects_a_version_1_file(table, tmp_path):
+    # version 1 had no version byte: fixed dims, a reserved u32, bare matrices
+    emb, path = trained(table, tmp_path)
+    header = struct.pack("<5I", emb.vocab.size, emb.d_char, emb.d_radical, emb.config.window, 0)
+    vocab = b"".join(struct.pack("<I", len(s.encode())) + s.encode()
+                     for s in emb.vocab.index_to_char)
+    path.write_bytes(MAGIC + header + vocab + emb.char_vectors.tobytes()
+                     + emb.radical_vectors.tobytes())
+    with pytest.raises(FormatError, match="version"):
+        load_embeddings(path)
+
+
+def test_load_rejects_a_window_of_zero(table, tmp_path):
+    # the window used to escape as EmbeddingConfig's bare ValueError
+    emb, path = trained(table, tmp_path)
+    emb.config.window = 0
+    save_embeddings(emb, path)
+    with pytest.raises(FormatError, match="window"):
+        load_embeddings(path)
+
+
 def test_load_rejects_invalid_utf8_in_the_vocab(table, tmp_path):
     _, path = trained(table, tmp_path)
     path.write_bytes(path.read_bytes().replace(b"<UNK>", b"\xffUNK>", 1))
@@ -254,18 +277,3 @@ def test_load_rejects_duplicate_vocab_entries(table, tmp_path):
     with pytest.raises(FormatError, match="duplicate"):
         load_embeddings(path)
 
-
-def test_export_text_format(table, tmp_path):
-    emb, _ = trained(table, tmp_path)
-    out = tmp_path / "emb.txt"
-    export_text(emb, out)
-    lines = out.read_text(encoding="utf-8").splitlines()
-    n, dim = map(int, lines[0].split())
-    assert n == emb.vocab.size - 2  # PAD and UNK are not exported
-    assert dim == 5
-    assert len(lines) == n + 1
-    ch, *vals = lines[1].split()
-    idx = emb.vocab.encode(ch)
-    rid = radical_index(table, ch)
-    expected = np.concatenate([emb.char_vectors[idx], emb.radical_vectors[rid]])
-    assert np.allclose(np.array([float(v) for v in vals]), expected)

@@ -1,0 +1,122 @@
+"""Strict validation of the shared container, fuzzed over both file formats."""
+
+from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from judou import binio, embedding, segmenter
+from judou.binio import FormatError
+from judou.corpus import build_vocab
+from judou.embedding import load_embeddings, save_embeddings
+from judou.segmenter import build_model, load_model, save_model
+from judou.synthetic import random_embeddings
+
+from test_segmenter import tiny_splits
+
+
+@dataclass
+class Saved:
+    blob: bytes       # a valid file
+    path: object      # a scratch path to write variants to
+    load: object      # the format's loader
+    spec: tuple       # (magic, version, field type) for binio.read_container
+
+    def contents(self) -> binio.Container:
+        self.path.write_bytes(self.blob)
+        return binio.read_container(self.path, *self.spec)
+
+    def rewrite(self, sections) -> None:
+        """Write a container with the valid file's header and these sections."""
+        c = self.contents()
+        binio.write_container(self.path, *self.spec[:2], c.field, c.vocab, sections)
+
+
+@pytest.fixture(scope="module", params=["GJSEG01", "GJEMB01"])
+def saved(request, table, tmp_path_factory):
+    emb = random_embeddings(build_vocab(tiny_splits().train), table, d_char=4, d_radical=3, seed=0)
+    path = tmp_path_factory.mktemp(request.param) / "file.bin"
+    if request.param == "GJSEG01":
+        save_model(build_model(emb, hidden=3), path)
+        return Saved(path.read_bytes(), path, partial(load_model, radtable=table),
+                     (segmenter.MAGIC, segmenter.VERSION, str))
+    save_embeddings(emb, path)
+    return Saved(path.read_bytes(), path, load_embeddings,
+                 (embedding.MAGIC, embedding.VERSION, int))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_load_rejects_every_truncation(saved, data):
+    saved.path.write_bytes(saved.blob[:data.draw(st.integers(0, len(saved.blob) - 1), label="cut")])
+    with pytest.raises(FormatError):
+        saved.load(saved.path)
+
+
+@settings(deadline=None)
+@given(suffix=st.binary(min_size=1, max_size=64))
+def test_load_rejects_every_suffix(saved, suffix):
+    saved.path.write_bytes(saved.blob + suffix)
+    with pytest.raises(FormatError, match="trailing"):
+        saved.load(saved.path)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_one_overwritten_header_byte_loads_or_raises_format_error(saved, data):
+    header = len(saved.blob) - sum(m.nbytes for m in saved.contents().sections.values())
+    at = data.draw(st.integers(0, header - 1), label="at")
+    blob = bytearray(saved.blob)
+    blob[at] = data.draw(st.integers(0, 255), label="byte")
+    saved.path.write_bytes(bytes(blob))
+    try:
+        saved.load(saved.path)
+    except FormatError:
+        pass
+
+
+def test_round_trip_through_the_container_is_exact(saved):
+    saved.rewrite(saved.contents().sections.items())
+    assert saved.path.read_bytes() == saved.blob
+
+
+def test_load_rejects_a_duplicate_section(saved):
+    sections = list(saved.contents().sections.items())
+    saved.rewrite(sections + sections[-1:])
+    with pytest.raises(FormatError, match="duplicate section"):
+        saved.load(saved.path)
+
+
+def test_load_rejects_an_unknown_section(saved):
+    sections = list(saved.contents().sections.items())
+    saved.rewrite(sections + [("extra", np.zeros((1, 1)))])
+    with pytest.raises(FormatError, match="unknown sections.*extra"):
+        saved.load(saved.path)
+
+
+def test_load_rejects_a_missing_section(saved):
+    sections = list(saved.contents().sections.items())
+    for i, (name, _) in enumerate(sections):
+        saved.rewrite(sections[:i] + sections[i + 1:])
+        with pytest.raises(FormatError, match=f"{name!r} missing"):
+            saved.load(saved.path)
+
+
+@pytest.mark.parametrize("name, shape", [("fwd.W_h", (0, 0)), ("fwd.W_x", (5, 12))],
+                         ids=["hidden-0", "W_x-rows-5"])
+def test_load_rejects_a_hidden_size_or_input_width_that_fits_no_model(table, tmp_path,
+                                                                      name, shape):
+    # hidden 0 used to reach build_model and fail there with ZeroDivisionError;
+    # W_x rows must be d_char (char-only) or d_char + d_radical (4 + 3 here)
+    emb = random_embeddings(build_vocab(tiny_splits().train), table, d_char=4, d_radical=3, seed=0)
+    path = tmp_path / "model.bin"
+    save_model(build_model(emb, hidden=3), path)
+    saved = Saved(path.read_bytes(), path, None, (segmenter.MAGIC, segmenter.VERSION, str))
+    sections = dict(saved.contents().sections)
+    sections[name] = np.zeros(shape)
+    saved.rewrite(sections.items())
+    with pytest.raises(FormatError, match="fwd.W_x rows"):
+        load_model(path, radtable=table)

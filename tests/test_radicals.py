@@ -97,6 +97,12 @@ class TestDefaultTable:
         assert radical_of(table, a) == rid
         assert radical_of(table, b) == rid
 
+    def test_compatibility_ideographs_take_their_nfkc_radical(self, table):
+        assert radical_of(table, "\uf900") == 151  # NFKC: U+8C48 豈, radical 豆
+        assert radical_of(table, "\uf900") == radical_of(table, "豈")
+        compat = [cp for cp in table.entries if 0xF900 <= cp <= 0xFAFF]
+        assert len(compat) == 450
+
     def test_loaded_twice_is_cached(self):
         assert default_table() is default_table()
 
