@@ -55,6 +55,8 @@ def _read_vocab(f, size: int) -> Vocab:
         s = _read_string(f, f"vocab entry {i}")
         if first.setdefault(s, i) != i:
             raise FormatError(f"duplicate vocab entry {i} {s!r}, first at {first[s]}")
+    if tuple(first)[:2] != Vocab.RESERVED:
+        raise FormatError(f"vocab starts {tuple(first)[:2]}, expected {Vocab.RESERVED}")
     return Vocab(char_to_index={s: i for s, i in first.items() if i > Vocab.UNK},
                  index_to_char=list(first))
 

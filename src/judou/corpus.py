@@ -100,6 +100,7 @@ class Vocab:
 
     PAD = 0
     UNK = 1
+    RESERVED = ("<PAD>", "<UNK>")  # the entries at PAD and UNK
 
     @property
     def size(self) -> int:
@@ -230,7 +231,7 @@ def build_vocab(units: list, min_count: int = 1) -> Vocab:
         (ch for ch, c in counts.items() if c >= min_count),
         key=lambda ch: (-counts[ch], ch),
     )
-    index_to_char = ["<PAD>", "<UNK>"] + kept
+    index_to_char = [*Vocab.RESERVED, *kept]
     char_to_index = {ch: i + 2 for i, ch in enumerate(kept)}
     return Vocab(char_to_index=char_to_index, index_to_char=index_to_char)
 
@@ -276,5 +277,5 @@ def read_vocab(path) -> Vocab:
                 chars.append(line)
     return Vocab(
         char_to_index={ch: i + 2 for i, ch in enumerate(chars)},
-        index_to_char=["<PAD>", "<UNK>"] + chars,
+        index_to_char=[*Vocab.RESERVED, *chars],
     )

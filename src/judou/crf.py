@@ -1,8 +1,10 @@
-"""Linear-chain CRF output layer.
+"""Linear-chain CRF output layer over a batch of equal-length sequences.
 
 A tag path is scored by per-position emissions plus pairwise transition scores,
 with augmented START/STOP states carrying the boundary terms. All dynamic
 programming runs in log space so length-100 sequences stay well-conditioned.
+Every function takes emissions P of shape (B, n, 3) and tag paths of shape
+(B, n), and returns one result per row.
 
 Tag indices are fixed as B=0, E=1, O=2; START=3 and STOP=4 only ever appear
 inside the transition matrix.
@@ -38,118 +40,105 @@ def new_transitions() -> Param:
     return Param.of(a, "crf.trans")
 
 
-@dataclass
-class TagPath:
-    tags: np.ndarray
-    score: float
-
-
-def _check_tags(y, n_tags=N_TAGS):
+def _check_tags(P: np.ndarray, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.intp)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("tag path must be a non-empty 1-D array")
-    if y.min() < 0 or y.max() >= n_tags:
-        raise IndexError(f"tag index outside 0..{n_tags - 1}: {y}")
+    if y.shape != P.shape[:2] or y.size == 0:
+        raise ValueError(f"tag paths of shape {y.shape} for emissions of shape {P.shape}")
+    if y.min() < 0 or y.max() >= N_TAGS:
+        raise IndexError(f"tag index outside 0..{N_TAGS - 1}: {y}")
     return y
 
 
-def path_score(P: np.ndarray, crf: CrfParams, y) -> float:
-    """Score of one tag path: transitions (with START/STOP) plus emissions."""
-    y = _check_tags(y)
-    n = P.shape[0]
-    if y.size != n:
-        raise ValueError(f"path length {y.size} != sequence length {n}")
-    A = crf.A
-    s = A[START, y[0]] + A[y[-1], STOP]
-    s += np.sum(A[y[:-1], y[1:]])
-    s += np.sum(P[np.arange(n), y])
-    return float(s)
+def _path_transitions(y: np.ndarray) -> tuple:
+    """Every transition of each path, START and STOP included, as (from, to) of shape (B, n+1)."""
+    ends = np.ones((y.shape[0], 1), dtype=np.intp)
+    return np.hstack([START * ends, y]), np.hstack([y, STOP * ends])
 
 
-def _logsumexp(x: np.ndarray, axis=None):
+def path_score(P: np.ndarray, crf: CrfParams, y) -> np.ndarray:
+    """(B,) scores of the tag paths y: transitions (with START/STOP) plus emissions."""
+    y = _check_tags(P, y)
+    rows, steps = np.ogrid[:y.shape[0], :y.shape[1]]
+    return crf.A[_path_transitions(y)].sum(axis=1) + P[rows, steps, y].sum(axis=1)
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis) if axis is not None else float(np.squeeze(out))
+    return np.squeeze(m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)), axis=axis)
 
 
 def _forward_alphas(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    n = P.shape[0]
-    alphas = np.empty((n, N_TAGS))
-    alphas[0] = A[START, :N_TAGS] + P[0]
-    for t in range(1, n):
-        alphas[t] = _logsumexp(alphas[t - 1][:, None] + A[:N_TAGS, :N_TAGS], axis=0) + P[t]
+    alphas = np.empty_like(P)
+    alphas[:, 0] = A[START, :N_TAGS] + P[:, 0]
+    for t in range(1, P.shape[1]):
+        alphas[:, t] = _logsumexp(alphas[:, t - 1, :, None] + A[:N_TAGS, :N_TAGS], axis=1) + P[:, t]
     return alphas
 
 
 def _backward_betas(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    n = P.shape[0]
-    betas = np.empty((n, N_TAGS))
-    betas[-1] = A[:N_TAGS, STOP]
-    for t in range(n - 2, -1, -1):
-        betas[t] = _logsumexp(A[:N_TAGS, :N_TAGS] + (P[t + 1] + betas[t + 1])[None, :], axis=1)
+    betas = np.empty_like(P)
+    betas[:, -1] = A[:N_TAGS, STOP]
+    for t in range(P.shape[1] - 2, -1, -1):
+        betas[:, t] = _logsumexp(A[:N_TAGS, :N_TAGS] + (P[:, t + 1] + betas[:, t + 1])[:, None, :],
+                                 axis=2)
     return betas
 
 
-def log_partition(P: np.ndarray, crf: CrfParams) -> float:
-    """log sum over all tag paths of exp(path_score), by the forward recursion."""
+def log_partition(P: np.ndarray, crf: CrfParams) -> np.ndarray:
+    """(B,) log sums over all tag paths of exp(path_score), by the forward recursion."""
     alphas = _forward_alphas(P, crf.A)
-    return float(_logsumexp(alphas[-1] + crf.A[:N_TAGS, STOP]))
+    return _logsumexp(alphas[:, -1] + crf.A[:N_TAGS, STOP], axis=1)
 
 
-def viterbi_decode(P: np.ndarray, crf: CrfParams) -> TagPath:
-    """Best-scoring tag path; ties resolve to the lowest tag index at each
-    backtrack step (so the returned path minimizes (y_n, ..., y_1) among optima)."""
+def viterbi_decode(P: np.ndarray, crf: CrfParams) -> np.ndarray:
+    """(B, n) best-scoring tag paths; ties resolve to the lowest tag index at
+    each backtrack step (so each path minimizes (y_n, ..., y_1) among optima)."""
     A = crf.A
-    T = A[:N_TAGS, :N_TAGS]
-    n = P.shape[0]
-    score = A[START, :N_TAGS] + P[0]
-    backptr = np.empty((n, N_TAGS), dtype=np.intp)
+    T_to_from = A[:N_TAGS, :N_TAGS].T
+    batch, n, _ = P.shape
+    score = A[START, :N_TAGS] + P[:, 0]
+    backptr = np.empty((n, batch, N_TAGS), dtype=np.intp)
     for t in range(1, n):
-        cand = score[:, None] + T
-        cand.argmax(axis=0, out=backptr[t])  # argmax takes the first (lowest) index
-        score = cand.max(axis=0) + P[t]
-    final = score + A[:N_TAGS, STOP]
-    last = int(np.argmax(final))
-    tags = np.empty(n, dtype=np.intp)
-    tags[-1] = last
-    for t in range(n - 1, 0, -1):
-        tags[t - 1] = backptr[t, tags[t]]
-    return TagPath(tags=tags, score=float(final[last]))
+        cand = score[:, None, :] + T_to_from  # (B, to, from), reduced over the last axis
+        cand.argmax(axis=2, out=backptr[t])  # argmax takes the first (lowest) index
+        score = cand.max(axis=2) + P[:, t]
+    last = (score + A[:N_TAGS, STOP]).argmax(axis=1).tolist()
+    # Python lists: one short backtrack per row beats per-step fancy indexing at B=1
+    paths = []
+    for steps, y in zip(backptr.transpose(1, 0, 2).tolist(), last):
+        path = [y]
+        for t in range(n - 1, 0, -1):
+            y = steps[t][y]
+            path.append(y)
+        paths.append(path[::-1])
+    return np.array(paths, dtype=np.intp)
 
 
 def crf_nll(P: np.ndarray, crf: CrfParams, gold) -> tuple:
-    """Negative log-likelihood of the gold path and its gradients.
+    """Negative log-likelihoods of the gold paths and their gradients.
 
-    Returns (loss, dP, dA) where dP is (marginals - gold one-hot) and dA is
-    (expected transition counts - gold transition counts), both from
-    forward-backward. dA covers the full (N_TAGS+2)^2 matrix; cells for
-    impossible transitions stay zero.
+    Returns (loss, dP, dA): loss (B,) per row; dP (B, n, 3) is (marginals -
+    gold one-hot) per row; dA is (expected transition counts - gold transition
+    counts) summed over the rows, both from forward-backward. dA covers the
+    full (N_TAGS+2)^2 matrix; cells for impossible transitions stay zero.
     """
-    gold = _check_tags(gold)
+    gold = _check_tags(P, gold)
     A = crf.A
-    n = P.shape[0]
-    if gold.size != n:
-        raise ValueError(f"gold length {gold.size} != sequence length {n}")
-
     alphas = _forward_alphas(P, A)
     betas = _backward_betas(P, A)
-    log_z = float(_logsumexp(alphas[-1] + A[:N_TAGS, STOP]))
+    log_z = _logsumexp(alphas[:, -1] + A[:N_TAGS, STOP], axis=1)
     loss = log_z - path_score(P, crf, gold)
 
-    # position marginals
-    marg = np.exp(alphas + betas - log_z)
-    dP = marg.copy()
-    dP[np.arange(n), gold] -= 1.0
-
+    marg = np.exp(alphas + betas - log_z[:, None, None])  # position marginals
+    xi = (alphas[:, :-1, :, None] + A[:N_TAGS, :N_TAGS]
+          + (P[:, 1:] + betas[:, 1:])[:, :, None, :] - log_z[:, None, None, None])
+    # expected minus gold transition counts, START and STOP included
     dA = np.zeros_like(A)
-    # interior transitions: expected minus observed counts
-    for t in range(n - 1):
-        xi = alphas[t][:, None] + A[:N_TAGS, :N_TAGS] + (P[t + 1] + betas[t + 1])[None, :] - log_z
-        dA[:N_TAGS, :N_TAGS] += np.exp(xi)
-        dA[gold[t], gold[t + 1]] -= 1.0
-    # boundary transitions
-    dA[START, :N_TAGS] += marg[0]
-    dA[START, gold[0]] -= 1.0
-    dA[:N_TAGS, STOP] += marg[-1]
-    dA[gold[-1], STOP] -= 1.0
-    return loss, dP, dA
+    dA[START, :N_TAGS] = marg[:, 0].sum(axis=0)
+    dA[:N_TAGS, STOP] = marg[:, -1].sum(axis=0)
+    dA[:N_TAGS, :N_TAGS] = np.exp(xi).sum(axis=(0, 1))
+    np.add.at(dA, _path_transitions(gold), -1.0)
+    # marginals minus the gold one-hot
+    rows, steps = np.ogrid[:gold.shape[0], :gold.shape[1]]
+    marg[rows, steps, gold] -= 1.0
+    return loss, marg, dA

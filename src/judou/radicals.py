@@ -42,7 +42,8 @@ def load_radical_table(path) -> RadicalTable:
     """Parse a radical table file: "HEXCODEPOINT<TAB>radical-id" per line.
 
     Lines starting with '#' are comments. Raises RadicalTableError with the
-    offending line number on malformed input or an id outside 1..214.
+    offending line number on malformed input, a codepoint outside 0..10FFFF or
+    given twice, or an id outside 1..214.
     """
     import hashlib
 
@@ -59,6 +60,10 @@ def load_radical_table(path) -> RadicalTable:
             cp = int(parts[0], 16)
         except ValueError:
             raise RadicalTableError(f"{path}:{lineno}: bad hex codepoint {parts[0]!r}") from None
+        if not 0 <= cp <= 0x10FFFF:
+            raise RadicalTableError(f"{path}:{lineno}: codepoint {parts[0]!r} outside 0..10FFFF")
+        if cp in entries:
+            raise RadicalTableError(f"{path}:{lineno}: repeated codepoint {cp:04X}")
         try:
             rid = int(parts[1], 10)
         except ValueError:

@@ -196,15 +196,14 @@ def _decode(model: SegmenterModel, encoded: list) -> list:
     equal-length units, at most DECODE_BATCH units per pass."""
     if any(len(e) == 0 for e in encoded):
         raise ValueError("cannot run the model on an empty unit")
-    tags = [None] * len(encoded)
+    tags = {}
     for idxs, char_ids, rad_ids in _length_groups(encoded, range(len(encoded))):
         for start in range(0, len(idxs), DECODE_BATCH):
             part = slice(start, start + DECODE_BATCH)
             # no LSTM cache: a kept one takes fresh pages for every step's gates
             P = _forward_batch(model, char_ids[part], rad_ids[part], False, None, 0.0, False)[0]
-            for row, i in enumerate(idxs[part]):
-                tags[i] = viterbi_decode(P[row], model.crf).tags
-    return tags
+            tags.update(zip(idxs[part], viterbi_decode(P, model.crf)))
+    return [tags[i] for i in range(len(encoded))]
 
 
 def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
@@ -239,13 +238,10 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
             n_batch = len(batch)
             for idxs, char_ids, rad_ids in _length_groups(encoded, batch):
                 P, cache = _forward_batch(model, char_ids, rad_ids, True, rng, hp.dropout)
-                dP = np.empty_like(P)
-                for row, i in enumerate(idxs):
-                    loss, dP_i, dA_i = crf_nll(P[row], model.crf, golds[i])
-                    total_loss += loss
-                    dP[row] = dP_i / n_batch
-                    model.crf.trans.grad += dA_i / n_batch
-                _backward_batch(model, cache, dP)
+                loss, dP, dA = crf_nll(P, model.crf, np.stack([golds[i] for i in idxs]))
+                total_loss += loss.sum()
+                model.crf.trans.grad += dA / n_batch
+                _backward_batch(model, cache, dP / n_batch)
                 del P, cache  # free the LSTM cache before the next pass allocates one
             if cfg is not None:
                 sgd_step(trainable, cfg)

@@ -56,11 +56,22 @@ def oracle_marginals(P, A):
     return marg, trans
 
 
-def log_partition_reverse(P, crf: CrfParams) -> float:
-    """log Z from the backward recursion that crf_nll uses, as a cross-check
-    on the forward one."""
+def oracle_gradients(P, A, gold):
+    """crf_nll's (dP, dA) for one sequence: marginals minus the gold one-hot,
+    expected minus gold transition counts."""
+    marg, trans = oracle_marginals(P, A)
+    for i, t in enumerate(gold):
+        marg[i][t] -= 1.0
+    for prev, nxt in zip((START,) + tuple(gold), tuple(gold) + (STOP,)):
+        trans[prev][nxt] -= 1.0
+    return marg, trans
+
+
+def log_partition_reverse(P, crf: CrfParams):
+    """(B,) log Z from the backward recursion that crf_nll uses, as a
+    cross-check on the forward one."""
     betas = _backward_betas(P, crf.A)
-    return float(_logsumexp(crf.A[START, :N_TAGS] + P[0] + betas[0]))
+    return _logsumexp(crf.A[START, :N_TAGS] + P[:, 0] + betas[:, 0], axis=1)
 
 
 def random_crf(rng, scale=1.0) -> CrfParams:

@@ -55,8 +55,8 @@ def test_01_crf_matches_enumeration(criterion):
         P = rng.normal(size=(n, 3))
         crf = random_crf(rng)
         A = crf.trans.value
-        worst = max(worst, abs(log_partition(P, crf) - oracle_log_partition(P, A)))
-        assert list(viterbi_decode(P, crf).tags) == list(oracle_viterbi(P, A))
+        worst = max(worst, abs(log_partition(P[None], crf)[0] - oracle_log_partition(P, A)))
+        assert list(viterbi_decode(P[None], crf)[0]) == list(oracle_viterbi(P, A))
     dt = time.perf_counter() - t0
     criterion("crf oracle equivalence", worst < 1e-8 and dt < 5.0,
               f"100 instances, worst logZ gap {worst:.1e}, {dt:.2f}s")
@@ -99,10 +99,10 @@ def test_02_gradient_checks(criterion):
         crf = random_crf(rng)
         gold = np.array([rng.integers(3) for _ in range(n)], dtype=np.intp)
         P_param = Param.of(P, "P")
-        _, dP, dA = crf_nll(P, crf, gold)
-        P_param.grad[:] = dP
+        _, dP, dA = crf_nll(P[None], crf, gold[None])
+        P_param.grad[:] = dP[0]
         crf.trans.grad[:] = dA
-        return grad_check(lambda: crf_nll(P, crf, gold)[0],
+        return grad_check(lambda: crf_nll(P[None], crf, gold[None])[0][0],
                           [P_param, crf.trans])
 
     def end_to_end_err(seed):
@@ -118,14 +118,14 @@ def test_02_gradient_checks(criterion):
         enc = encode_chars(text, vocab, table)
         P, cache = _forward_batch(model, enc.char_ids[None], enc.rad_ids[None],
                                   False, None, 0.0)
-        _, dP, dA = crf_nll(P[0], model.crf, gold)
+        _, dP, dA = crf_nll(P, model.crf, gold[None])
         model.crf.trans.grad += dA
-        _backward_batch(model, cache, dP[None])
+        _backward_batch(model, cache, dP)
 
         def f():
             P, _ = _forward_batch(model, enc.char_ids[None], enc.rad_ids[None],
                                   False, None, 0.0)
-            return crf_nll(P[0], model.crf, gold)[0]
+            return crf_nll(P, model.crf, gold[None])[0][0]
 
         return grad_check(f, model.all_params())
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from judou import binio, embedding, segmenter
 from judou.binio import FormatError
-from judou.corpus import build_vocab
+from judou.corpus import Vocab, build_vocab
 from judou.embedding import load_embeddings, save_embeddings
 from judou.segmenter import build_model, load_model, save_model
 from judou.synthetic import random_embeddings
@@ -29,10 +29,11 @@ class Saved:
         self.path.write_bytes(self.blob)
         return binio.read_container(self.path, *self.spec)
 
-    def rewrite(self, sections) -> None:
-        """Write a container with the valid file's header and these sections."""
+    def rewrite(self, sections, vocab=None) -> None:
+        """Write a container with the valid file's header (or this vocab) and
+        these sections."""
         c = self.contents()
-        binio.write_container(self.path, *self.spec[:2], c.field, c.vocab, sections)
+        binio.write_container(self.path, *self.spec[:2], c.field, vocab or c.vocab, sections)
 
 
 @pytest.fixture(scope="module", params=["GJSEG01", "GJEMB01"])
@@ -103,6 +104,20 @@ def test_load_rejects_a_missing_section(saved):
         saved.rewrite(sections[:i] + sections[i + 1:])
         with pytest.raises(FormatError, match=f"{name!r} missing"):
             saved.load(saved.path)
+
+
+@pytest.mark.parametrize("entries", [lambda chars: ["<PAD>"],
+                                     lambda chars: ["<UNK>", "<PAD>"] + chars[2:]],
+                         ids=["pad-only", "unk-pad-swapped"])
+def test_load_rejects_a_vocab_without_pad_then_unk_first(saved, entries):
+    # a one-entry vocab used to load, and segment() then indexed the missing UNK row
+    c = saved.contents()
+    chars = entries(c.vocab.index_to_char)
+    sections = dict(c.sections)
+    sections["emb.char_vectors"] = sections["emb.char_vectors"][:len(chars)]
+    saved.rewrite(sections.items(), Vocab(char_to_index={}, index_to_char=chars))
+    with pytest.raises(FormatError, match="vocab starts"):
+        saved.load(saved.path)
 
 
 @pytest.mark.parametrize("name, shape", [("fwd.W_h", (0, 0)), ("fwd.W_x", (5, 12))],

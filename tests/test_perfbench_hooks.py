@@ -1,11 +1,14 @@
 """The benchmark's tracer times layers by rebinding names in judou's modules.
 
-It skips a name a module no longer has, so a rename would silently zero a
-per-layer metric; this test turns that into a failure.
+It skips a name a module no longer has, and a call that reaches a layer other
+than through the rebound name goes untimed; either would silently zero a
+per-layer metric. These tests turn both into failures.
 """
 
+import dis
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -20,10 +23,35 @@ def load_hooks() -> dict:
     return spans.HOOKS
 
 
-@pytest.mark.parametrize("module_name, attr", [
-    (module_name, attr)
-    for module_name, hooks in load_hooks().items()
-    for attr, _ in hooks
-])
+def globals_loaded(module) -> set:
+    """Names loaded as globals by the functions and methods defined in module,
+    nested functions and comprehensions included."""
+    def functions(obj):
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+            yield obj
+        elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+            for member in vars(obj).values():
+                yield from functions(member)
+
+    codes = [f.__code__ for obj in vars(module).values() for f in functions(obj)]
+    names = set()
+    while codes:
+        code = codes.pop()
+        names.update(ins.argval for ins in dis.get_instructions(code)
+                     if ins.opname == "LOAD_GLOBAL")
+        codes.extend(c for c in code.co_consts if inspect.iscode(c))
+    return names
+
+
+HOOKED = [(module_name, attr) for module_name, hooks in load_hooks().items()
+          for attr, _ in hooks]
+
+
+@pytest.mark.parametrize("module_name, attr", HOOKED)
 def test_traced_name_exists(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+@pytest.mark.parametrize("module_name, attr", HOOKED)
+def test_traced_name_is_called_through_the_module_global(module_name, attr):
+    assert attr in globals_loaded(importlib.import_module(module_name))

@@ -73,6 +73,21 @@ class TestLoadRadicalTable:
         with pytest.raises(RadicalTableError, match="outside 1..214"):
             load_radical_table(p)
 
+    def test_repeated_codepoint_rejected(self, tmp_path):
+        # the second line used to overwrite the first silently
+        p = tmp_path / "t.tsv"
+        p.write_text("4E00\t1\n4E01\t1\n4E00\t2\n", encoding="utf-8")
+        with pytest.raises(RadicalTableError, match=r":3: repeated codepoint 4E00"):
+            load_radical_table(p)
+
+    @pytest.mark.parametrize("hexcp", ["-4E01", "110000", "FFFFFFFF"])
+    def test_codepoint_out_of_range_rejected(self, tmp_path, hexcp):
+        # "-4E01" used to load as the key -19969
+        p = tmp_path / "t.tsv"
+        p.write_text(f"4E00\t1\n{hexcp}\t3\n", encoding="utf-8")
+        with pytest.raises(RadicalTableError, match=r":2: codepoint .* outside 0..10FFFF"):
+            load_radical_table(p)
+
     def test_line_number_in_error(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("4E00\t1\n4E01\tbad\n", encoding="utf-8")

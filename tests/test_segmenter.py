@@ -351,6 +351,34 @@ def test_training_learns_mixed_length_sentences(make_model):
     assert segment(model, "三人行,必有我師焉。") == "三人行/必有我師焉"
 
 
+def test_one_crf_call_per_forward_pass(make_model, monkeypatch):
+    """Training runs crf_nll and decoding runs viterbi_decode once per forward
+    pass, over the pass's whole (B, n) batch."""
+    units = [unit_of("三人行必有我師焉", "BOEBOOOE"), unit_of("天地人山水火", "BOEBOE")] * 3
+    splits = CorpusSplits(train=units, valid=units[:2], test=[], seed=0)
+    model = make_model(units)
+    calls = []
+
+    def recording(name, fn, batch_shape):
+        def call(*args):
+            calls.append((name, batch_shape(*args)))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(segmenter, "_forward_batch",
+                        recording("forward", _forward_batch, lambda m, ids, *_: ids.shape))
+    for name in ("crf_nll", "viterbi_decode"):
+        monkeypatch.setattr(segmenter, name, recording(name, getattr(segmenter, name),
+                                                       lambda P, *_: P.shape[:2]))
+    train(model, splits, tiny_hp(batch=6, epochs=1))
+    # one training minibatch of two lengths, then the validation pass
+    forwards, crf_calls = calls[::2], calls[1::2]
+    assert [name for name, _ in forwards] == ["forward"] * 4
+    assert [shape for _, shape in crf_calls] == [shape for _, shape in forwards]
+    assert sorted(crf_calls) == [("crf_nll", (3, 6)), ("crf_nll", (3, 8)),
+                                 ("viterbi_decode", (1, 6)), ("viterbi_decode", (1, 8))]
+
+
 # ---------------------------------------------------------------------------
 # segmentation of raw text
 
