@@ -29,8 +29,6 @@ _HAN_RANGES = (
     (0x20000, 0x2EBEF),  # extensions B..F
 )
 
-_TAG_GRAMMAR = re.compile(r"(?:BO*E|E)*(?:BO*)?")
-
 
 def is_han(ch: str) -> bool:
     cp = ord(ch)
@@ -67,11 +65,6 @@ class LabeledSequence:
 
     def __len__(self) -> int:
         return len(self.chars)
-
-
-def is_valid_tag_sequence(tags: str) -> bool:
-    """True when tags decompose into complete sentences plus an optional open tail."""
-    return _TAG_GRAMMAR.fullmatch(tags) is not None
 
 
 @dataclass(frozen=True)

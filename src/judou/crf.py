@@ -3,14 +3,12 @@
 A tag path is scored by per-position emissions plus pairwise transition scores,
 with augmented START/STOP states carrying the boundary terms. All dynamic
 programming runs in log space so length-100 sequences stay well-conditioned.
-Every function takes emissions P of shape (B, n, 3) and tag paths of shape
-(B, n), and returns one result per row.
+Every function takes emissions P of shape (B, n, 3), the (5, 5) transition
+matrix A and tag paths of shape (B, n), and returns one result per row.
 
 Tag indices are fixed as B=0, E=1, O=2; START=3 and STOP=4 only ever appear
 inside the transition matrix.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,18 +20,8 @@ STOP = 4
 NEG_INF = -1.0e4  # finite stand-in for impossible transitions
 
 
-@dataclass
-class CrfParams:
-    """(N_TAGS+2) x (N_TAGS+2) transition scores over tags plus START/STOP."""
-
-    trans: Param = field(default_factory=lambda: new_transitions())
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.trans.value
-
-
 def new_transitions() -> Param:
+    """(N_TAGS+2) x (N_TAGS+2) transition scores over tags plus START/STOP."""
     a = np.zeros((N_TAGS + 2, N_TAGS + 2))
     a[:, START] = NEG_INF  # nothing enters START
     a[STOP, :] = NEG_INF   # nothing leaves STOP
@@ -55,11 +43,11 @@ def _path_transitions(y: np.ndarray) -> tuple:
     return np.hstack([START * ends, y]), np.hstack([y, STOP * ends])
 
 
-def path_score(P: np.ndarray, crf: CrfParams, y) -> np.ndarray:
+def path_score(P: np.ndarray, A: np.ndarray, y) -> np.ndarray:
     """(B,) scores of the tag paths y: transitions (with START/STOP) plus emissions."""
     y = _check_tags(P, y)
     rows, steps = np.ogrid[:y.shape[0], :y.shape[1]]
-    return crf.A[_path_transitions(y)].sum(axis=1) + P[rows, steps, y].sum(axis=1)
+    return A[_path_transitions(y)].sum(axis=1) + P[rows, steps, y].sum(axis=1)
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -84,16 +72,14 @@ def _backward_betas(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     return betas
 
 
-def log_partition(P: np.ndarray, crf: CrfParams) -> np.ndarray:
+def log_partition(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     """(B,) log sums over all tag paths of exp(path_score), by the forward recursion."""
-    alphas = _forward_alphas(P, crf.A)
-    return _logsumexp(alphas[:, -1] + crf.A[:N_TAGS, STOP], axis=1)
+    return _logsumexp(_forward_alphas(P, A)[:, -1] + A[:N_TAGS, STOP], axis=1)
 
 
-def viterbi_decode(P: np.ndarray, crf: CrfParams) -> np.ndarray:
+def viterbi_decode(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     """(B, n) best-scoring tag paths; ties resolve to the lowest tag index at
     each backtrack step (so each path minimizes (y_n, ..., y_1) among optima)."""
-    A = crf.A
     T_to_from = A[:N_TAGS, :N_TAGS].T
     batch, n, _ = P.shape
     score = A[START, :N_TAGS] + P[:, 0]
@@ -114,7 +100,7 @@ def viterbi_decode(P: np.ndarray, crf: CrfParams) -> np.ndarray:
     return np.array(paths, dtype=np.intp)
 
 
-def crf_nll(P: np.ndarray, crf: CrfParams, gold) -> tuple:
+def crf_nll(P: np.ndarray, A: np.ndarray, gold) -> tuple:
     """Negative log-likelihoods of the gold paths and their gradients.
 
     Returns (loss, dP, dA): loss (B,) per row; dP (B, n, 3) is (marginals -
@@ -123,11 +109,10 @@ def crf_nll(P: np.ndarray, crf: CrfParams, gold) -> tuple:
     full (N_TAGS+2)^2 matrix; cells for impossible transitions stay zero.
     """
     gold = _check_tags(P, gold)
-    A = crf.A
     alphas = _forward_alphas(P, A)
     betas = _backward_betas(P, A)
     log_z = _logsumexp(alphas[:, -1] + A[:N_TAGS, STOP], axis=1)
-    loss = log_z - path_score(P, crf, gold)
+    loss = log_z - path_score(P, A, gold)
 
     marg = np.exp(alphas + betas - log_z[:, None, None])  # position marginals
     xi = (alphas[:, :-1, :, None] + A[:N_TAGS, :N_TAGS]

@@ -15,7 +15,7 @@ import numpy as np
 from . import binio
 from .corpus import Vocab
 from .nncore import Param, make_rng
-from .radicals import N_RADICALS, RadicalTable, radical_index
+from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, radical_index
 
 MAGIC = b"GJEMB01\n"
 VERSION = 2
@@ -123,38 +123,28 @@ def new_cbow_model(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig) -
     )
 
 
-def _context_ids(encoded: EncodedUnit, center: int, window: int):
-    """(char_id, rad_id) pairs of the 2N context slots; the center is excluded
-    and out-of-range slots fall back to PAD / no-radical rows."""
+def _context_rows(encoded: EncodedUnit, center: int, window: int) -> tuple:
+    """(2N,) char and radical rows of the context slots in order; the center
+    is excluded and slots outside the unit take the PAD and NO_RADICAL rows."""
     n = len(encoded)
-    pairs = []
-    for pos in list(range(center - window, center)) + list(range(center + 1, center + window + 1)):
-        if 0 <= pos < n:
-            pairs.append((int(encoded.char_ids[pos]), int(encoded.rad_ids[pos])))
-        else:
-            pairs.append((Vocab.PAD, 0))
-    return pairs
+    if not 0 <= center < n:
+        raise IndexError(f"center {center} outside sequence of length {n}")
+    pos = np.arange(center - window, center + window)
+    pos[window:] += 1  # step over the center
+    inside = (pos >= 0) & (pos < n)
+    pos[~inside] = 0
+    return (np.where(inside, encoded.char_ids[pos], Vocab.PAD),
+            np.where(inside, encoded.rad_ids[pos], NO_RADICAL))
 
 
 def context_vector(model: CbowModel, encoded: EncodedUnit, center: int) -> np.ndarray:
     """Ordered concatenation of (char vector, radical vector) over the context."""
-    if not 0 <= center < len(encoded):
-        raise IndexError(f"center {center} outside sequence of length {len(encoded)}")
-    cv = model.char_param.value
-    rv = model.rad_param.value
-    blocks = []
-    for cid, rid in _context_ids(encoded, center, model.config.window):
-        blocks.append(cv[cid])
-        blocks.append(rv[rid])
-    return np.concatenate(blocks)
-
-
-def cbow_forward_loss(model: CbowModel, encoded: EncodedUnit, center: int) -> float:
-    loss, _, _ = _cbow_loss_parts(model, encoded, center)
-    return loss
+    chars, rads = _context_rows(encoded, center, model.config.window)
+    return np.hstack([model.char_param.value[chars], model.rad_param.value[rads]]).reshape(-1)
 
 
 def _cbow_loss_parts(model: CbowModel, encoded: EncodedUnit, center: int):
+    """The CBOW forward at one center: (loss, context vector h, softmax probs)."""
     h = context_vector(model, encoded, center)
     logits = model.projection.value @ h
     logits -= logits.max()
@@ -172,13 +162,12 @@ def cbow_loss_and_grads(model: CbowModel, encoded: EncodedUnit, center: int) -> 
     dlogits = probs.copy()
     dlogits[target] -= 1.0
     model.projection.grad += np.outer(dlogits, h)
-    dh = model.projection.value.T @ dlogits
-    d = model.config.d_total
+    dh = (model.projection.value.T @ dlogits).reshape(-1, model.config.d_total)
     d_c = model.config.d_char
-    for slot, (cid, rid) in enumerate(_context_ids(encoded, center, model.config.window)):
-        block = dh[slot * d:(slot + 1) * d]
-        model.char_param.grad[cid] += block[:d_c]
-        model.rad_param.grad[rid] += block[d_c:]
+    chars, rads = _context_rows(encoded, center, model.config.window)
+    # add.at sums a row repeated across slots in slot order
+    np.add.at(model.char_param.grad, chars, dh[:, :d_c])
+    np.add.at(model.rad_param.grad, rads, dh[:, d_c:])
     return loss
 
 

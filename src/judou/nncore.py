@@ -1,8 +1,8 @@
 """Numeric substrate shared by every model module.
 
-Everything is float64 numpy; backpropagation is hand-derived per module, so
-the finite-difference checker here is the safety net for all of them. The
-seeded generator is PCG64 throughout, which keeps training bit-reproducible.
+Everything is float64 numpy; backpropagation is hand-derived per module, and
+the tests check each module against central finite differences. The seeded
+generator is PCG64 throughout, which keeps training bit-reproducible.
 """
 
 from dataclasses import dataclass
@@ -40,18 +40,6 @@ class Param:
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
-
-
-@dataclass
-class SgdConfig:
-    learning_rate: float = 0.01
-    clip_norm: float = 5.0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +86,11 @@ def clip_gradients(params, clip_norm: float) -> float:
     return scale
 
 
-def sgd_step(params, cfg: SgdConfig) -> float:
+def sgd_step(params, learning_rate: float, clip_norm: float) -> float:
     """Clip, apply value -= lr * grad, zero the gradients. Returns the clip factor."""
-    scale = clip_gradients(params, cfg.clip_norm)
+    scale = clip_gradients(params, clip_norm)
     for p in params:
-        p.value -= cfg.learning_rate * p.grad
+        p.value -= learning_rate * p.grad
         p.zero_grad()
     return scale
 
@@ -114,32 +102,3 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     if rate == 0:
         return np.ones(shape)
     return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-def grad_check(f, params, epsilon: float = 1e-5) -> float:
-    """Compare the analytic gradients already stored in params against central
-    finite differences of the scalar function f.
-
-    f must recompute the loss from the current param values and have no lasting
-    side effects. Returns the worst relative error
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    analytic = [p.grad.copy() for p in params]
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = f()
-            flat[i] = orig - epsilon
-            f_minus = f()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            ana = a.reshape(-1)[i]
-            err = abs(ana - numeric) / max(1e-8, abs(ana) + abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -31,7 +31,6 @@ class RadicalTable:
     """Immutable codepoint -> radical id (1..214) mapping."""
 
     entries: dict[int, int]
-    source_path: str = ""
     sha256: str = field(default="", compare=False)
 
     def __len__(self) -> int:
@@ -71,7 +70,7 @@ def load_radical_table(path) -> RadicalTable:
         if not 1 <= rid <= N_RADICALS:
             raise RadicalTableError(f"{path}:{lineno}: radical id {rid} outside 1..{N_RADICALS}")
         entries[cp] = rid
-    return RadicalTable(entries=entries, source_path=str(path), sha256=hashlib.sha256(raw).hexdigest())
+    return RadicalTable(entries=entries, sha256=hashlib.sha256(raw).hexdigest())
 
 
 def default_table() -> RadicalTable:

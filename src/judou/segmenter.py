@@ -14,16 +14,15 @@ from . import binio
 from .corpus import (DEFAULT_PUNCT, LabeledSequence, TAG_CHARS, TAG_E,
                      TAG_TO_ID, Vocab, boundary_positions, normalize_text,
                      tags_to_text)
-from .crf import CrfParams, crf_nll, new_transitions, viterbi_decode
+from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
 from .embedding import EmbeddingSet, encode_chars, take_embeddings
 from .lstm import (BiLstmParams, bilstm_backward_batch, bilstm_forward_batch,
                    new_bilstm_params)
-from .nncore import Param, SgdConfig, dropout_mask, glorot_uniform, make_rng, sgd_step
+from .nncore import Param, dropout_mask, glorot_uniform, make_rng, sgd_step
 from .radicals import RadicalTable
 
 MAGIC = b"GJSEG01\n"
 VERSION = 3
-N_TAGS = 3
 # units decoded in one forward pass at most: the paper's minibatch size, which
 # bounds the arrays one decode pass holds
 DECODE_BATCH = 50
@@ -85,7 +84,7 @@ class SegmenterModel:
     bilstm: BiLstmParams
     emit_W: Param  # (2H, 3)
     emit_b: Param  # (3,)
-    crf: CrfParams
+    trans: Param  # (5, 5) CRF transitions, START and STOP included
     use_radicals: bool = True
 
     @property
@@ -96,17 +95,9 @@ class SegmenterModel:
     def radtable(self) -> RadicalTable:
         return self.embeddings.radtable
 
-    @property
-    def d_in(self) -> int:
-        return self.embeddings.d_char + (self.embeddings.d_radical if self.use_radicals else 0)
-
     def all_params(self) -> list:
         return ([self.char_param, self.rad_param] + self.bilstm.params()
-                + [self.emit_W, self.emit_b, self.crf.trans])
-
-    def trainable_params(self, freeze_embeddings: bool = False) -> list:
-        params = self.all_params()
-        return params[2:] if freeze_embeddings else params
+                + [self.emit_W, self.emit_b, self.trans])
 
 
 def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
@@ -124,7 +115,7 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
         bilstm=new_bilstm_params(d_in, hidden, rng),
         emit_W=Param.of(glorot_uniform((2 * hidden, N_TAGS), rng), "emit.W"),
         emit_b=Param.zeros(N_TAGS, "emit.b"),
-        crf=CrfParams(trans=new_transitions()),
+        trans=new_transitions(),
         use_radicals=use_radicals,
     )
 
@@ -133,16 +124,16 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
 # forward / backward over a batch of equal-length units
 
 def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndarray,
-                   training: bool, rng, dropout: float, keep_cache: bool = True):
+                   rng=None, dropout: float = 0.0, keep_cache: bool = True):
     X = model.char_param.value[char_ids]
     if model.use_radicals:
         X = np.concatenate([X, model.rad_param.value[rad_ids]], axis=2)
     in_mask = out_mask = None
-    if training and dropout > 0:
+    if dropout > 0:
         in_mask = dropout_mask(X.shape, dropout, rng)
         X = X * in_mask
     H2, lstm_cache = bilstm_forward_batch(model.bilstm, X, keep_cache=keep_cache)
-    if training and dropout > 0:
+    if dropout > 0:
         out_mask = dropout_mask(H2.shape, dropout, rng)
         H2 = H2 * out_mask
     P = np.tensordot(H2, model.emit_W.value, axes=([2], [0])) + model.emit_b.value
@@ -201,8 +192,8 @@ def _decode(model: SegmenterModel, encoded: list) -> list:
         for start in range(0, len(idxs), DECODE_BATCH):
             part = slice(start, start + DECODE_BATCH)
             # no LSTM cache: a kept one takes fresh pages for every step's gates
-            P = _forward_batch(model, char_ids[part], rad_ids[part], False, None, 0.0, False)[0]
-            tags.update(zip(idxs[part], viterbi_decode(P, model.crf)))
+            P = _forward_batch(model, char_ids[part], rad_ids[part], keep_cache=False)[0]
+            tags.update(zip(idxs[part], viterbi_decode(P, model.trans.value)))
     return [tags[i] for i in range(len(encoded))]
 
 
@@ -217,12 +208,8 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     if not splits.train:
         raise ValueError("training split is empty")
     rng = make_rng(seed)
-    trainable = model.trainable_params(freeze_embeddings)
-    frozen = [p for p in model.all_params() if p not in trainable]
-    # lr 0 is a supported null update (losses and evals still run)
-    cfg = None
-    if hp.learning_rate > 0:
-        cfg = SgdConfig(learning_rate=hp.learning_rate, clip_norm=hp.clip_norm)
+    params = model.all_params()
+    trainable = params[2:] if freeze_embeddings else params
     encoded = _encode_units(model, splits.train)
     golds = _gold_ids(splits.train)
 
@@ -237,19 +224,17 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
             batch = order[start:start + hp.batch]
             n_batch = len(batch)
             for idxs, char_ids, rad_ids in _length_groups(encoded, batch):
-                P, cache = _forward_batch(model, char_ids, rad_ids, True, rng, hp.dropout)
-                loss, dP, dA = crf_nll(P, model.crf, np.stack([golds[i] for i in idxs]))
+                P, cache = _forward_batch(model, char_ids, rad_ids, rng, hp.dropout)
+                loss, dP, dA = crf_nll(P, model.trans.value, np.stack([golds[i] for i in idxs]))
                 total_loss += loss.sum()
-                model.crf.trans.grad += dA / n_batch
+                model.trans.grad += dA / n_batch
                 _backward_batch(model, cache, dP / n_batch)
                 del P, cache  # free the LSTM cache before the next pass allocates one
-            if cfg is not None:
-                sgd_step(trainable, cfg)
-            else:
-                for p in trainable:
+            # lr 0 is a null update: value -= 0.0 * grad leaves the values as they are
+            sgd_step(trainable, hp.learning_rate, hp.clip_norm)
+            if freeze_embeddings:  # their grads were summed but are never applied
+                for p in params[:2]:
                     p.zero_grad()
-            for p in frozen:
-                p.zero_grad()
         mean_loss = total_loss / len(encoded)
         val_report = evaluate(model, splits.valid)
         records.append(EpochRecord(mean_loss=mean_loss, val_report=val_report))
@@ -260,9 +245,9 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
         elif val_report.f1 > best_f1:
             best_f1 = val_report.f1
             best_epoch = epoch
-            best_values = [p.value.copy() for p in model.all_params()]
+            best_values = [p.value.copy() for p in params]
     if best_values is not None:
-        for p, v in zip(model.all_params(), best_values):
+        for p, v in zip(params, best_values):
             p.value[...] = v
     return TrainLog(epochs=records, best_epoch=best_epoch)
 

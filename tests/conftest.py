@@ -62,7 +62,7 @@ def force_transitions():
     """
 
     def apply(model, arcs):
-        a = model.crf.trans.value
+        a = model.trans.value
         a[:] = -1e6
         for prev, nxt in arcs:
             a[prev, nxt] = 0.0

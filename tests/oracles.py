@@ -1,13 +1,15 @@
 """Independent reimplementations with explicit loops: brute-force CRF oracles
-that check the dynamic-programming routines by exhaustive enumeration, and the
-unfused per-gate LSTM cell that checks the fused one."""
+that check the dynamic-programming routines by exhaustive enumeration, the
+unfused per-gate LSTM cell that checks the fused one, the central-difference
+gradient checker, and the tag grammar."""
 
 import itertools
+import re
 
 import numpy as np
 
-from judou.crf import (N_TAGS, START, STOP, CrfParams, _backward_betas, _logsumexp,
-                       new_transitions)
+from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
+from judou.nncore import Param
 
 
 def all_paths(n):
@@ -67,17 +69,17 @@ def oracle_gradients(P, A, gold):
     return marg, trans
 
 
-def log_partition_reverse(P, crf: CrfParams):
+def log_partition_reverse(P, A):
     """(B,) log Z from the backward recursion that crf_nll uses, as a
     cross-check on the forward one."""
-    betas = _backward_betas(P, crf.A)
-    return _logsumexp(crf.A[START, :N_TAGS] + P[:, 0] + betas[:, 0], axis=1)
+    betas = _backward_betas(P, A)
+    return _logsumexp(A[START, :N_TAGS] + P[:, 0] + betas[:, 0], axis=1)
 
 
-def random_crf(rng, scale=1.0) -> CrfParams:
+def random_crf(rng, scale=1.0) -> Param:
     """Random transitions on the structurally possible cells only."""
-    crf = CrfParams(trans=new_transitions())
-    a = crf.trans.value
+    crf = new_transitions()
+    a = crf.value
     a[:N_TAGS, :N_TAGS] = rng.normal(scale=scale, size=(N_TAGS, N_TAGS))
     a[START, :N_TAGS] = rng.normal(scale=scale, size=N_TAGS)
     a[:N_TAGS, STOP] = rng.normal(scale=scale, size=N_TAGS)
@@ -168,3 +170,43 @@ def oracle_lstm_direction(p, xs, dhs, reverse: bool):
     for t in reversed(steps):
         dxs[:, t], dh, dc = oracle_cell_backward(w, grads, caches[t], dhs[:, t] + dh, dc)
     return hs, dxs, fuse_gate_grads(grads)
+
+
+# ---------------------------------------------------------------------------
+# gradient checker: the safety net for every hand-derived backward pass
+
+def grad_check(f, params, epsilon: float = 1e-5) -> float:
+    """Compare the analytic gradients already stored in params against central
+    finite differences of the scalar function f.
+
+    f must recompute the loss from the current param values and have no lasting
+    side effects. Returns the worst relative error
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    """
+    analytic = [p.grad.copy() for p in params]
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        flat = p.value.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            f_plus = f()
+            flat[i] = orig - epsilon
+            f_minus = f()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * epsilon)
+            ana = a.reshape(-1)[i]
+            err = abs(ana - numeric) / max(1e-8, abs(ana) + abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# tag grammar
+
+_TAG_GRAMMAR = re.compile(r"(?:BO*E|E)*(?:BO*)?")
+
+
+def is_valid_tag_sequence(tags: str) -> bool:
+    """True when tags decompose into complete sentences plus an optional open tail."""
+    return _TAG_GRAMMAR.fullmatch(tags) is not None

@@ -21,16 +21,16 @@ from judou.corpus import (
     text_to_tags,
     TAG_TO_ID,
 )
-from judou.crf import CrfParams, crf_nll, log_partition, viterbi_decode
+from judou.crf import crf_nll, log_partition, viterbi_decode
 from judou.embedding import (
     EmbeddingConfig,
-    cbow_forward_loss,
+    _cbow_loss_parts,
     cbow_loss_and_grads,
     encode_chars,
     new_cbow_model,
 )
 from judou.lstm import bilstm_backward_batch, bilstm_forward_batch, new_bilstm_params
-from judou.nncore import Param, grad_check, make_rng
+from judou.nncore import Param, make_rng
 from judou.radicals import radical_of
 from judou.segmenter import (
     _backward_batch,
@@ -41,7 +41,7 @@ from judou.segmenter import (
 from judou.synthetic import random_embeddings, run_overfit, run_radical_signal
 
 from conftest import unit_of
-from oracles import oracle_log_partition, oracle_viterbi, random_crf
+from oracles import grad_check, oracle_log_partition, oracle_viterbi, random_crf
 from test_cli import SENTENCES
 from test_segmenter import ALL_O, PERIOD3
 
@@ -54,9 +54,9 @@ def test_01_crf_matches_enumeration(criterion):
         n = int(rng.integers(1, 7))
         P = rng.normal(size=(n, 3))
         crf = random_crf(rng)
-        A = crf.trans.value
-        worst = max(worst, abs(log_partition(P[None], crf)[0] - oracle_log_partition(P, A)))
-        assert list(viterbi_decode(P[None], crf)[0]) == list(oracle_viterbi(P, A))
+        A = crf.value
+        worst = max(worst, abs(log_partition(P[None], A)[0] - oracle_log_partition(P, A)))
+        assert list(viterbi_decode(P[None], A)[0]) == list(oracle_viterbi(P, A))
     dt = time.perf_counter() - t0
     criterion("crf oracle equivalence", worst < 1e-8 and dt < 5.0,
               f"100 instances, worst logZ gap {worst:.1e}, {dt:.2f}s")
@@ -76,7 +76,7 @@ def test_02_gradient_checks(criterion):
         enc = encode_chars("天地人山水", vocab, table)
         center = 1 + seed % 3
         cbow_loss_and_grads(m, enc, center)
-        return grad_check(lambda: cbow_forward_loss(m, enc, center), m.params())
+        return grad_check(lambda: _cbow_loss_parts(m, enc, center)[0], m.params())
 
     def bilstm_err(seed, n):
         rng = make_rng(seed)
@@ -99,11 +99,11 @@ def test_02_gradient_checks(criterion):
         crf = random_crf(rng)
         gold = np.array([rng.integers(3) for _ in range(n)], dtype=np.intp)
         P_param = Param.of(P, "P")
-        _, dP, dA = crf_nll(P[None], crf, gold[None])
+        _, dP, dA = crf_nll(P[None], crf.value, gold[None])
         P_param.grad[:] = dP[0]
-        crf.trans.grad[:] = dA
-        return grad_check(lambda: crf_nll(P[None], crf, gold[None])[0][0],
-                          [P_param, crf.trans])
+        crf.grad[:] = dA
+        return grad_check(lambda: crf_nll(P[None], crf.value, gold[None])[0][0],
+                          [P_param, crf])
 
     def end_to_end_err(seed):
         rng = make_rng(seed + 1000)
@@ -116,16 +116,14 @@ def test_02_gradient_checks(criterion):
         text = "天地人山水"
         gold = np.array([TAG_TO_ID[t] for t in "BOEBO"], dtype=np.intp)
         enc = encode_chars(text, vocab, table)
-        P, cache = _forward_batch(model, enc.char_ids[None], enc.rad_ids[None],
-                                  False, None, 0.0)
-        _, dP, dA = crf_nll(P, model.crf, gold[None])
-        model.crf.trans.grad += dA
+        P, cache = _forward_batch(model, enc.char_ids[None], enc.rad_ids[None])
+        _, dP, dA = crf_nll(P, model.trans.value, gold[None])
+        model.trans.grad += dA
         _backward_batch(model, cache, dP)
 
         def f():
-            P, _ = _forward_batch(model, enc.char_ids[None], enc.rad_ids[None],
-                                  False, None, 0.0)
-            return crf_nll(P, model.crf, gold[None])[0][0]
+            P, _ = _forward_batch(model, enc.char_ids[None], enc.rad_ids[None])
+            return crf_nll(P, model.trans.value, gold[None])[0][0]
 
         return grad_check(f, model.all_params())
 

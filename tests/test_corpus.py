@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from judou.corpus import (DEFAULT_PUNCT, LabeledSequence, PunctConfig, Unit,
                           Vocab, boundary_positions, build_vocab, chunk_units,
-                          clean_unsure, is_valid_tag_sequence, normalize_text,
-                          read_units, read_vocab, split_corpus, tags_to_text,
-                          text_to_tags, write_units, write_vocab)
+                          clean_unsure, normalize_text, read_units, read_vocab,
+                          split_corpus, tags_to_text, text_to_tags, write_units,
+                          write_vocab)
+from oracles import is_valid_tag_sequence
 
 han = st.characters(min_codepoint=0x4E00, max_codepoint=0x4E2F)
 han_text = st.text(alphabet=han, max_size=40)

@@ -12,7 +12,6 @@ from judou.embedding import (
     EmbeddingConfig,
     EmbeddingSet,
     MAGIC,
-    cbow_forward_loss,
     cbow_loss_and_grads,
     context_vector,
     encode_chars,
@@ -21,9 +20,11 @@ from judou.embedding import (
     save_embeddings,
     train_embeddings,
     _cbow_loss_parts,
+    _context_rows,
 )
-from judou.nncore import grad_check
 from judou.radicals import radical_index
+
+from oracles import grad_check
 
 
 def vocab_over(text: str) -> Vocab:
@@ -79,6 +80,44 @@ def test_context_is_ordered_not_averaged(table):
     assert np.array_equal(a[d:], b[:d])
 
 
+def loop_context_rows(enc, center, window):
+    """The per-slot loop that the array gather replaced, kept as its reference."""
+    slots = [*range(center - window, center), *range(center + 1, center + window + 1)]
+    return [(int(enc.char_ids[p]), int(enc.rad_ids[p])) if 0 <= p < len(enc) else (Vocab.PAD, 0)
+            for p in slots]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_context_rows_match_the_per_slot_loop(table, window):
+    enc = encode_chars("天地人山", vocab_over("天地人"), table)  # 山 is out of vocabulary
+    for center in range(len(enc)):
+        chars, rads = _context_rows(enc, center, window)
+        assert list(zip(chars.tolist(), rads.tolist())) == loop_context_rows(enc, center, window)
+    for center in (-1, len(enc)):
+        with pytest.raises(IndexError, match="center"):
+            _context_rows(enc, center, window)
+
+
+def test_repeated_context_rows_sum_in_slot_order(table):
+    """At window 3, 天天天地 puts one character row in up to three slots of a
+    context. Its gradient must sum those slots in slot order, bit for bit as
+    the per-slot loop did."""
+    model, ref = (small_model("天地", table, window=3) for _ in range(2))
+    enc = encode_chars("天天天地", model.embeddings.vocab, table)
+    d, d_c = model.config.d_total, model.config.d_char
+    for center in range(len(enc)):
+        cbow_loss_and_grads(model, enc, center)
+        _, h, probs = _cbow_loss_parts(ref, enc, center)
+        probs[enc.char_ids[center]] -= 1.0
+        ref.projection.grad += np.outer(probs, h)
+        dh = ref.projection.value.T @ probs
+        for slot, (cid, rid) in enumerate(loop_context_rows(enc, center, 3)):
+            ref.char_param.grad[cid] += dh[slot * d:slot * d + d_c]
+            ref.rad_param.grad[rid] += dh[slot * d + d_c:(slot + 1) * d]
+    for p, q in zip(model.params(), ref.params()):
+        assert p.grad.tobytes() == q.grad.tobytes()
+
+
 def test_encode_chars_keeps_radical_for_oov(table):
     vocab = vocab_over("天地")
     enc = encode_chars("海", vocab, table)
@@ -93,7 +132,7 @@ def test_zero_projection_gives_uniform_loss(table):
     model = small_model("天地人山水", table)
     model.projection.value[:] = 0.0
     enc = encode_chars("天地人", model.embeddings.vocab, table)
-    assert cbow_forward_loss(model, enc, 1) == pytest.approx(
+    assert _cbow_loss_parts(model, enc, 1)[0] == pytest.approx(
         np.log(model.embeddings.vocab.size))
 
 
@@ -117,7 +156,7 @@ def test_gradients_match_finite_differences(table):
     model = small_model("天地人山水火", table, d_char=3, d_radical=2, window=2)
     enc = encode_chars("天地人山水", model.embeddings.vocab, table)
     cbow_loss_and_grads(model, enc, 2)
-    err = grad_check(lambda: cbow_forward_loss(model, enc, 2), model.params())
+    err = grad_check(lambda: _cbow_loss_parts(model, enc, 2)[0], model.params())
     assert err < 1e-4
 
 

@@ -11,9 +11,9 @@ from judou.lstm import (
     new_bilstm_params,
     new_lstm_params,
 )
-from judou.nncore import glorot_uniform, grad_check
+from judou.nncore import glorot_uniform
 
-from oracles import lstm_gate_weights, oracle_cell_forward, oracle_lstm_direction
+from oracles import grad_check, lstm_gate_weights, oracle_cell_forward, oracle_lstm_direction
 
 
 def zeroed_params(d_in, hidden):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from judou.nncore import (NumericError, Param, SgdConfig, clip_gradients,
-                          dropout_mask, glorot_uniform, grad_check, make_rng,
-                          sgd_step, sigmoid)
+from judou.nncore import (NumericError, Param, clip_gradients, dropout_mask,
+                          glorot_uniform, make_rng, sgd_step, sigmoid)
+from oracles import grad_check
 
 
 class TestElementaryOps:
@@ -97,38 +97,46 @@ class TestSgdStep:
         p = Param.zeros((1,), "p")
         p.value[:] = 1.0
         p.grad[:] = 0.5
-        sgd_step([p], SgdConfig(learning_rate=0.01))
+        sgd_step([p], 0.01, 5.0)
         assert p.value == pytest.approx([0.995])
 
     def test_zero_grad_no_change(self):
         p = Param.zeros((2,), "p")
         p.value[:] = [1.0, 2.0]
-        sgd_step([p], SgdConfig())
+        sgd_step([p], 0.01, 5.0)
         assert p.value == pytest.approx([1.0, 2.0])
 
     def test_grads_zeroed_after(self):
         p = Param.zeros((2,), "p")
         p.grad[:] = 1.0
-        sgd_step([p], SgdConfig())
+        sgd_step([p], 0.01, 5.0)
         assert np.all(p.grad == 0.0)
 
     def test_two_steps_linear_when_unclipped(self):
-        cfg = SgdConfig(learning_rate=0.1, clip_norm=100.0)
         a = Param.zeros((2,), "a")
         a.grad[:] = [1.0, 2.0]
-        sgd_step([a], cfg)
+        sgd_step([a], 0.1, 100.0)
         a.grad[:] = [0.5, 0.25]
-        sgd_step([a], cfg)
+        sgd_step([a], 0.1, 100.0)
         b = Param.zeros((2,), "b")
         b.grad[:] = [1.5, 2.25]
-        sgd_step([b], cfg)
+        sgd_step([b], 0.1, 100.0)
         assert a.value == pytest.approx(b.value)
 
-    def test_config_validation(self):
+    def test_lr_zero_leaves_values_bitwise_and_zeroes_grads(self):
+        rng = make_rng(5)
+        p = Param.of(rng.normal(size=(3, 4)), "p")
+        p.grad[:] = rng.normal(scale=10.0, size=(3, 4))  # clipped, then scaled by 0
+        before = p.value.tobytes()
+        sgd_step([p], 0.0, 5.0)
+        assert p.value.tobytes() == before
+        assert np.all(p.grad == 0.0)
+
+    @pytest.mark.parametrize("clip_norm", [0.0, -1.0])
+    def test_rejects_a_clip_norm_not_above_zero(self, clip_norm):
+        p = Param.zeros((2,), "p")
         with pytest.raises(ValueError):
-            SgdConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            SgdConfig(clip_norm=-1.0)
+            sgd_step([p], 0.01, clip_norm)
 
 
 class TestDropoutMask:

@@ -43,7 +43,7 @@ def emissions(model, *texts):
     """Emission scores (B, n, 3) of equal-length texts from one forward pass."""
     encoded = [encode_chars(t, model.vocab, model.radtable) for t in texts]
     P, _ = _forward_batch(model, np.stack([e.char_ids for e in encoded]),
-                          np.stack([e.rad_ids for e in encoded]), False, None, 0.0)
+                          np.stack([e.rad_ids for e in encoded]))
     return P
 
 
@@ -154,9 +154,9 @@ def test_decode_batches_by_length_up_to_the_cap(make_model, force_transitions, m
     force_transitions(model, PERIOD3)
     shapes = []
 
-    def recording_forward(model, char_ids, *args):
+    def recording_forward(model, char_ids, *args, **kwargs):
         shapes.append(char_ids.shape)
-        return _forward_batch(model, char_ids, *args)
+        return _forward_batch(model, char_ids, *args, **kwargs)
 
     monkeypatch.setattr(segmenter, "_forward_batch", recording_forward)
     texts = ["天地人山水火", "天地人"] * DECODE_BATCH + ["天地人山水火"]
@@ -360,9 +360,9 @@ def test_one_crf_call_per_forward_pass(make_model, monkeypatch):
     calls = []
 
     def recording(name, fn, batch_shape):
-        def call(*args):
+        def call(*args, **kwargs):
             calls.append((name, batch_shape(*args)))
-            return fn(*args)
+            return fn(*args, **kwargs)
         return call
 
     monkeypatch.setattr(segmenter, "_forward_batch",
