@@ -1,7 +1,7 @@
 """Command-line pipeline: prepare -> pretrain -> train -> eval / segment.
 
-Exit codes: 0 success, 2 usage or validation failure, 3 empty data. Data goes
-to stdout, diagnostics to stderr. All text I/O is strict UTF-8.
+Exit codes: 0 success, 2 usage, validation or numeric failure, 3 empty data.
+Data goes to stdout, diagnostics to stderr. All text I/O is strict UTF-8.
 """
 
 import sys
@@ -14,6 +14,7 @@ from .corpus import (CorpusSplits, PunctConfig, build_vocab, chunk_units,
                      clean_unsure, normalize_text, read_units, read_vocab,
                      split_corpus, text_to_tags, write_units, write_vocab)
 from .embedding import EmbeddingConfig, load_embeddings, save_embeddings, train_embeddings
+from .nncore import NumericError
 from .radicals import default_table, radical_char, radical_of
 from .segmenter import (Hyperparams, build_model, evaluate, load_model,
                         save_model, segment, train)
@@ -121,7 +122,10 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
     def report(epoch, mean_loss):
         click.echo(f"epoch {epoch + 1} loss {mean_loss:.4f}")
 
-    emb = train_embeddings(units, default_table(), cfg, vocab=vocab, progress=report)
+    try:
+        emb = train_embeddings(units, default_table(), cfg, vocab=vocab, progress=report)
+    except NumericError as e:
+        _fail(str(e))
     save_embeddings(emb, out_path)
 
 
@@ -188,8 +192,11 @@ def train_cmd(data_dir, emb_path, embed_dim, hidden, batch, epochs,
         lines.append(line)
         click.echo(line)
 
-    train(model, splits, hp, seed=seed, freeze_embeddings=freeze_embeddings,
-          progress=report)
+    try:
+        train(model, splits, hp, seed=seed, freeze_embeddings=freeze_embeddings,
+              progress=report)
+    except NumericError as e:
+        _fail(str(e))
     save_model(model, out_path)
     log_path = log_path or out_path.with_name(out_path.name + ".log")
     log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

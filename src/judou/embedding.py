@@ -8,13 +8,14 @@ positional order (instead of averaging the context) is what lets the model
 weight the radical slots differently from the character slots.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import binio
 from .corpus import Vocab
-from .nncore import Param, make_rng
+from .nncore import NumericError, Param, add_outer, make_rng
 from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, radical_index
 
 MAGIC = b"GJEMB01\n"
@@ -155,20 +156,20 @@ def _cbow_loss_parts(model: CbowModel, encoded: EncodedUnit, center: int):
     return loss, h, probs
 
 
-def cbow_loss_and_grads(model: CbowModel, encoded: EncodedUnit, center: int) -> float:
-    """Forward plus hand-derived backward; accumulates into the model's grads."""
-    loss, h, probs = _cbow_loss_parts(model, encoded, center)
-    target = int(encoded.char_ids[center])
-    dlogits = probs.copy()
-    dlogits[target] -= 1.0
-    model.projection.grad += np.outer(dlogits, h)
+def cbow_loss_and_grads(model: CbowModel, encoded: EncodedUnit, center: int) -> tuple:
+    """Forward plus hand-derived backward at one center: accumulates the char
+    and radical grads at the context rows and returns (loss, dlogits, h).
+    The projection's gradient is outer(dlogits, h); it is left to the caller,
+    which applies it with nncore.add_outer."""
+    loss, h, dlogits = _cbow_loss_parts(model, encoded, center)
+    dlogits[encoded.char_ids[center]] -= 1.0
     dh = (model.projection.value.T @ dlogits).reshape(-1, model.config.d_total)
     d_c = model.config.d_char
     chars, rads = _context_rows(encoded, center, model.config.window)
     # add.at sums a row repeated across slots in slot order
     np.add.at(model.char_param.grad, chars, dh[:, :d_c])
     np.add.at(model.rad_param.grad, rads, dh[:, d_c:])
-    return loss
+    return loss, dlogits, h
 
 
 def train_embeddings(corpus: list, radtable: RadicalTable, cfg: EmbeddingConfig,
@@ -176,7 +177,13 @@ def train_embeddings(corpus: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     """Pretrain on a list of units (or raw strings) and return the embeddings.
 
     Plain per-pair SGD over every (sequence, center) position, in corpus order,
-    for cfg.epochs epochs. Context windows never cross unit boundaries.
+    for cfg.epochs epochs. Context windows never cross unit boundaries. A step
+    changes only the 2N context rows of the char and radical matrices, so only
+    those rows are updated and zeroed; the projection takes -lr * outer(dlogits,
+    h) in cache-sized row blocks and never holds a dense gradient. The values
+    are those of the dense update `value -= lr * grad` over all three matrices.
+    Raises NumericError at the first non-finite loss, or if the returned
+    vectors are not finite.
     """
     if not corpus:
         raise ValueError("cannot train embeddings on an empty corpus")
@@ -190,19 +197,30 @@ def train_embeddings(corpus: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     model = new_cbow_model(vocab, radtable, cfg)
     encoded = [encode_chars(t, vocab, radtable) for t in texts]
     lr = cfg.learning_rate
+    sparse = (model.char_param, model.rad_param)
     for epoch in range(cfg.epochs):
         total, count = 0.0, 0
-        for enc in encoded:
-            for center in range(len(enc)):
-                loss = cbow_loss_and_grads(model, enc, center)
-                total += loss
-                count += 1
-                for p in model.params():
-                    p.value -= lr * p.grad
-                    p.zero_grad()
+        # every loss is checked, so numpy's overflow warnings would only repeat it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for unit, enc in enumerate(encoded):
+                for center in range(len(enc)):
+                    loss, dlogits, h = cbow_loss_and_grads(model, enc, center)
+                    if not math.isfinite(loss):
+                        raise NumericError(f"CBOW loss is {loss} at epoch {epoch + 1}, "
+                                           f"unit {unit}, position {center}; "
+                                           f"try a learning rate below {lr}")
+                    total += loss
+                    count += 1
+                    add_outer(model.projection.value, dlogits, h, -lr)
+                    for p, rows in zip(sparse, _context_rows(enc, center, cfg.window)):
+                        p.value[rows] -= lr * p.grad[rows]
+                        p.grad[rows] = 0.0
         mean = total / max(1, count)
         if progress is not None:
             progress(epoch, mean)
+    if not all(np.isfinite(p.value).all() for p in sparse):
+        raise NumericError("CBOW training left non-finite embedding vectors; "
+                           f"try a learning rate below {lr}")
     emb = model.embeddings
     emb.char_vectors = model.char_param.value
     emb.radical_vectors = model.rad_param.value

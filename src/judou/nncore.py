@@ -9,6 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# add_outer's scratch block: small enough to stay in cache between the
+# product and the add, large enough that per-block overhead does not show
+OUTER_BLOCK_BYTES = 400_000
+
 
 class NumericError(ValueError):
     """A parameter produced non-finite values."""
@@ -53,6 +57,21 @@ def sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     out *= 0.5
     out += 0.5
     return out
+
+
+def add_outer(M: np.ndarray, a: np.ndarray, b: np.ndarray, scale: float) -> None:
+    """M += scale * outer(a, b), in row blocks through one scratch buffer of
+    OUTER_BLOCK_BYTES, so no (len(a), len(b)) temporary is made. Entry by
+    entry it rounds as the dense `G = zeros; G += outer(a, b); M += scale * G`
+    does, so with scale = -lr it is the SGD step `M -= lr * G` bit for bit."""
+    rows = max(1, OUTER_BLOCK_BYTES // (b.size * M.itemsize))
+    buf = np.empty((min(rows, len(a)), b.size))
+    for start in range(0, len(a), rows):
+        # einsum writes 0 + a_i * b_j, as G += outer did into a zeroed G (a
+        # zero product is +0.0), without np.multiply.outer's per-row overhead
+        blk = np.einsum("i,j->ij", a[start:start + rows], b, out=buf[:len(a) - start])
+        blk *= scale
+        M[start:start + rows] += blk
 
 
 def glorot_uniform(shape, rng: np.random.Generator) -> np.ndarray:

@@ -142,7 +142,10 @@ def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndar
     return P, cache
 
 
-def _backward_batch(model: SegmenterModel, cache: dict, dP: np.ndarray) -> None:
+def _backward_batch(model: SegmenterModel, cache: dict, dP: np.ndarray,
+                    embedding_grads: bool = True) -> None:
+    """Accumulate the grads of every parameter, or of all but the two
+    embedding matrices with embedding_grads False (frozen embeddings)."""
     H2 = cache["H2"]
     two_h = H2.shape[2]
     model.emit_W.grad += H2.reshape(-1, two_h).T @ dP.reshape(-1, N_TAGS)
@@ -151,6 +154,8 @@ def _backward_batch(model: SegmenterModel, cache: dict, dP: np.ndarray) -> None:
     if cache["out_mask"] is not None:
         dH2 = dH2 * cache["out_mask"]
     dX = bilstm_backward_batch(model.bilstm, cache["lstm_cache"], dH2)
+    if not embedding_grads:
+        return
     if cache["in_mask"] is not None:
         dX = dX * cache["in_mask"]
     d_c = model.embeddings.d_char
@@ -228,13 +233,11 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
                 loss, dP, dA = crf_nll(P, model.trans.value, np.stack([golds[i] for i in idxs]))
                 total_loss += loss.sum()
                 model.trans.grad += dA / n_batch
-                _backward_batch(model, cache, dP / n_batch)
+                _backward_batch(model, cache, dP / n_batch,
+                                embedding_grads=not freeze_embeddings)
                 del P, cache  # free the LSTM cache before the next pass allocates one
             # lr 0 is a null update: value -= 0.0 * grad leaves the values as they are
             sgd_step(trainable, hp.learning_rate, hp.clip_norm)
-            if freeze_embeddings:  # their grads were summed but are never applied
-                for p in params[:2]:
-                    p.zero_grad()
         mean_loss = total_loss / len(encoded)
         val_report = evaluate(model, splits.valid)
         records.append(EpochRecord(mean_loss=mean_loss, val_report=val_report))

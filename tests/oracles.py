@@ -1,14 +1,17 @@
 """Independent reimplementations with explicit loops: brute-force CRF oracles
 that check the dynamic-programming routines by exhaustive enumeration, the
-unfused per-gate LSTM cell that checks the fused one, the central-difference
-gradient checker, and the tag grammar."""
+unfused per-gate LSTM cell that checks the fused one, the dense CBOW step
+that checks the sparse one, the central-difference gradient checker, and the
+tag grammar."""
 
 import itertools
 import re
 
 import numpy as np
 
+from judou.corpus import Vocab
 from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
+from judou.embedding import _cbow_loss_parts, encode_chars, new_cbow_model
 from judou.nncore import Param
 
 
@@ -170,6 +173,52 @@ def oracle_lstm_direction(p, xs, dhs, reverse: bool):
     for t in reversed(steps):
         dxs[:, t], dh, dc = oracle_cell_backward(w, grads, caches[t], dhs[:, t] + dh, dc)
     return hs, dxs, fuse_gate_grads(grads)
+
+
+# ---------------------------------------------------------------------------
+# CBOW pretraining with the dense per-position update
+
+def cbow_context_slots(enc, center, window) -> list:
+    """(char row, radical row) of each context slot, left to right; slots
+    off the unit take PAD and the no-radical row 0."""
+    slots = [*range(center - window, center), *range(center + 1, center + window + 1)]
+    return [(int(enc.char_ids[p]), int(enc.rad_ids[p])) if 0 <= p < len(enc) else (Vocab.PAD, 0)
+            for p in slots]
+
+
+def dense_cbow_step(model, enc, center) -> float:
+    """One position's forward and backward with the full (|V|, 2N*d) projection
+    gradient, then value -= lr * grad and zero_grad over all three matrices."""
+    cfg = model.config
+    d, d_c = cfg.d_total, cfg.d_char
+    loss, h, probs = _cbow_loss_parts(model, enc, center)
+    dlogits = probs.copy()
+    dlogits[int(enc.char_ids[center])] -= 1.0
+    model.projection.grad += np.outer(dlogits, h)
+    dh = model.projection.value.T @ dlogits
+    for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, cfg.window)):
+        model.char_param.grad[cid] += dh[slot * d:slot * d + d_c]
+        model.rad_param.grad[rid] += dh[slot * d + d_c:(slot + 1) * d]
+    for p in model.params():
+        p.value -= cfg.learning_rate * p.grad
+        p.zero_grad()
+    return loss
+
+
+def dense_train_embeddings(texts, vocab, radtable, cfg):
+    """CBOW SGD over every position in corpus order, one dense step each.
+    Returns (char vectors, radical vectors, per-epoch mean losses)."""
+    model = new_cbow_model(vocab, radtable, cfg)
+    encoded = [encode_chars(t, vocab, radtable) for t in texts]
+    losses = []
+    for _ in range(cfg.epochs):
+        total, count = 0.0, 0
+        for enc in encoded:
+            for center in range(len(enc)):
+                total += dense_cbow_step(model, enc, center)
+                count += 1
+        losses.append(total / count)
+    return model.char_param.value, model.rad_param.value, losses
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from judou.embedding import (
     new_cbow_model,
 )
 from judou.lstm import bilstm_backward_batch, bilstm_forward_batch, new_bilstm_params
-from judou.nncore import Param, make_rng
+from judou.nncore import Param, add_outer, make_rng
 from judou.radicals import radical_of
 from judou.segmenter import (
     _backward_batch,
@@ -75,7 +75,8 @@ def test_02_gradient_checks(criterion):
         m = new_cbow_model(vocab, table, cfg)
         enc = encode_chars("天地人山水", vocab, table)
         center = 1 + seed % 3
-        cbow_loss_and_grads(m, enc, center)
+        _, dlogits, h = cbow_loss_and_grads(m, enc, center)
+        add_outer(m.projection.grad, dlogits, h, 1.0)
         return grad_check(lambda: _cbow_loss_parts(m, enc, center)[0], m.params())
 
     def bilstm_err(seed, n):

@@ -160,6 +160,18 @@ def test_pretrain_missing_data_dir(runner, tmp_path):
     assert r.exit_code == 2
 
 
+def test_pretrain_stops_at_a_non_finite_loss(runner, data_dir, tmp_path):
+    out = tmp_path / "emb.bin"
+    r = runner.invoke(main, ["pretrain", "--data", str(data_dir), "--dim-char", "6",
+                             "--dim-radical", "4", "--epochs", "2", "--learning-rate", "50",
+                             "--out", str(out)])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: CBOW loss is") and r.stderr.count("\n") == 1
+    assert "at epoch 1, unit 0, position" in r.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -215,6 +227,19 @@ def test_train_rejects_an_embedding_file_with_window_zero(runner, data_dir, emb_
                              "--embed-dim", "10", "--out", str(tmp_path / "m")])
     assert r.exit_code == 2
     assert "bad embedding file" in r.stderr
+
+
+def test_train_reports_non_finite_embeddings_as_an_error(runner, data_dir, emb_path, tmp_path):
+    emb = load_embeddings(emb_path)
+    emb.char_vectors = np.full_like(emb.char_vectors, np.nan)
+    bad, out = tmp_path / "emb.bin", tmp_path / "m.bin"
+    save_embeddings(emb, bad)
+    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(bad),
+                             "--embed-dim", "10", "--hidden", "3", "--epochs", "1",
+                             "--out", str(out)])
+    assert r.exit_code == 2
+    assert r.stderr == "error: non-finite gradient in parameter 'emb.char_vectors'\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Modified-CBOW pretraining tests: context layout, gradients, persistence."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from judou.binio import FormatError
 from judou.corpus import LabeledSequence, Unit, Vocab, build_vocab, chunk_units
+from judou import embedding
 from judou.embedding import (
     CbowModel,
     EmbeddingConfig,
@@ -22,9 +24,10 @@ from judou.embedding import (
     _cbow_loss_parts,
     _context_rows,
 )
+from judou.nncore import OUTER_BLOCK_BYTES, NumericError, add_outer
 from judou.radicals import radical_index
 
-from oracles import grad_check
+from oracles import cbow_context_slots, dense_train_embeddings, grad_check
 
 
 def vocab_over(text: str) -> Vocab:
@@ -80,19 +83,12 @@ def test_context_is_ordered_not_averaged(table):
     assert np.array_equal(a[d:], b[:d])
 
 
-def loop_context_rows(enc, center, window):
-    """The per-slot loop that the array gather replaced, kept as its reference."""
-    slots = [*range(center - window, center), *range(center + 1, center + window + 1)]
-    return [(int(enc.char_ids[p]), int(enc.rad_ids[p])) if 0 <= p < len(enc) else (Vocab.PAD, 0)
-            for p in slots]
-
-
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_context_rows_match_the_per_slot_loop(table, window):
     enc = encode_chars("天地人山", vocab_over("天地人"), table)  # 山 is out of vocabulary
     for center in range(len(enc)):
         chars, rads = _context_rows(enc, center, window)
-        assert list(zip(chars.tolist(), rads.tolist())) == loop_context_rows(enc, center, window)
+        assert list(zip(chars.tolist(), rads.tolist())) == cbow_context_slots(enc, center, window)
     for center in (-1, len(enc)):
         with pytest.raises(IndexError, match="center"):
             _context_rows(enc, center, window)
@@ -101,17 +97,18 @@ def test_context_rows_match_the_per_slot_loop(table, window):
 def test_repeated_context_rows_sum_in_slot_order(table):
     """At window 3, 天天天地 puts one character row in up to three slots of a
     context. Its gradient must sum those slots in slot order, bit for bit as
-    the per-slot loop did."""
+    the per-slot loop did; the projection's is outer(dlogits, h)."""
     model, ref = (small_model("天地", table, window=3) for _ in range(2))
     enc = encode_chars("天天天地", model.embeddings.vocab, table)
     d, d_c = model.config.d_total, model.config.d_char
     for center in range(len(enc)):
-        cbow_loss_and_grads(model, enc, center)
+        _, dlogits, h = cbow_loss_and_grads(model, enc, center)
+        add_outer(model.projection.grad, dlogits, h, 1.0)
         _, h, probs = _cbow_loss_parts(ref, enc, center)
         probs[enc.char_ids[center]] -= 1.0
         ref.projection.grad += np.outer(probs, h)
         dh = ref.projection.value.T @ probs
-        for slot, (cid, rid) in enumerate(loop_context_rows(enc, center, 3)):
+        for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, 3)):
             ref.char_param.grad[cid] += dh[slot * d:slot * d + d_c]
             ref.rad_param.grad[rid] += dh[slot * d + d_c:(slot + 1) * d]
     for p, q in zip(model.params(), ref.params()):
@@ -155,7 +152,8 @@ def test_center_out_of_range_rejected(table):
 def test_gradients_match_finite_differences(table):
     model = small_model("天地人山水火", table, d_char=3, d_radical=2, window=2)
     enc = encode_chars("天地人山水", model.embeddings.vocab, table)
-    cbow_loss_and_grads(model, enc, 2)
+    _, dlogits, h = cbow_loss_and_grads(model, enc, 2)
+    add_outer(model.projection.grad, dlogits, h, 1.0)
     err = grad_check(lambda: _cbow_loss_parts(model, enc, 2)[0], model.params())
     assert err < 1e-4
 
@@ -236,6 +234,93 @@ def test_shared_radical_pulls_vectors_together(table):
         for b in speech:
             cross.append(cosine(full_vec(a), full_vec(b)))
     assert np.mean(same) > np.mean(cross)
+
+
+def test_lr_too_high_fails_at_the_first_non_finite_loss(table):
+    corpus = ["天地人山水火天地", "山水火天地人山水"]
+    cfg = EmbeddingConfig(d_char=6, d_radical=4, window=2, epochs=3, learning_rate=50.0)
+    losses = []
+    with pytest.raises(NumericError, match=r"CBOW loss is (inf|nan) at epoch 1, unit \d+, position"):
+        train_embeddings(corpus, table, cfg, progress=lambda e, m: losses.append(m))
+    assert losses == []
+
+
+def test_non_finite_vectors_after_the_last_step_fail(table, monkeypatch):
+    # the last step's loss is finite; only the final check can see its update
+    real = embedding.cbow_loss_and_grads
+    calls = []
+
+    def poisoned(model, enc, center):
+        out = real(model, enc, center)
+        calls.append(center)
+        if len(calls) == 3:
+            model.char_param.grad[enc.char_ids[center - 1]] = np.inf
+        return out
+
+    monkeypatch.setattr(embedding, "cbow_loss_and_grads", poisoned)
+    with pytest.raises(NumericError, match="non-finite embedding vectors"):
+        train_embeddings(["天地人"], table, EmbeddingConfig(d_char=3, d_radical=2, epochs=1))
+    assert calls == [0, 1, 2]
+
+
+def block_rows(cols: int) -> int:
+    return OUTER_BLOCK_BYTES // (cols * 8)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 300])
+def test_add_outer_matches_the_dense_expressions_bytewise(rows):
+    # 600 columns are 4800-byte rows, 83 to a block: 300 rows end in a partial block
+    assert 300 % block_rows(600) and 300 > 3 * block_rows(600)
+    rng = np.random.default_rng(rows)
+    a, b, M = rng.normal(size=rows), rng.normal(size=600), rng.normal(size=(rows, 600))
+    # zero products of either sign, added to signed zeros, keep the dense signs
+    a[::3] = -0.0
+    M[:, ::5] = -0.0
+    grad = np.zeros_like(M)
+    grad += np.outer(a, b)
+    stepped, summed = M.copy(), M.copy()
+    add_outer(stepped, a, b, -0.05)
+    assert stepped.tobytes() == (M - 0.05 * grad).tobytes()
+    add_outer(summed, a, b, 1.0)
+    assert summed.tobytes() == (M + grad).tobytes()
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_sparse_steps_match_the_dense_oracle_bytewise(table, window):
+    """Context-row updates and the blocked projection update give the dense
+    per-position step's vectors and losses, bit for bit, over a vocab that
+    spans several projection blocks and ends in a partial one, with one
+    character repeated across the slots of a context."""
+    alphabet = [chr(0x4E00 + i) for i in range(298)] + ["天", "地"]
+    vocab = vocab_over("".join(alphabet))
+    cfg = EmbeddingConfig(window=window, epochs=2, learning_rate=0.1, seed=window)
+    rows = block_rows(2 * window * cfg.d_total)
+    assert vocab.size > rows and vocab.size % rows
+    rng = np.random.default_rng(window)
+    corpus = ["".join(rng.choice(alphabet, size=40)) for _ in range(3)] + ["天天天地"]
+    losses = []
+    emb = train_embeddings(corpus, table, cfg, vocab=vocab, progress=lambda e, m: losses.append(m))
+    chars, rads, ref_losses = dense_train_embeddings(corpus, vocab, table, cfg)
+    assert emb.char_vectors.tobytes() == chars.tobytes()
+    assert emb.radical_vectors.tobytes() == rads.tobytes()
+    assert losses == ref_losses
+
+
+def test_an_epoch_at_full_vocab_holds_no_dense_temporaries(table):
+    """The projection's value and grad are the only arrays of its size: one
+    epoch at |V| of about 3000 (dims 70+30, window 2) peaks below 2.5 times
+    the projection's bytes, where a dense update would need two more."""
+    vocab = vocab_over("".join(chr(0x4E00 + i) for i in range(2997)))
+    cfg = EmbeddingConfig(window=2, epochs=1, seed=1)
+    projection_bytes = vocab.size * 2 * cfg.window * cfg.d_total * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_embeddings(["天地人山水火天地", "江河海"], table, cfg, vocab=vocab)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * projection_bytes, f"peak {peak / projection_bytes:.2f}x the projection"
 
 
 # ---------------------------------------------------------------------------

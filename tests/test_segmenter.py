@@ -296,6 +296,36 @@ def test_freeze_embeddings_keeps_vectors_fixed(make_model):
     assert not np.array_equal(model.emit_W.value, emit)
 
 
+def test_frozen_embeddings_take_no_gradient(make_model, monkeypatch, tmp_path):
+    """Frozen, the backward pass writes no embedding grad, and training
+    computes what it did when it summed those grads and threw them away:
+    the same losses and the same checkpoint bytes."""
+    splits = tiny_splits()
+    real_backward, real_step = segmenter._backward_batch, segmenter.sgd_step
+    runs = []
+    for scatter in (False, True):
+        model = make_model(splits.train)
+        written = []
+
+        def backward(model, cache, dP, embedding_grads=True):
+            real_backward(model, cache, dP, embedding_grads=embedding_grads or scatter)
+
+        def step(params, *args):
+            written.append(bool(np.any(model.char_param.grad) or np.any(model.rad_param.grad)))
+            return real_step(params, *args)
+
+        monkeypatch.setattr(segmenter, "_backward_batch", backward)
+        monkeypatch.setattr(segmenter, "sgd_step", step)
+        log = train(model, splits, tiny_hp(dropout=0.3), seed=5, freeze_embeddings=True)
+        save_model(model, tmp_path / f"{scatter}.bin")
+        runs.append(([r.mean_loss for r in log.epochs], written,
+                     (tmp_path / f"{scatter}.bin").read_bytes()))
+    (losses, written, saved), (ref_losses, ref_written, ref_saved) = runs
+    assert not any(written) and all(ref_written)
+    assert losses == ref_losses
+    assert saved == ref_saved
+
+
 def test_best_epoch_parameters_are_restored(make_model):
     splits = tiny_splits()
     model = make_model(splits.train)
