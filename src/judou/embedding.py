@@ -15,7 +15,7 @@ import numpy as np
 
 from . import binio
 from .corpus import Vocab
-from .nncore import NumericError, Param, add_outer, make_rng
+from .nncore import NumericError, add_outer, make_rng
 from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, radical_index
 
 MAGIC = b"GJEMB01\n"
@@ -89,16 +89,11 @@ def encode_chars(chars: str, vocab: Vocab, radtable: RadicalTable) -> EncodedUni
 @dataclass
 class CbowModel:
     embeddings: EmbeddingSet
-    char_param: Param
-    rad_param: Param
-    projection: Param  # (|V|, 2N * (d_char + d_radical))
+    projection: np.ndarray  # (|V|, 2N * (d_char + d_radical))
 
     @property
     def config(self) -> EmbeddingConfig:
         return self.embeddings.config
-
-    def params(self) -> list:
-        return [self.char_param, self.rad_param, self.projection]
 
 
 def new_cbow_model(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig) -> CbowModel:
@@ -108,7 +103,6 @@ def new_cbow_model(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig) -
     def init(rows, dim):
         return rng.uniform(-0.5 / dim, 0.5 / dim, size=(rows, dim))
 
-    ctx_len = 2 * cfg.window * cfg.d_total
     emb = EmbeddingSet(
         char_vectors=init(vocab.size, cfg.d_char),
         radical_vectors=init(N_RADICAL_ROWS, cfg.d_radical),
@@ -116,12 +110,7 @@ def new_cbow_model(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig) -
         radtable=radtable,
         config=cfg,
     )
-    return CbowModel(
-        embeddings=emb,
-        char_param=Param.of(emb.char_vectors, "cbow.char_vectors"),
-        rad_param=Param.of(emb.radical_vectors, "cbow.radical_vectors"),
-        projection=Param.of(init(vocab.size, ctx_len), "cbow.projection"),
-    )
+    return CbowModel(embeddings=emb, projection=init(vocab.size, 2 * cfg.window * cfg.d_total))
 
 
 def _context_rows(encoded: EncodedUnit, center: int, window: int) -> tuple:
@@ -141,13 +130,14 @@ def _context_rows(encoded: EncodedUnit, center: int, window: int) -> tuple:
 def context_vector(model: CbowModel, encoded: EncodedUnit, center: int) -> np.ndarray:
     """Ordered concatenation of (char vector, radical vector) over the context."""
     chars, rads = _context_rows(encoded, center, model.config.window)
-    return np.hstack([model.char_param.value[chars], model.rad_param.value[rads]]).reshape(-1)
+    emb = model.embeddings
+    return np.hstack([emb.char_vectors[chars], emb.radical_vectors[rads]]).reshape(-1)
 
 
 def _cbow_loss_parts(model: CbowModel, encoded: EncodedUnit, center: int):
     """The CBOW forward at one center: (loss, context vector h, softmax probs)."""
     h = context_vector(model, encoded, center)
-    logits = model.projection.value @ h
+    logits = model.projection @ h
     logits -= logits.max()
     exp = np.exp(logits)
     probs = exp / exp.sum()
@@ -157,73 +147,66 @@ def _cbow_loss_parts(model: CbowModel, encoded: EncodedUnit, center: int):
 
 
 def cbow_loss_and_grads(model: CbowModel, encoded: EncodedUnit, center: int) -> tuple:
-    """Forward plus hand-derived backward at one center: accumulates the char
-    and radical grads at the context rows and returns (loss, dlogits, h).
-    The projection's gradient is outer(dlogits, h); it is left to the caller,
-    which applies it with nncore.add_outer."""
+    """Forward plus hand-derived backward at one center; writes nothing.
+
+    Returns (loss, dlogits, h, dh). The projection's gradient is
+    outer(dlogits, h). dh, shaped (2N, d_char + d_radical), holds the
+    gradient of each context slot: its first d_char columns belong to the
+    slot's char row and the rest to its radical row (see _context_rows)."""
     loss, h, dlogits = _cbow_loss_parts(model, encoded, center)
     dlogits[encoded.char_ids[center]] -= 1.0
-    dh = (model.projection.value.T @ dlogits).reshape(-1, model.config.d_total)
-    d_c = model.config.d_char
-    chars, rads = _context_rows(encoded, center, model.config.window)
-    # add.at sums a row repeated across slots in slot order
-    np.add.at(model.char_param.grad, chars, dh[:, :d_c])
-    np.add.at(model.rad_param.grad, rads, dh[:, d_c:])
-    return loss, dlogits, h
+    dh = (model.projection.T @ dlogits).reshape(-1, model.config.d_total)
+    return loss, dlogits, h, dh
 
 
-def train_embeddings(corpus: list, radtable: RadicalTable, cfg: EmbeddingConfig,
-                     vocab: Vocab = None, progress=None) -> EmbeddingSet:
-    """Pretrain on a list of units (or raw strings) and return the embeddings.
+def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
+                     vocab: Vocab, progress=None) -> EmbeddingSet:
+    """Pretrain on a list of units over vocab and return the embeddings.
 
-    Plain per-pair SGD over every (sequence, center) position, in corpus order,
+    Plain per-pair SGD over every (unit, center) position, in corpus order,
     for cfg.epochs epochs. Context windows never cross unit boundaries. A step
-    changes only the 2N context rows of the char and radical matrices, so only
-    those rows are updated and zeroed; the projection takes -lr * outer(dlogits,
-    h) in cache-sized row blocks and never holds a dense gradient. The values
-    are those of the dense update `value -= lr * grad` over all three matrices.
-    Raises NumericError at the first non-finite loss, or if the returned
-    vectors are not finite.
+    changes only the 2N context rows of the char and radical matrices: it sums
+    their slot gradients into a zeroed scratch array made once per call,
+    applies them at those rows and zeroes them there again. The projection
+    takes -lr * outer(dlogits, h) in cache-sized row blocks. The model keeps
+    no gradient buffers, and the values are those of the dense update
+    `value -= lr * grad` over all three matrices. Raises NumericError at the
+    first non-finite loss, or if the returned vectors are not finite.
     """
-    if not corpus:
+    if not units:
         raise ValueError("cannot train embeddings on an empty corpus")
-    texts = [u if isinstance(u, str) else u.seq.chars for u in corpus]
-    if vocab is None:
-        from .corpus import build_vocab, chunk_units, LabeledSequence
-        units = []
-        for t in texts:
-            units.extend(chunk_units(LabeledSequence(t, "O" * len(t)), unit_size=max(2, len(t))))
-        vocab = build_vocab(units)
     model = new_cbow_model(vocab, radtable, cfg)
-    encoded = [encode_chars(t, vocab, radtable) for t in texts]
-    lr = cfg.learning_rate
-    sparse = (model.char_param, model.rad_param)
+    emb = model.embeddings
+    encoded = [encode_chars(u.seq.chars, vocab, radtable) for u in units]
+    lr, d_c = cfg.learning_rate, cfg.d_char
+    # (matrix, its scratch gradient, its columns of dh)
+    sparse = ((emb.char_vectors, np.zeros_like(emb.char_vectors), np.s_[:, :d_c]),
+              (emb.radical_vectors, np.zeros_like(emb.radical_vectors), np.s_[:, d_c:]))
     for epoch in range(cfg.epochs):
         total, count = 0.0, 0
         # every loss is checked, so numpy's overflow warnings would only repeat it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for unit, enc in enumerate(encoded):
                 for center in range(len(enc)):
-                    loss, dlogits, h = cbow_loss_and_grads(model, enc, center)
+                    loss, dlogits, h, dh = cbow_loss_and_grads(model, enc, center)
                     if not math.isfinite(loss):
                         raise NumericError(f"CBOW loss is {loss} at epoch {epoch + 1}, "
                                            f"unit {unit}, position {center}; "
                                            f"try a learning rate below {lr}")
                     total += loss
                     count += 1
-                    add_outer(model.projection.value, dlogits, h, -lr)
-                    for p, rows in zip(sparse, _context_rows(enc, center, cfg.window)):
-                        p.value[rows] -= lr * p.grad[rows]
-                        p.grad[rows] = 0.0
+                    add_outer(model.projection, dlogits, h, -lr)
+                    for (M, G, cols), rows in zip(sparse, _context_rows(enc, center, cfg.window)):
+                        # add.at sums a row repeated across slots in slot order
+                        np.add.at(G, rows, dh[cols])
+                        M[rows] -= lr * G[rows]
+                        G[rows] = 0.0
         mean = total / max(1, count)
         if progress is not None:
             progress(epoch, mean)
-    if not all(np.isfinite(p.value).all() for p in sparse):
+    if not (np.isfinite(emb.char_vectors).all() and np.isfinite(emb.radical_vectors).all()):
         raise NumericError("CBOW training left non-finite embedding vectors; "
                            f"try a learning rate below {lr}")
-    emb = model.embeddings
-    emb.char_vectors = model.char_param.value
-    emb.radical_vectors = model.rad_param.value
     return emb
 
 

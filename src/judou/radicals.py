@@ -10,13 +10,22 @@ original CJK Unified Ideographs block, and the CJK Compatibility Ideographs
 that NFKC maps into it.
 """
 
+import hashlib
+import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 N_RADICALS = 214
 NO_RADICAL = 0  # embedding row for characters outside the table
 
 KANGXI_BLOCK_FIRST = 0x2F00
+
+_HEX, _DECIMAL = "[0-9A-F]+", "[0-9]+"  # the only field forms a table may use
+# each matches whole lines, before an optional CR
+_CODEPOINTS = re.compile(rf"^({_HEX})\t{_DECIMAL}\r?$", re.M)  # of the entries
+_IDS = re.compile(rf"^{_HEX}\t({_DECIMAL})\r?$", re.M)
+_NOT_ENTRIES = re.compile(r"^(?:#.*|)\r?$", re.M)  # comment and blank lines
 
 _DEFAULT_TABLE_PATH = Path(__file__).parent / "data" / "kangxi_radicals.tsv"
 _default_table = None
@@ -40,36 +49,43 @@ class RadicalTable:
 def load_radical_table(path) -> RadicalTable:
     """Parse a radical table file: "HEXCODEPOINT<TAB>radical-id" per line.
 
-    Lines starting with '#' are comments. Raises RadicalTableError with the
-    offending line number on malformed input, a codepoint outside 0..10FFFF or
-    given twice, or an id outside 1..214.
+    The codepoint is uppercase ASCII hex and the id ASCII decimal; lines end
+    in LF or CRLF, and lines starting with '#' are comments. Raises
+    RadicalTableError with the offending line number on any other field, a
+    codepoint outside 0..10FFFF or given twice, or an id outside 1..214.
     """
-    import hashlib
-
     path = Path(path)
     raw = path.read_bytes()
-    entries: dict[int, int] = {}
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise RadicalTableError(f"{path}:{lineno}: expected 'HEX<TAB>id', got {line!r}")
-        try:
+    text = raw.decode("utf-8")
+    # a field at a time, which makes no per-line objects. The distinct
+    # codepoints and the other lines add up to every line exactly when no line
+    # is malformed and no codepoint repeats; else a line-by-line parse names it
+    cps = list(map(int, _CODEPOINTS.findall(text), repeat(16)))
+    rids = list(map(int, _IDS.findall(text)))
+    entries = dict(zip(cps, rids))
+    if (len(entries) + len(_NOT_ENTRIES.findall(text)) != text.count("\n") + 1
+            or entries and (max(cps) > 0x10FFFF or not 1 <= min(rids) <= max(rids) <= N_RADICALS)):
+        entries = {}
+        for lineno, line in enumerate(re.split(r"\r?\n", text), start=1):
+            if not line or line.startswith("#"):
+                continue
+            where = f"{path}:{lineno}:"
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise RadicalTableError(f"{where} expected 'HEX<TAB>id', got {line!r}")
+            if not re.fullmatch(_HEX, parts[0]):
+                raise RadicalTableError(f"{where} bad hex codepoint {parts[0]!r}")
             cp = int(parts[0], 16)
-        except ValueError:
-            raise RadicalTableError(f"{path}:{lineno}: bad hex codepoint {parts[0]!r}") from None
-        if not 0 <= cp <= 0x10FFFF:
-            raise RadicalTableError(f"{path}:{lineno}: codepoint {parts[0]!r} outside 0..10FFFF")
-        if cp in entries:
-            raise RadicalTableError(f"{path}:{lineno}: repeated codepoint {cp:04X}")
-        try:
-            rid = int(parts[1], 10)
-        except ValueError:
-            raise RadicalTableError(f"{path}:{lineno}: bad radical id {parts[1]!r}") from None
-        if not 1 <= rid <= N_RADICALS:
-            raise RadicalTableError(f"{path}:{lineno}: radical id {rid} outside 1..{N_RADICALS}")
-        entries[cp] = rid
+            if cp > 0x10FFFF:
+                raise RadicalTableError(f"{where} codepoint {parts[0]!r} outside 0..10FFFF")
+            if cp in entries:
+                raise RadicalTableError(f"{where} repeated codepoint {cp:04X}")
+            if not re.fullmatch(_DECIMAL, parts[1]):
+                raise RadicalTableError(f"{where} bad radical id {parts[1]!r}")
+            rid = int(parts[1])
+            if not 1 <= rid <= N_RADICALS:
+                raise RadicalTableError(f"{where} radical id {rid} outside 1..{N_RADICALS}")
+            entries[cp] = rid
     return RadicalTable(entries=entries, sha256=hashlib.sha256(raw).hexdigest())
 
 

@@ -1,8 +1,8 @@
 """Independent reimplementations with explicit loops: brute-force CRF oracles
 that check the dynamic-programming routines by exhaustive enumeration, the
 unfused per-gate LSTM cell that checks the fused one, the dense CBOW step
-that checks the sparse one, the central-difference gradient checker, and the
-tag grammar."""
+that checks the sparse one, the slot-by-slot CBOW gradients that the
+central-difference gradient checker reads, and the tag grammar."""
 
 import itertools
 import re
@@ -11,7 +11,7 @@ import numpy as np
 
 from judou.corpus import Vocab
 from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
-from judou.embedding import _cbow_loss_parts, encode_chars, new_cbow_model
+from judou.embedding import _cbow_loss_parts, cbow_loss_and_grads, encode_chars, new_cbow_model
 from judou.nncore import Param
 
 
@@ -187,21 +187,23 @@ def cbow_context_slots(enc, center, window) -> list:
 
 
 def dense_cbow_step(model, enc, center) -> float:
-    """One position's forward and backward with the full (|V|, 2N*d) projection
-    gradient, then value -= lr * grad and zero_grad over all three matrices."""
+    """One position's forward and backward into zeroed full-size gradients of
+    all three matrices, the (|V|, 2N*d) projection's included, then
+    value -= lr * grad over each."""
     cfg = model.config
     d, d_c = cfg.d_total, cfg.d_char
+    values = (model.embeddings.char_vectors, model.embeddings.radical_vectors, model.projection)
+    g_char, g_rad, g_proj = (np.zeros_like(v) for v in values)
     loss, h, probs = _cbow_loss_parts(model, enc, center)
     dlogits = probs.copy()
     dlogits[int(enc.char_ids[center])] -= 1.0
-    model.projection.grad += np.outer(dlogits, h)
-    dh = model.projection.value.T @ dlogits
+    g_proj += np.outer(dlogits, h)
+    dh = model.projection.T @ dlogits
     for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, cfg.window)):
-        model.char_param.grad[cid] += dh[slot * d:slot * d + d_c]
-        model.rad_param.grad[rid] += dh[slot * d + d_c:(slot + 1) * d]
-    for p in model.params():
-        p.value -= cfg.learning_rate * p.grad
-        p.zero_grad()
+        g_char[cid] += dh[slot * d:slot * d + d_c]
+        g_rad[rid] += dh[slot * d + d_c:(slot + 1) * d]
+    for v, g in zip(values, (g_char, g_rad, g_proj)):
+        v -= cfg.learning_rate * g
     return loss
 
 
@@ -218,7 +220,24 @@ def dense_train_embeddings(texts, vocab, radtable, cfg):
                 total += dense_cbow_step(model, enc, center)
                 count += 1
         losses.append(total / count)
-    return model.char_param.value, model.rad_param.value, losses
+    return model.embeddings.char_vectors, model.embeddings.radical_vectors, losses
+
+
+def cbow_grad_params(model, enc, center) -> list:
+    """cbow_loss_and_grads at one center as Params over the model's own char,
+    radical and projection arrays (shared, not copied), for grad_check: the
+    grads are filled slot by slot from dh, and with outer(dlogits, h)."""
+    emb, d_c = model.embeddings, model.config.d_char
+    _, dlogits, h, dh = cbow_loss_and_grads(model, enc, center)
+    params = [Param.of(emb.char_vectors, "cbow.char_vectors"),
+              Param.of(emb.radical_vectors, "cbow.radical_vectors"),
+              Param.of(model.projection, "cbow.projection")]
+    chars, rads, proj = params
+    for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, model.config.window)):
+        chars.grad[cid] += dh[slot, :d_c]
+        rads.grad[rid] += dh[slot, d_c:]
+    proj.grad += np.outer(dlogits, h)
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,11 @@ from judou.crf import crf_nll, log_partition, viterbi_decode
 from judou.embedding import (
     EmbeddingConfig,
     _cbow_loss_parts,
-    cbow_loss_and_grads,
     encode_chars,
     new_cbow_model,
 )
 from judou.lstm import bilstm_backward_batch, bilstm_forward_batch, new_bilstm_params
-from judou.nncore import Param, add_outer, make_rng
+from judou.nncore import Param, make_rng
 from judou.radicals import radical_of
 from judou.segmenter import (
     _backward_batch,
@@ -41,7 +40,7 @@ from judou.segmenter import (
 from judou.synthetic import random_embeddings, run_overfit, run_radical_signal
 
 from conftest import unit_of
-from oracles import grad_check, oracle_log_partition, oracle_viterbi, random_crf
+from oracles import cbow_grad_params, grad_check, oracle_log_partition, oracle_viterbi, random_crf
 from test_cli import SENTENCES
 from test_segmenter import ALL_O, PERIOD3
 
@@ -75,9 +74,8 @@ def test_02_gradient_checks(criterion):
         m = new_cbow_model(vocab, table, cfg)
         enc = encode_chars("天地人山水", vocab, table)
         center = 1 + seed % 3
-        _, dlogits, h = cbow_loss_and_grads(m, enc, center)
-        add_outer(m.projection.grad, dlogits, h, 1.0)
-        return grad_check(lambda: _cbow_loss_parts(m, enc, center)[0], m.params())
+        return grad_check(lambda: _cbow_loss_parts(m, enc, center)[0],
+                          cbow_grad_params(m, enc, center))
 
     def bilstm_err(seed, n):
         rng = make_rng(seed)

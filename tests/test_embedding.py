@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from judou.binio import FormatError
-from judou.corpus import LabeledSequence, Unit, Vocab, build_vocab, chunk_units
+from judou.corpus import LabeledSequence, Unit, Vocab, build_vocab
 from judou import embedding
 from judou.embedding import (
     CbowModel,
@@ -27,12 +27,21 @@ from judou.embedding import (
 from judou.nncore import OUTER_BLOCK_BYTES, NumericError, add_outer
 from judou.radicals import radical_index
 
-from oracles import cbow_context_slots, dense_train_embeddings, grad_check
+from oracles import cbow_context_slots, cbow_grad_params, dense_train_embeddings, grad_check
+
+
+def units_over(texts) -> list:
+    return [Unit(seq=LabeledSequence(t, "O" * len(t))) for t in texts]
 
 
 def vocab_over(text: str) -> Vocab:
-    units = chunk_units(LabeledSequence(text, "O" * len(text)), unit_size=max(2, len(text)))
-    return build_vocab(units)
+    return build_vocab(units_over([text]))
+
+
+def train_on(texts, table, cfg, **kwargs):
+    """train_embeddings over units of texts, with the vocab of those units."""
+    units = units_over(texts)
+    return train_embeddings(units, table, cfg, vocab=build_vocab(units), **kwargs)
 
 
 def small_model(text, table, **cfg_kwargs) -> CbowModel:
@@ -55,7 +64,7 @@ def test_out_of_range_slots_use_pad_and_sentinel(table):
     vocab = model.embeddings.vocab
     enc = encode_chars("天地", vocab, table)
     ctx = context_vector(model, enc, 0)
-    cv, rv = model.char_param.value, model.rad_param.value
+    cv, rv = model.embeddings.char_vectors, model.embeddings.radical_vectors
     expected = np.concatenate([
         cv[Vocab.PAD], rv[0],                       # left slot is off the edge
         cv[vocab.encode("地")], rv[radical_index(table, "地")],
@@ -67,7 +76,7 @@ def test_center_character_is_excluded_from_its_context(table):
     model = small_model("天地人", table)
     enc = encode_chars("天地人", model.embeddings.vocab, table)
     before = context_vector(model, enc, 1)
-    model.char_param.value[model.embeddings.vocab.encode("地")] += 10.0
+    model.embeddings.char_vectors[model.embeddings.vocab.encode("地")] += 10.0
     assert np.array_equal(context_vector(model, enc, 1), before)
 
 
@@ -96,23 +105,26 @@ def test_context_rows_match_the_per_slot_loop(table, window):
 
 def test_repeated_context_rows_sum_in_slot_order(table):
     """At window 3, 天天天地 puts one character row in up to three slots of a
-    context. Its gradient must sum those slots in slot order, bit for bit as
-    the per-slot loop did; the projection's is outer(dlogits, h)."""
-    model, ref = (small_model("天地", table, window=3) for _ in range(2))
+    context. The returned dh must hold each slot's gradient, bit for bit as
+    the per-slot loop takes it from projection.T @ dlogits, and write nothing
+    to the model."""
+    model = small_model("天地", table, window=3)
+    before = [a.copy() for a in (model.embeddings.char_vectors,
+                                 model.embeddings.radical_vectors, model.projection)]
     enc = encode_chars("天天天地", model.embeddings.vocab, table)
     d, d_c = model.config.d_total, model.config.d_char
     for center in range(len(enc)):
-        _, dlogits, h = cbow_loss_and_grads(model, enc, center)
-        add_outer(model.projection.grad, dlogits, h, 1.0)
-        _, h, probs = _cbow_loss_parts(ref, enc, center)
+        _, dlogits, h, dh = cbow_loss_and_grads(model, enc, center)
+        assert dh.shape == (2 * 3, d)
+        _, ref_h, probs = _cbow_loss_parts(model, enc, center)
         probs[enc.char_ids[center]] -= 1.0
-        ref.projection.grad += np.outer(probs, h)
-        dh = ref.projection.value.T @ probs
-        for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, 3)):
-            ref.char_param.grad[cid] += dh[slot * d:slot * d + d_c]
-            ref.rad_param.grad[rid] += dh[slot * d + d_c:(slot + 1) * d]
-    for p, q in zip(model.params(), ref.params()):
-        assert p.grad.tobytes() == q.grad.tobytes()
+        assert dlogits.tobytes() == probs.tobytes() and h.tobytes() == ref_h.tobytes()
+        ref_dh = model.projection.T @ probs
+        for slot in range(2 * 3):
+            assert dh[slot, :d_c].tobytes() == ref_dh[slot * d:slot * d + d_c].tobytes()
+            assert dh[slot, d_c:].tobytes() == ref_dh[slot * d + d_c:(slot + 1) * d].tobytes()
+    after = (model.embeddings.char_vectors, model.embeddings.radical_vectors, model.projection)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 def test_encode_chars_keeps_radical_for_oov(table):
@@ -127,7 +139,7 @@ def test_encode_chars_keeps_radical_for_oov(table):
 
 def test_zero_projection_gives_uniform_loss(table):
     model = small_model("天地人山水", table)
-    model.projection.value[:] = 0.0
+    model.projection[:] = 0.0
     enc = encode_chars("天地人", model.embeddings.vocab, table)
     assert _cbow_loss_parts(model, enc, 1)[0] == pytest.approx(
         np.log(model.embeddings.vocab.size))
@@ -152,9 +164,8 @@ def test_center_out_of_range_rejected(table):
 def test_gradients_match_finite_differences(table):
     model = small_model("天地人山水火", table, d_char=3, d_radical=2, window=2)
     enc = encode_chars("天地人山水", model.embeddings.vocab, table)
-    _, dlogits, h = cbow_loss_and_grads(model, enc, 2)
-    add_outer(model.projection.grad, dlogits, h, 1.0)
-    err = grad_check(lambda: _cbow_loss_parts(model, enc, 2)[0], model.params())
+    err = grad_check(lambda: _cbow_loss_parts(model, enc, 2)[0],
+                     cbow_grad_params(model, enc, 2))
     assert err < 1e-4
 
 
@@ -166,7 +177,7 @@ def test_training_loss_decreases(table):
     cfg = EmbeddingConfig(d_char=4, d_radical=3, window=1, epochs=4,
                           learning_rate=0.2, seed=1)
     losses = []
-    train_embeddings(corpus, table, cfg, progress=lambda e, m: losses.append(m))
+    train_on(corpus, table, cfg, progress=lambda e, m: losses.append(m))
     assert len(losses) == 4
     assert losses[1] < losses[0]
     assert losses[2] < losses[1]
@@ -175,29 +186,18 @@ def test_training_loss_decreases(table):
 def test_training_is_seed_deterministic(table):
     corpus = ["天地人山水", "水山人地天"]
     cfg = EmbeddingConfig(d_char=3, d_radical=2, window=1, epochs=2, seed=7)
-    a = train_embeddings(corpus, table, cfg)
-    b = train_embeddings(corpus, table, cfg)
+    a = train_on(corpus, table, cfg)
+    b = train_on(corpus, table, cfg)
     assert np.array_equal(a.char_vectors, b.char_vectors)
     assert np.array_equal(a.radical_vectors, b.radical_vectors)
-    c = train_embeddings(corpus, table, EmbeddingConfig(
+    c = train_on(corpus, table, EmbeddingConfig(
         d_char=3, d_radical=2, window=1, epochs=2, seed=8))
     assert not np.array_equal(a.char_vectors, c.char_vectors)
 
 
-def test_units_and_strings_train_identically(table):
-    text = "天地人山水火"
-    vocab = vocab_over(text)
-    cfg = EmbeddingConfig(d_char=3, d_radical=2, window=1, epochs=2, seed=3)
-    from_str = train_embeddings([text], table, cfg, vocab=vocab)
-    from_units = train_embeddings(
-        [Unit(seq=LabeledSequence(text, "O" * len(text)))], table, cfg, vocab=vocab)
-    assert np.array_equal(from_str.char_vectors, from_units.char_vectors)
-    assert np.array_equal(from_str.radical_vectors, from_units.radical_vectors)
-
-
 def test_empty_corpus_rejected(table):
     with pytest.raises(ValueError, match="empty corpus"):
-        train_embeddings([], table, EmbeddingConfig())
+        train_embeddings([], table, EmbeddingConfig(), vocab=vocab_over("天"))
 
 
 def test_shared_radical_pulls_vectors_together(table):
@@ -215,7 +215,7 @@ def test_shared_radical_pulls_vectors_together(table):
         corpus.append("".join(rng.choice(list(pool)) for _ in range(6)))
     cfg = EmbeddingConfig(d_char=8, d_radical=8, window=1, epochs=8,
                           learning_rate=0.1, seed=4)
-    emb = train_embeddings(corpus, table, cfg)
+    emb = train_on(corpus, table, cfg)
 
     def full_vec(ch):
         i = emb.vocab.encode(ch)
@@ -241,7 +241,7 @@ def test_lr_too_high_fails_at_the_first_non_finite_loss(table):
     cfg = EmbeddingConfig(d_char=6, d_radical=4, window=2, epochs=3, learning_rate=50.0)
     losses = []
     with pytest.raises(NumericError, match=r"CBOW loss is (inf|nan) at epoch 1, unit \d+, position"):
-        train_embeddings(corpus, table, cfg, progress=lambda e, m: losses.append(m))
+        train_on(corpus, table, cfg, progress=lambda e, m: losses.append(m))
     assert losses == []
 
 
@@ -254,12 +254,12 @@ def test_non_finite_vectors_after_the_last_step_fail(table, monkeypatch):
         out = real(model, enc, center)
         calls.append(center)
         if len(calls) == 3:
-            model.char_param.grad[enc.char_ids[center - 1]] = np.inf
+            out[3][0] = np.inf
         return out
 
     monkeypatch.setattr(embedding, "cbow_loss_and_grads", poisoned)
     with pytest.raises(NumericError, match="non-finite embedding vectors"):
-        train_embeddings(["天地人"], table, EmbeddingConfig(d_char=3, d_radical=2, epochs=1))
+        train_on(["天地人"], table, EmbeddingConfig(d_char=3, d_radical=2, epochs=1))
     assert calls == [0, 1, 2]
 
 
@@ -299,7 +299,8 @@ def test_sparse_steps_match_the_dense_oracle_bytewise(table, window):
     rng = np.random.default_rng(window)
     corpus = ["".join(rng.choice(alphabet, size=40)) for _ in range(3)] + ["天天天地"]
     losses = []
-    emb = train_embeddings(corpus, table, cfg, vocab=vocab, progress=lambda e, m: losses.append(m))
+    emb = train_embeddings(units_over(corpus), table, cfg, vocab=vocab,
+                           progress=lambda e, m: losses.append(m))
     chars, rads, ref_losses = dense_train_embeddings(corpus, vocab, table, cfg)
     assert emb.char_vectors.tobytes() == chars.tobytes()
     assert emb.radical_vectors.tobytes() == rads.tobytes()
@@ -307,20 +308,20 @@ def test_sparse_steps_match_the_dense_oracle_bytewise(table, window):
 
 
 def test_an_epoch_at_full_vocab_holds_no_dense_temporaries(table):
-    """The projection's value and grad are the only arrays of its size: one
-    epoch at |V| of about 3000 (dims 70+30, window 2) peaks below 2.5 times
-    the projection's bytes, where a dense update would need two more."""
+    """The projection is the only array of its size: one epoch at |V| of
+    about 3000 (dims 70+30, window 2) peaks below 1.5 times the projection's
+    bytes, where a gradient buffer would add one more and a dense update two."""
     vocab = vocab_over("".join(chr(0x4E00 + i) for i in range(2997)))
     cfg = EmbeddingConfig(window=2, epochs=1, seed=1)
     projection_bytes = vocab.size * 2 * cfg.window * cfg.d_total * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        train_embeddings(["天地人山水火天地", "江河海"], table, cfg, vocab=vocab)
+        train_embeddings(units_over(["天地人山水火天地", "江河海"]), table, cfg, vocab=vocab)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * projection_bytes, f"peak {peak / projection_bytes:.2f}x the projection"
+    assert peak < 1.5 * projection_bytes, f"peak {peak / projection_bytes:.2f}x the projection"
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def test_an_epoch_at_full_vocab_holds_no_dense_temporaries(table):
 
 def trained(table, tmp_path):
     cfg = EmbeddingConfig(d_char=3, d_radical=2, window=2, epochs=1, seed=5)
-    emb = train_embeddings(["天地人山水火"], table, cfg)
+    emb = train_on(["天地人山水火"], table, cfg)
     path = tmp_path / "emb.bin"
     save_embeddings(emb, path)
     return emb, path

@@ -1,7 +1,7 @@
 """Radical table parsing and lookup semantics."""
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from judou.radicals import (N_RADICALS, NO_RADICAL, RadicalTableError,
@@ -35,6 +35,20 @@ SAME_RADICAL_PAIRS = [
 ]
 
 
+# lines with one malformed field each, and the start of the error naming it
+MALFORMED_FIELDS = {
+    "hex-prefix": ("0x4E00\t1", "bad hex codepoint '0x4E00'"),
+    "underscore": ("4E_01\t2", "bad hex codepoint '4E_01'"),
+    "leading-space": (" 4E02\t3", "bad hex codepoint ' 4E02'"),
+    "plus-sign": ("4E03\t+4", r"bad radical id '\+4'"),
+    "lowercase-hex": ("4e04\t5", "bad hex codepoint '4e04'"),
+    "arabic-indic-digit": ("4E05\t\u0666", "bad radical id '\u0666'"),
+}
+
+# a bad line with a valid codepoint must not repeat one already in the table
+CODEPOINTS_BUT_THE_BAD_ONES = st.integers(0, 0x10FFFF).filter(lambda cp: not 0x4E00 <= cp <= 0x4E05)
+
+
 class TestLoadRadicalTable:
     def test_single_entry(self, tmp_path):
         p = tmp_path / "t.tsv"
@@ -66,11 +80,15 @@ class TestLoadRadicalTable:
         with pytest.raises(RadicalTableError, match=r":1:"):
             load_radical_table(p)
 
-    @pytest.mark.parametrize("rid", [0, 215, -3])
-    def test_radical_id_out_of_range(self, tmp_path, rid):
+    @pytest.mark.parametrize("rid, message", [
+        pytest.param(0, "radical id 0 outside 1..214", id="0"),
+        pytest.param(215, "radical id 215 outside 1..214", id="215"),
+        pytest.param(-3, "bad radical id '-3'", id="-3"),  # the sign is not a digit
+    ])
+    def test_radical_id_out_of_range(self, tmp_path, rid, message):
         p = tmp_path / "t.tsv"
         p.write_text(f"4E00\t{rid}\n", encoding="utf-8")
-        with pytest.raises(RadicalTableError, match="outside 1..214"):
+        with pytest.raises(RadicalTableError, match=f":1: {message}"):
             load_radical_table(p)
 
     def test_repeated_codepoint_rejected(self, tmp_path):
@@ -80,12 +98,43 @@ class TestLoadRadicalTable:
         with pytest.raises(RadicalTableError, match=r":3: repeated codepoint 4E00"):
             load_radical_table(p)
 
-    @pytest.mark.parametrize("hexcp", ["-4E01", "110000", "FFFFFFFF"])
-    def test_codepoint_out_of_range_rejected(self, tmp_path, hexcp):
-        # "-4E01" used to load as the key -19969
+    @pytest.mark.parametrize("hexcp, message", [
+        # "-4E01" once loaded as the key -19969; its sign is not a hex digit
+        pytest.param("-4E01", "bad hex codepoint '-4E01'", id="-4E01"),
+        pytest.param("110000", "codepoint '110000' outside 0..10FFFF", id="110000"),
+        pytest.param("FFFFFFFF", "codepoint 'FFFFFFFF' outside 0..10FFFF", id="FFFFFFFF"),
+    ])
+    def test_codepoint_out_of_range_rejected(self, tmp_path, hexcp, message):
         p = tmp_path / "t.tsv"
         p.write_text(f"4E00\t1\n{hexcp}\t3\n", encoding="utf-8")
-        with pytest.raises(RadicalTableError, match=r":2: codepoint .* outside 0..10FFFF"):
+        with pytest.raises(RadicalTableError, match=f":2: {message}"):
+            load_radical_table(p)
+
+    @pytest.mark.parametrize("line, message", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS)
+    def test_only_uppercase_hex_and_ascii_decimal_fields_load(self, tmp_path, line, message):
+        # int() took all of these: a 0x prefix, an underscore, a leading
+        # space, a sign, lowercase hex and non-ASCII digits
+        p = tmp_path / "t.tsv"
+        p.write_text(f"4E10\t1\n{line}\n", encoding="utf-8")
+        with pytest.raises(RadicalTableError, match=f":2: {message}"):
+            load_radical_table(p)
+
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entries=st.lists(st.tuples(CODEPOINTS_BUT_THE_BAD_ONES, st.integers(1, N_RADICALS)),
+                            max_size=8, unique_by=lambda e: e[0]),
+           comments=st.lists(st.sampled_from(["", "# note", "#"]), max_size=3),
+           crlf=st.booleans(), bad=st.sampled_from(list(MALFORMED_FIELDS.values())), data=st.data())
+    def test_one_malformed_line_in_a_valid_table_is_named(self, tmp_path, entries, comments,
+                                                          crlf, bad, data):
+        lines = [f"{cp:X}\t{rid}" for cp, rid in entries] + comments
+        lines = data.draw(st.permutations(lines))
+        p = tmp_path / "t.tsv"
+        p.write_bytes(("\r\n" if crlf else "\n").join(lines).encode())
+        assert load_radical_table(p).entries == dict(entries)
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, bad[0])
+        p.write_bytes(("\r\n" if crlf else "\n").join(lines).encode())
+        with pytest.raises(RadicalTableError, match=f":{at + 1}: {bad[1]}"):
             load_radical_table(p)
 
     def test_line_number_in_error(self, tmp_path):
