@@ -12,8 +12,11 @@ from Unicode structure alone, so it can be rebuilt offline:
   * A CJK Compatibility Ideograph (U+F900..U+FAFF) whose NFKC form is one
     character of that block takes that character's radical.
 
-The script asserts the 214 section heads are strictly increasing before
-emitting anything; a wrong head would corrupt every assignment after it.
+The file stores the mapping as runs of consecutive codepoints that share one
+radical, one "FIRST<TAB>LAST<TAB>id" line each; the radical sections make the
+URO block 214 runs. The script asserts the 214 section heads are strictly
+increasing before emitting anything; a wrong head would corrupt every
+assignment after it.
 """
 
 import bisect
@@ -54,8 +57,20 @@ def build_entries() -> list[tuple[int, int]]:
     return entries
 
 
-def main() -> None:
-    entries = build_entries()
+def build_runs() -> list[tuple[int, int, int]]:
+    """build_entries() merged into (first, last, id) runs of consecutive
+    codepoints with one id."""
+    runs = []
+    for cp, rid in build_entries():
+        if runs and runs[-1][1] == cp - 1 and runs[-1][2] == rid:
+            runs[-1] = (runs[-1][0], cp, rid)
+        else:
+            runs.append((cp, cp, rid))
+    return runs
+
+
+def table_text() -> str:
+    """The table file's contents for this Python's Unicode data."""
     lines = [
         "# Kangxi radical numbers (1..214) for Han codepoints.",
         "# Derived from the Unicode Kangxi Radicals block and the radical-section",
@@ -64,10 +79,16 @@ def main() -> None:
         "# Regenerate with: python scripts/build_radical_table.py",
         f"# unicodedata version: {unicodedata.unidata_version}",
     ]
-    lines.extend(f"{cp:04X}\t{rid}" for cp, rid in entries)
+    lines.extend(f"{first:04X}\t{last:04X}\t{rid}" for first, last, rid in build_runs())
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
+    text = table_text()
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    OUT_PATH.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    print(f"wrote {len(entries)} entries to {OUT_PATH}", file=sys.stderr)
+    OUT_PATH.write_bytes(text.encode("utf-8"))
+    n_runs = sum(not line.startswith("#") for line in text.splitlines())
+    print(f"wrote {n_runs} runs to {OUT_PATH}", file=sys.stderr)
 
 
 if __name__ == "__main__":

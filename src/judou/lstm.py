@@ -103,9 +103,9 @@ def _direction_forward(p: LstmParams, xs, hs):
     return A, C, TC
 
 
-def _direction_backward(p: LstmParams, xs, cache, dhs) -> np.ndarray:
+def _direction_backward(p: LstmParams, xs, cache, dhs, input_grads: bool):
     """Accumulate one direction's parameter gradients from xs, the cache and
-    dhs in its step order; returns dxs flattened to (B*n, d_in)."""
+    dhs in its step order; returns dxs, shaped like xs, or None if not input_grads."""
     A, C, TC = cache
     batch, n, H = C.shape
     W_h, W_c, W_co = p.W_h.value, p.W_c.value, p.W_co.value
@@ -154,7 +154,7 @@ def _direction_backward(p: LstmParams, xs, cache, dhs) -> np.ndarray:
         Hs[:, -1] = C[:, -1] = 0.0
         p.W_h.grad += Hs.reshape(-1, H)[:-1].T @ dA[1:]
         p.W_c.grad += C.reshape(-1, H)[:-1].T @ dA[1:, :2 * H]
-    return dA @ p.W_x.value.T
+    return (dA @ p.W_x.value.T).reshape(xs.shape) if input_grads else None
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +171,13 @@ def bilstm_forward_batch(p: BiLstmParams, xs: np.ndarray, keep_cache: bool = Tru
     return out, (xs, fwd, bwd) if keep_cache else None
 
 
-def bilstm_backward_batch(p: BiLstmParams, cache, douts: np.ndarray) -> np.ndarray:
-    """Accumulate parameter gradients; returns gradients w.r.t. the inputs.
-    Consumes the cache: the gate gradients are written over it."""
+def bilstm_backward_batch(p: BiLstmParams, cache, douts: np.ndarray, input_grads: bool = True):
+    """Accumulate parameter gradients; returns gradients w.r.t. the inputs, or
+    None if not input_grads. Consumes the cache: the gate gradients are written over it."""
     xs, fwd, bwd = cache
     H = p.hidden
-    dxs = _direction_backward(p.forward, xs, fwd, douts[:, :, :H]).reshape(xs.shape)
-    dxs_b = _direction_backward(p.backward, xs[:, ::-1], bwd, douts[:, ::-1, H:])
-    dxs += dxs_b.reshape(xs.shape)[:, ::-1]
+    dxs = _direction_backward(p.forward, xs, fwd, douts[:, :, :H], input_grads)
+    dxs_b = _direction_backward(p.backward, xs[:, ::-1], bwd, douts[:, ::-1, H:], input_grads)
+    if input_grads:
+        dxs += dxs_b[:, ::-1]
     return dxs

@@ -7,26 +7,21 @@ with index 0 reserved for symbols that have no radical at all.
 The bundled table (data/kangxi_radicals.tsv) is regenerated by
 scripts/build_radical_table.py and covers the Kangxi Radicals block, the
 original CJK Unified Ideographs block, and the CJK Compatibility Ideographs
-that NFKC maps into it.
+that NFKC maps into it, as 803 runs of consecutive codepoints with one radical.
 """
 
 import hashlib
-import re
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 N_RADICALS = 214
 NO_RADICAL = 0  # embedding row for characters outside the table
 
 KANGXI_BLOCK_FIRST = 0x2F00
 
-_HEX, _DECIMAL = "[0-9A-F]+", "[0-9]+"  # the only field forms a table may use
-# each matches whole lines, before an optional CR
-_CODEPOINTS = re.compile(rf"^({_HEX})\t{_DECIMAL}\r?$", re.M)  # of the entries
-_IDS = re.compile(rf"^{_HEX}\t({_DECIMAL})\r?$", re.M)
-_NOT_ENTRIES = re.compile(r"^(?:#.*|)\r?$", re.M)  # comment and blank lines
-
+_HEX, _DECIMAL = set("0123456789ABCDEF"), set("0123456789")  # the only field forms
 _DEFAULT_TABLE_PATH = Path(__file__).parent / "data" / "kangxi_radicals.tsv"
 _default_table = None
 
@@ -47,46 +42,50 @@ class RadicalTable:
 
 
 def load_radical_table(path) -> RadicalTable:
-    """Parse a radical table file: "HEXCODEPOINT<TAB>radical-id" per line.
+    """Parse a radical table file: "FIRST<TAB>LAST<TAB>radical-id" per line,
+    a run of consecutive codepoints that share the id, in increasing order.
 
-    The codepoint is uppercase ASCII hex and the id ASCII decimal; lines end
-    in LF or CRLF, and lines starting with '#' are comments. Raises
-    RadicalTableError with the offending line number on any other field, a
-    codepoint outside 0..10FFFF or given twice, or an id outside 1..214.
+    Codepoints are uppercase ASCII hex up to 10FFFF and ids ASCII decimal in
+    1..214; lines end in LF or CRLF, and lines starting with '#' are comments.
+    Raises RadicalTableError naming the line of any fault, bytes that are not
+    UTF-8 included. The sha256 hashes the mapping, not the file: the (codepoint,
+    id) pairs, which sorted disjoint runs insert in order, as little-endian u32.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    text = raw.decode("utf-8")
-    # a field at a time, which makes no per-line objects. The distinct
-    # codepoints and the other lines add up to every line exactly when no line
-    # is malformed and no codepoint repeats; else a line-by-line parse names it
-    cps = list(map(int, _CODEPOINTS.findall(text), repeat(16)))
-    rids = list(map(int, _IDS.findall(text)))
-    entries = dict(zip(cps, rids))
-    if (len(entries) + len(_NOT_ENTRIES.findall(text)) != text.count("\n") + 1
-            or entries and (max(cps) > 0x10FFFF or not 1 <= min(rids) <= max(rids) <= N_RADICALS)):
-        entries = {}
-        for lineno, line in enumerate(re.split(r"\r?\n", text), start=1):
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{lineno}:"
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise RadicalTableError(f"{where} expected 'HEX<TAB>id', got {line!r}")
-            if not re.fullmatch(_HEX, parts[0]):
-                raise RadicalTableError(f"{where} bad hex codepoint {parts[0]!r}")
-            cp = int(parts[0], 16)
-            if cp > 0x10FFFF:
-                raise RadicalTableError(f"{where} codepoint {parts[0]!r} outside 0..10FFFF")
-            if cp in entries:
-                raise RadicalTableError(f"{where} repeated codepoint {cp:04X}")
-            if not re.fullmatch(_DECIMAL, parts[1]):
-                raise RadicalTableError(f"{where} bad radical id {parts[1]!r}")
-            rid = int(parts[1])
-            if not 1 <= rid <= N_RADICALS:
-                raise RadicalTableError(f"{where} radical id {rid} outside 1..{N_RADICALS}")
-            entries[cp] = rid
-    return RadicalTable(entries=entries, sha256=hashlib.sha256(raw).hexdigest())
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = raw.count(b"\n", 0, e.start) + 1
+        raise RadicalTableError(f"{path}:{lineno}: byte {raw[e.start]:#x} is not UTF-8") from None
+    entries, prev = {}, -1
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}:"
+        *cps, rid = fields = line.split("\t")
+        if len(fields) != 3:
+            raise RadicalTableError(f"{where} expected 'FIRST<TAB>LAST<TAB>id', got {line!r}")
+        for s in cps:
+            if not s or not _HEX.issuperset(s):
+                raise RadicalTableError(f"{where} bad hex codepoint {s!r}")
+            if int(s, 16) > 0x10FFFF:
+                raise RadicalTableError(f"{where} codepoint {s!r} outside 0..10FFFF")
+        if not rid or not _DECIMAL.issuperset(rid):
+            raise RadicalTableError(f"{where} bad radical id {rid!r}")
+        digits = rid.lstrip("0")  # at most 3 of them, which keeps int() off huge fields
+        if len(digits) > 3 or not 1 <= int(digits or 0) <= N_RADICALS:
+            raise RadicalTableError(f"{where} radical id {rid} outside 1..{N_RADICALS}")
+        first, last = int(cps[0], 16), int(cps[1], 16)
+        if first > last:
+            raise RadicalTableError(f"{where} reversed run {first:04X}..{last:04X}")
+        if first <= prev:
+            raise RadicalTableError(f"{where} run starts at {first:04X}, not after {prev:04X}")
+        entries.update(dict.fromkeys(range(first, last + 1), int(digits)))
+        prev = last
+    pairs = np.stack([np.fromiter(entries, "<u4", len(entries)),
+                      np.fromiter(entries.values(), "<u4", len(entries))], axis=1)
+    return RadicalTable(entries=entries, sha256=hashlib.sha256(pairs.tobytes()).hexdigest())
 
 
 def default_table() -> RadicalTable:

@@ -22,7 +22,7 @@ from .nncore import Param, dropout_mask, glorot_uniform, make_rng, sgd_step
 from .radicals import RadicalTable
 
 MAGIC = b"GJSEG01\n"
-VERSION = 3
+VERSION = 4
 # units decoded in one forward pass at most: the paper's minibatch size, which
 # bounds the arrays one decode pass holds
 DECODE_BATCH = 50
@@ -153,7 +153,7 @@ def _backward_batch(model: SegmenterModel, cache: dict, dP: np.ndarray,
     dH2 = np.tensordot(dP, model.emit_W.value.T, axes=([2], [0]))
     if cache["out_mask"] is not None:
         dH2 = dH2 * cache["out_mask"]
-    dX = bilstm_backward_batch(model.bilstm, cache["lstm_cache"], dH2)
+    dX = bilstm_backward_batch(model.bilstm, cache["lstm_cache"], dH2, embedding_grads)
     if not embedding_grads:
         return
     if cache["in_mask"] is not None:

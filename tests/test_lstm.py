@@ -203,6 +203,22 @@ def test_fused_pass_matches_per_gate_oracle(batch, n, d_in, hidden):
         assert np.allclose(q.grad, g, rtol=0, atol=1e-12), q.name
 
 
+@pytest.mark.parametrize("batch,n", [(1, 1), (3, 0), (4, 11)])
+def test_without_input_grads_the_parameter_grads_are_unchanged(batch, n):
+    # frozen embeddings read no input gradient, so the backward pass skips it
+    rng = np.random.default_rng(7 * n + batch)
+    xs, douts = rng.normal(size=(batch, n, 3)), rng.normal(size=(batch, n, 8))
+    grads = []
+    for input_grads in (True, False):
+        p = new_bilstm_params(3, 4, np.random.default_rng(5))
+        _, cache = bilstm_forward_batch(p, xs)
+        dxs = bilstm_backward_batch(p, cache, douts, input_grads=input_grads)
+        assert (dxs is None) == (not input_grads)
+        grads.append([q.grad for q in p.params()])
+    for with_dxs, without in zip(*grads):
+        assert np.array_equal(with_dxs, without)
+
+
 def test_new_params_follow_the_per_gate_draw_order():
     d_in, H = 5, 3
     p = new_lstm_params(d_in, H, np.random.default_rng(21))

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from judou import segmenter
+from judou import binio, segmenter
 from judou.binio import FormatError
 from judou.corpus import (
     TAG_CHARS,
@@ -33,6 +33,9 @@ from judou.segmenter import (
 from judou.synthetic import random_embeddings
 
 from conftest import unit_of
+
+# the radical table field of a version-3 checkpoint: sha256 of the old file bytes
+V3_TABLE_SHA256 = "86564a8df1460f15362aa394035eedcdd0e2877d901b93a20c7c16530b816311"
 
 # tag indices 0/1/2 = B/E/O, plus the virtual start 3 and stop 4
 PERIOD3 = [(3, 0), (0, 2), (2, 1), (1, 0), (1, 4), (2, 4)]
@@ -533,17 +536,29 @@ def test_load_rejects_trailing_bytes(make_model, table, tmp_path):
 
 def test_load_rejects_a_version_1_checkpoint(make_model, table, tmp_path):
     # version 1 held per-gate LSTM sections; version 2 the radical flag byte
-    # and section offsets; the offset-free container is version 3
+    # and section offsets; version 3 hashed the radical table's file bytes;
+    # version 4 hashes its mapping
     model = trained_model(make_model)
     path = tmp_path / "model.bin"
     save_model(model, path)
     data = bytearray(path.read_bytes())
-    assert data[8] == 3
-    for old in (1, 2):
+    assert data[8] == 4
+    for old in (1, 2, 3):
         data[8] = old
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"version {old}"):
             load_model(path, radtable=table)
+
+
+def test_load_rejects_a_version_3_checkpoint(make_model, table, tmp_path):
+    # written as version 3 wrote it: the same container, with the sha256 of
+    # the bundled table file's bytes when it held one codepoint per line
+    model = trained_model(make_model)
+    path = tmp_path / "model.bin"
+    binio.write_container(path, segmenter.MAGIC, 3, V3_TABLE_SHA256, model.vocab,
+                          [(p.name, np.atleast_2d(p.value)) for p in model.all_params()])
+    with pytest.raises(FormatError, match="unsupported version 3, expected 4"):
+        load_model(path, radtable=table)
 
 
 def test_load_rejects_invalid_utf8_in_the_vocab(make_model, table, tmp_path):
