@@ -15,8 +15,9 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    def report(epoch, loss, rep):
-        print(f"epoch {epoch + 1:2d} loss={loss:8.4f} train F1={rep.f1:.4f}")
+    def report(epoch, record):
+        print(f"epoch {epoch + 1:2d} loss={record.mean_loss:8.4f} "
+              f"train F1={record.val_report.f1:.4f} clip={record.clip_rate:.2f}")
 
     t0 = time.time()
     model, rep, log = run_overfit(seed=args.seed, progress=report)

@@ -5,7 +5,8 @@
 
 Strings are a u32 byte length plus UTF-8; the format field is a string or a u32.
 Sections carry no offsets, so they cannot overlap or leave gaps, and one length
-check catches both truncated data and trailing bytes.
+check catches both truncated data and trailing bytes. A file is read with one
+read() and parsed from memory.
 """
 
 import struct
@@ -20,18 +21,41 @@ class FormatError(ValueError):
     """A binary file failed magic, version, shape, encoding, or truncation checks."""
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated file while reading {what} ({len(data)}/{n} bytes)")
-    return data
+_U32 = struct.Struct("<I")
+
+
+class _Cursor:
+    """Reads from a whole file's bytes at a moving offset."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, 0
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self.pos
+        self.pos = min(start + n, len(self.data))
+        if self.pos - start != n:
+            raise FormatError(f"truncated file while reading {what} ({self.pos - start}/{n} bytes)")
+        return self.data[start:self.pos]
+
+    def u32(self, what: str) -> int:
+        return _U32.unpack(self.take(4, what))[0]
+
+    def string(self, what: str) -> str:
+        """A u32 byte length plus UTF-8, read in place without take(): a
+        vocabulary holds thousands of strings."""
+        data, start = self.data, self.pos + 4
+        end = start + _U32.unpack_from(data, self.pos)[0] if start <= len(data) else start
+        if end > len(data):  # a truncated length or string: take() raises with the byte count
+            self.take(self.u32(f"{what} length"), what)
+        self.pos = end
+        try:
+            return data[start:end].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{what} is not valid UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _write_u32(f, value: int) -> None:
     f.write(struct.pack("<I", value))
-
-def _read_u32(f, what: str) -> int:
-    return struct.unpack("<I", _read_exact(f, 4, what))[0]
 
 
 def _write_string(f, s: str) -> None:
@@ -39,30 +63,25 @@ def _write_string(f, s: str) -> None:
     _write_u32(f, len(data))
     f.write(data)
 
-def _read_string(f, what: str) -> str:
-    n = _read_u32(f, f"{what} length")
-    try:
-        return _read_exact(f, n, what).decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{what} is not valid UTF-8: {e.reason} at byte {e.start}") from None
 
-
-def _read_vocab(f, size: int) -> Vocab:
+def _read_vocab(r: _Cursor, size: int) -> Vocab:
     """size entries, PAD and UNK first; a repeated entry would leave a row no
     character maps to, so it is rejected."""
     first = {}
     for i in range(size):
-        s = _read_string(f, f"vocab entry {i}")
+        s = r.string(f"vocab entry {i}")
         if first.setdefault(s, i) != i:
             raise FormatError(f"duplicate vocab entry {i} {s!r}, first at {first[s]}")
-    if tuple(first)[:2] != Vocab.RESERVED:
-        raise FormatError(f"vocab starts {tuple(first)[:2]}, expected {Vocab.RESERVED}")
-    return Vocab(char_to_index={s: i for s, i in first.items() if i > Vocab.UNK},
-                 index_to_char=list(first))
+    index_to_char = list(first)
+    if tuple(index_to_char[:2]) != Vocab.RESERVED:
+        raise FormatError(f"vocab starts {tuple(index_to_char[:2])}, expected {Vocab.RESERVED}")
+    for s in Vocab.RESERVED:
+        del first[s]
+    return Vocab(char_to_index=first, index_to_char=index_to_char)
 
 
 # the format field's writer and reader, by its Python type
-_FIELD_IO = {str: (_write_string, _read_string), int: (_write_u32, _read_u32)}
+_FIELD_IO = {str: (_write_string, _Cursor.string), int: (_write_u32, _Cursor.u32)}
 
 
 def write_container(path, magic: bytes, version: int, field, vocab: Vocab, sections) -> None:
@@ -112,29 +131,29 @@ class Container:
 
 def read_container(path, magic: bytes, version: int, field_type: type) -> Container:
     with open(path, "rb") as f:
-        got = _read_exact(f, len(magic), "magic")
-        if got != magic:
-            raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-        got = _read_exact(f, 1, "version")[0]
-        if got != version:
-            raise FormatError(f"unsupported version {got}, expected {version}")
-        field = _FIELD_IO[field_type][1](f, "format field")
-        vocab = _read_vocab(f, _read_u32(f, "vocab size"))
-        table = {}  # name -> (rows, cols), in file order
-        for i in range(_read_u32(f, "section count")):
-            name = _read_string(f, f"section {i} name")
-            if name in table:
-                raise FormatError(f"duplicate section {name!r}")
-            table[name] = (_read_u32(f, f"section {name} rows"),
-                           _read_u32(f, f"section {name} cols"))
-        data = f.read()
+        r = _Cursor(f.read())
+    got = r.take(len(magic), "magic")
+    if got != magic:
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+    got = r.take(1, "version")[0]
+    if got != version:
+        raise FormatError(f"unsupported version {got}, expected {version}")
+    field = _FIELD_IO[field_type][1](r, "format field")
+    vocab = _read_vocab(r, r.u32("vocab size"))
+    table = {}  # name -> (rows, cols), in file order
+    for i in range(r.u32("section count")):
+        name = r.string(f"section {i} name")
+        if name in table:
+            raise FormatError(f"duplicate section {name!r}")
+        table[name] = (r.u32(f"section {name} rows"), r.u32(f"section {name} cols"))
+    size = len(r.data) - r.pos
     expected = sum(rows * cols * 8 for rows, cols in table.values())
-    if len(data) < expected:
-        raise FormatError(f"truncated section data ({len(data)}/{expected} bytes)")
-    if len(data) > expected:
-        raise FormatError(f"{len(data) - expected} trailing bytes after the section data")
-    sections, offset = {}, 0
+    if size < expected:
+        raise FormatError(f"truncated section data ({size}/{expected} bytes)")
+    if size > expected:
+        raise FormatError(f"{size - expected} trailing bytes after the section data")
+    sections, offset = {}, r.pos
     for name, (rows, cols) in table.items():
-        sections[name] = np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols)
+        sections[name] = np.frombuffer(r.data, "<f8", rows * cols, offset).reshape(rows, cols)
         offset += rows * cols * 8
     return Container(field=field, vocab=vocab, sections=sections)

@@ -186,9 +186,11 @@ def train_cmd(data_dir, emb_path, embed_dim, hidden, batch, epochs,
                           test=[], seed=seed)
     lines = []
 
-    def report(epoch, mean_loss, rep):
-        line = (f"epoch {epoch + 1} loss={mean_loss:.4f} "
-                f"P={rep.precision:.4f} R={rep.recall:.4f} F1={rep.f1:.4f}")
+    def report(epoch, record):
+        rep = record.val_report
+        line = (f"epoch {epoch + 1} loss={record.mean_loss:.4f} "
+                f"P={rep.precision:.4f} R={rep.recall:.4f} F1={rep.f1:.4f} "
+                f"clip={record.clip_rate:.2f}")
         lines.append(line)
         click.echo(line)
 

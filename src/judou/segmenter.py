@@ -68,6 +68,7 @@ class EvalReport:
 class EpochRecord:
     mean_loss: float
     val_report: EvalReport
+    clip_rate: float  # share of the epoch's SGD steps whose gradients were clipped
 
 
 @dataclass
@@ -145,19 +146,20 @@ def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndar
 def _backward_batch(model: SegmenterModel, cache: dict, dP: np.ndarray,
                     embedding_grads: bool = True) -> None:
     """Accumulate the grads of every parameter, or of all but the two
-    embedding matrices with embedding_grads False (frozen embeddings)."""
-    H2 = cache["H2"]
-    two_h = H2.shape[2]
-    model.emit_W.grad += H2.reshape(-1, two_h).T @ dP.reshape(-1, N_TAGS)
+    embedding matrices with embedding_grads False (frozen embeddings).
+    Consumes the cache: H2 and the output mask are freed before the BiLSTM's
+    backward pass allocates its own temporaries."""
+    two_h = model.emit_W.value.shape[0]
+    model.emit_W.grad += cache.pop("H2").reshape(-1, two_h).T @ dP.reshape(-1, N_TAGS)
     model.emit_b.grad += dP.sum(axis=(0, 1))
     dH2 = np.tensordot(dP, model.emit_W.value.T, axes=([2], [0]))
     if cache["out_mask"] is not None:
-        dH2 = dH2 * cache["out_mask"]
+        dH2 *= cache.pop("out_mask")
     dX = bilstm_backward_batch(model.bilstm, cache["lstm_cache"], dH2, embedding_grads)
     if not embedding_grads:
         return
     if cache["in_mask"] is not None:
-        dX = dX * cache["in_mask"]
+        dX *= cache["in_mask"]
     d_c = model.embeddings.d_char
     np.add.at(model.char_param.grad, cache["char_ids"], dX[:, :, :d_c])
     if model.use_radicals:
@@ -205,6 +207,7 @@ def _decode(model: SegmenterModel, encoded: list) -> list:
 def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
           freeze_embeddings: bool = False, progress=None) -> TrainLog:
     """Minibatch SGD on the mean sequence NLL; returns the per-epoch log.
+    progress, if given, is called as progress(epoch, record) after each epoch.
 
     The model ends up with the parameters of the epoch with the best
     validation F1 (earliest on ties). With no validation units there is
@@ -225,7 +228,9 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     for epoch in range(hp.epochs):
         order = rng.permutation(len(encoded))
         total_loss = 0.0
-        for start in range(0, len(order), hp.batch):
+        clipped = 0
+        steps = range(0, len(order), hp.batch)
+        for start in steps:
             batch = order[start:start + hp.batch]
             n_batch = len(batch)
             for idxs, char_ids, rad_ids in _length_groups(encoded, batch):
@@ -237,12 +242,13 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
                                 embedding_grads=not freeze_embeddings)
                 del P, cache  # free the LSTM cache before the next pass allocates one
             # lr 0 is a null update: value -= 0.0 * grad leaves the values as they are
-            sgd_step(trainable, hp.learning_rate, hp.clip_norm)
+            clipped += sgd_step(trainable, hp.learning_rate, hp.clip_norm) < 1.0
         mean_loss = total_loss / len(encoded)
         val_report = evaluate(model, splits.valid)
-        records.append(EpochRecord(mean_loss=mean_loss, val_report=val_report))
+        records.append(EpochRecord(mean_loss=mean_loss, val_report=val_report,
+                                   clip_rate=clipped / len(steps)))
         if progress is not None:
-            progress(epoch, mean_loss, val_report)
+            progress(epoch, records[-1])
         if not splits.valid:
             best_epoch = epoch
         elif val_report.f1 > best_f1:

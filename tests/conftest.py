@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from judou import lstm
 from judou.corpus import LabeledSequence, Unit, build_vocab
 from judou.radicals import default_table
 from judou.segmenter import build_model
@@ -29,6 +30,21 @@ def criterion():
         assert ok, line
 
     return record
+
+
+@pytest.fixture
+def both_paths(monkeypatch):
+    """Runs a test body on both BiLSTM paths, as `for path in both_paths():`.
+    The first pass sets lstm.PARALLEL_MIN_ROWS to 1, so every batch runs its
+    two directions in two threads; the second sets it above every test batch,
+    so every batch runs them one after the other."""
+
+    def paths():
+        for path, rows in (("threaded", 1), ("serial", 10 ** 9)):
+            monkeypatch.setattr(lstm, "PARALLEL_MIN_ROWS", rows)
+            yield path
+
+    return paths
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """End-to-end command tests through click's test runner."""
 
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -183,6 +185,12 @@ def test_train_writes_model_and_log(runner, model_path):
     assert "P=" in lines[0] and "R=" in lines[0] and "F1=" in lines[0]
     model = load_model(model_path)
     assert model.use_radicals is True
+
+
+def test_train_log_reports_the_clip_rate(model_path):
+    log = model_path.with_name(model_path.name + ".log").read_text(encoding="utf-8")
+    for line in log.splitlines():
+        assert re.fullmatch(r"epoch \d+ loss=\S+ P=\S+ R=\S+ F1=\S+ clip=[01]\.\d\d", line), line
 
 
 def test_train_converges_on_train_split(runner, model_path, data_dir):

@@ -1,9 +1,12 @@
 """Peephole LSTM and Bi-LSTM tests: closed forms, invariants, gradients, and
 the fused layout against the per-gate oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from judou import lstm
 from judou.lstm import (
     BiLstmParams,
     bilstm_backward_batch,
@@ -182,41 +185,43 @@ def test_forward_without_cache_gives_the_same_outputs():
 @pytest.mark.parametrize("batch,n,d_in,hidden",
                          [(1, 1, 3, 2), (3, 1, 4, 5), (1, 0, 3, 4), (3, 0, 2, 2),
                           (2, 6, 3, 4), (4, 11, 5, 3), (1, 9, 2, 6)])
-def test_fused_pass_matches_per_gate_oracle(batch, n, d_in, hidden):
-    rng = np.random.default_rng(100 * n + 10 * batch + hidden)
-    p = new_bilstm_params(d_in, hidden, rng)
-    for q in p.params():
-        q.value[...] = rng.normal(scale=0.5, size=q.value.shape)
-    xs = rng.normal(size=(batch, n, d_in))
-    douts = rng.normal(size=(batch, n, 2 * hidden))
+def test_fused_pass_matches_per_gate_oracle(batch, n, d_in, hidden, both_paths):
+    for _ in both_paths():
+        rng = np.random.default_rng(100 * n + 10 * batch + hidden)
+        p = new_bilstm_params(d_in, hidden, rng)
+        for q in p.params():
+            q.value[...] = rng.normal(scale=0.5, size=q.value.shape)
+        xs = rng.normal(size=(batch, n, d_in))
+        douts = rng.normal(size=(batch, n, 2 * hidden))
 
-    out, cache = bilstm_forward_batch(p, xs)
-    dxs = bilstm_backward_batch(p, cache, douts)
-    hs_f, dxs_f, grads_f = oracle_lstm_direction(p.forward, xs, douts[:, :, :hidden], False)
-    hs_b, dxs_b, grads_b = oracle_lstm_direction(p.backward, xs, douts[:, :, hidden:], True)
+        out, cache = bilstm_forward_batch(p, xs)
+        dxs = bilstm_backward_batch(p, cache, douts)
+        hs_f, dxs_f, grads_f = oracle_lstm_direction(p.forward, xs, douts[:, :, :hidden], False)
+        hs_b, dxs_b, grads_b = oracle_lstm_direction(p.backward, xs, douts[:, :, hidden:], True)
 
-    assert out.shape == (batch, n, 2 * hidden) and dxs.shape == xs.shape
-    assert np.allclose(out, np.concatenate([hs_f, hs_b], axis=2), rtol=0, atol=1e-12)
-    assert np.allclose(dxs, dxs_f + dxs_b, rtol=0, atol=1e-12)
-    for q, g in zip(p.params(), grads_f + grads_b):
-        assert q.grad.shape == g.shape, q.name
-        assert np.allclose(q.grad, g, rtol=0, atol=1e-12), q.name
+        assert out.shape == (batch, n, 2 * hidden) and dxs.shape == xs.shape
+        assert np.allclose(out, np.concatenate([hs_f, hs_b], axis=2), rtol=0, atol=1e-12)
+        assert np.allclose(dxs, dxs_f + dxs_b, rtol=0, atol=1e-12)
+        for q, g in zip(p.params(), grads_f + grads_b):
+            assert q.grad.shape == g.shape, q.name
+            assert np.allclose(q.grad, g, rtol=0, atol=1e-12), q.name
 
 
 @pytest.mark.parametrize("batch,n", [(1, 1), (3, 0), (4, 11)])
-def test_without_input_grads_the_parameter_grads_are_unchanged(batch, n):
+def test_without_input_grads_the_parameter_grads_are_unchanged(batch, n, both_paths):
     # frozen embeddings read no input gradient, so the backward pass skips it
     rng = np.random.default_rng(7 * n + batch)
     xs, douts = rng.normal(size=(batch, n, 3)), rng.normal(size=(batch, n, 8))
-    grads = []
-    for input_grads in (True, False):
-        p = new_bilstm_params(3, 4, np.random.default_rng(5))
-        _, cache = bilstm_forward_batch(p, xs)
-        dxs = bilstm_backward_batch(p, cache, douts, input_grads=input_grads)
-        assert (dxs is None) == (not input_grads)
-        grads.append([q.grad for q in p.params()])
-    for with_dxs, without in zip(*grads):
-        assert np.array_equal(with_dxs, without)
+    for _ in both_paths():
+        grads = []
+        for input_grads in (True, False):
+            p = new_bilstm_params(3, 4, np.random.default_rng(5))
+            _, cache = bilstm_forward_batch(p, xs)
+            dxs = bilstm_backward_batch(p, cache, douts, input_grads=input_grads)
+            assert (dxs is None) == (not input_grads)
+            grads.append([q.grad for q in p.params()])
+        for with_dxs, without in zip(*grads):
+            assert np.array_equal(with_dxs, without)
 
 
 def test_new_params_follow_the_per_gate_draw_order():
@@ -252,67 +257,167 @@ def test_cache_holds_six_h_floats_per_position():
 # ---------------------------------------------------------------------------
 # gradients
 
-def test_grad_check_forward_chain_sum_of_final_h():
-    rng = np.random.default_rng(11)
+def test_grad_check_forward_chain_sum_of_final_h(both_paths):
+    for _ in both_paths():
+        rng = np.random.default_rng(11)
+        p = new_bilstm_params(3, 4, rng)
+        xs = rng.normal(size=(1, 4, 3))
+
+        def loss():
+            out, _ = bilstm_forward_batch(p, xs)
+            return float(out[0, -1, :4].sum())
+
+        out, cache = bilstm_forward_batch(p, xs)
+        douts = np.zeros_like(out)
+        douts[0, -1, :4] = 1.0
+        bilstm_backward_batch(p, cache, douts)
+        assert grad_check(loss, p.params()) < 1e-4
+
+
+def test_grad_check_full_bilstm_sequence_loss(both_paths):
+    for _ in both_paths():
+        rng = np.random.default_rng(12)
+        p = new_bilstm_params(3, 4, rng)
+        xs = rng.normal(size=(2, 6, 3))
+        weights = rng.normal(size=(2, 6, 8))
+
+        def loss():
+            out, _ = bilstm_forward_batch(p, xs)
+            return float((out * weights).sum())
+
+        out, cache = bilstm_forward_batch(p, xs)
+        bilstm_backward_batch(p, cache, weights.copy())
+        assert grad_check(loss, p.params()) < 1e-4
+
+
+def test_input_gradients_match_finite_differences(both_paths):
+    for _ in both_paths():
+        rng = np.random.default_rng(13)
+        p = new_bilstm_params(2, 3, rng)
+        xs = rng.normal(size=(1, 3, 2))
+        weights = rng.normal(size=(1, 3, 6))
+
+        out, cache = bilstm_forward_batch(p, xs)
+        dxs = bilstm_backward_batch(p, cache, weights.copy())
+
+        eps = 1e-6
+        for idx in np.ndindex(xs.shape):
+            orig = xs[idx]
+            xs[idx] = orig + eps
+            up, _ = bilstm_forward_batch(p, xs)
+            xs[idx] = orig - eps
+            dn, _ = bilstm_forward_batch(p, xs)
+            xs[idx] = orig
+            numeric = float(((up - dn) * weights).sum()) / (2 * eps)
+            assert abs(dxs[idx] - numeric) < 1e-6
+
+
+def test_backward_accumulates_across_calls(both_paths):
+    for _ in both_paths():
+        rng = np.random.default_rng(14)
+        p = new_bilstm_params(2, 3, rng)
+        xs = rng.normal(size=(1, 4, 2))
+        out, cache = bilstm_forward_batch(p, xs)
+        douts = np.ones_like(out)
+        bilstm_backward_batch(p, cache, douts)
+        once = [q.grad.copy() for q in p.params()]
+        out, cache = bilstm_forward_batch(p, xs)
+        bilstm_backward_batch(p, cache, douts)
+        for q, g in zip(p.params(), once):
+            assert np.allclose(q.grad, 2.0 * g)
+
+
+# ---------------------------------------------------------------------------
+# the two directions in two threads
+
+def pass_bytes(batch, n, keep_cache, input_grads):
+    """Every array one forward pass, and with keep_cache the backward pass
+    after it, produces: outputs, caches before and after the backward pass,
+    dxs and every Param.grad, as (shape, bytes)."""
+    rng = np.random.default_rng(1000 * batch + n)
+    p = new_bilstm_params(5, 4, rng)
+    xs, douts = rng.normal(size=(batch, n, 5)), rng.normal(size=(batch, n, 8))
+    out, cache = bilstm_forward_batch(p, xs, keep_cache=keep_cache)
+    arrays = [out]
+    if keep_cache:
+        cached_xs, fwd, bwd = cache
+        assert cached_xs is xs
+        arrays += [a.copy() for a in fwd + bwd]
+        dxs = bilstm_backward_batch(p, cache, douts, input_grads=input_grads)
+        assert (dxs is None) == (not input_grads)
+        arrays += list(fwd + bwd) + [q.grad for q in p.params()] + ([dxs] if input_grads else [])
+    else:
+        assert cache is None
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("batch", [1, 24, 25, 50])
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_threaded_and_serial_passes_are_bytewise_equal(batch, n, both_paths):
+    flags = [(True, True), (True, False), (False, True)]  # (keep_cache, input_grads)
+    threaded, serial = ([pass_bytes(batch, n, *f) for f in flags] for _ in both_paths())
+    assert threaded == serial
+
+
+def test_directions_run_in_two_threads_from_the_threshold(monkeypatch):
+    threads = {}  # (pass, direction's params) -> the thread it ran in
+    for name in ("_direction_forward", "_direction_backward"):
+        def record(lp, *args, real=getattr(lstm, name)):
+            threads[real.__name__, id(lp)] = threading.get_ident()
+            return real(lp, *args)
+        monkeypatch.setattr(lstm, name, record)
+    rng = np.random.default_rng(23)
     p = new_bilstm_params(3, 4, rng)
-    xs = rng.normal(size=(1, 4, 3))
-
-    def loss():
-        out, _ = bilstm_forward_batch(p, xs)
-        return float(out[0, -1, :4].sum())
-
-    out, cache = bilstm_forward_batch(p, xs)
-    douts = np.zeros_like(out)
-    douts[0, -1, :4] = 1.0
-    bilstm_backward_batch(p, cache, douts)
-    assert grad_check(loss, p.params()) < 1e-4
-
-
-def test_grad_check_full_bilstm_sequence_loss():
-    rng = np.random.default_rng(12)
-    p = new_bilstm_params(3, 4, rng)
-    xs = rng.normal(size=(2, 6, 3))
-    weights = rng.normal(size=(2, 6, 8))
-
-    def loss():
-        out, _ = bilstm_forward_batch(p, xs)
-        return float((out * weights).sum())
-
-    out, cache = bilstm_forward_batch(p, xs)
-    bilstm_backward_batch(p, cache, weights.copy())
-    assert grad_check(loss, p.params()) < 1e-4
+    rows = lstm.PARALLEL_MIN_ROWS
+    for batch, n_threads in ((rows - 1, 1), (rows, 2)):
+        threads.clear()
+        out, cache = bilstm_forward_batch(p, rng.normal(size=(batch, 5, 3)))
+        bilstm_backward_batch(p, cache, np.ones_like(out))
+        for pass_name in ("_direction_forward", "_direction_backward"):
+            mine = threads[pass_name, id(p.forward)]
+            other = threads[pass_name, id(p.backward)]
+            assert mine == threading.get_ident()  # the forward direction runs in the caller
+            assert len({mine, other}) == n_threads
 
 
-def test_input_gradients_match_finite_differences():
-    rng = np.random.default_rng(13)
-    p = new_bilstm_params(2, 3, rng)
-    xs = rng.normal(size=(1, 3, 2))
-    weights = rng.normal(size=(1, 3, 6))
-
-    out, cache = bilstm_forward_batch(p, xs)
-    dxs = bilstm_backward_batch(p, cache, weights.copy())
-
-    eps = 1e-6
-    for idx in np.ndindex(xs.shape):
-        orig = xs[idx]
-        xs[idx] = orig + eps
-        up, _ = bilstm_forward_batch(p, xs)
-        xs[idx] = orig - eps
-        dn, _ = bilstm_forward_batch(p, xs)
-        xs[idx] = orig
-        numeric = float(((up - dn) * weights).sum()) / (2 * eps)
-        assert abs(dxs[idx] - numeric) < 1e-6
+# a batch on the threaded path at the default threshold
+ROWS = lstm.PARALLEL_MIN_ROWS
 
 
-def test_backward_accumulates_across_calls():
-    rng = np.random.default_rng(14)
-    p = new_bilstm_params(2, 3, rng)
-    xs = rng.normal(size=(1, 4, 2))
-    out, cache = bilstm_forward_batch(p, xs)
-    douts = np.ones_like(out)
-    bilstm_backward_batch(p, cache, douts)
-    once = [q.grad.copy() for q in p.params()]
-    out, cache = bilstm_forward_batch(p, xs)
-    bilstm_backward_batch(p, cache, douts)
-    for q, g in zip(p.params(), once):
-        assert np.allclose(q.grad, 2.0 * g)
+def wrong_d_in_both(rng):
+    return new_bilstm_params(3, 4, rng), rng.normal(size=(ROWS, 6, 5)), None
+
+
+def wrong_d_in_forward_direction(rng):
+    # the caller's direction fails at once while the worker's runs 1000 steps
+    p = BiLstmParams(new_lstm_params(5, 4, rng), new_lstm_params(3, 4, rng))
+    return p, rng.normal(size=(ROWS, 1000, 3)), None
+
+
+def wrong_d_in_backward_direction(rng):
+    p = BiLstmParams(new_lstm_params(3, 4, rng), new_lstm_params(5, 4, rng))
+    return p, rng.normal(size=(ROWS, 6, 3)), None
+
+
+def wrong_douts_width(rng):
+    # the backward direction's half of douts is 2 wide, not H = 4
+    xs = rng.normal(size=(ROWS, 6, 3))
+    return new_bilstm_params(3, 4, rng), xs, np.ones(xs.shape[:2] + (6,))
+
+
+@pytest.mark.parametrize("case", [wrong_d_in_both, wrong_d_in_forward_direction,
+                                  wrong_d_in_backward_direction, wrong_douts_width])
+def test_a_direction_error_reaches_the_caller_and_leaves_no_thread(case, both_paths, monkeypatch):
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    threads = threading.active_count()
+    messages = []
+    for _ in both_paths():
+        p, xs, douts = case(np.random.default_rng(24))
+        with pytest.raises(ValueError) as e:
+            out, cache = bilstm_forward_batch(p, xs)
+            bilstm_backward_batch(p, cache, douts)
+        messages.append(str(e.value))
+        assert threading.active_count() == threads
+    assert messages[0] == messages[1]
+    assert not unhandled

@@ -1,11 +1,12 @@
 """Tagger-level tests: config, metrics, training behaviour, checkpoints."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from judou import binio, segmenter
+from judou import binio, lstm, segmenter
 from judou.binio import FormatError
 from judou.corpus import (
     TAG_CHARS,
@@ -15,12 +16,15 @@ from judou.corpus import (
     boundary_positions,
     build_vocab,
 )
+from judou.crf import crf_nll
 from judou.embedding import encode_chars
+from judou.nncore import make_rng
 from judou.segmenter import (
     DECODE_BATCH,
     EvalReport,
     Hyperparams,
     SegmenterModel,
+    _backward_batch,
     _decode,
     _forward_batch,
     build_model,
@@ -30,7 +34,7 @@ from judou.segmenter import (
     segment,
     train,
 )
-from judou.synthetic import random_embeddings
+from judou.synthetic import overfit_corpus, random_embeddings
 
 from conftest import unit_of
 
@@ -410,6 +414,79 @@ def test_one_crf_call_per_forward_pass(make_model, monkeypatch):
     assert [shape for _, shape in crf_calls] == [shape for _, shape in forwards]
     assert sorted(crf_calls) == [("crf_nll", (3, 6)), ("crf_nll", (3, 8)),
                                  ("viterbi_decode", (1, 6)), ("viterbi_decode", (1, 8))]
+
+
+@pytest.mark.parametrize("clip_norm,rate", [(1e9, 0.0), (1e-9, 1.0)])
+def test_epochs_record_their_clip_rate(make_model, clip_norm, rate):
+    splits = tiny_splits()
+    log = train(make_model(splits.train), splits, tiny_hp(clip_norm=clip_norm), seed=1)
+    assert [r.clip_rate for r in log.epochs] == [rate] * 3
+
+
+def test_the_clip_rate_is_the_share_of_clipped_steps(make_model, monkeypatch):
+    # 4 units at batch 2 make 2 steps per epoch; every other step is clipped
+    splits = tiny_splits()
+    real_step, calls = segmenter.sgd_step, []
+
+    def step(*args):
+        real_step(*args)
+        calls.append(None)
+        return 0.5 if len(calls) % 2 else 1.0
+
+    monkeypatch.setattr(segmenter, "sgd_step", step)
+    log = train(make_model(splits.train), splits, tiny_hp(), seed=1)
+    assert len(calls) == 6
+    assert [r.clip_rate for r in log.epochs] == [0.5] * 3
+
+
+def test_threaded_training_is_bit_identical(table, both_paths, tmp_path):
+    # one 50-unit and one 10-unit minibatch per epoch, with dropout
+    units = overfit_corpus(seed=2, n_units=60)
+    splits = CorpusSplits(train=units, valid=units[:10], test=[], seed=0)
+    hp = Hyperparams(embed_dim=7, hidden=3, batch=50, epochs=2, learning_rate=0.1,
+                     clip_norm=5.0, dropout=0.5)
+    runs = []
+    for path in both_paths():
+        emb = random_embeddings(build_vocab(units), table, d_char=4, d_radical=3, seed=0)
+        model = build_model(emb, hidden=3, seed=1)
+        log = train(model, splits, hp, seed=3)
+        save_model(model, tmp_path / f"{path}.bin")
+        runs.append(([r.mean_loss for r in log.epochs], (tmp_path / f"{path}.bin").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+# Peak traced bytes of the training step below with the two directions run
+# one after the other, H2 and the output mask held through the BiLSTM
+# backward pass, and dH2 masked into a new array (numpy 2.4).
+SERIAL_STEP_PEAK_BYTES = 92_645_640
+
+
+def test_a_threaded_training_step_peaks_below_the_serial_step(table):
+    B, n = 50, 100
+    assert B >= lstm.PARALLEL_MIN_ROWS
+    units = [unit_of("天地人山水火木金土日月星春秋冬夏風雨雪也", "BOOOOOOOOOOOOOOOOOOE")]
+    emb = random_embeddings(build_vocab(units), table, d_char=70, d_radical=30, seed=0)
+    model = build_model(emb, hidden=100, seed=0)
+    rng = make_rng(1)
+    char_ids = rng.integers(0, emb.vocab.size, size=(B, n))
+    rad_ids = rng.integers(0, 215, size=(B, n))
+    gold = rng.integers(0, 3, size=(B, n))
+
+    def step():
+        P, cache = _forward_batch(model, char_ids, rad_ids, rng, 0.5)
+        _, dP, _ = crf_nll(P, model.trans.value, gold)
+        del P
+        _backward_batch(model, cache, dP / B)
+
+    step()  # lazily allocated state, if any, is not the step's own
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < SERIAL_STEP_PEAK_BYTES, peak
 
 
 # ---------------------------------------------------------------------------
