@@ -4,6 +4,8 @@
     (name, rows u32, cols u32)... | float64 data of every section in table order | EOF
 
 Strings are a u32 byte length plus UTF-8; the format field is a string or a u32.
+The vocab is one string, its entries joined by newlines, so an entry cannot
+hold one; it is decoded and split once.
 Sections carry no offsets, so they cannot overlap or leave gaps, and one length
 check catches both truncated data and trailing bytes. A file is read with one
 read() and parsed from memory.
@@ -41,15 +43,10 @@ class _Cursor:
         return _U32.unpack(self.take(4, what))[0]
 
     def string(self, what: str) -> str:
-        """A u32 byte length plus UTF-8, read in place without take(): a
-        vocabulary holds thousands of strings."""
-        data, start = self.data, self.pos + 4
-        end = start + _U32.unpack_from(data, self.pos)[0] if start <= len(data) else start
-        if end > len(data):  # a truncated length or string: take() raises with the byte count
-            self.take(self.u32(f"{what} length"), what)
-        self.pos = end
+        """A u32 byte length plus UTF-8."""
+        data = self.take(self.u32(f"{what} length"), what)
         try:
-            return data[start:end].decode("utf-8")
+            return data.decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"{what} is not valid UTF-8: {e.reason} at byte {e.start}") from None
 
@@ -67,12 +64,16 @@ def _write_string(f, s: str) -> None:
 def _read_vocab(r: _Cursor, size: int) -> Vocab:
     """size entries, PAD and UNK first; a repeated entry would leave a row no
     character maps to, so it is rejected."""
-    first = {}
-    for i in range(size):
-        s = r.string(f"vocab entry {i}")
-        if first.setdefault(s, i) != i:
-            raise FormatError(f"duplicate vocab entry {i} {s!r}, first at {first[s]}")
-    index_to_char = list(first)
+    index_to_char = r.string("vocab").split("\n")
+    if len(index_to_char) != size:
+        raise FormatError(f"vocab splits into {len(index_to_char)} entries at newlines, "
+                          f"expected {size}")
+    first = dict(zip(index_to_char, range(size)))
+    if len(first) != size:
+        first = {}
+        for i, s in enumerate(index_to_char):
+            if first.setdefault(s, i) != i:
+                raise FormatError(f"duplicate vocab entry {i} {s!r}, first at {first[s]}")
     if tuple(index_to_char[:2]) != Vocab.RESERVED:
         raise FormatError(f"vocab starts {tuple(index_to_char[:2])}, expected {Vocab.RESERVED}")
     for s in Vocab.RESERVED:
@@ -86,14 +87,16 @@ _FIELD_IO = {str: (_write_string, _Cursor.string), int: (_write_u32, _Cursor.u32
 
 def write_container(path, magic: bytes, version: int, field, vocab: Vocab, sections) -> None:
     """sections: (name, 2-D array) pairs, written in the order given."""
+    for s in vocab.index_to_char:
+        if "\n" in s:
+            raise ValueError(f"vocab entry {s!r} contains a newline")
     sections = [(name, np.ascontiguousarray(m, dtype="<f8")) for name, m in sections]
     with open(path, "wb") as f:
         f.write(magic)
         f.write(bytes([version]))
         _FIELD_IO[type(field)][0](f, field)
         _write_u32(f, vocab.size)
-        for s in vocab.index_to_char:
-            _write_string(f, s)
+        _write_string(f, "\n".join(vocab.index_to_char))
         _write_u32(f, len(sections))
         for name, m in sections:
             _write_string(f, name)

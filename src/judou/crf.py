@@ -12,20 +12,18 @@ inside the transition matrix.
 
 import numpy as np
 
-from .nncore import Param
-
 N_TAGS = 3
 START = 3
 STOP = 4
 NEG_INF = -1.0e4  # finite stand-in for impossible transitions
 
 
-def new_transitions() -> Param:
+def new_transitions() -> np.ndarray:
     """(N_TAGS+2) x (N_TAGS+2) transition scores over tags plus START/STOP."""
     a = np.zeros((N_TAGS + 2, N_TAGS + 2))
     a[:, START] = NEG_INF  # nothing enters START
     a[STOP, :] = NEG_INF   # nothing leaves STOP
-    return Param.of(a, "crf.trans")
+    return a
 
 
 def _check_tags(P: np.ndarray, y) -> np.ndarray:

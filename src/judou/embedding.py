@@ -19,7 +19,7 @@ from .nncore import NumericError, add_outer, make_rng
 from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, radical_index
 
 MAGIC = b"GJEMB01\n"
-VERSION = 2
+VERSION = 3
 N_RADICAL_ROWS = N_RADICALS + 1  # row 0 is the no-radical sentinel
 
 

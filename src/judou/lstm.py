@@ -8,9 +8,13 @@ Gates are fused per direction as [i f g o] (Appleyard et al., arXiv
 1604.01946): one GEMM projects the inputs of all timesteps, then each step
 adds one recurrent and two peephole products and activates in place. Passes
 run over (B, n, d_in) batches of equal-length sequences from a zero state.
-A direction's backprop cache is (gates, c, tanh_c): the activated [i f g o]
-(B, n, 4H) and the cell states (B, n, H), in the direction's own step order.
-The backward pass writes the gate gradients over it, so it serves once.
+
+The weights are ten plain arrays in a dict, five per direction under "fwd."
+and "bwd." (lstm_shapes); the backward pass adds into a gradient dict with
+the same names and shapes. A direction's backprop cache is (gates, c,
+tanh_c): the activated [i f g o] (B, n, 4H) and the cell states (B, n, H),
+in the direction's own step order. The backward pass writes the gate
+gradients over it, so it serves once.
 
 The two directions share no state until their outputs are concatenated, and
 their input gradients meet only in one sum. From PARALLEL_MIN_ROWS batch rows
@@ -19,12 +23,12 @@ direction to a second thread, joined before they return, and run the forward
 direction in the caller's (the cuDNN design of running independent
 directions concurrently); numpy releases the GIL inside most of a step's
 GEMMs and ufuncs. Each direction writes only its own output half, cache and
-gradients, and the sum runs after the join, so every result is bit-identical
-to the serial order. Below the threshold each step's calls are too short: the GIL
-hand-offs between them cost more than the overlap saves, so `segment` on a
-document of one or a few units runs serially. Threaded over serial speed,
-the range of two sweeps at H = d_in = 100, n = 100 (65 at B = 1), with 1 BLAS
-thread on a 2-core host:
+gradient arrays, and the sum runs after the join, so every result is
+bit-identical to the serial order. Below the threshold each step's calls are
+too short: the GIL hand-offs between them cost more than the overlap saves,
+so `segment` on a document of one or a few units runs serially. Threaded
+over serial speed, the range of two sweeps at H = d_in = 100, n = 100 (65 at
+B = 1), with 1 BLAS thread on a 2-core host:
 
     B                1            8            16           25           50
     forward pass     0.90-0.94x   0.97-0.99x   1.02-1.12x   1.24-1.36x   1.39-1.55x
@@ -32,36 +36,32 @@ thread on a 2-core host:
 """
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import Param, glorot_uniform, sigmoid
+from .nncore import glorot_uniform, sigmoid
 
 # batch rows from which the two directions run in two threads; below it the
 # GIL hand-offs between the per-step numpy calls cost more than the overlap saves
 PARALLEL_MIN_ROWS = 25
+# one direction's weights, in this order, each named "<direction>.<name>"
+LSTM_NAMES = ("W_x", "W_h", "W_c", "W_co", "b")
 
 
-@dataclass
-class LstmParams:
-    """Weights for one direction, gates fused as [i f g o]."""
-
-    hidden: int
-    W_x: Param  # (d_in, 4H)
-    W_h: Param  # (H, 4H)
-    W_c: Param  # (H, 2H): peephole on c_prev for i and f
-    W_co: Param  # (H, H): peephole on the new c for o
-    b: Param  # (4H,)
-
-    def params(self) -> list:
-        return [self.W_x, self.W_h, self.W_c, self.W_co, self.b]
-
-
-def new_lstm_params(d_in: int, hidden: int, rng: np.random.Generator, prefix: str = "lstm") -> LstmParams:
+def lstm_shapes(d_in: int, hidden: int, prefix: str) -> dict:
+    """One direction's weight shapes by name, gates fused as [i f g o]."""
     H = hidden
-    W_x, W_h = np.empty((d_in, 4 * H)), np.empty((H, 4 * H))
-    W_c, W_co = np.empty((H, 2 * H)), np.empty((H, H))
+    return {f"{prefix}.W_x": (d_in, 4 * H),
+            f"{prefix}.W_h": (H, 4 * H),
+            f"{prefix}.W_c": (H, 2 * H),  # peephole on c_prev for i and f
+            f"{prefix}.W_co": (H, H),  # peephole on the new c for o
+            f"{prefix}.b": (1, 4 * H)}
+
+
+def new_lstm_weights(d_in: int, hidden: int, rng: np.random.Generator, prefix: str) -> dict:
+    w = {name: np.zeros(shape) for name, shape in lstm_shapes(d_in, hidden, prefix).items()}
+    W_x, W_h, W_c, W_co, _ = w.values()
+    H = hidden
     # each gate's blocks are drawn as separate H-wide matrices in the order
     # x, h, peephole, gate by gate, so the Glorot limits are per gate
     for k, peephole in enumerate((W_c[:, :H], W_c[:, H:], None, W_co)):
@@ -70,45 +70,30 @@ def new_lstm_params(d_in: int, hidden: int, rng: np.random.Generator, prefix: st
         W_h[:, cols] = glorot_uniform((H, H), rng)
         if peephole is not None:
             peephole[...] = glorot_uniform((H, H), rng)
-    return LstmParams(
-        hidden=H,
-        W_x=Param.of(W_x, f"{prefix}.W_x"), W_h=Param.of(W_h, f"{prefix}.W_h"),
-        W_c=Param.of(W_c, f"{prefix}.W_c"), W_co=Param.of(W_co, f"{prefix}.W_co"),
-        b=Param.zeros(4 * H, f"{prefix}.b"),
-    )
+    return w
 
 
-@dataclass
-class BiLstmParams:
-    forward: LstmParams
-    backward: LstmParams
-
-    @property
-    def hidden(self) -> int:
-        return self.forward.hidden
-
-    def params(self) -> list:
-        return self.forward.params() + self.backward.params()
+def new_bilstm_weights(d_in: int, hidden: int, rng: np.random.Generator) -> dict:
+    # the forward direction draws first
+    return new_lstm_weights(d_in, hidden, rng, "fwd") | new_lstm_weights(d_in, hidden, rng, "bwd")
 
 
-def new_bilstm_params(d_in: int, hidden: int, rng: np.random.Generator) -> BiLstmParams:
-    return BiLstmParams(
-        forward=new_lstm_params(d_in, hidden, rng, prefix="fwd"),
-        backward=new_lstm_params(d_in, hidden, rng, prefix="bwd"),
-    )
+def _direction(arrays: dict, prefix: str) -> tuple:
+    """One direction's arrays, in LSTM_NAMES order, from a weight or gradient dict."""
+    return tuple(arrays[f"{prefix}.{name}"] for name in LSTM_NAMES)
 
 
 # ---------------------------------------------------------------------------
 # one direction over a (B, n, d_in) batch
 
-def _direction_forward(p: LstmParams, xs, hs):
-    """One direction in step order, writing h into hs (B, n, H); the backward
-    direction is this pass over xs and hs reversed along time."""
+def _direction_forward(w: tuple, xs, hs):
+    """One direction with weights w in step order, writing h into hs (B, n, H);
+    the backward direction is this pass over xs and hs reversed along time."""
+    W_x, W_h, W_c, W_co, b = w
     batch, n, d = xs.shape
-    H = p.hidden
-    W_h, W_c, W_co = p.W_h.value, p.W_c.value, p.W_co.value
-    A = (xs.reshape(-1, d) @ p.W_x.value).reshape(batch, n, 4 * H)
-    A += p.b.value
+    H = W_h.shape[0]
+    A = (xs.reshape(-1, d) @ W_x).reshape(batch, n, 4 * H)
+    A += b
     C, TC = np.empty((batch, n, H)), np.empty((batch, n, H))
     h = c = np.zeros((batch, H))
     for t in range(n):
@@ -126,12 +111,13 @@ def _direction_forward(p: LstmParams, xs, hs):
     return A, C, TC
 
 
-def _direction_backward(p: LstmParams, xs, cache, dhs, input_grads: bool):
-    """Accumulate one direction's parameter gradients from xs, the cache and
-    dhs in its step order; returns dxs, shaped like xs, or None if not input_grads."""
+def _direction_backward(w: tuple, g: tuple, xs, cache, dhs, input_grads: bool):
+    """Add one direction's weight gradients into g from xs, the cache and dhs
+    in its step order; returns dxs, shaped like xs, or None if not input_grads."""
     A, C, TC = cache
     batch, n, H = C.shape
-    W_h, W_c, W_co = p.W_h.value, p.W_c.value, p.W_co.value
+    W_x, W_h, W_c, W_co, _ = w
+    gW_x, gW_h, gW_c, gW_co, gb = g
     i, f, g, o = (A[:, :, k * H:(k + 1) * H] for k in range(4))
     # In place, turn the activations into the factors the steps multiply by:
     # i -> g i(1-i), g -> i(1-g^2), o -> tc o(1-o), tanh_c -> o(1-tc^2); f
@@ -167,17 +153,17 @@ def _direction_backward(p: LstmParams, xs, cache, dhs, input_grads: bool):
         dh, dc = a @ W_h.T, dc_prev
 
     dA = A.reshape(-1, 4 * H)
-    p.b.grad += dA.sum(axis=0)
-    p.W_x.grad += xs.reshape(-1, xs.shape[2]).T @ dA
-    p.W_co.grad += C.reshape(-1, H).T @ dA[:, 3 * H:]
+    gb += dA.sum(axis=0)
+    gW_x += xs.reshape(-1, xs.shape[2]).T @ dA
+    gW_co += C.reshape(-1, H).T @ dA[:, 3 * H:]
     # Row r of the flattened (B*n, .) arrays has its previous state in row r-1,
     # except at each sequence's first step. Zeroing each sequence's last step,
     # which is no step's previous state, makes the one-row shift exact.
     if n > 0:
         Hs[:, -1] = C[:, -1] = 0.0
-        p.W_h.grad += Hs.reshape(-1, H)[:-1].T @ dA[1:]
-        p.W_c.grad += C.reshape(-1, H)[:-1].T @ dA[1:, :2 * H]
-    return (dA @ p.W_x.value.T).reshape(xs.shape) if input_grads else None
+        gW_h += Hs.reshape(-1, H)[:-1].T @ dA[1:]
+        gW_c += C.reshape(-1, H)[:-1].T @ dA[1:, :2 * H]
+    return (dA @ W_x.T).reshape(xs.shape) if input_grads else None
 
 
 # ---------------------------------------------------------------------------
@@ -208,31 +194,35 @@ def _both(fn, args_f, args_b, rows: int):
     return first, second[0]
 
 
-def bilstm_forward_batch(p: BiLstmParams, xs: np.ndarray, keep_cache: bool = True):
+def bilstm_forward_batch(weights: dict, xs: np.ndarray, keep_cache: bool = True):
     """xs (B, n, d_in) -> outputs (B, n, 2H) plus the cache for backprop, or
     None in place of it with keep_cache False."""
-    H = p.hidden
+    H = weights["fwd.W_h"].shape[0]
     out = np.empty(xs.shape[:2] + (2 * H,))
 
-    def direction(lp, x, hs):
-        cache = _direction_forward(lp, x, hs)
+    def direction(w, x, hs):
+        cache = _direction_forward(w, x, hs)
         # without keep_cache, a serial pass frees one direction's cache
         # before the other allocates its own
         return cache if keep_cache else None
 
-    fwd, bwd = _both(direction, (p.forward, xs, out[:, :, :H]),
-                     (p.backward, xs[:, ::-1], out[:, ::-1, H:]), len(xs))
+    fwd, bwd = _both(direction, (_direction(weights, "fwd"), xs, out[:, :, :H]),
+                     (_direction(weights, "bwd"), xs[:, ::-1], out[:, ::-1, H:]), len(xs))
     return out, (xs, fwd, bwd) if keep_cache else None
 
 
-def bilstm_backward_batch(p: BiLstmParams, cache, douts: np.ndarray, input_grads: bool = True):
-    """Accumulate parameter gradients; returns gradients w.r.t. the inputs, or
-    None if not input_grads. Consumes the cache: the gate gradients are written over it."""
+def bilstm_backward_batch(weights: dict, grads: dict, cache, douts: np.ndarray,
+                          input_grads: bool = True):
+    """Add the ten weight gradients into grads; returns gradients w.r.t. the
+    inputs, or None if not input_grads. Consumes the cache: the gate
+    gradients are written over it."""
     xs, fwd, bwd = cache
-    H = p.hidden
+    H = weights["fwd.W_h"].shape[0]
     dxs, dxs_b = _both(_direction_backward,
-                       (p.forward, xs, fwd, douts[:, :, :H], input_grads),
-                       (p.backward, xs[:, ::-1], bwd, douts[:, ::-1, H:], input_grads), len(xs))
+                       (_direction(weights, "fwd"), _direction(grads, "fwd"),
+                        xs, fwd, douts[:, :, :H], input_grads),
+                       (_direction(weights, "bwd"), _direction(grads, "bwd"),
+                        xs[:, ::-1], bwd, douts[:, ::-1, H:], input_grads), len(xs))
     if input_grads:
         dxs += dxs_b[:, ::-1]
     return dxs

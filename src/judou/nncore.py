@@ -3,9 +3,12 @@
 Everything is float64 numpy; backpropagation is hand-derived per module, and
 the tests check each module against central finite differences. The seeded
 generator is PCG64 throughout, which keeps training bit-reproducible.
-"""
 
-from dataclasses import dataclass
+A model's weights are one dict of plain arrays keyed by name. Gradients are
+a second dict, owned by the training loop, with the names of the weights it
+trains, each array shaped like its weight; the backward passes add into it
+and sgd_step applies and zeroes it in its own key order.
+"""
 
 import numpy as np
 
@@ -20,30 +23,6 @@ class NumericError(ValueError):
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-@dataclass(eq=False)
-class Param:
-    """A trainable matrix paired with its gradient accumulator.
-
-    Compared by identity: two distinct instances are never equal, even with
-    the same values."""
-
-    value: np.ndarray
-    grad: np.ndarray
-    name: str
-
-    @classmethod
-    def zeros(cls, shape, name: str) -> "Param":
-        return cls(np.zeros(shape), np.zeros(shape), name)
-
-    @classmethod
-    def of(cls, value: np.ndarray, name: str) -> "Param":
-        value = np.asarray(value, dtype=np.float64)
-        return cls(value, np.zeros_like(value), name)
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,34 +62,36 @@ def glorot_uniform(shape, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # optimization
 
-def clip_gradients(params, clip_norm: float) -> float:
-    """Scale all gradients so their global norm is at most clip_norm.
+def clip_gradients(grads: dict, clip_norm: float) -> float:
+    """Scale all gradients in place so their global norm, summed in key
+    order, is at most clip_norm.
 
     Returns the applied scale factor (1.0 when no clipping was needed).
     """
     if clip_norm <= 0:
         raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
     total = 0.0
-    for p in params:
-        sq = float(np.sum(p.grad * p.grad))
+    for name, g in grads.items():
+        sq = float(np.sum(g * g))
         if not np.isfinite(sq):
-            raise NumericError(f"non-finite gradient in parameter {p.name!r}")
+            raise NumericError(f"non-finite gradient in parameter {name!r}")
         total += sq
     norm = np.sqrt(total)
     if norm <= clip_norm:
         return 1.0
     scale = clip_norm / norm
-    for p in params:
-        p.grad *= scale
+    for g in grads.values():
+        g *= scale
     return scale
 
 
-def sgd_step(params, learning_rate: float, clip_norm: float) -> float:
-    """Clip, apply value -= lr * grad, zero the gradients. Returns the clip factor."""
-    scale = clip_gradients(params, clip_norm)
-    for p in params:
-        p.value -= learning_rate * p.grad
-        p.zero_grad()
+def sgd_step(weights: dict, grads: dict, learning_rate: float, clip_norm: float) -> float:
+    """Clip, apply weights[name] -= lr * grads[name] for every name in grads,
+    zero the gradients. Returns the clip factor."""
+    scale = clip_gradients(grads, clip_norm)
+    for name, g in grads.items():
+        weights[name] -= learning_rate * g
+        g.fill(0.0)
     return scale
 
 

@@ -6,7 +6,7 @@ validation F1, and restores those parameters at the end. Evaluation scores
 sentence boundaries (positions after each E tag), never the tags themselves.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,13 +16,13 @@ from .corpus import (DEFAULT_PUNCT, LabeledSequence, TAG_CHARS, TAG_E,
                      tags_to_text)
 from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
 from .embedding import EmbeddingSet, encode_chars, take_embeddings
-from .lstm import (BiLstmParams, bilstm_backward_batch, bilstm_forward_batch,
-                   new_bilstm_params)
-from .nncore import Param, dropout_mask, glorot_uniform, make_rng, sgd_step
+from .lstm import (bilstm_backward_batch, bilstm_forward_batch, lstm_shapes,
+                   new_bilstm_weights)
+from .nncore import dropout_mask, glorot_uniform, make_rng, sgd_step
 from .radicals import RadicalTable
 
 MAGIC = b"GJSEG01\n"
-VERSION = 4
+VERSION = 5
 # units decoded in one forward pass at most: the paper's minibatch size, which
 # bounds the arrays one decode pass holds
 DECODE_BATCH = 50
@@ -77,28 +77,26 @@ class TrainLog:
     best_epoch: int | None
 
 
+# the weights train() leaves as they are with frozen embeddings
+EMBEDDING_NAMES = ("emb.char_vectors", "emb.radical_vectors")
+
+
 @dataclass
 class SegmenterModel:
-    embeddings: EmbeddingSet
-    char_param: Param
-    rad_param: Param
-    bilstm: BiLstmParams
-    emit_W: Param  # (2H, 3)
-    emit_b: Param  # (3,)
-    trans: Param  # (5, 5) CRF transitions, START and STOP included
-    use_radicals: bool = True
+    """The tagger's vocabulary, radical table and weights. weights holds
+    every array, 2-D, by its checkpoint section name, in the order train()
+    steps and save_model() writes them: EMBEDDING_NAMES, the BiLSTM's ten
+    (lstm.py), emit.W (2H, 3), emit.b (1, 3) and crf.trans (5, 5), the CRF
+    transitions with START and STOP included."""
+
+    vocab: Vocab
+    radtable: RadicalTable
+    weights: dict
 
     @property
-    def vocab(self) -> Vocab:
-        return self.embeddings.vocab
-
-    @property
-    def radtable(self) -> RadicalTable:
-        return self.embeddings.radtable
-
-    def all_params(self) -> list:
-        return ([self.char_param, self.rad_param] + self.bilstm.params()
-                + [self.emit_W, self.emit_b, self.trans])
+    def use_radicals(self) -> bool:
+        """False for a char-only model, whose BiLSTM reads d_char inputs."""
+        return self.weights["fwd.W_x"].shape[0] != self.weights["emb.char_vectors"].shape[1]
 
 
 def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
@@ -106,19 +104,14 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
     """A fresh tagger over its own copy of the embedding arrays; training the
     model leaves the caller's EmbeddingSet as it was."""
     rng = make_rng(seed)
-    emb = replace(embeddings, char_vectors=embeddings.char_vectors.copy(),
-                  radical_vectors=embeddings.radical_vectors.copy())
-    d_in = emb.d_char + (emb.d_radical if use_radicals else 0)
-    return SegmenterModel(
-        embeddings=emb,
-        char_param=Param.of(emb.char_vectors, "emb.char_vectors"),
-        rad_param=Param.of(emb.radical_vectors, "emb.radical_vectors"),
-        bilstm=new_bilstm_params(d_in, hidden, rng),
-        emit_W=Param.of(glorot_uniform((2 * hidden, N_TAGS), rng), "emit.W"),
-        emit_b=Param.zeros(N_TAGS, "emit.b"),
-        trans=new_transitions(),
-        use_radicals=use_radicals,
-    )
+    d_in = embeddings.d_char + (embeddings.d_radical if use_radicals else 0)
+    weights = {"emb.char_vectors": np.array(embeddings.char_vectors, dtype=np.float64),
+               "emb.radical_vectors": np.array(embeddings.radical_vectors, dtype=np.float64),
+               **new_bilstm_weights(d_in, hidden, rng),
+               "emit.W": glorot_uniform((2 * hidden, N_TAGS), rng),
+               "emit.b": np.zeros((1, N_TAGS)),
+               "crf.trans": new_transitions()}
+    return SegmenterModel(vocab=embeddings.vocab, radtable=embeddings.radtable, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -126,44 +119,46 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
 
 def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndarray,
                    rng=None, dropout: float = 0.0, keep_cache: bool = True):
-    X = model.char_param.value[char_ids]
+    w = model.weights
+    X = w["emb.char_vectors"][char_ids]
     if model.use_radicals:
-        X = np.concatenate([X, model.rad_param.value[rad_ids]], axis=2)
+        X = np.concatenate([X, w["emb.radical_vectors"][rad_ids]], axis=2)
     in_mask = out_mask = None
     if dropout > 0:
         in_mask = dropout_mask(X.shape, dropout, rng)
         X = X * in_mask
-    H2, lstm_cache = bilstm_forward_batch(model.bilstm, X, keep_cache=keep_cache)
+    H2, lstm_cache = bilstm_forward_batch(w, X, keep_cache=keep_cache)
     if dropout > 0:
         out_mask = dropout_mask(H2.shape, dropout, rng)
         H2 = H2 * out_mask
-    P = np.tensordot(H2, model.emit_W.value, axes=([2], [0])) + model.emit_b.value
+    P = np.tensordot(H2, w["emit.W"], axes=([2], [0])) + w["emit.b"]
     cache = {"char_ids": char_ids, "rad_ids": rad_ids, "in_mask": in_mask,
              "out_mask": out_mask, "H2": H2, "lstm_cache": lstm_cache}
     return P, cache
 
 
-def _backward_batch(model: SegmenterModel, cache: dict, dP: np.ndarray,
-                    embedding_grads: bool = True) -> None:
-    """Accumulate the grads of every parameter, or of all but the two
-    embedding matrices with embedding_grads False (frozen embeddings).
+def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndarray) -> None:
+    """Add into grads the gradients of the weights below the CRF; without the
+    embedding names in grads (frozen embeddings) no input gradient is computed.
     Consumes the cache: H2 and the output mask are freed before the BiLSTM's
     backward pass allocates its own temporaries."""
-    two_h = model.emit_W.value.shape[0]
-    model.emit_W.grad += cache.pop("H2").reshape(-1, two_h).T @ dP.reshape(-1, N_TAGS)
-    model.emit_b.grad += dP.sum(axis=(0, 1))
-    dH2 = np.tensordot(dP, model.emit_W.value.T, axes=([2], [0]))
+    w = model.weights
+    two_h = w["emit.W"].shape[0]
+    grads["emit.W"] += cache.pop("H2").reshape(-1, two_h).T @ dP.reshape(-1, N_TAGS)
+    grads["emit.b"] += dP.sum(axis=(0, 1))
+    dH2 = np.tensordot(dP, w["emit.W"].T, axes=([2], [0]))
     if cache["out_mask"] is not None:
         dH2 *= cache.pop("out_mask")
-    dX = bilstm_backward_batch(model.bilstm, cache["lstm_cache"], dH2, embedding_grads)
-    if not embedding_grads:
+    input_grads = "emb.char_vectors" in grads
+    dX = bilstm_backward_batch(w, grads, cache["lstm_cache"], dH2, input_grads)
+    if not input_grads:
         return
     if cache["in_mask"] is not None:
         dX *= cache["in_mask"]
-    d_c = model.embeddings.d_char
-    np.add.at(model.char_param.grad, cache["char_ids"], dX[:, :, :d_c])
+    d_c = w["emb.char_vectors"].shape[1]
+    np.add.at(grads["emb.char_vectors"], cache["char_ids"], dX[:, :, :d_c])
     if model.use_radicals:
-        np.add.at(model.rad_param.grad, cache["rad_ids"], dX[:, :, d_c:])
+        np.add.at(grads["emb.radical_vectors"], cache["rad_ids"], dX[:, :, d_c:])
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +195,7 @@ def _decode(model: SegmenterModel, encoded: list) -> list:
             part = slice(start, start + DECODE_BATCH)
             # no LSTM cache: a kept one takes fresh pages for every step's gates
             P = _forward_batch(model, char_ids[part], rad_ids[part], keep_cache=False)[0]
-            tags.update(zip(idxs[part], viterbi_decode(P, model.trans.value)))
+            tags.update(zip(idxs[part], viterbi_decode(P, model.weights["crf.trans"])))
     return [tags[i] for i in range(len(encoded))]
 
 
@@ -216,8 +211,11 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     if not splits.train:
         raise ValueError("training split is empty")
     rng = make_rng(seed)
-    params = model.all_params()
-    trainable = params[2:] if freeze_embeddings else params
+    weights = model.weights
+    # zeroed gradients of the trained weights, in weight order; sgd_step
+    # zeroes them again after each step
+    grads = {name: np.zeros_like(w) for name, w in weights.items()
+             if not (freeze_embeddings and name in EMBEDDING_NAMES)}
     encoded = _encode_units(model, splits.train)
     golds = _gold_ids(splits.train)
 
@@ -235,14 +233,13 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
             n_batch = len(batch)
             for idxs, char_ids, rad_ids in _length_groups(encoded, batch):
                 P, cache = _forward_batch(model, char_ids, rad_ids, rng, hp.dropout)
-                loss, dP, dA = crf_nll(P, model.trans.value, np.stack([golds[i] for i in idxs]))
+                loss, dP, dA = crf_nll(P, weights["crf.trans"], np.stack([golds[i] for i in idxs]))
                 total_loss += loss.sum()
-                model.trans.grad += dA / n_batch
-                _backward_batch(model, cache, dP / n_batch,
-                                embedding_grads=not freeze_embeddings)
+                grads["crf.trans"] += dA / n_batch
+                _backward_batch(model, grads, cache, dP / n_batch)
                 del P, cache  # free the LSTM cache before the next pass allocates one
             # lr 0 is a null update: value -= 0.0 * grad leaves the values as they are
-            clipped += sgd_step(trainable, hp.learning_rate, hp.clip_norm) < 1.0
+            clipped += sgd_step(weights, grads, hp.learning_rate, hp.clip_norm) < 1.0
         mean_loss = total_loss / len(encoded)
         val_report = evaluate(model, splits.valid)
         records.append(EpochRecord(mean_loss=mean_loss, val_report=val_report,
@@ -254,10 +251,10 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
         elif val_report.f1 > best_f1:
             best_f1 = val_report.f1
             best_epoch = epoch
-            best_values = [p.value.copy() for p in params]
+            best_values = {name: w.copy() for name, w in weights.items()}
     if best_values is not None:
-        for p, v in zip(params, best_values):
-            p.value[...] = v
+        for name, v in best_values.items():
+            weights[name][...] = v
     return TrainLog(epochs=records, best_epoch=best_epoch)
 
 
@@ -294,13 +291,14 @@ def segment(model: SegmenterModel, raw: str, separator: str = "/",
 def save_model(model: SegmenterModel, path) -> None:
     table = model.radtable
     binio.write_container(path, MAGIC, VERSION, table.sha256 if table is not None else "",
-                          model.vocab,
-                          [(p.name, np.atleast_2d(p.value)) for p in model.all_params()])
+                          model.vocab, model.weights.items())
 
 
 def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
-    """Rebuild a model from a checkpoint, verifying the radical table hash.
-    The model is char-only when fwd.W_x has d_char rows, not d_char + d_radical."""
+    """Rebuild a model from a checkpoint, verifying the radical table hash:
+    one writeable copy of each section, and nothing drawn or allocated
+    besides. The model is char-only when fwd.W_x has d_char rows, not
+    d_char + d_radical."""
     if radtable is None:
         from .radicals import default_table
         radtable = default_table()
@@ -312,9 +310,13 @@ def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
     if d_in not in (emb.d_char, emb.d_char + emb.d_radical) or hidden < 1:
         raise binio.FormatError(f"fwd.W_x rows {d_in} and hidden size {hidden} do not fit "
                                 f"embeddings of {emb.d_char}+{emb.d_radical} dims")
-    # build_model copies the embedding views; every other section is copied here
-    model = build_model(emb, hidden=hidden, seed=0, use_radicals=d_in != emb.d_char)
-    for p in model.all_params()[2:]:
-        p.value[...] = c.take(p.name, np.atleast_2d(p.value).shape).reshape(p.value.shape)
+    shapes = (lstm_shapes(d_in, hidden, "fwd") | lstm_shapes(d_in, hidden, "bwd")
+              | {"emit.W": (2 * hidden, N_TAGS), "emit.b": (1, N_TAGS),
+                 "crf.trans": (N_TAGS + 2, N_TAGS + 2)})
+    views = {"emb.char_vectors": emb.char_vectors, "emb.radical_vectors": emb.radical_vectors}
+    for name, shape in shapes.items():
+        views[name] = c.take(name, shape)
     c.done()
-    return model
+    # the views are read-only and keep the file's bytes alive
+    return SegmenterModel(vocab=c.vocab, radtable=radtable,
+                          weights={name: v.copy() for name, v in views.items()})

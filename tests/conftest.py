@@ -78,7 +78,7 @@ def force_transitions():
     """
 
     def apply(model, arcs):
-        a = model.trans.value
+        a = model.weights["crf.trans"]
         a[:] = -1e6
         for prev, nxt in arcs:
             a[prev, nxt] = 0.0

@@ -12,7 +12,7 @@ import numpy as np
 from judou.corpus import Vocab
 from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
 from judou.embedding import _cbow_loss_parts, cbow_loss_and_grads, encode_chars, new_cbow_model
-from judou.nncore import Param
+from judou.lstm import LSTM_NAMES
 
 
 def all_paths(n):
@@ -79,14 +79,13 @@ def log_partition_reverse(P, A):
     return _logsumexp(A[START, :N_TAGS] + P[:, 0] + betas[:, 0], axis=1)
 
 
-def random_crf(rng, scale=1.0) -> Param:
+def random_crf(rng, scale=1.0) -> np.ndarray:
     """Random transitions on the structurally possible cells only."""
-    crf = new_transitions()
-    a = crf.value
+    a = new_transitions()
     a[:N_TAGS, :N_TAGS] = rng.normal(scale=scale, size=(N_TAGS, N_TAGS))
     a[START, :N_TAGS] = rng.normal(scale=scale, size=N_TAGS)
     a[:N_TAGS, STOP] = rng.normal(scale=scale, size=N_TAGS)
-    return crf
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -95,25 +94,27 @@ def random_crf(rng, scale=1.0) -> Param:
 GATES = "ifco"  # input, forget, cell candidate, output: the fused column order
 
 
-def lstm_gate_weights(p) -> dict:
-    """Per-gate blocks (views) of fused LstmParams values, by unfused names."""
-    H = p.hidden
-    w = {"W_ci": p.W_c.value[:, :H], "W_cf": p.W_c.value[:, H:], "W_co": p.W_co.value}
+def lstm_gate_weights(weights: dict, prefix: str) -> dict:
+    """Per-gate blocks (views) of one direction's fused weights, by unfused names."""
+    W_x, W_h, W_c, W_co, b = (weights[f"{prefix}.{name}"] for name in LSTM_NAMES)
+    H = W_h.shape[0]
+    w = {"W_ci": W_c[:, :H], "W_cf": W_c[:, H:], "W_co": W_co}
     for k, gate in enumerate(GATES):
         cols = slice(k * H, (k + 1) * H)
-        w[f"W_x{gate}"] = p.W_x.value[:, cols]
-        w[f"W_h{gate}"] = p.W_h.value[:, cols]
-        w[f"b_{gate}"] = p.b.value[cols]
+        w[f"W_x{gate}"] = W_x[:, cols]
+        w[f"W_h{gate}"] = W_h[:, cols]
+        w[f"b_{gate}"] = b[0, cols]
     return w
 
 
-def fuse_gate_grads(g: dict) -> list:
-    """Per-gate gradients assembled in the order of LstmParams.params()."""
-    return [np.hstack([g[f"W_x{k}"] for k in GATES]),
-            np.hstack([g[f"W_h{k}"] for k in GATES]),
-            np.hstack([g["W_ci"], g["W_cf"]]),
-            g["W_co"],
-            np.concatenate([g[f"b_{k}"] for k in GATES])]
+def fuse_gate_grads(g: dict, prefix: str) -> dict:
+    """Per-gate gradients assembled into one direction's fused gradient dict."""
+    fused = [np.hstack([g[f"W_x{k}"] for k in GATES]),
+             np.hstack([g[f"W_h{k}"] for k in GATES]),
+             np.hstack([g["W_ci"], g["W_cf"]]),
+             g["W_co"],
+             np.concatenate([g[f"b_{k}"] for k in GATES])[None]]
+    return {f"{prefix}.{name}": a for name, a in zip(LSTM_NAMES, fused)}
 
 
 def _logistic(x):
@@ -154,25 +155,26 @@ def oracle_cell_backward(w, grads, cache, dh, dc_in):
     return dx, dh_prev, dc_prev
 
 
-def oracle_lstm_direction(p, xs, dhs, reverse: bool):
+def oracle_lstm_direction(weights, prefix, xs, dhs, reverse: bool):
     """One direction over xs (B, n, d) step by step from a zero state, then
-    back again: (hs, dxs, fused parameter gradients)."""
-    w = lstm_gate_weights(p)
+    back again: (hs, dxs, fused weight gradients by name)."""
+    w = lstm_gate_weights(weights, prefix)
     grads = {k: np.zeros_like(v) for k, v in w.items()}
     batch, n, _ = xs.shape
+    H = w["W_co"].shape[0]
     steps = list(range(n - 1, -1, -1) if reverse else range(n))
-    h = c = np.zeros((batch, p.hidden))
-    hs = np.zeros((batch, n, p.hidden))
+    h = c = np.zeros((batch, H))
+    hs = np.zeros((batch, n, H))
     caches = [None] * n
     for t in steps:
         caches[t] = oracle_cell_forward(w, xs[:, t], h, c)
         h, c = caches[t]["h"], caches[t]["c"]
         hs[:, t] = h
     dxs = np.zeros_like(xs)
-    dh = dc = np.zeros((batch, p.hidden))
+    dh = dc = np.zeros((batch, H))
     for t in reversed(steps):
         dxs[:, t], dh, dc = oracle_cell_backward(w, grads, caches[t], dhs[:, t] + dh, dc)
-    return hs, dxs, fuse_gate_grads(grads)
+    return hs, dxs, fuse_gate_grads(grads, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -223,38 +225,40 @@ def dense_train_embeddings(texts, vocab, radtable, cfg):
     return model.embeddings.char_vectors, model.embeddings.radical_vectors, losses
 
 
-def cbow_grad_params(model, enc, center) -> list:
-    """cbow_loss_and_grads at one center as Params over the model's own char,
-    radical and projection arrays (shared, not copied), for grad_check: the
-    grads are filled slot by slot from dh, and with outer(dlogits, h)."""
+def cbow_grad_params(model, enc, center) -> tuple:
+    """cbow_loss_and_grads at one center, for grad_check: (weights, grads),
+    the weights being the model's own char, radical and projection arrays
+    (shared, not copied) and the grads filled slot by slot from dh, and with
+    outer(dlogits, h)."""
     emb, d_c = model.embeddings, model.config.d_char
     _, dlogits, h, dh = cbow_loss_and_grads(model, enc, center)
-    params = [Param.of(emb.char_vectors, "cbow.char_vectors"),
-              Param.of(emb.radical_vectors, "cbow.radical_vectors"),
-              Param.of(model.projection, "cbow.projection")]
-    chars, rads, proj = params
+    weights = {"cbow.char_vectors": emb.char_vectors,
+               "cbow.radical_vectors": emb.radical_vectors,
+               "cbow.projection": model.projection}
+    grads = {name: np.zeros_like(w) for name, w in weights.items()}
+    chars, rads, proj = grads.values()
     for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, model.config.window)):
-        chars.grad[cid] += dh[slot, :d_c]
-        rads.grad[rid] += dh[slot, d_c:]
-    proj.grad += np.outer(dlogits, h)
-    return params
+        chars[cid] += dh[slot, :d_c]
+        rads[rid] += dh[slot, d_c:]
+    proj += np.outer(dlogits, h)
+    return weights, grads
 
 
 # ---------------------------------------------------------------------------
 # gradient checker: the safety net for every hand-derived backward pass
 
-def grad_check(f, params, epsilon: float = 1e-5) -> float:
-    """Compare the analytic gradients already stored in params against central
-    finite differences of the scalar function f.
+def grad_check(f, weights: dict, grads: dict, epsilon: float = 1e-5) -> float:
+    """Compare the analytic gradients in grads against central finite
+    differences of the scalar function f in the weights of the same names.
 
-    f must recompute the loss from the current param values and have no lasting
+    f must recompute the loss from the current weights and have no lasting
     side effects. Returns the worst relative error
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
-    analytic = [p.grad.copy() for p in params]
+    analytic = {name: g.copy() for name, g in grads.items()}
     worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.value.reshape(-1)
+    for name, a in analytic.items():
+        flat = weights[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon

@@ -28,8 +28,8 @@ from judou.embedding import (
     encode_chars,
     new_cbow_model,
 )
-from judou.lstm import bilstm_backward_batch, bilstm_forward_batch, new_bilstm_params
-from judou.nncore import Param, make_rng
+from judou.lstm import bilstm_backward_batch, bilstm_forward_batch, new_bilstm_weights
+from judou.nncore import make_rng
 from judou.radicals import radical_of
 from judou.segmenter import (
     _backward_batch,
@@ -52,8 +52,7 @@ def test_01_crf_matches_enumeration(criterion):
     for _ in range(100):
         n = int(rng.integers(1, 7))
         P = rng.normal(size=(n, 3))
-        crf = random_crf(rng)
-        A = crf.value
+        A = random_crf(rng)
         worst = max(worst, abs(log_partition(P[None], A)[0] - oracle_log_partition(P, A)))
         assert list(viterbi_decode(P[None], A)[0]) == list(oracle_viterbi(P, A))
     dt = time.perf_counter() - t0
@@ -75,34 +74,32 @@ def test_02_gradient_checks(criterion):
         enc = encode_chars("天地人山水", vocab, table)
         center = 1 + seed % 3
         return grad_check(lambda: _cbow_loss_parts(m, enc, center)[0],
-                          cbow_grad_params(m, enc, center))
+                          *cbow_grad_params(m, enc, center))
 
     def bilstm_err(seed, n):
         rng = make_rng(seed)
-        p = new_bilstm_params(3, 3, rng)
+        p = new_bilstm_weights(3, 3, rng)
+        grads = {name: np.zeros_like(a) for name, a in p.items()}
         xs = rng.normal(size=(1, n, 3))
         w = rng.normal(size=(1, n, 6))
         out, cache = bilstm_forward_batch(p, xs)
-        bilstm_backward_batch(p, cache, w.copy())
+        bilstm_backward_batch(p, grads, cache, w.copy())
 
         def f():
             o, _ = bilstm_forward_batch(p, xs)
             return float((o * w).sum())
 
-        return grad_check(f, p.params())
+        return grad_check(f, p, grads)
 
     def crf_err(seed):
         rng = make_rng(seed)
         n = 2 + seed % 4
         P = rng.normal(size=(n, 3))
-        crf = random_crf(rng)
+        A = random_crf(rng)
         gold = np.array([rng.integers(3) for _ in range(n)], dtype=np.intp)
-        P_param = Param.of(P, "P")
-        _, dP, dA = crf_nll(P[None], crf.value, gold[None])
-        P_param.grad[:] = dP[0]
-        crf.grad[:] = dA
-        return grad_check(lambda: crf_nll(P[None], crf.value, gold[None])[0][0],
-                          [P_param, crf])
+        _, dP, dA = crf_nll(P[None], A, gold[None])
+        return grad_check(lambda: crf_nll(P[None], A, gold[None])[0][0],
+                          {"P": P, "crf.trans": A}, {"P": dP[0], "crf.trans": dA})
 
     def end_to_end_err(seed):
         rng = make_rng(seed + 1000)
@@ -110,21 +107,23 @@ def test_02_gradient_checks(criterion):
         model = build_model(emb, hidden=3, seed=seed)
         # generic parameter scale: the CBOW-style +-0.5/dim init leaves some
         # gradients below what central differences at eps=1e-5 can resolve
-        model.char_param.value[:] = rng.normal(scale=0.5, size=model.char_param.value.shape)
-        model.rad_param.value[:] = rng.normal(scale=0.5, size=model.rad_param.value.shape)
+        w = model.weights
+        w["emb.char_vectors"][:] = rng.normal(scale=0.5, size=w["emb.char_vectors"].shape)
+        w["emb.radical_vectors"][:] = rng.normal(scale=0.5, size=w["emb.radical_vectors"].shape)
         text = "天地人山水"
         gold = np.array([TAG_TO_ID[t] for t in "BOEBO"], dtype=np.intp)
         enc = encode_chars(text, vocab, table)
         P, cache = _forward_batch(model, enc.char_ids[None], enc.rad_ids[None])
-        _, dP, dA = crf_nll(P, model.trans.value, gold[None])
-        model.trans.grad += dA
-        _backward_batch(model, cache, dP)
+        grads = {name: np.zeros_like(a) for name, a in w.items()}
+        _, dP, dA = crf_nll(P, w["crf.trans"], gold[None])
+        grads["crf.trans"] += dA
+        _backward_batch(model, grads, cache, dP)
 
         def f():
             P, _ = _forward_batch(model, enc.char_ids[None], enc.rad_ids[None])
-            return crf_nll(P, model.trans.value, gold[None])[0][0]
+            return crf_nll(P, w["crf.trans"], gold[None])[0][0]
 
-        return grad_check(f, model.all_params())
+        return grad_check(f, w, grads)
 
     errs = {
         "cbow": max(cbow_err(s) for s in seeds),

@@ -312,7 +312,7 @@ def test_a_checkpoint_with_214_radical_rows_is_a_bad_checkpoint(runner, make_mod
                                                                 tmp_path):
     ckpt = tmp_path / "m.bin"
     model = make_model([unit_of("天地人山水火", "BOEBOE")])
-    model.rad_param.value = model.rad_param.value[:214]
+    model.weights["emb.radical_vectors"] = model.weights["emb.radical_vectors"][:214]
     save_model(model, ckpt)
     data = tmp_path / "gold.tsv"
     write_units([unit_of("天地", "BE")], data)

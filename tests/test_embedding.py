@@ -165,7 +165,7 @@ def test_gradients_match_finite_differences(table):
     model = small_model("天地人山水火", table, d_char=3, d_radical=2, window=2)
     enc = encode_chars("天地人山水", model.embeddings.vocab, table)
     err = grad_check(lambda: _cbow_loss_parts(model, enc, 2)[0],
-                     cbow_grad_params(model, enc, 2))
+                     *cbow_grad_params(model, enc, 2))
     assert err < 1e-4
 
 

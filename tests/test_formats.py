@@ -1,5 +1,6 @@
 """Strict validation of the shared container, fuzzed over both file formats."""
 
+import struct
 from dataclasses import dataclass
 from functools import partial
 
@@ -117,6 +118,22 @@ def test_load_rejects_a_vocab_without_pad_then_unk_first(saved, entries):
     sections["emb.char_vectors"] = sections["emb.char_vectors"][:len(chars)]
     saved.rewrite(sections.items(), Vocab(char_to_index={}, index_to_char=chars))
     with pytest.raises(FormatError, match="vocab starts"):
+        saved.load(saved.path)
+
+
+def test_a_vocab_entry_with_a_newline_is_refused_at_save_and_at_load(saved):
+    # the vocab is one string of newline-joined entries, so a newline inside
+    # an entry would split it in two
+    c = saved.contents()
+    chars = c.vocab.index_to_char
+    bad = chars[:2] + ["天\n地"] + chars[3:]
+    with pytest.raises(ValueError, match="newline"):
+        saved.rewrite(c.sections.items(), Vocab(char_to_index={}, index_to_char=bad))
+    old, new = ("\n".join(entries).encode() for entries in (chars, bad))
+    at = saved.blob.index(struct.pack("<II", len(chars), len(old)) + old) + 8
+    blob = saved.blob[:at - 4] + struct.pack("<I", len(new)) + new + saved.blob[at + len(old):]
+    saved.path.write_bytes(blob)
+    with pytest.raises(FormatError, match="newlines"):
         saved.load(saved.path)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from judou.nncore import (NumericError, Param, clip_gradients, dropout_mask,
+from judou.nncore import (NumericError, clip_gradients, dropout_mask,
                           glorot_uniform, make_rng, sgd_step, sigmoid)
 from oracles import grad_check
 
@@ -50,93 +50,84 @@ class TestGlorot:
 
 class TestClipGradients:
     def test_norm_ten_scaled_to_five(self):
-        p = Param.zeros((2,), "p")
-        p.grad[:] = [6.0, 8.0]
-        assert clip_gradients([p], 5.0) == pytest.approx(0.5)
-        assert p.grad == pytest.approx([3.0, 4.0])
+        g = {"p": np.array([6.0, 8.0])}
+        assert clip_gradients(g, 5.0) == pytest.approx(0.5)
+        assert g["p"] == pytest.approx([3.0, 4.0])
 
     def test_under_threshold_untouched(self):
-        p = Param.zeros((2,), "p")
-        p.grad[:] = [1.0, 1.0]
-        assert clip_gradients([p], 5.0) == 1.0
-        assert p.grad == pytest.approx([1.0, 1.0])
+        g = {"p": np.array([1.0, 1.0])}
+        assert clip_gradients(g, 5.0) == 1.0
+        assert g["p"] == pytest.approx([1.0, 1.0])
 
     def test_all_zero_grads(self):
-        p = Param.zeros((3, 3), "p")
-        assert clip_gradients([p], 5.0) == 1.0
+        assert clip_gradients({"p": np.zeros((3, 3))}, 5.0) == 1.0
 
     def test_global_norm_spans_params(self):
-        a, b = Param.zeros((1,), "a"), Param.zeros((1,), "b")
-        a.grad[:] = 6.0
-        b.grad[:] = 8.0
-        assert clip_gradients([a, b], 5.0) == pytest.approx(0.5)
+        grads = {"a": np.full(1, 6.0), "b": np.full(1, 8.0)}
+        assert clip_gradients(grads, 5.0) == pytest.approx(0.5)
 
     def test_non_finite_names_parameter(self):
-        p = Param.zeros((2,), "w_bad")
-        p.grad[:] = [np.nan, 1.0]
         with pytest.raises(NumericError, match="w_bad"):
-            clip_gradients([p], 5.0)
+            clip_gradients({"w_ok": np.ones(2), "w_bad": np.array([np.nan, 1.0])}, 5.0)
 
     def test_post_norm_bounded(self):
         rng = make_rng(0)
         for _ in range(20):
-            params = [Param.zeros((4, 4), f"p{i}") for i in range(3)]
-            for p in params:
-                p.grad[:] = rng.normal(scale=10, size=(4, 4))
-            clip_gradients(params, 5.0)
-            total = np.sqrt(sum(float(np.sum(p.grad ** 2)) for p in params))
+            grads = {f"p{i}": rng.normal(scale=10, size=(4, 4)) for i in range(3)}
+            clip_gradients(grads, 5.0)
+            total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
             assert total <= 5.0 + 1e-9
 
     def test_rejects_bad_clip_norm(self):
         with pytest.raises(ValueError):
-            clip_gradients([], 0.0)
+            clip_gradients({}, 0.0)
 
 
 class TestSgdStep:
     def test_arithmetic(self):
-        p = Param.zeros((1,), "p")
-        p.value[:] = 1.0
-        p.grad[:] = 0.5
-        sgd_step([p], 0.01, 5.0)
-        assert p.value == pytest.approx([0.995])
+        w, g = {"p": np.ones(1)}, {"p": np.full(1, 0.5)}
+        sgd_step(w, g, 0.01, 5.0)
+        assert w["p"] == pytest.approx([0.995])
 
     def test_zero_grad_no_change(self):
-        p = Param.zeros((2,), "p")
-        p.value[:] = [1.0, 2.0]
-        sgd_step([p], 0.01, 5.0)
-        assert p.value == pytest.approx([1.0, 2.0])
+        w = {"p": np.array([1.0, 2.0])}
+        sgd_step(w, {"p": np.zeros(2)}, 0.01, 5.0)
+        assert w["p"] == pytest.approx([1.0, 2.0])
 
     def test_grads_zeroed_after(self):
-        p = Param.zeros((2,), "p")
-        p.grad[:] = 1.0
-        sgd_step([p], 0.01, 5.0)
-        assert np.all(p.grad == 0.0)
+        g = {"p": np.ones(2)}
+        sgd_step({"p": np.zeros(2)}, g, 0.01, 5.0)
+        assert np.all(g["p"] == 0.0)
 
     def test_two_steps_linear_when_unclipped(self):
-        a = Param.zeros((2,), "a")
-        a.grad[:] = [1.0, 2.0]
-        sgd_step([a], 0.1, 100.0)
-        a.grad[:] = [0.5, 0.25]
-        sgd_step([a], 0.1, 100.0)
-        b = Param.zeros((2,), "b")
-        b.grad[:] = [1.5, 2.25]
-        sgd_step([b], 0.1, 100.0)
-        assert a.value == pytest.approx(b.value)
+        a, ga = {"p": np.zeros(2)}, {"p": np.array([1.0, 2.0])}
+        sgd_step(a, ga, 0.1, 100.0)
+        ga["p"][:] = [0.5, 0.25]
+        sgd_step(a, ga, 0.1, 100.0)
+        b = {"p": np.zeros(2)}
+        sgd_step(b, {"p": np.array([1.5, 2.25])}, 0.1, 100.0)
+        assert a["p"] == pytest.approx(b["p"])
 
     def test_lr_zero_leaves_values_bitwise_and_zeroes_grads(self):
         rng = make_rng(5)
-        p = Param.of(rng.normal(size=(3, 4)), "p")
-        p.grad[:] = rng.normal(scale=10.0, size=(3, 4))  # clipped, then scaled by 0
-        before = p.value.tobytes()
-        sgd_step([p], 0.0, 5.0)
-        assert p.value.tobytes() == before
-        assert np.all(p.grad == 0.0)
+        w = {"p": rng.normal(size=(3, 4))}
+        g = {"p": rng.normal(scale=10.0, size=(3, 4))}  # clipped, then scaled by 0
+        before = w["p"].tobytes()
+        sgd_step(w, g, 0.0, 5.0)
+        assert w["p"].tobytes() == before
+        assert np.all(g["p"] == 0.0)
+
+    def test_steps_only_the_weights_with_gradients_in_place(self):
+        frozen, trained = np.ones(2), np.ones(2)
+        w = {"frozen": frozen, "trained": trained}
+        sgd_step(w, {"trained": np.ones(2)}, 0.5, 5.0)
+        assert w["frozen"] is frozen and w["trained"] is trained
+        assert np.all(frozen == 1.0) and np.all(trained == 0.5)
 
     @pytest.mark.parametrize("clip_norm", [0.0, -1.0])
     def test_rejects_a_clip_norm_not_above_zero(self, clip_norm):
-        p = Param.zeros((2,), "p")
         with pytest.raises(ValueError):
-            sgd_step([p], 0.01, clip_norm)
+            sgd_step({"p": np.zeros(2)}, {"p": np.zeros(2)}, 0.01, clip_norm)
 
 
 class TestDropoutMask:
@@ -161,36 +152,17 @@ class TestDropoutMask:
 
 class TestGradCheck:
     def test_quadratic_is_exact(self):
-        p = Param.zeros((1,), "theta")
-        p.value[:] = 3.0
-        p.grad[:] = 6.0  # d/dθ θ² at θ=3
-        err = grad_check(lambda: float(p.value[0] ** 2), [p])
-        assert err < 1e-8
+        w = {"theta": np.full(1, 3.0)}
+        err = grad_check(lambda: float(w["theta"][0] ** 2), w, {"theta": np.full(1, 6.0)})
+        assert err < 1e-8  # d/dθ θ² at θ=3 is 6
 
     def test_detects_a_wrong_gradient(self):
-        p = Param.zeros((1,), "theta")
-        p.value[:] = 3.0
-        p.grad[:] = 5.0  # deliberately off
-        err = grad_check(lambda: float(p.value[0] ** 2), [p])
+        w = {"theta": np.full(1, 3.0)}
+        err = grad_check(lambda: float(w["theta"][0] ** 2), w, {"theta": np.full(1, 5.0)})
         assert err > 1e-2
 
     def test_restores_values(self):
-        p = Param.zeros((3,), "p")
-        p.value[:] = [1.0, 2.0, 3.0]
-        before = p.value.copy()
-        grad_check(lambda: float(np.sum(p.value ** 2)), [p])
-        assert np.array_equal(p.value, before)
-
-
-class TestParam:
-    def test_identity_equality(self):
-        a = Param.zeros((2,), "a")
-        b = Param.zeros((2,), "a")
-        assert a != b and a == a
-        assert a in [a] and b not in [a]
-
-    def test_of_shares_storage(self):
-        arr = np.zeros(3)
-        p = Param.of(arr, "p")
-        p.value += 1.0
-        assert np.all(arr == 1.0)
+        w = {"p": np.array([1.0, 2.0, 3.0])}
+        before = w["p"].copy()
+        grad_check(lambda: float(np.sum(w["p"] ** 2)), w, {"p": np.zeros(3)})
+        assert np.array_equal(w["p"], before)

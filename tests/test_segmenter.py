@@ -1,12 +1,13 @@
 """Tagger-level tests: config, metrics, training behaviour, checkpoints."""
 
+import hashlib
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from judou import binio, lstm, segmenter
+from judou import binio, lstm, nncore, segmenter
 from judou.binio import FormatError
 from judou.corpus import (
     TAG_CHARS,
@@ -21,6 +22,7 @@ from judou.embedding import encode_chars
 from judou.nncore import make_rng
 from judou.segmenter import (
     DECODE_BATCH,
+    EMBEDDING_NAMES,
     EvalReport,
     Hyperparams,
     SegmenterModel,
@@ -40,6 +42,27 @@ from conftest import unit_of
 
 # the radical table field of a version-3 checkpoint: sha256 of the old file bytes
 V3_TABLE_SHA256 = "86564a8df1460f15362aa394035eedcdd0e2877d901b93a20c7c16530b816311"
+
+# sha256 (first 16 hex digits) of each weight of the fresh model in
+# test_build_model_draws_the_pinned_weights, as float64 bytes: the data of its
+# checkpoint sections, in their order
+FRESH_DIGESTS = {
+    "emb.char_vectors": "0de043b125ad9e26",
+    "emb.radical_vectors": "2c436748f651feee",
+    "fwd.W_x": "75406f0f938bcfa7",
+    "fwd.W_h": "be375b8f60ab4e93",
+    "fwd.W_c": "35192f4eaa2f93c8",
+    "fwd.W_co": "c41767c770a4f2f8",
+    "fwd.b": "38723a2e5e8a17aa",
+    "bwd.W_x": "fcaae2bcb1c3cca1",
+    "bwd.W_h": "e8c8d039cbbe3dd8",
+    "bwd.W_c": "669c7fb3489cf77d",
+    "bwd.W_co": "14215c1d228e95b7",
+    "bwd.b": "38723a2e5e8a17aa",
+    "emit.W": "23c1eecaa2717036",
+    "emit.b": "9d908ecfb6b256de",
+    "crf.trans": "29ab9a12f81672f1",
+}
 
 # tag indices 0/1/2 = B/E/O, plus the virtual start 3 and stop 4
 PERIOD3 = [(3, 0), (0, 2), (2, 1), (1, 0), (1, 4), (2, 4)]
@@ -256,7 +279,7 @@ def test_train_is_seed_deterministic(make_model):
         model = make_model(splits.train)
         log = train(model, splits, tiny_hp(dropout=0.3), seed=11)
         logs.append([(r.mean_loss, r.val_report.f1) for r in log.epochs])
-        params.append([p.value.copy() for p in model.all_params()])
+        params.append([w.copy() for w in model.weights.values()])
     assert logs[0] == logs[1]
     for a, b in zip(*params):
         assert np.array_equal(a, b)
@@ -265,10 +288,10 @@ def test_train_is_seed_deterministic(make_model):
 def test_train_lr_zero_is_a_null_update(make_model):
     splits = tiny_splits()
     model = make_model(splits.train)
-    before = [p.value.copy() for p in model.all_params()]
+    before = [w.copy() for w in model.weights.values()]
     log = train(model, splits, tiny_hp(learning_rate=0.0), seed=1)
-    for p, b in zip(model.all_params(), before):
-        assert np.array_equal(p.value, b)
+    for w, b in zip(model.weights.values(), before):
+        assert np.array_equal(w, b)
     f1s = {r.val_report.f1 for r in log.epochs}
     assert len(f1s) == 1  # identical evaluation every epoch
 
@@ -276,11 +299,11 @@ def test_train_lr_zero_is_a_null_update(make_model):
 def test_train_zero_epochs(make_model):
     splits = tiny_splits()
     model = make_model(splits.train)
-    before = [p.value.copy() for p in model.all_params()]
+    before = [w.copy() for w in model.weights.values()]
     log = train(model, splits, tiny_hp(epochs=0), seed=1)
     assert log.epochs == [] and log.best_epoch is None
-    for p, b in zip(model.all_params(), before):
-        assert np.array_equal(p.value, b)
+    for w, b in zip(model.weights.values(), before):
+        assert np.array_equal(w, b)
 
 
 def test_train_rejects_empty_split(make_model):
@@ -294,43 +317,48 @@ def test_train_rejects_empty_split(make_model):
 def test_freeze_embeddings_keeps_vectors_fixed(make_model):
     splits = tiny_splits()
     model = make_model(splits.train)
-    chars = model.char_param.value.copy()
-    rads = model.rad_param.value.copy()
-    emit = model.emit_W.value.copy()
+    w = model.weights
+    chars, rads = w["emb.char_vectors"].copy(), w["emb.radical_vectors"].copy()
+    emit = w["emit.W"].copy()
     train(model, splits, tiny_hp(), seed=2, freeze_embeddings=True)
-    assert np.array_equal(model.char_param.value, chars)
-    assert np.array_equal(model.rad_param.value, rads)
-    assert not np.array_equal(model.emit_W.value, emit)
+    assert np.array_equal(w["emb.char_vectors"], chars)
+    assert np.array_equal(w["emb.radical_vectors"], rads)
+    assert not np.array_equal(w["emit.W"], emit)
 
 
-def test_frozen_embeddings_take_no_gradient(make_model, monkeypatch, tmp_path):
-    """Frozen, the backward pass writes no embedding grad, and training
-    computes what it did when it summed those grads and threw them away:
-    the same losses and the same checkpoint bytes."""
+def test_frozen_embeddings_take_no_gradient(make_model, monkeypatch):
+    """Frozen, train allocates no gradient for either embedding matrix, so no
+    step reads or writes one, and both matrices stay bit for bit; every
+    other weight still trains."""
     splits = tiny_splits()
-    real_backward, real_step = segmenter._backward_batch, segmenter.sgd_step
-    runs = []
-    for scatter in (False, True):
-        model = make_model(splits.train)
-        written = []
+    model = make_model(splits.train)
+    before = {name: w.copy() for name, w in model.weights.items()}
+    real_step, stepped = segmenter.sgd_step, []
 
-        def backward(model, cache, dP, embedding_grads=True):
-            real_backward(model, cache, dP, embedding_grads=embedding_grads or scatter)
+    def step(weights, grads, *args):
+        stepped.append(list(grads))
+        return real_step(weights, grads, *args)
 
-        def step(params, *args):
-            written.append(bool(np.any(model.char_param.grad) or np.any(model.rad_param.grad)))
-            return real_step(params, *args)
+    monkeypatch.setattr(segmenter, "sgd_step", step)
+    train(model, splits, tiny_hp(dropout=0.3), seed=5, freeze_embeddings=True)
+    trained = [name for name in model.weights if name not in EMBEDDING_NAMES]
+    assert len(stepped) == 6 and all(names == trained for names in stepped)
+    for name, w in model.weights.items():
+        assert np.array_equal(w, before[name]) == (name in EMBEDDING_NAMES), name
 
-        monkeypatch.setattr(segmenter, "_backward_batch", backward)
-        monkeypatch.setattr(segmenter, "sgd_step", step)
-        log = train(model, splits, tiny_hp(dropout=0.3), seed=5, freeze_embeddings=True)
-        save_model(model, tmp_path / f"{scatter}.bin")
-        runs.append(([r.mean_loss for r in log.epochs], written,
-                     (tmp_path / f"{scatter}.bin").read_bytes()))
-    (losses, written, saved), (ref_losses, ref_written, ref_saved) = runs
-    assert not any(written) and all(ref_written)
-    assert losses == ref_losses
-    assert saved == ref_saved
+
+def test_unfrozen_training_steps_every_weight(make_model, monkeypatch):
+    splits = tiny_splits()
+    model = make_model(splits.train)
+    real_step, stepped = segmenter.sgd_step, []
+
+    def step(weights, grads, *args):
+        stepped.append(list(grads))
+        return real_step(weights, grads, *args)
+
+    monkeypatch.setattr(segmenter, "sgd_step", step)
+    train(model, splits, tiny_hp(), seed=2)
+    assert stepped == [list(model.weights)] * 6
 
 
 def test_best_epoch_parameters_are_restored(make_model):
@@ -351,13 +379,13 @@ def test_empty_validation_keeps_the_last_epoch(make_model):
     snapshots = []
 
     def snapshot(*_):
-        snapshots.append([p.value.copy() for p in model.all_params()])
+        snapshots.append([w.copy() for w in model.weights.values()])
 
     log = train(model, no_valid, tiny_hp(epochs=3), seed=6, progress=snapshot)
     assert log.best_epoch == 2
     assert not np.array_equal(snapshots[0][-1], snapshots[-1][-1])  # later epochs moved
-    for p, v in zip(model.all_params(), snapshots[-1]):
-        assert np.array_equal(p.value, v)
+    for w, v in zip(model.weights.values(), snapshots[-1]):
+        assert np.array_equal(w, v)
 
 
 def test_training_leaves_the_callers_embeddings_alone(table):
@@ -366,8 +394,8 @@ def test_training_leaves_the_callers_embeddings_alone(table):
     chars, rads = emb.char_vectors.copy(), emb.radical_vectors.copy()
     model = build_model(emb, hidden=3)
     train(model, splits, tiny_hp(), seed=2)
-    assert not np.array_equal(model.char_param.value, chars)
-    assert not np.array_equal(model.rad_param.value, rads)
+    assert not np.array_equal(model.weights["emb.char_vectors"], chars)
+    assert not np.array_equal(model.weights["emb.radical_vectors"], rads)
     assert np.array_equal(emb.char_vectors, chars)
     assert np.array_equal(emb.radical_vectors, rads)
 
@@ -471,12 +499,13 @@ def test_a_threaded_training_step_peaks_below_the_serial_step(table):
     char_ids = rng.integers(0, emb.vocab.size, size=(B, n))
     rad_ids = rng.integers(0, 215, size=(B, n))
     gold = rng.integers(0, 3, size=(B, n))
+    grads = {name: np.zeros_like(w) for name, w in model.weights.items()}
 
     def step():
         P, cache = _forward_batch(model, char_ids, rad_ids, rng, 0.5)
-        _, dP, _ = crf_nll(P, model.trans.value, gold)
+        _, dP, _ = crf_nll(P, model.weights["crf.trans"], gold)
         del P
-        _backward_batch(model, cache, dP / B)
+        _backward_batch(model, grads, cache, dP / B)
 
     step()  # lazily allocated state, if any, is not the step's own
     tracemalloc.start()
@@ -544,12 +573,54 @@ def test_checkpoint_round_trip_bitwise(make_model, table, tmp_path):
     back = load_model(path, radtable=table)
     assert back.use_radicals == model.use_radicals
     assert back.vocab.index_to_char == model.vocab.index_to_char
-    for a, b in zip(model.all_params(), back.all_params()):
-        assert a.name == b.name
-        assert np.array_equal(a.value, b.value.reshape(a.value.shape))
+    assert list(back.weights) == list(model.weights)
+    for name, w in model.weights.items():
+        assert np.array_equal(back.weights[name], w), name
     # behavioural equality, including out-of-vocabulary characters
     text = "天地人山水火雲江"
     assert predict_tags(back, text) == predict_tags(model, text)
+
+
+def test_build_model_draws_the_pinned_weights(table):
+    vocab = build_vocab([unit_of("天地人山水火", "BOEBOE")])
+    model = build_model(random_embeddings(vocab, table, d_char=4, d_radical=3, seed=0),
+                        hidden=4, seed=0)
+    for name, w in model.weights.items():
+        assert w.dtype == np.float64 and w.ndim == 2 and w.flags.c_contiguous, name
+    digests = {name: hashlib.sha256(w.tobytes()).hexdigest()[:16]
+               for name, w in model.weights.items()}
+    assert list(digests.items()) == list(FRESH_DIGESTS.items())
+
+
+def test_load_model_draws_nothing_and_holds_only_the_sections(make_model, table, tmp_path,
+                                                              monkeypatch):
+    model = trained_model(make_model)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+
+    def refuse(*_):
+        raise AssertionError("load_model drew weights")
+
+    for module in (segmenter, lstm, nncore):
+        for name in ("glorot_uniform", "make_rng"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    back = load_model(path, radtable=table)
+    monkeypatch.undo()
+    sections = binio.read_container(path, segmenter.MAGIC, segmenter.VERSION, str).sections
+    # no gradient buffers: the arrays are the sections' bytes and nothing more
+    assert list(back.weights) == list(sections)
+    assert sum(w.nbytes for w in back.weights.values()) == sum(v.nbytes for v in sections.values())
+    for name, w in back.weights.items():
+        assert w.flags.writeable and w.flags.owndata, name
+        assert not hasattr(w, "grad")
+    assert not hasattr(back, "grad")
+    # writeable copies of what was saved: the loaded model trains as the saved one does
+    splits = tiny_splits()
+    logs = [train(m, splits, tiny_hp(epochs=2), seed=8) for m in (model, back)]
+    assert [r.mean_loss for r in logs[0].epochs] == [r.mean_loss for r in logs[1].epochs]
+    for name, w in model.weights.items():
+        assert np.array_equal(back.weights[name], w), name
 
 
 def test_checkpoint_round_trip_char_only(make_model, table, tmp_path):
@@ -614,13 +685,13 @@ def test_load_rejects_trailing_bytes(make_model, table, tmp_path):
 def test_load_rejects_a_version_1_checkpoint(make_model, table, tmp_path):
     # version 1 held per-gate LSTM sections; version 2 the radical flag byte
     # and section offsets; version 3 hashed the radical table's file bytes;
-    # version 4 hashes its mapping
+    # version 4 hashes its mapping; version 5 stores the vocab as one string
     model = trained_model(make_model)
     path = tmp_path / "model.bin"
     save_model(model, path)
     data = bytearray(path.read_bytes())
-    assert data[8] == 4
-    for old in (1, 2, 3):
+    assert data[8] == 5
+    for old in (1, 2, 3, 4):
         data[8] = old
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"version {old}"):
@@ -633,8 +704,8 @@ def test_load_rejects_a_version_3_checkpoint(make_model, table, tmp_path):
     model = trained_model(make_model)
     path = tmp_path / "model.bin"
     binio.write_container(path, segmenter.MAGIC, 3, V3_TABLE_SHA256, model.vocab,
-                          [(p.name, np.atleast_2d(p.value)) for p in model.all_params()])
-    with pytest.raises(FormatError, match="unsupported version 3, expected 4"):
+                          model.weights.items())
+    with pytest.raises(FormatError, match="unsupported version 3, expected 5"):
         load_model(path, radtable=table)
 
 
@@ -676,7 +747,7 @@ def test_load_rejects_a_section_of_the_right_size_but_wrong_shape(make_model, ta
 def test_load_rejects_a_radical_matrix_of_214_rows(make_model, table, tmp_path):
     # the row count used to escape as EmbeddingSet's bare ValueError
     model = make_model([unit_of("天地人山水火", "BOEBOE")])
-    model.rad_param.value = model.rad_param.value[:214]
+    model.weights["emb.radical_vectors"] = model.weights["emb.radical_vectors"][:214]
     path = tmp_path / "model.bin"
     save_model(model, path)
     with pytest.raises(FormatError, match="emb.radical_vectors"):
