@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocab
+from .corpus import Vocab, first_repeat
 
 
 class FormatError(ValueError):
@@ -62,18 +62,15 @@ def _write_string(f, s: str) -> None:
 
 
 def _read_vocab(r: _Cursor, size: int) -> Vocab:
-    """size entries, PAD and UNK first; a repeated entry would leave a row no
-    character maps to, so it is rejected."""
+    """size entries, PAD and UNK first, none repeated."""
     index_to_char = r.string("vocab").split("\n")
     if len(index_to_char) != size:
         raise FormatError(f"vocab splits into {len(index_to_char)} entries at newlines, "
                           f"expected {size}")
     first = dict(zip(index_to_char, range(size)))
     if len(first) != size:
-        first = {}
-        for i, s in enumerate(index_to_char):
-            if first.setdefault(s, i) != i:
-                raise FormatError(f"duplicate vocab entry {i} {s!r}, first at {first[s]}")
+        i, j = first_repeat(index_to_char)
+        raise FormatError(f"duplicate vocab entry {i} {index_to_char[i]!r}, first at {j}")
     if tuple(index_to_char[:2]) != Vocab.RESERVED:
         raise FormatError(f"vocab starts {tuple(index_to_char[:2])}, expected {Vocab.RESERVED}")
     for s in Vocab.RESERVED:

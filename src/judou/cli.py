@@ -28,22 +28,20 @@ def _fail(message: str, code: int = EXIT_USAGE):
     sys.exit(code)
 
 
-def _read_text(path: Path) -> str:
+def _load(read, path: Path):
+    """read(path), a file that cannot be read or is malformed being a usage error."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return read(path)
     except OSError as e:
         _fail(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError as e:
         _fail(f"{path} is not valid UTF-8: {e}")
-
-
-def _load_units(path: Path) -> list:
-    try:
-        return read_units(path)
-    except OSError as e:
-        _fail(f"cannot read {path}: {e.strerror}")
     except ValueError as e:
         _fail(str(e))
+
+
+def _read_text(path: Path) -> str:
+    return _load(lambda p: p.read_bytes().decode("utf-8"), path)
 
 
 @click.group()
@@ -58,7 +56,8 @@ def main():
               help="Directory of punctuated UTF-8 source documents.")
 @click.option("--stops", default="".join(sorted(corpus.DEFAULT_STOPS)),
               show_default=True, help="Characters treated as sentence stops.")
-@click.option("--unit-size", default=100, show_default=True, type=click.IntRange(2))
+@click.option("--unit-size", default=corpus.UNIT_SIZE, show_default=True, type=click.IntRange(2),
+              help=f"Characters per unit; segment always decodes {corpus.UNIT_SIZE}-character units.")
 @click.option("--max-unsure-run", default=5, show_default=True, type=click.IntRange(0),
               help="Drop sentences with more consecutive □ than this.")
 @click.option("--seed", default=0, show_default=True, type=int)
@@ -73,9 +72,7 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
     units = []
     for doc in sorted(p for p in input_dir.iterdir() if p.is_file()):
         text = clean_unsure(normalize_text(_read_text(doc), punct), max_unsure_run, punct)
-        seq = text_to_tags(text, punct)
-        if len(seq):
-            units.extend(chunk_units(seq, unit_size, doc_id=doc.name))
+        units.extend(chunk_units(text_to_tags(text, punct), unit_size, doc_id=doc.name))
     if not units:
         _fail("no units produced: corpus is empty after normalization", EXIT_EMPTY)
     splits = split_corpus(units, seed)
@@ -109,13 +106,10 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, seed, out_path):
     """Pretrain radical-augmented character embeddings on the training split."""
-    units = _load_units(data_dir / "train.tsv")
+    units = _load(read_units, data_dir / "train.tsv")
     if not units:
         _fail("training split is empty", EXIT_EMPTY)
-    try:
-        vocab = read_vocab(data_dir / "vocab.txt")
-    except OSError as e:
-        _fail(f"cannot read vocab: {e.strerror}")
+    vocab = _load(read_vocab, data_dir / "vocab.txt")
     cfg = EmbeddingConfig(d_char=dim_char, d_radical=dim_radical, window=window,
                           epochs=epochs, learning_rate=learning_rate, seed=seed)
 
@@ -173,11 +167,11 @@ def train_cmd(data_dir, emb_path, embed_dim, hidden, batch, epochs,
     if emb.d_char + emb.d_radical != embed_dim:
         _fail(f"embedding file is {emb.d_char}+{emb.d_radical} dims, "
               f"--embed-dim is {embed_dim}")
-    train_units = _load_units(data_dir / "train.tsv")
+    train_units = _load(read_units, data_dir / "train.tsv")
     if not train_units:
         _fail("training split is empty", EXIT_EMPTY)
     valid_path = data_dir / "valid.tsv"
-    valid_units = _load_units(valid_path) if valid_path.exists() else []
+    valid_units = _load(read_units, valid_path) if valid_path.exists() else []
     hp = Hyperparams(embed_dim=embed_dim, hidden=hidden, batch=batch, epochs=epochs,
                      learning_rate=learning_rate, clip_norm=clip_norm, dropout=dropout)
     model = build_model(emb, hidden=hidden, seed=seed)
@@ -211,7 +205,7 @@ def train_cmd(data_dir, emb_path, embed_dim, hidden, batch, epochs,
 def eval_cmd(model_path, data_path):
     """Boundary precision/recall/F1 of a checkpoint on a gold split."""
     model = _load_model(model_path)
-    units = _load_units(data_path)
+    units = _load(read_units, data_path)
     rep = evaluate(model, units)
     click.echo(f"P={rep.precision:.4f} R={rep.recall:.4f} F1={rep.f1:.4f}")
 

@@ -4,11 +4,18 @@ Punctuated source text is reduced to a bare character stream with per-character
 B/E/O tags: B begins a sentence, E ends it, O is interior. A sentence boundary
 is reconstructed after every E, so boundary placement survives the round trip
 even though the punctuation characters themselves are dropped.
+
+The four text rules are regular expressions over a Han class and a stop class:
+`normalize_text` deletes all but Han, '□' and stops, keeping the first stop of
+each run; `text_to_tags` splits on stops, the piece after the last stop being
+an open sentence; `clean_unsure` drops each sentence, stop and all, that holds
+more than max_run '□' in a row; `tags_to_text` cuts after each E but a final one.
 """
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -22,17 +29,20 @@ UNSURE_CHAR = "□"  # placeholder for illegible characters in epitaph corpora
 # The kept stop set, both fullwidth and ASCII widths.
 DEFAULT_STOPS = frozenset("，。；？！,;?!")
 
-_HAN_RANGES = (
-    (0x3400, 0x4DBF),  # extension A
-    (0x4E00, 0x9FFF),  # unified ideographs
-    (0xF900, 0xFAFF),  # compatibility ideographs
-    (0x20000, 0x2EBEF),  # extensions B..F
-)
+UNIT_SIZE = 100  # characters per unit, the paper's; `segment` decodes units of this size
 
+_HAN = "\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff\U00020000-\U0002ebef"
+"""The Han class body: extension A, unified and compatibility ideographs, extensions B..F."""
 
-def is_han(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _HAN_RANGES)
+# The text rules' patterns; PunctConfig.compile puts its stop class body at {s}.
+STOP = "[{s}]"
+"""One stop: `text_to_tags` splits on it and `segment` deletes it."""
+DROPPED = "[^" + _HAN + UNSURE_CHAR + "{s}]+"
+"""A run of characters that are neither Han, '□' nor stops: `normalize_text` deletes it."""
+STOP_RUN = "([{s}])[{s}]+"
+"""A run of stops, its first captured: `normalize_text` keeps that one."""
+SENTENCE = "[^{s}]*[{s}]|[^{s}]+"
+"""A sentence and its stop, or the open text after the last stop (`clean_unsure`)."""
 
 
 @dataclass(frozen=True)
@@ -42,11 +52,17 @@ class PunctConfig:
     stops: frozenset = DEFAULT_STOPS
 
     def __post_init__(self):
-        if not self.stops:
-            raise ValueError("stop set must be non-empty")
-        han = [c for c in self.stops if is_han(c)]
+        if not self.stops or any(len(c) != 1 for c in self.stops):
+            raise ValueError(f"stop set must be non-empty single characters: {sorted(self.stops)}")
+        han = [c for c in self.stops if re.fullmatch(f"[{_HAN}]", c)]
         if han:
             raise ValueError(f"stop set may not contain Han ideographs: {han!r}")
+
+    @cache
+    def compile(self, pattern: str) -> re.Pattern:
+        """pattern with these stops, escaped, as its stop class body {s}; cached
+        per stop set, of which a process uses few."""
+        return re.compile(pattern.replace("{s}", "".join(map(re.escape, sorted(self.stops)))))
 
 
 DEFAULT_PUNCT = PunctConfig()
@@ -108,15 +124,7 @@ def normalize_text(raw: str, punct: PunctConfig = DEFAULT_PUNCT) -> str:
 
     Runs of consecutive stop marks collapse to the first one.
     """
-    out = []
-    for ch in raw:
-        if ch in punct.stops:
-            if out and out[-1] in punct.stops:
-                continue
-            out.append(ch)
-        elif is_han(ch) or ch == UNSURE_CHAR:
-            out.append(ch)
-    return "".join(out)
+    return punct.compile(STOP_RUN).sub(r"\1", punct.compile(DROPPED).sub("", raw))
 
 
 def text_to_tags(punctuated: str, punct: PunctConfig = DEFAULT_PUNCT) -> LabeledSequence:
@@ -126,39 +134,17 @@ def text_to_tags(punctuated: str, punct: PunctConfig = DEFAULT_PUNCT) -> Labeled
     character sentence becomes E. Text after the last stop is left as an open
     sentence, B O^(L-1), since its end was never observed.
     """
-    chars = []
-    tags = []
-
-    def flush(sentence: list, complete: bool):
-        if not sentence:
-            return
-        chars.extend(sentence)
-        n = len(sentence)
-        if complete:
-            tags.append("E" if n == 1 else "B" + "O" * (n - 2) + "E")
-        else:
-            tags.append("B" + "O" * (n - 1))
-
-    current: list = []
-    for ch in punctuated:
-        if ch in punct.stops:
-            flush(current, complete=True)
-            current = []
-        else:
-            current.append(ch)
-    flush(current, complete=False)
-    return LabeledSequence("".join(chars), "".join(tags))
+    *complete, tail = punct.compile(STOP).split(punctuated)
+    tags = ["E" if len(s) == 1 else "B" + "O" * (len(s) - 2) + "E" for s in complete if s]
+    if tail:
+        tags.append("B" + "O" * (len(tail) - 1))
+    return LabeledSequence("".join(complete) + tail, "".join(tags))
 
 
 def tags_to_text(seq: LabeledSequence, separator: str = "/") -> str:
     """Reinsert boundaries: a separator goes after every E except a final one."""
-    out = []
-    last = len(seq) - 1
-    for i, (ch, tag) in enumerate(zip(seq.chars, seq.tags)):
-        out.append(ch)
-        if tag == "E" and i != last:
-            out.append(separator)
-    return "".join(out)
+    cuts = [m.end() for m in re.finditer("E", seq.tags[:-1])]
+    return separator.join(seq.chars[i:j] for i, j in zip([0, *cuts], [*cuts, len(seq)]))
 
 
 def boundary_positions(tags: str) -> set:
@@ -172,23 +158,11 @@ def clean_unsure(text: str, max_run: int = 5, punct: PunctConfig = DEFAULT_PUNCT
     Sentences keep their trailing stop; a deleted sentence takes its stop with
     it. Idempotent by construction.
     """
-    run_re = re.compile(re.escape(UNSURE_CHAR) + "{" + str(max_run + 1) + ",}")
-    out = []
-    current = []
-    for ch in text:
-        current.append(ch)
-        if ch in punct.stops:
-            segment = "".join(current)
-            if not run_re.search(segment):
-                out.append(segment)
-            current = []
-    tail = "".join(current)
-    if tail and not run_re.search(tail):
-        out.append(tail)
-    return "".join(out)
+    run = UNSURE_CHAR * (max_run + 1)
+    return "".join(s for s in punct.compile(SENTENCE).findall(text) if run not in s)
 
 
-def chunk_units(seq: LabeledSequence, unit_size: int = 100, doc_id: str = "") -> list:
+def chunk_units(seq: LabeledSequence, unit_size: int = UNIT_SIZE, doc_id: str = "") -> list:
     """Cut a tagged stream into consecutive windows of unit_size characters."""
     if unit_size < 2:
         raise ValueError(f"unit_size must be >= 2, got {unit_size}")
@@ -249,7 +223,7 @@ def read_units(path) -> list:
                 chars, tags = line.split("\t")
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 'chars<TAB>tags'") from None
-            if len(chars) != len(tags) or not set(tags) <= set(TAG_CHARS):
+            if not chars or len(chars) != len(tags) or not set(tags) <= set(TAG_CHARS):
                 raise ValueError(f"{path}:{lineno}: malformed unit line")
             units.append(Unit(seq=LabeledSequence(chars, tags)))
     return units
@@ -261,14 +235,29 @@ def write_vocab(vocab: Vocab, path) -> None:
             f.write(ch + "\n")
 
 
+def first_repeat(entries: list):
+    """(i, j) for the first entry i that equals an earlier entry j, or None.
+    A repeated vocab entry would leave a row no character maps to."""
+    first = {}
+    for i, s in enumerate(entries):
+        if first.setdefault(s, i) != i:
+            return i, first[s]
+
+
 def read_vocab(path) -> Vocab:
+    """One character per line after PAD and UNK; a line that is not one UTF-8
+    character, or repeats an earlier line, is rejected as path:line."""
     chars = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line:
-                chars.append(line)
-    return Vocab(
-        char_to_index={ch: i + 2 for i, ch in enumerate(chars)},
-        index_to_char=[*Vocab.RESERVED, *chars],
-    )
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                chars.append(line.decode("utf-8").rstrip("\r\n"))
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8: {e.reason}") from None
+            if len(chars[-1]) != 1:
+                raise ValueError(f"{path}:{lineno}: expected one character, got {chars[-1]!r}")
+    if repeat := first_repeat(chars):
+        i, j = repeat
+        raise ValueError(f"{path}:{i + 1}: {chars[i]!r} repeats line {j + 1}")
+    return Vocab(char_to_index={ch: i + 2 for i, ch in enumerate(chars)},
+                 index_to_char=[*Vocab.RESERVED, *chars])

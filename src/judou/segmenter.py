@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binio
-from .corpus import (DEFAULT_PUNCT, LabeledSequence, TAG_CHARS, TAG_E,
-                     TAG_TO_ID, Vocab, boundary_positions, normalize_text,
-                     tags_to_text)
+from .corpus import (DEFAULT_PUNCT, STOP, LabeledSequence, TAG_CHARS, TAG_E,
+                     TAG_TO_ID, UNIT_SIZE, Vocab, boundary_positions,
+                     normalize_text, tags_to_text)
 from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
 from .embedding import EmbeddingSet, encode_chars, take_embeddings
 from .lstm import (bilstm_backward_batch, bilstm_forward_batch, lstm_shapes,
@@ -270,16 +270,12 @@ def evaluate(model: SegmenterModel, units: list) -> EvalReport:
     return EvalReport.from_counts(tp, fp, fn)
 
 
-def segment(model: SegmenterModel, raw: str, separator: str = "/",
-            punct=DEFAULT_PUNCT, unit_size: int = 100) -> str:
+def segment(model: SegmenterModel, raw: str, separator: str = "/") -> str:
     """Segment raw text: normalize (dropping any existing stops), decode
-    100-character units, and reinsert boundaries after predicted E tags."""
-    norm = normalize_text(raw, punct)
-    chars = "".join(c for c in norm if c not in punct.stops)
-    if not chars:
-        return ""
-    units = [encode_chars(chars[start:start + unit_size], model.vocab, model.radtable)
-             for start in range(0, len(chars), unit_size)]
+    UNIT_SIZE-character units, and reinsert boundaries after predicted E tags."""
+    chars = DEFAULT_PUNCT.compile(STOP).sub("", normalize_text(raw))
+    units = [encode_chars(chars[start:start + UNIT_SIZE], model.vocab, model.radtable)
+             for start in range(0, len(chars), UNIT_SIZE)]
     tags = "".join(TAG_CHARS[t] for unit_tags in _decode(model, units) for t in unit_tags)
     # reconstruct over the whole stream so boundaries at unit joins survive
     return tags_to_text(LabeledSequence(chars, tags), separator)

@@ -2,14 +2,16 @@
 that check the dynamic-programming routines by exhaustive enumeration, the
 unfused per-gate LSTM cell that checks the fused one, the dense CBOW step
 that checks the sparse one, the slot-by-slot CBOW gradients that the
-central-difference gradient checker reads, and the tag grammar."""
+central-difference gradient checker reads, the tag grammar, and the
+character-loop text rules that the regular expressions of `judou.corpus`
+replaced."""
 
 import itertools
 import re
 
 import numpy as np
 
-from judou.corpus import Vocab
+from judou.corpus import DEFAULT_PUNCT, UNSURE_CHAR, LabeledSequence, PunctConfig, Vocab
 from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
 from judou.embedding import _cbow_loss_parts, cbow_loss_and_grads, encode_chars, new_cbow_model
 from judou.lstm import LSTM_NAMES
@@ -282,3 +284,99 @@ _TAG_GRAMMAR = re.compile(r"(?:BO*E|E)*(?:BO*)?")
 def is_valid_tag_sequence(tags: str) -> bool:
     """True when tags decompose into complete sentences plus an optional open tail."""
     return _TAG_GRAMMAR.fullmatch(tags) is not None
+
+
+# ---------------------------------------------------------------------------
+# text rules, one character at a time
+
+_HAN_RANGES = (
+    (0x3400, 0x4DBF),  # extension A
+    (0x4E00, 0x9FFF),  # unified ideographs
+    (0xF900, 0xFAFF),  # compatibility ideographs
+    (0x20000, 0x2EBEF),  # extensions B..F
+)
+
+
+def is_han(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _HAN_RANGES)
+
+
+def normalize_text(raw: str, punct: PunctConfig = DEFAULT_PUNCT) -> str:
+    """Strip everything but Han characters, '□', and stop marks.
+
+    Runs of consecutive stop marks collapse to the first one.
+    """
+    out = []
+    for ch in raw:
+        if ch in punct.stops:
+            if out and out[-1] in punct.stops:
+                continue
+            out.append(ch)
+        elif is_han(ch) or ch == UNSURE_CHAR:
+            out.append(ch)
+    return "".join(out)
+
+
+def text_to_tags(punctuated: str, punct: PunctConfig = DEFAULT_PUNCT) -> LabeledSequence:
+    """Convert normalized punctuated text into a tagged character stream.
+
+    A complete sentence of length L >= 2 becomes B O^(L-2) E; a single
+    character sentence becomes E. Text after the last stop is left as an open
+    sentence, B O^(L-1), since its end was never observed.
+    """
+    chars = []
+    tags = []
+
+    def flush(sentence: list, complete: bool):
+        if not sentence:
+            return
+        chars.extend(sentence)
+        n = len(sentence)
+        if complete:
+            tags.append("E" if n == 1 else "B" + "O" * (n - 2) + "E")
+        else:
+            tags.append("B" + "O" * (n - 1))
+
+    current: list = []
+    for ch in punctuated:
+        if ch in punct.stops:
+            flush(current, complete=True)
+            current = []
+        else:
+            current.append(ch)
+    flush(current, complete=False)
+    return LabeledSequence("".join(chars), "".join(tags))
+
+
+def tags_to_text(seq: LabeledSequence, separator: str = "/") -> str:
+    """Reinsert boundaries: a separator goes after every E except a final one."""
+    out = []
+    last = len(seq) - 1
+    for i, (ch, tag) in enumerate(zip(seq.chars, seq.tags)):
+        out.append(ch)
+        if tag == "E" and i != last:
+            out.append(separator)
+    return "".join(out)
+
+
+def clean_unsure(text: str, max_run: int = 5, punct: PunctConfig = DEFAULT_PUNCT) -> str:
+    """Drop whole sentences containing more than max_run consecutive '□'.
+
+    Sentences keep their trailing stop; a deleted sentence takes its stop with
+    it. Idempotent by construction.
+    """
+    run_re = re.compile(re.escape(UNSURE_CHAR) + "{" + str(max_run + 1) + ",}")
+    out = []
+    current = []
+    for ch in text:
+        current.append(ch)
+        if ch in punct.stops:
+            segment = "".join(current)
+            if not run_re.search(segment):
+                out.append(segment)
+            current = []
+    tail = "".join(current)
+    if tail and not run_re.search(tail):
+        out.append(tail)
+    return "".join(out)

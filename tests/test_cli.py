@@ -1,6 +1,7 @@
 """End-to-end command tests through click's test runner."""
 
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -80,6 +81,11 @@ def test_pretrain_and_prepare_defaults():
     assert pre["window"] == 2 and pre["epochs"] == 5
     prep = {o.name: o.default for o in main.commands["prepare"].params}
     assert prep["unit_size"] == 100 and prep["max_unsure_run"] == 5
+
+
+def test_prepare_help_says_segment_decodes_fixed_units(runner):
+    r = runner.invoke(main, ["prepare", "--help"])
+    assert "segment always decodes 100-character units" in " ".join(r.stdout.split())
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +180,49 @@ def test_pretrain_stops_at_a_non_finite_loss(runner, data_dir, tmp_path):
     assert not out.exists()
 
 
+def data_copy(data_dir, tmp_path):
+    out = tmp_path / "data"
+    shutil.copytree(data_dir, out)
+    return out
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("duplicate", r"vocab\.txt:5: '.' repeats line 2"),
+    ("invalid utf-8", r"vocab\.txt:3: not valid UTF-8"),
+    ("two characters", r"vocab\.txt:1: expected one character, got '..'"),
+], ids=["duplicate", "invalid-utf8", "two-characters"])
+def test_pretrain_rejects_a_malformed_vocab(runner, data_dir, tmp_path, fault, message):
+    data = data_copy(data_dir, tmp_path)
+    vocab = data / "vocab.txt"
+    lines = vocab.read_bytes().splitlines(keepends=True)
+    if fault == "duplicate":
+        lines.insert(4, lines[1])
+    elif fault == "invalid utf-8":
+        lines[2] = b"\xff\n"
+    else:
+        lines[0] = lines[0].rstrip(b"\n") + lines[1]
+    vocab.write_bytes(b"".join(lines))
+    out = tmp_path / "emb.bin"
+    r = runner.invoke(main, ["pretrain", "--data", str(data), "--dim-char", "4",
+                             "--dim-radical", "2", "--epochs", "1", "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith("error: ") and re.search(message, r.stderr), r.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
+
+def test_train_rejects_an_empty_unit(runner, data_dir, emb_path, tmp_path):
+    data = data_copy(data_dir, tmp_path)
+    n_lines = len((data / "train.tsv").read_text(encoding="utf-8").splitlines())
+    with open(data / "train.tsv", "a", encoding="utf-8") as f:
+        f.write("\t\n")
+    r = runner.invoke(main, ["train", "--data", str(data), "--embeddings", str(emb_path),
+                             "--embed-dim", "10", "--hidden", "3", "--epochs", "1",
+                             "--out", str(tmp_path / "m.bin")])
+    assert r.exit_code == 2, r.output
+    assert f"train.tsv:{n_lines + 1}: malformed unit line" in r.stderr
 
 def test_train_writes_model_and_log(runner, model_path):
     log = model_path.with_name(model_path.name + ".log").read_text(encoding="utf-8")
@@ -278,6 +325,16 @@ def test_eval_half_line(runner, make_model, force_transitions, tmp_path):
     r = runner.invoke(main, ["eval", "--model", str(ckpt), "--data", str(data)])
     assert r.exit_code == 0
     assert r.stdout == "P=0.5000 R=0.5000 F1=0.5000\n"
+
+
+def test_eval_rejects_an_empty_unit(runner, make_model, force_transitions, tmp_path):
+    ckpt = tmp_path / "m.bin"
+    rigged_checkpoint(make_model, force_transitions, PERIOD3, ckpt)
+    data = tmp_path / "gold.tsv"
+    data.write_text("天地人山水火\tBOEBOE\n\t\n", encoding="utf-8")
+    r = runner.invoke(main, ["eval", "--model", str(ckpt), "--data", str(data)])
+    assert r.exit_code == 2, r.output
+    assert r.stderr == f"error: {data}:2: malformed unit line\n"
 
 
 def test_eval_missing_model(runner, tmp_path):

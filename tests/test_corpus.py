@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from judou.corpus import (DEFAULT_PUNCT, LabeledSequence, PunctConfig, Unit,
-                          Vocab, boundary_positions, build_vocab, chunk_units,
-                          clean_unsure, normalize_text, read_units, read_vocab,
-                          split_corpus, tags_to_text, text_to_tags, write_units,
-                          write_vocab)
+from judou.corpus import (DEFAULT_PUNCT, DEFAULT_STOPS, LabeledSequence,
+                          PunctConfig, Unit, Vocab, boundary_positions,
+                          build_vocab, chunk_units, clean_unsure, normalize_text,
+                          read_units, read_vocab, split_corpus, tags_to_text,
+                          text_to_tags, write_units, write_vocab)
+import oracles
 from oracles import is_valid_tag_sequence
 
 han = st.characters(min_codepoint=0x4E00, max_codepoint=0x4E2F)
@@ -31,6 +32,59 @@ class TestPunctConfig:
     def test_han_stop_rejected(self):
         with pytest.raises(ValueError, match="Han"):
             PunctConfig(stops=frozenset("。天"))
+
+
+    def test_multi_character_stop_rejected(self):
+        with pytest.raises(ValueError, match="single characters"):
+            PunctConfig(stops=frozenset({"。", "--"}))
+
+
+# ---------------------------------------------------------------------------
+# the regular-expression rules against the character loops they replaced
+
+# Han (BMP and astral), □, every default stop, line ends, a BOM, Latin,
+# digits, and punctuation that is not a default stop
+mixed_text = st.text(alphabet=st.sampled_from(
+    [*"天地人山水火㐀豈", "\U00020001", "□", *sorted(DEFAULT_STOPS),
+     "\r", "\n", "\ufeff", *"abXYZ0129", "、", "》", "-", "]", "^", "\\"]), max_size=40)
+# custom stop sets: any mix down to a single stop, and sets holding all of the
+# characters that are special in a regex class, '□' with them
+SPECIAL_STOPS = "-]^\\□"
+custom_punct = st.one_of(
+    st.sets(st.sampled_from(SPECIAL_STOPS + "。,!a\n"), min_size=1),
+    st.sets(st.sampled_from("。,!a\n")).map(lambda stops: stops | set(SPECIAL_STOPS)),
+).map(lambda stops: PunctConfig(stops=frozenset(stops)))
+any_punct = st.one_of(st.just(DEFAULT_PUNCT), custom_punct)
+
+
+class TestRulesEqualTheirOracles:
+    @settings(max_examples=300)
+    @given(mixed_text, any_punct)
+    def test_normalize_text(self, text, punct):
+        assert normalize_text(text, punct) == oracles.normalize_text(text, punct)
+
+    @settings(max_examples=300)
+    @given(mixed_text, any_punct)
+    def test_text_to_tags(self, text, punct):
+        assert text_to_tags(text, punct) == oracles.text_to_tags(text, punct)
+
+    @settings(max_examples=300)
+    @given(mixed_text, any_punct, st.integers(0, 3))
+    def test_clean_unsure(self, text, punct, max_run):
+        assert clean_unsure(text, max_run, punct) == oracles.clean_unsure(text, max_run, punct)
+
+    @settings(max_examples=300)
+    @given(mixed_text.flatmap(lambda chars: st.tuples(
+        st.just(chars), st.text(alphabet="BEO", min_size=len(chars), max_size=len(chars)))),
+        st.sampled_from(["/", "|", "", "。"]))
+    def test_tags_to_text(self, chars_tags, separator):
+        seq = LabeledSequence(*chars_tags)
+        assert tags_to_text(seq, separator) == oracles.tags_to_text(seq, separator)
+
+    def test_custom_stops_special_in_a_class(self):
+        punct = PunctConfig(stops=frozenset(SPECIAL_STOPS))
+        text = "天-]地^^人\\□□水a-火"
+        assert normalize_text(text, punct) == oracles.normalize_text(text, punct) == "天-地^人\\水-火"
 
 
 class TestNormalizeText:
@@ -250,6 +304,29 @@ class TestDatasetFiles:
         p.write_text("天地\tBX\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1:"):
             read_units(p)
+
+    def test_empty_unit_rejected(self, tmp_path):
+        p = tmp_path / "u.tsv"
+        p.write_text("天地\tBE\n\t\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":2: malformed unit line"):
+            read_units(p)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xe5\xa4\xa9\n\xe5\x9c\xb0\n\xe5\xa4\xa9\n", r":3: '天' repeats line 1"),
+        (b"\xe5\xa4\xa9\n\xff\n", r":2: not valid UTF-8"),
+        (b"\xe5\xa4\xa9\xe5\x9c\xb0\n", r":1: expected one character, got '天地'"),
+        (b"\xe5\xa4\xa9\n\n\xe5\x9c\xb0\n", r":2: expected one character, got ''"),
+    ], ids=["duplicate", "invalid-utf8", "two-characters", "blank-line"])
+    def test_malformed_vocab_rejected(self, tmp_path, content, message):
+        p = tmp_path / "v.txt"
+        p.write_bytes(content)
+        with pytest.raises(ValueError, match=message):
+            read_vocab(p)
+
+    def test_vocab_with_crlf_line_ends_reads(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_bytes("天\r\n地\r\n".encode("utf-8"))
+        assert read_vocab(p).index_to_char[2:] == ["天", "地"]
 
     def test_vocab_round_trip(self, tmp_path):
         v = build_vocab([Unit(seq=LabeledSequence("天地人山", "BOOE"))])

@@ -542,10 +542,11 @@ def test_segment_preserves_characters(make_model, force_transitions):
         assert out.replace("/", "") == "天地人山水火天地人山水火"
 
 
-def test_segment_boundary_at_unit_join(make_model, force_transitions):
+def test_segment_boundary_at_unit_join(make_model, force_transitions, monkeypatch):
     model = make_model([unit_of("天地人山水火", "BOEBOE")])
     force_transitions(model, PERIOD3)
-    out = segment(model, "天地人山水火" * 2, unit_size=6)
+    monkeypatch.setattr(segmenter, "UNIT_SIZE", 6)
+    out = segment(model, "天地人山水火" * 2)
     # each decoded unit ends in E; the join between units must keep its cut
     assert out == "天地人/山水火/天地人/山水火"
 
