@@ -67,15 +67,12 @@ def _read_vocab(r: _Cursor, size: int) -> Vocab:
     if len(index_to_char) != size:
         raise FormatError(f"vocab splits into {len(index_to_char)} entries at newlines, "
                           f"expected {size}")
-    first = dict(zip(index_to_char, range(size)))
-    if len(first) != size:
+    if len(set(index_to_char)) != size:
         i, j = first_repeat(index_to_char)
         raise FormatError(f"duplicate vocab entry {i} {index_to_char[i]!r}, first at {j}")
     if tuple(index_to_char[:2]) != Vocab.RESERVED:
         raise FormatError(f"vocab starts {tuple(index_to_char[:2])}, expected {Vocab.RESERVED}")
-    for s in Vocab.RESERVED:
-        del first[s]
-    return Vocab(char_to_index=first, index_to_char=index_to_char)
+    return Vocab(index_to_char)
 
 
 # the format field's writer and reader, by its Python type

@@ -96,13 +96,15 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
 @click.option("--data", "data_dir", required=True,
               type=click.Path(exists=True, file_okay=False, path_type=Path),
               help="Directory written by prepare.")
-@click.option("--dim-char", default=70, show_default=True, type=click.IntRange(1))
-@click.option("--dim-radical", default=30, show_default=True, type=click.IntRange(1))
-@click.option("--window", default=2, show_default=True, type=click.IntRange(1))
-@click.option("--epochs", default=5, show_default=True, type=click.IntRange(1))
-@click.option("--learning-rate", default=0.05, show_default=True,
+@click.option("--dim-char", default=EmbeddingConfig.d_char, show_default=True,
+              type=click.IntRange(1))
+@click.option("--dim-radical", default=EmbeddingConfig.d_radical, show_default=True,
+              type=click.IntRange(1))
+@click.option("--window", default=EmbeddingConfig.window, show_default=True, type=click.IntRange(1))
+@click.option("--epochs", default=EmbeddingConfig.epochs, show_default=True, type=click.IntRange(1))
+@click.option("--learning-rate", default=EmbeddingConfig.learning_rate, show_default=True,
               type=click.FloatRange(0, min_open=True))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=EmbeddingConfig.seed, show_default=True, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, seed, out_path):
     """Pretrain radical-augmented character embeddings on the training split."""
@@ -123,29 +125,21 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
     save_embeddings(emb, out_path)
 
 
-def _table2_options(f):
-    opts = [
-        click.option("--embed-dim", default=100, show_default=True, type=click.IntRange(1)),
-        click.option("--hidden", default=100, show_default=True, type=click.IntRange(1)),
-        click.option("--batch", default=50, show_default=True, type=click.IntRange(1)),
-        click.option("--epochs", default=30, show_default=True, type=click.IntRange(0)),
-        click.option("--learning-rate", default=0.01, show_default=True,
-                     type=click.FloatRange(0)),
-        click.option("--clip-norm", default=5.0, show_default=True,
-                     type=click.FloatRange(0, min_open=True)),
-        click.option("--dropout", default=0.5, show_default=True,
-                     type=click.FloatRange(0, 1, max_open=True)),
-    ]
-    for opt in reversed(opts):
-        f = opt(f)
-    return f
-
-
 @main.command(name="train")
 @click.option("--data", "data_dir", required=True,
               type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--embeddings", "emb_path", required=True, type=click.Path(path_type=Path))
-@_table2_options
+@click.option("--embed-dim", default=Hyperparams.embed_dim, show_default=True,
+              type=click.IntRange(1))
+@click.option("--hidden", default=Hyperparams.hidden, show_default=True, type=click.IntRange(1))
+@click.option("--batch", default=Hyperparams.batch, show_default=True, type=click.IntRange(1))
+@click.option("--epochs", default=Hyperparams.epochs, show_default=True, type=click.IntRange(0))
+@click.option("--learning-rate", default=Hyperparams.learning_rate, show_default=True,
+              type=click.FloatRange(0))
+@click.option("--clip-norm", default=Hyperparams.clip_norm, show_default=True,
+              type=click.FloatRange(0, min_open=True))
+@click.option("--dropout", default=Hyperparams.dropout, show_default=True,
+              type=click.FloatRange(0, 1, max_open=True))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--freeze-embeddings", is_flag=True,
               help="Keep the pretrained embeddings fixed during training.")

@@ -10,11 +10,13 @@ The four text rules are regular expressions over a Han class and a stop class:
 each run; `text_to_tags` splits on stops, the piece after the last stop being
 an open sentence; `clean_unsure` drops each sentence, stop and all, that holds
 more than max_run '□' in a row; `tags_to_text` cuts after each E but a final one.
+
+A `Vocab` is built from its entry list alone, PAD and UNK first, and indexes itself.
 """
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -102,14 +104,18 @@ class CorpusSplits:
 
 @dataclass
 class Vocab:
-    """Character vocabulary with reserved PAD=0 and UNK=1 rows."""
+    """Character vocabulary with reserved PAD=0 and UNK=1 rows, built from
+    index_to_char alone: char_to_index maps each later entry to its row."""
 
-    char_to_index: dict
     index_to_char: list
+    char_to_index: dict = field(init=False, repr=False)
 
     PAD = 0
     UNK = 1
     RESERVED = ("<PAD>", "<UNK>")  # the entries at PAD and UNK
+
+    def __post_init__(self):
+        self.char_to_index = dict(zip(self.index_to_char[2:], range(2, len(self.index_to_char))))
 
     @property
     def size(self) -> int:
@@ -189,18 +195,12 @@ def split_corpus(units: list, seed: int) -> CorpusSplits:
     )
 
 
-def build_vocab(units: list, min_count: int = 1) -> Vocab:
+def build_vocab(units: list) -> Vocab:
     """Index characters by frequency (descending), codepoint ascending on ties."""
     counts = Counter()
     for unit in units:
         counts.update(unit.seq.chars)
-    kept = sorted(
-        (ch for ch, c in counts.items() if c >= min_count),
-        key=lambda ch: (-counts[ch], ch),
-    )
-    index_to_char = [*Vocab.RESERVED, *kept]
-    char_to_index = {ch: i + 2 for i, ch in enumerate(kept)}
-    return Vocab(char_to_index=char_to_index, index_to_char=index_to_char)
+    return Vocab([*Vocab.RESERVED, *sorted(counts, key=lambda ch: (-counts[ch], ch))])
 
 
 # ---------------------------------------------------------------------------
@@ -259,5 +259,4 @@ def read_vocab(path) -> Vocab:
     if repeat := first_repeat(chars):
         i, j = repeat
         raise ValueError(f"{path}:{i + 1}: {chars[i]!r} repeats line {j + 1}")
-    return Vocab(char_to_index={ch: i + 2 for i, ch in enumerate(chars)},
-                 index_to_char=[*Vocab.RESERVED, *chars])
+    return Vocab([*Vocab.RESERVED, *chars])

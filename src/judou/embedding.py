@@ -6,6 +6,10 @@ concatenation of these pairs over the 2N surrounding positions, and a single
 projection predicts the center character with a full softmax; keeping the
 positional order (instead of averaging the context) is what lets the model
 weight the radical slots differently from the character slots.
+
+Every matrix starts uniform in [-0.5/dim, 0.5/dim], dim its row length. One
+generator draws the char vectors, then the radical vectors (`untrained_embeddings`,
+also behind `synthetic.random_embeddings`), then the projection.
 """
 
 import math
@@ -44,7 +48,7 @@ class EmbeddingConfig:
 @dataclass
 class EmbeddingSet:
     char_vectors: np.ndarray   # (|V|, d_char)
-    radical_vectors: np.ndarray  # (215, d_radical)
+    radical_vectors: np.ndarray  # (N_RADICAL_ROWS, d_radical)
     vocab: Vocab
     radtable: RadicalTable = field(repr=False, default=None)
     config: EmbeddingConfig = field(default_factory=EmbeddingConfig)
@@ -96,21 +100,25 @@ class CbowModel:
         return self.embeddings.config
 
 
+def _uniform(rng, rows: int, dim: int) -> np.ndarray:
+    """A (rows, dim) matrix uniform in [-0.5/dim, 0.5/dim]."""
+    return rng.uniform(-0.5 / dim, 0.5 / dim, size=(rows, dim))
+
+
+def untrained_embeddings(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig,
+                         rng: np.random.Generator) -> EmbeddingSet:
+    """The char vectors, then the N_RADICAL_ROWS radical vectors, drawn from rng."""
+    return EmbeddingSet(char_vectors=_uniform(rng, vocab.size, cfg.d_char),
+                        radical_vectors=_uniform(rng, N_RADICAL_ROWS, cfg.d_radical),
+                        vocab=vocab, radtable=radtable, config=cfg)
+
+
 def new_cbow_model(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig) -> CbowModel:
-    """Random init, uniform in [-0.5/dim, 0.5/dim] per matrix row length."""
+    """The untrained embeddings, then the projection, from one generator seeded cfg.seed."""
     rng = make_rng(cfg.seed)
-
-    def init(rows, dim):
-        return rng.uniform(-0.5 / dim, 0.5 / dim, size=(rows, dim))
-
-    emb = EmbeddingSet(
-        char_vectors=init(vocab.size, cfg.d_char),
-        radical_vectors=init(N_RADICAL_ROWS, cfg.d_radical),
-        vocab=vocab,
-        radtable=radtable,
-        config=cfg,
-    )
-    return CbowModel(embeddings=emb, projection=init(vocab.size, 2 * cfg.window * cfg.d_total))
+    emb = untrained_embeddings(vocab, radtable, cfg, rng)
+    return CbowModel(embeddings=emb,
+                     projection=_uniform(rng, vocab.size, 2 * cfg.window * cfg.d_total))
 
 
 def _context_rows(encoded: EncodedUnit, center: int, window: int) -> tuple:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .corpus import (CorpusSplits, LabeledSequence, Unit, build_vocab,
                      chunk_units, Vocab)
-from .embedding import EmbeddingConfig, EmbeddingSet
+from .embedding import EmbeddingConfig, EmbeddingSet, untrained_embeddings
 from .nncore import make_rng
 from .radicals import RadicalTable, default_table
 from .segmenter import (EvalReport, Hyperparams, SegmenterModel, TrainLog,
@@ -148,16 +148,9 @@ def radical_signal_corpus(seed: int, table: RadicalTable, n_train: int = 60,
 
 def random_embeddings(vocab: Vocab, table: RadicalTable, d_char: int,
                       d_radical: int, seed: int) -> EmbeddingSet:
-    """Untrained embeddings with the CBOW init convention (uniform ±0.5/dim)."""
-    rng = make_rng(seed)
-    cfg = EmbeddingConfig(d_char=d_char, d_radical=d_radical)
-    return EmbeddingSet(
-        char_vectors=rng.uniform(-0.5 / d_char, 0.5 / d_char, size=(vocab.size, d_char)),
-        radical_vectors=rng.uniform(-0.5 / d_radical, 0.5 / d_radical, size=(215, d_radical)),
-        vocab=vocab,
-        radtable=table,
-        config=cfg,
-    )
+    """The untrained embeddings of a CBOW model seeded seed, without its projection."""
+    return untrained_embeddings(vocab, table, EmbeddingConfig(d_char=d_char, d_radical=d_radical),
+                                make_rng(seed))
 
 
 @dataclass

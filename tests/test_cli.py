@@ -2,6 +2,7 @@
 
 import re
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from click.testing import CliRunner
 
 from judou.cli import main
 from judou.corpus import read_units, read_vocab
-from judou.embedding import load_embeddings, save_embeddings
-from judou.segmenter import load_model, save_model
+from judou.embedding import EmbeddingConfig, load_embeddings, save_embeddings
+from judou.segmenter import Hyperparams, load_model, save_model
 from judou.corpus import write_units
 
 from conftest import unit_of
@@ -81,6 +82,21 @@ def test_pretrain_and_prepare_defaults():
     assert pre["window"] == 2 and pre["epochs"] == 5
     prep = {o.name: o.default for o in main.commands["prepare"].params}
     assert prep["unit_size"] == 100 and prep["max_unsure_run"] == 5
+
+
+def test_pretrain_and_train_defaults_are_the_config_defaults():
+    # an option whose config has a field of its name reads its default from there
+    checked = 0
+    for command, config, renamed in [("pretrain", EmbeddingConfig(),
+                                      {"dim_char": "d_char", "dim_radical": "d_radical"}),
+                                     ("train", Hyperparams(), {})]:
+        names = {f.name for f in fields(config)}
+        for param in main.commands[command].params:
+            name = renamed.get(param.name, param.name)
+            if name in names:
+                assert param.default == getattr(config, name), (command, param.name)
+                checked += 1
+    assert checked == 13
 
 
 def test_prepare_help_says_segment_decodes_fixed_units(runner):

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from judou.corpus import (DEFAULT_PUNCT, DEFAULT_STOPS, LabeledSequence,
+from judou.corpus import (DEFAULT_PUNCT, DEFAULT_STOPS, UNSURE_CHAR, LabeledSequence,
                           PunctConfig, Unit, Vocab, boundary_positions,
                           build_vocab, chunk_units, clean_unsure, normalize_text,
                           read_units, read_vocab, split_corpus, tags_to_text,
                           text_to_tags, write_units, write_vocab)
+from judou.embedding import load_embeddings, save_embeddings
+from judou.synthetic import random_embeddings
 import oracles
 from oracles import is_valid_tag_sequence
 
@@ -267,10 +269,6 @@ class TestBuildVocab:
         assert v.size == 5
         assert v.index_to_char[:2] == ["<PAD>", "<UNK>"]
 
-    def test_min_count_filters(self):
-        units = [Unit(seq=LabeledSequence("天地人", "BOE"))]
-        assert build_vocab(units, min_count=2).size == 2
-
     def test_order_frequency_desc_then_codepoint(self):
         units = [Unit(seq=LabeledSequence("天地地人", "BOOE"))]
         v = build_vocab(units)
@@ -335,6 +333,31 @@ class TestDatasetFiles:
         back = read_vocab(p)
         assert back.index_to_char == v.index_to_char
         assert back.char_to_index == v.char_to_index
+
+
+# distinct one-character entries: basic-block Han, an extension B Han, □ and Latin letters
+vocab_entries = st.lists(st.one_of(st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
+                                   st.sampled_from(["\U00020001", UNSURE_CHAR]),
+                                   st.characters(categories=("Lu", "Ll"), max_codepoint=0x24F)),
+                         unique=True, max_size=30)
+
+
+@pytest.fixture(scope="module")
+def vocab_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("vocab")
+
+
+@settings(deadline=None, max_examples=50)
+@given(chars=vocab_entries)
+def test_vocab_is_the_same_from_every_source(chars, table, vocab_dir):
+    v = Vocab([*Vocab.RESERVED, *chars])
+    assert list(v.char_to_index) == v.index_to_char[2:]
+    assert all(v.index_to_char[i] == ch for ch, i in v.char_to_index.items())
+    write_vocab(v, vocab_dir / "vocab.txt")
+    assert read_vocab(vocab_dir / "vocab.txt") == v
+    save_embeddings(random_embeddings(v, table, d_char=1, d_radical=1, seed=0),
+                    vocab_dir / "emb.bin")
+    assert load_embeddings(vocab_dir / "emb.bin").vocab == v
 
 
 class TestLabeledSequence:

@@ -116,7 +116,7 @@ def test_load_rejects_a_vocab_without_pad_then_unk_first(saved, entries):
     chars = entries(c.vocab.index_to_char)
     sections = dict(c.sections)
     sections["emb.char_vectors"] = sections["emb.char_vectors"][:len(chars)]
-    saved.rewrite(sections.items(), Vocab(char_to_index={}, index_to_char=chars))
+    saved.rewrite(sections.items(), Vocab(index_to_char=chars))
     with pytest.raises(FormatError, match="vocab starts"):
         saved.load(saved.path)
 
@@ -128,7 +128,7 @@ def test_a_vocab_entry_with_a_newline_is_refused_at_save_and_at_load(saved):
     chars = c.vocab.index_to_char
     bad = chars[:2] + ["天\n地"] + chars[3:]
     with pytest.raises(ValueError, match="newline"):
-        saved.rewrite(c.sections.items(), Vocab(char_to_index={}, index_to_char=bad))
+        saved.rewrite(c.sections.items(), Vocab(index_to_char=bad))
     old, new = ("\n".join(entries).encode() for entries in (chars, bad))
     at = saved.blob.index(struct.pack("<II", len(chars), len(old)) + old) + 8
     blob = saved.blob[:at - 4] + struct.pack("<I", len(new)) + new + saved.blob[at + len(old):]

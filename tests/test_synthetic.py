@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from judou.corpus import build_vocab, Vocab
+from judou.embedding import N_RADICAL_ROWS, EmbeddingConfig, new_cbow_model
 from judou.radicals import radical_of
 from judou.synthetic import (
     FILLER_RADICALS,
@@ -85,6 +86,17 @@ def test_validation_units_avoid_heldout_characters(table):
     valid_chars = {c for u in splits.valid for c in u.seq.chars}
     heldout = set(pools.finals_heldout) | set(pools.fillers_heldout)
     assert not valid_chars & heldout
+
+
+def test_random_embeddings_are_the_untrained_cbow_embeddings(table):
+    # one draw: the CBOW model's char and radical vectors, before its projection
+    vocab = build_vocab(overfit_corpus(seed=0)[:2])
+    emb = random_embeddings(vocab, table, 4, 3, 9)
+    cbow = new_cbow_model(vocab, table, EmbeddingConfig(d_char=4, d_radical=3, seed=9)).embeddings
+    assert emb.radical_vectors.shape == (N_RADICAL_ROWS, 3)
+    assert emb.char_vectors.tobytes() == cbow.char_vectors.tobytes()
+    assert emb.radical_vectors.tobytes() == cbow.radical_vectors.tobytes()
+    assert emb.config == EmbeddingConfig(d_char=4, d_radical=3)
 
 
 def test_random_embeddings_are_seeded(table):
