@@ -1,16 +1,16 @@
 """The one little-endian container of the embedding and checkpoint formats:
 
-    magic | version u8 | format field | vocab size u32 | vocab | section count u32 |
-    (name, rows u32, cols u32)... | float64 data of every section in table order | EOF
+    magic | version u8 | header length u32 | header |
+    float64 data of every section, in header order | EOF
 
-Strings are a u32 byte length plus UTF-8; the format field is a string or a u32.
-The vocab is one string, its entries joined by newlines, so an entry cannot
-hold one; it is decoded and split once.
-Sections carry no offsets, so they cannot overlap or leave gaps, and one length
-check catches both truncated data and trailing bytes. A file is read with one
-read() and parsed from memory.
+The header is one JSON object, ASCII-escaped so that every string a file can
+hold can be written again: {"field": format field, "vocab": [entry, ...],
+"sections": [[name, rows, cols], ...]}. Sections carry no offsets, so they
+cannot overlap or leave gaps, and one length check catches both truncated data
+and trailing bytes. A file is read with one read() and parsed from memory.
 """
 
+import json
 import struct
 from dataclasses import dataclass
 
@@ -20,84 +20,21 @@ from .corpus import Vocab, first_repeat
 
 
 class FormatError(ValueError):
-    """A binary file failed magic, version, shape, encoding, or truncation checks."""
+    """A binary file failed magic, version, header, shape, or truncation checks."""
 
 
-_U32 = struct.Struct("<I")
-
-
-class _Cursor:
-    """Reads from a whole file's bytes at a moving offset."""
-
-    def __init__(self, data: bytes):
-        self.data, self.pos = data, 0
-
-    def take(self, n: int, what: str) -> bytes:
-        start = self.pos
-        self.pos = min(start + n, len(self.data))
-        if self.pos - start != n:
-            raise FormatError(f"truncated file while reading {what} ({self.pos - start}/{n} bytes)")
-        return self.data[start:self.pos]
-
-    def u32(self, what: str) -> int:
-        return _U32.unpack(self.take(4, what))[0]
-
-    def string(self, what: str) -> str:
-        """A u32 byte length plus UTF-8."""
-        data = self.take(self.u32(f"{what} length"), what)
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"{what} is not valid UTF-8: {e.reason} at byte {e.start}") from None
-
-
-def _write_u32(f, value: int) -> None:
-    f.write(struct.pack("<I", value))
-
-
-def _write_string(f, s: str) -> None:
-    data = s.encode("utf-8")
-    _write_u32(f, len(data))
-    f.write(data)
-
-
-def _read_vocab(r: _Cursor, size: int) -> Vocab:
-    """size entries, PAD and UNK first, none repeated."""
-    index_to_char = r.string("vocab").split("\n")
-    if len(index_to_char) != size:
-        raise FormatError(f"vocab splits into {len(index_to_char)} entries at newlines, "
-                          f"expected {size}")
-    if len(set(index_to_char)) != size:
-        i, j = first_repeat(index_to_char)
-        raise FormatError(f"duplicate vocab entry {i} {index_to_char[i]!r}, first at {j}")
-    if tuple(index_to_char[:2]) != Vocab.RESERVED:
-        raise FormatError(f"vocab starts {tuple(index_to_char[:2])}, expected {Vocab.RESERVED}")
-    return Vocab(index_to_char)
-
-
-# the format field's writer and reader, by its Python type
-_FIELD_IO = {str: (_write_string, _Cursor.string), int: (_write_u32, _Cursor.u32)}
+_PREAMBLE = struct.Struct("<BI")  # version, header length
 
 
 def write_container(path, magic: bytes, version: int, field, vocab: Vocab, sections) -> None:
     """sections: (name, 2-D array) pairs, written in the order given."""
-    for s in vocab.index_to_char:
-        if "\n" in s:
-            raise ValueError(f"vocab entry {s!r} contains a newline")
     sections = [(name, np.ascontiguousarray(m, dtype="<f8")) for name, m in sections]
+    header = json.dumps({"field": field, "vocab": vocab.index_to_char,
+                         "sections": [[name, *m.shape] for name, m in sections]},
+                        separators=(",", ":")).encode("ascii")
     with open(path, "wb") as f:
-        f.write(magic)
-        f.write(bytes([version]))
-        _FIELD_IO[type(field)][0](f, field)
-        _write_u32(f, vocab.size)
-        _write_string(f, "\n".join(vocab.index_to_char))
-        _write_u32(f, len(sections))
-        for name, m in sections:
-            _write_string(f, name)
-            _write_u32(f, m.shape[0])
-            _write_u32(f, m.shape[1])
-        for _, m in sections:
-            f.write(m.data)
+        f.write(magic + _PREAMBLE.pack(version, len(header)) + header)
+        f.writelines(m.data for _, m in sections)
 
 
 @dataclass
@@ -126,31 +63,62 @@ class Container:
             raise FormatError(f"unknown sections {sorted(self.sections)}")
 
 
+def _parse_header(raw: bytes, field_type: type) -> tuple:
+    """(field, vocab, {name: (rows, cols)} in file order) from the header bytes."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"header is not valid UTF-8: {e.reason} at byte {e.start}") from None
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"header is not JSON: {e}") from None
+    if type(header) is not dict or sorted(header) != ["field", "sections", "vocab"]:
+        raise FormatError("header is not an object of field, vocab and sections")
+    field, entries = header["field"], header["vocab"]
+    if type(field) is not field_type:
+        raise FormatError(f"format field is a {type(field).__name__}, not {field_type.__name__}")
+    if type(entries) is not list or not {str}.issuperset(map(type, entries)):
+        raise FormatError("vocab is not a list of strings")
+    if len(set(entries)) != len(entries):
+        i, j = first_repeat(entries)
+        raise FormatError(f"duplicate vocab entry {i} {entries[i]!r}, first at {j}")
+    if tuple(entries[:2]) != Vocab.RESERVED:
+        raise FormatError(f"vocab starts {tuple(entries[:2])}, expected {Vocab.RESERVED}")
+    if type(header["sections"]) is not list:
+        raise FormatError("sections is not a list")
+    table = {}
+    for i, entry in enumerate(header["sections"]):
+        # a row or column count is an int (a bool is not one) below 2**32
+        if not (type(entry) is list and len(entry) == 3 and type(entry[0]) is str
+                and all(type(n) is int and 0 <= n < 2**32 for n in entry[1:])):
+            raise FormatError(f"section {i} is not [name, rows, cols] with counts below 2**32")
+        if entry[0] in table:
+            raise FormatError(f"duplicate section {entry[0]!r}")
+        table[entry[0]] = (entry[1], entry[2])
+    return field, Vocab(entries), table
+
+
 def read_container(path, magic: bytes, version: int, field_type: type) -> Container:
     with open(path, "rb") as f:
-        r = _Cursor(f.read())
-    got = r.take(len(magic), "magic")
-    if got != magic:
-        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-    got = r.take(1, "version")[0]
+        data = f.read()
+    if data[:len(magic)] != magic:
+        raise FormatError(f"bad magic {data[:len(magic)]!r}, expected {magic!r}")
+    start = len(magic) + _PREAMBLE.size
+    if len(data) < start:
+        raise FormatError(f"truncated file before the header ({len(data)}/{start} bytes)")
+    got, n = _PREAMBLE.unpack_from(data, len(magic))
     if got != version:
         raise FormatError(f"unsupported version {got}, expected {version}")
-    field = _FIELD_IO[field_type][1](r, "format field")
-    vocab = _read_vocab(r, r.u32("vocab size"))
-    table = {}  # name -> (rows, cols), in file order
-    for i in range(r.u32("section count")):
-        name = r.string(f"section {i} name")
-        if name in table:
-            raise FormatError(f"duplicate section {name!r}")
-        table[name] = (r.u32(f"section {name} rows"), r.u32(f"section {name} cols"))
-    size = len(r.data) - r.pos
+    if len(data) < start + n:
+        raise FormatError(f"truncated header ({len(data) - start}/{n} bytes)")
+    field, vocab, table = _parse_header(data[start:start + n], field_type)
+    size, offset = len(data) - start - n, start + n
     expected = sum(rows * cols * 8 for rows, cols in table.values())
     if size < expected:
         raise FormatError(f"truncated section data ({size}/{expected} bytes)")
     if size > expected:
         raise FormatError(f"{size - expected} trailing bytes after the section data")
-    sections, offset = {}, r.pos
+    sections = {}
     for name, (rows, cols) in table.items():
-        sections[name] = np.frombuffer(r.data, "<f8", rows * cols, offset).reshape(rows, cols)
+        sections[name] = np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols)
         offset += rows * cols * 8
     return Container(field=field, vocab=vocab, sections=sections)

@@ -153,7 +153,7 @@ def train_cmd(data_dir, emb_path, embed_dim, hidden, batch, epochs,
               eval_on_train, out_path, log_path):
     """Train the tagger and write a checkpoint plus a per-epoch log."""
     try:
-        emb = load_embeddings(emb_path, radtable=default_table())
+        emb = load_embeddings(emb_path)
     except OSError as e:
         _fail(f"cannot read embeddings: {e.strerror}")
     except binio.FormatError as e:
@@ -200,6 +200,8 @@ def eval_cmd(model_path, data_path):
     """Boundary precision/recall/F1 of a checkpoint on a gold split."""
     model = _load_model(model_path)
     units = _load(read_units, data_path)
+    if not units:
+        _fail(f"{data_path} holds no units", EXIT_EMPTY)
     rep = evaluate(model, units)
     click.echo(f"P={rep.precision:.4f} R={rep.recall:.4f} F1={rep.f1:.4f}")
 

@@ -20,10 +20,10 @@ import numpy as np
 from . import binio
 from .corpus import Vocab
 from .nncore import NumericError, add_outer, make_rng
-from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, radical_index
+from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, default_table, radical_index
 
 MAGIC = b"GJEMB01\n"
-VERSION = 3
+VERSION = 4
 N_RADICAL_ROWS = N_RADICALS + 1  # row 0 is the no-radical sentinel
 
 
@@ -50,7 +50,7 @@ class EmbeddingSet:
     char_vectors: np.ndarray   # (|V|, d_char)
     radical_vectors: np.ndarray  # (N_RADICAL_ROWS, d_radical)
     vocab: Vocab
-    radtable: RadicalTable = field(repr=False, default=None)
+    radtable: RadicalTable = field(repr=False)
     config: EmbeddingConfig = field(default_factory=EmbeddingConfig)
 
     def __post_init__(self):
@@ -243,6 +243,9 @@ def take_embeddings(c: binio.Container, radtable: RadicalTable,
 
 
 def load_embeddings(path, radtable: RadicalTable = None) -> EmbeddingSet:
+    """An embedding file, with the bundled radical table unless one is given."""
+    if radtable is None:
+        radtable = default_table()
     c = binio.read_container(path, MAGIC, VERSION, int)
     emb = take_embeddings(c, radtable, window=c.field)
     c.done()

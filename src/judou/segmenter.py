@@ -19,10 +19,10 @@ from .embedding import EmbeddingSet, encode_chars, take_embeddings
 from .lstm import (bilstm_backward_batch, bilstm_forward_batch, lstm_shapes,
                    new_bilstm_weights)
 from .nncore import dropout_mask, glorot_uniform, make_rng, sgd_step
-from .radicals import RadicalTable
+from .radicals import RadicalTable, default_table
 
 MAGIC = b"GJSEG01\n"
-VERSION = 5
+VERSION = 6
 # units decoded in one forward pass at most: the paper's minibatch size, which
 # bounds the arrays one decode pass holds
 DECODE_BATCH = 50
@@ -168,10 +168,6 @@ def _encode_units(model: SegmenterModel, units: list) -> list:
     return [encode_chars(u.seq.chars, model.vocab, model.radtable) for u in units]
 
 
-def _gold_ids(units: list) -> list:
-    return [np.array([TAG_TO_ID[t] for t in u.seq.tags], dtype=np.intp) for u in units]
-
-
 def _length_groups(encoded: list, idxs):
     """Yield (indices, char_ids, rad_ids) for each distinct length among
     encoded[i], i in idxs, in order of first appearance; the id arrays stack
@@ -193,7 +189,8 @@ def _decode(model: SegmenterModel, encoded: list) -> list:
     for idxs, char_ids, rad_ids in _length_groups(encoded, range(len(encoded))):
         for start in range(0, len(idxs), DECODE_BATCH):
             part = slice(start, start + DECODE_BATCH)
-            # no LSTM cache: a kept one takes fresh pages for every step's gates
+            # no LSTM cache: a serial pass then frees the forward direction's
+            # cache before the backward direction allocates its own
             P = _forward_batch(model, char_ids[part], rad_ids[part], keep_cache=False)[0]
             tags.update(zip(idxs[part], viterbi_decode(P, model.weights["crf.trans"])))
     return [tags[i] for i in range(len(encoded))]
@@ -217,7 +214,7 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     grads = {name: np.zeros_like(w) for name, w in weights.items()
              if not (freeze_embeddings and name in EMBEDDING_NAMES)}
     encoded = _encode_units(model, splits.train)
-    golds = _gold_ids(splits.train)
+    golds = [np.array([TAG_TO_ID[t] for t in u.seq.tags], dtype=np.intp) for u in splits.train]
 
     records = []
     best_f1 = -1.0
@@ -285,9 +282,8 @@ def segment(model: SegmenterModel, raw: str, separator: str = "/") -> str:
 # checkpoints
 
 def save_model(model: SegmenterModel, path) -> None:
-    table = model.radtable
-    binio.write_container(path, MAGIC, VERSION, table.sha256 if table is not None else "",
-                          model.vocab, model.weights.items())
+    binio.write_container(path, MAGIC, VERSION, model.radtable.sha256, model.vocab,
+                          model.weights.items())
 
 
 def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
@@ -296,10 +292,9 @@ def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
     besides. The model is char-only when fwd.W_x has d_char rows, not
     d_char + d_radical."""
     if radtable is None:
-        from .radicals import default_table
         radtable = default_table()
     c = binio.read_container(path, MAGIC, VERSION, str)
-    if c.field != (radtable.sha256 or ""):
+    if c.field != radtable.sha256:
         raise binio.FormatError(f"radical table hash mismatch: checkpoint has {c.field[:12]!r}")
     d_in, hidden = c.shape("fwd.W_x")[0], c.shape("fwd.W_h")[0]
     emb = take_embeddings(c, radtable)

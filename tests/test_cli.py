@@ -353,6 +353,18 @@ def test_eval_rejects_an_empty_unit(runner, make_model, force_transitions, tmp_p
     assert r.stderr == f"error: {data}:2: malformed unit line\n"
 
 
+def test_eval_on_an_empty_split_exits_3(runner, make_model, force_transitions, tmp_path):
+    # an empty split used to print P=0.0000 R=0.0000 F1=0.0000 and exit 0
+    ckpt = tmp_path / "m.bin"
+    rigged_checkpoint(make_model, force_transitions, PERIOD3, ckpt)
+    data = tmp_path / "gold.tsv"
+    write_units([], data)
+    r = runner.invoke(main, ["eval", "--model", str(ckpt), "--data", str(data)])
+    assert r.exit_code == 3, r.output
+    assert r.stdout == ""
+    assert r.stderr == f"error: {data} holds no units\n"
+
+
 def test_eval_missing_model(runner, tmp_path):
     data = tmp_path / "gold.tsv"
     write_units([unit_of("天地", "BE")], data)

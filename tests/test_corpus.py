@@ -335,6 +335,27 @@ class TestDatasetFiles:
         assert back.char_to_index == v.char_to_index
 
 
+# line-shaped bytes: separators, line ends, tag letters, a Han character and a non-UTF-8 byte
+line_bytes = st.lists(st.sampled_from([b"\t", b"\r", b"\n", b"B", b"E", b"O",
+                                       "天".encode(), b"\xff"])).map(b"".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "file.txt"
+
+
+@pytest.mark.parametrize("read", [read_units, read_vocab])
+@settings(deadline=None)
+@given(content=st.binary() | line_bytes)
+def test_dataset_loaders_return_or_raise_value_error(read, fuzz_path, content):
+    fuzz_path.write_bytes(content)
+    try:
+        read(fuzz_path)
+    except ValueError:
+        pass
+
+
 # distinct one-character entries: basic-block Han, an extension B Han, □ and Latin letters
 vocab_entries = st.lists(st.one_of(st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
                                    st.sampled_from(["\U00020001", UNSURE_CHAR]),

@@ -1,5 +1,6 @@
 """Strict validation of the shared container, fuzzed over both file formats."""
 
+import json
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -24,6 +25,7 @@ class Saved:
     blob: bytes       # a valid file
     path: object      # a scratch path to write variants to
     load: object      # the format's loader
+    save: object      # and its saver
     spec: tuple       # (magic, version, field type) for binio.read_container
 
     def contents(self) -> binio.Container:
@@ -36,6 +38,18 @@ class Saved:
         c = self.contents()
         binio.write_container(self.path, *self.spec[:2], c.field, vocab or c.vocab, sections)
 
+    def header(self) -> dict:
+        at = len(self.spec[0]) + 1
+        n, = struct.unpack_from("<I", self.blob, at)
+        return json.loads(self.blob[at + 4:at + 4 + n])
+
+    def write_with_header(self, header: bytes) -> None:
+        """Write the valid file with its JSON header replaced by these bytes."""
+        at = len(self.spec[0]) + 1
+        n, = struct.unpack_from("<I", self.blob, at)
+        self.path.write_bytes(self.blob[:at] + struct.pack("<I", len(header)) + header
+                              + self.blob[at + 4 + n:])
+
 
 @pytest.fixture(scope="module", params=["GJSEG01", "GJEMB01"])
 def saved(request, table, tmp_path_factory):
@@ -43,10 +57,10 @@ def saved(request, table, tmp_path_factory):
     path = tmp_path_factory.mktemp(request.param) / "file.bin"
     if request.param == "GJSEG01":
         save_model(build_model(emb, hidden=3), path)
-        return Saved(path.read_bytes(), path, partial(load_model, radtable=table),
+        return Saved(path.read_bytes(), path, partial(load_model, radtable=table), save_model,
                      (segmenter.MAGIC, segmenter.VERSION, str))
     save_embeddings(emb, path)
-    return Saved(path.read_bytes(), path, load_embeddings,
+    return Saved(path.read_bytes(), path, load_embeddings, save_embeddings,
                  (embedding.MAGIC, embedding.VERSION, int))
 
 
@@ -121,22 +135,6 @@ def test_load_rejects_a_vocab_without_pad_then_unk_first(saved, entries):
         saved.load(saved.path)
 
 
-def test_a_vocab_entry_with_a_newline_is_refused_at_save_and_at_load(saved):
-    # the vocab is one string of newline-joined entries, so a newline inside
-    # an entry would split it in two
-    c = saved.contents()
-    chars = c.vocab.index_to_char
-    bad = chars[:2] + ["天\n地"] + chars[3:]
-    with pytest.raises(ValueError, match="newline"):
-        saved.rewrite(c.sections.items(), Vocab(index_to_char=bad))
-    old, new = ("\n".join(entries).encode() for entries in (chars, bad))
-    at = saved.blob.index(struct.pack("<II", len(chars), len(old)) + old) + 8
-    blob = saved.blob[:at - 4] + struct.pack("<I", len(new)) + new + saved.blob[at + len(old):]
-    saved.path.write_bytes(blob)
-    with pytest.raises(FormatError, match="newlines"):
-        saved.load(saved.path)
-
-
 @pytest.mark.parametrize("name, shape", [("fwd.W_h", (0, 0)), ("fwd.W_x", (5, 12))],
                          ids=["hidden-0", "W_x-rows-5"])
 def test_load_rejects_a_hidden_size_or_input_width_that_fits_no_model(table, tmp_path,
@@ -146,9 +144,84 @@ def test_load_rejects_a_hidden_size_or_input_width_that_fits_no_model(table, tmp
     emb = random_embeddings(build_vocab(tiny_splits().train), table, d_char=4, d_radical=3, seed=0)
     path = tmp_path / "model.bin"
     save_model(build_model(emb, hidden=3), path)
-    saved = Saved(path.read_bytes(), path, None, (segmenter.MAGIC, segmenter.VERSION, str))
+    saved = Saved(path.read_bytes(), path, None, None, (segmenter.MAGIC, segmenter.VERSION, str))
     sections = dict(saved.contents().sections)
     sections[name] = np.zeros(shape)
     saved.rewrite(sections.items())
     with pytest.raises(FormatError, match="fwd.W_x rows"):
         load_model(path, radtable=table)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20)
+# values closer to a valid header's: vocab entries, and section entries of a
+# name and numbers
+entry_lists = st.lists(st.sampled_from(["<PAD>", "<UNK>", "天"]) | st.text(max_size=2))
+section_lists = st.lists(st.lists(st.sampled_from(["emb.char_vectors", "fwd.b"])
+                                  | st.integers(-1, 2**33) | st.booleans() | st.floats(),
+                                  max_size=4))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_any_json_header_loads_or_raises_format_error(saved, data):
+    # the valid file's header with one key's value replaced, or a whole new header
+    header = saved.header()
+    key = data.draw(st.sampled_from(["field", "vocab", "sections", None]), label="key")
+    if key is None:
+        header = data.draw(json_values, label="header")
+    else:
+        header[key] = data.draw(json_values | entry_lists | section_lists, label=key)
+    saved.write_with_header(json.dumps(header).encode())
+    try:
+        saved.load(saved.path)
+    except FormatError:
+        pass
+
+
+def test_load_rejects_a_deeply_nested_header(saved):
+    saved.write_with_header(b"[" * 100_000 + b"]" * 100_000)
+    with pytest.raises(FormatError, match="not JSON"):
+        saved.load(saved.path)
+
+
+def test_load_rejects_a_header_that_is_not_utf8(saved):
+    saved.write_with_header(json.dumps(saved.header()).encode().replace(b"<PAD>", b"<\xffPAD>"))
+    with pytest.raises(FormatError, match="UTF-8"):
+        saved.load(saved.path)
+
+
+@pytest.mark.parametrize("fault, match", [("field-true", "format field is a bool"),
+                                          ("rows-true", "section 0 is not"),
+                                          ("rows-float", "section 0 is not"),
+                                          ("cols-negative", "section 0 is not"),
+                                          ("cols-2**64", "is not \\[name")])
+def test_load_rejects_a_field_or_shape_of_the_wrong_json_type(saved, fault, match):
+    # a bool is no window and no row count, though Python's bool is an int
+    header = saved.header()
+    if fault == "field-true":
+        header["field"] = True
+    elif fault == "rows-true":
+        header["sections"][0][1] = True
+    elif fault == "rows-float":
+        header["sections"][0][1] = float(header["sections"][0][1])
+    elif fault == "cols-negative":
+        header["sections"][0][2] = -1
+    else:  # an extra empty section: the data still fits, but numpy takes no such shape
+        header["sections"].append(["extra", 0, 2**64])
+    saved.write_with_header(json.dumps(header).encode())
+    with pytest.raises(FormatError, match=match):
+        saved.load(saved.path)
+
+
+def test_a_file_that_loads_saves_again(saved):
+    # a JSON header can escape a lone surrogate, which UTF-8 cannot encode
+    header = saved.header()
+    header["vocab"][2] = "\ud800"
+    saved.write_with_header(json.dumps(header).encode())
+    loaded = saved.load(saved.path)
+    saved.save(loaded, saved.path)
+    assert saved.load(saved.path).vocab == loaded.vocab
+    assert loaded.vocab.index_to_char[2] == "\ud800"

@@ -18,7 +18,7 @@ from judou.corpus import (
     build_vocab,
 )
 from judou.crf import crf_nll
-from judou.embedding import encode_chars
+from judou.embedding import encode_chars, load_embeddings, save_embeddings
 from judou.nncore import make_rng
 from judou.segmenter import (
     DECODE_BATCH,
@@ -624,6 +624,19 @@ def test_load_model_draws_nothing_and_holds_only_the_sections(make_model, table,
         assert np.array_equal(back.weights[name], w), name
 
 
+def test_embeddings_loaded_without_a_table_train(table, tmp_path):
+    # load_embeddings used to leave radtable None, and training on the set
+    # then raised AttributeError in encode_chars
+    splits = tiny_splits()
+    path = tmp_path / "emb.bin"
+    save_embeddings(random_embeddings(build_vocab(splits.train), table, d_char=4, d_radical=3,
+                                      seed=0), path)
+    emb = load_embeddings(path)
+    log = train(build_model(emb, hidden=3), splits, tiny_hp(epochs=1), seed=0)
+    assert len(log.epochs) == 1
+    assert emb.radtable is table
+
+
 def test_checkpoint_round_trip_char_only(make_model, table, tmp_path):
     model = make_model([unit_of("天地人山水火", "BOEBOE")], use_radicals=False)
     path = tmp_path / "model.bin"
@@ -655,11 +668,10 @@ def test_load_rejects_radical_table_mismatch(make_model, table, tmp_path):
     model = trained_model(make_model)
     path = tmp_path / "model.bin"
     save_model(model, path)
-    data = bytearray(path.read_bytes())
-    # first hash hex digit lives after magic, version and the string length
-    idx = 8 + 1 + 4
-    data[idx] = ord("0") if data[idx] != ord("0") else ord("1")
-    path.write_bytes(bytes(data))
+    # the header's format field is the table's sha256; change its first digit
+    digest = table.sha256.encode()
+    other = (b"1" if digest[:1] == b"0" else b"0") + digest[1:]
+    path.write_bytes(path.read_bytes().replace(digest, other, 1))
     with pytest.raises(FormatError, match="hash mismatch"):
         load_model(path, radtable=table)
 
@@ -686,13 +698,14 @@ def test_load_rejects_trailing_bytes(make_model, table, tmp_path):
 def test_load_rejects_a_version_1_checkpoint(make_model, table, tmp_path):
     # version 1 held per-gate LSTM sections; version 2 the radical flag byte
     # and section offsets; version 3 hashed the radical table's file bytes;
-    # version 4 hashes its mapping; version 5 stores the vocab as one string
+    # version 4 hashes its mapping; version 5 stores the vocab as one string;
+    # version 6 writes the field, vocab and section table as one JSON header
     model = trained_model(make_model)
     path = tmp_path / "model.bin"
     save_model(model, path)
     data = bytearray(path.read_bytes())
-    assert data[8] == 5
-    for old in (1, 2, 3, 4):
+    assert data[8] == 6
+    for old in (1, 2, 3, 4, 5):
         data[8] = old
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"version {old}"):
@@ -700,13 +713,22 @@ def test_load_rejects_a_version_1_checkpoint(make_model, table, tmp_path):
 
 
 def test_load_rejects_a_version_3_checkpoint(make_model, table, tmp_path):
-    # written as version 3 wrote it: the same container, with the sha256 of
-    # the bundled table file's bytes when it held one codepoint per line
+    # written as version 3 wrote it: u32 counts and u32-length strings, one per
+    # vocab entry, and the sha256 of the bundled table file's bytes when it
+    # held one codepoint per line
+    def string(s):
+        return struct.pack("<I", len(s.encode())) + s.encode()
+
     model = trained_model(make_model)
     path = tmp_path / "model.bin"
-    binio.write_container(path, segmenter.MAGIC, 3, V3_TABLE_SHA256, model.vocab,
-                          model.weights.items())
-    with pytest.raises(FormatError, match="unsupported version 3, expected 5"):
+    path.write_bytes(segmenter.MAGIC + bytes([3]) + string(V3_TABLE_SHA256)
+                     + struct.pack("<I", model.vocab.size)
+                     + b"".join(string(s) for s in model.vocab.index_to_char)
+                     + struct.pack("<I", len(model.weights))
+                     + b"".join(string(name) + struct.pack("<II", *w.shape)
+                                for name, w in model.weights.items())
+                     + b"".join(w.tobytes() for w in model.weights.values()))
+    with pytest.raises(FormatError, match="unsupported version 3, expected 6"):
         load_model(path, radtable=table)
 
 
@@ -734,13 +756,13 @@ def test_load_rejects_a_section_of_the_right_size_but_wrong_shape(make_model, ta
     model = trained_model(make_model)
     path = tmp_path / "model.bin"
     save_model(model, path)
-    data = bytearray(path.read_bytes())
-    name = b"fwd.W_c"
-    at = data.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
-    rows, cols = struct.unpack("<II", data[at:at + 8])
+    rows, cols = model.weights["fwd.W_c"].shape
     assert rows != cols
-    data[at:at + 8] = struct.pack("<II", cols, rows)
-    path.write_bytes(bytes(data))
+    entry = '["fwd.W_c",{},{}]'
+    data = path.read_bytes()
+    assert data.count(entry.format(rows, cols).encode()) == 1
+    path.write_bytes(data.replace(entry.format(rows, cols).encode(),
+                                  entry.format(cols, rows).encode()))
     with pytest.raises(FormatError, match="fwd.W_c"):
         load_model(path, radtable=table)
 
