@@ -60,7 +60,7 @@ def main():
               help=f"Characters per unit; segment always decodes {corpus.UNIT_SIZE}-character units.")
 @click.option("--max-unsure-run", default=5, show_default=True, type=click.IntRange(0),
               help="Drop sentences with more consecutive □ than this.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
 @click.option("--out", "out_dir", required=True,
               type=click.Path(file_okay=False, path_type=Path))
 def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
@@ -104,7 +104,7 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
 @click.option("--epochs", default=EmbeddingConfig.epochs, show_default=True, type=click.IntRange(1))
 @click.option("--learning-rate", default=EmbeddingConfig.learning_rate, show_default=True,
               type=click.FloatRange(0, min_open=True))
-@click.option("--seed", default=EmbeddingConfig.seed, show_default=True, type=int)
+@click.option("--seed", default=EmbeddingConfig.seed, show_default=True, type=click.IntRange(0))
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, seed, out_path):
     """Pretrain radical-augmented character embeddings on the training split."""
@@ -112,8 +112,11 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
     if not units:
         _fail("training split is empty", EXIT_EMPTY)
     vocab = _load(read_vocab, data_dir / "vocab.txt")
-    cfg = EmbeddingConfig(d_char=dim_char, d_radical=dim_radical, window=window,
-                          epochs=epochs, learning_rate=learning_rate, seed=seed)
+    try:
+        cfg = EmbeddingConfig(d_char=dim_char, d_radical=dim_radical, window=window,
+                              epochs=epochs, learning_rate=learning_rate, seed=seed)
+    except ValueError as e:
+        _fail(str(e))
 
     def report(epoch, mean_loss):
         click.echo(f"epoch {epoch + 1} loss {mean_loss:.4f}")
@@ -140,7 +143,7 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
               type=click.FloatRange(0, min_open=True))
 @click.option("--dropout", default=Hyperparams.dropout, show_default=True,
               type=click.FloatRange(0, 1, max_open=True))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
 @click.option("--freeze-embeddings", is_flag=True,
               help="Keep the pretrained embeddings fixed during training.")
 @click.option("--eval-on-train", is_flag=True,
@@ -166,8 +169,11 @@ def train_cmd(data_dir, emb_path, embed_dim, hidden, batch, epochs,
         _fail("training split is empty", EXIT_EMPTY)
     valid_path = data_dir / "valid.tsv"
     valid_units = _load(read_units, valid_path) if valid_path.exists() else []
-    hp = Hyperparams(embed_dim=embed_dim, hidden=hidden, batch=batch, epochs=epochs,
-                     learning_rate=learning_rate, clip_norm=clip_norm, dropout=dropout)
+    try:
+        hp = Hyperparams(embed_dim=embed_dim, hidden=hidden, batch=batch, epochs=epochs,
+                         learning_rate=learning_rate, clip_norm=clip_norm, dropout=dropout)
+    except ValueError as e:
+        _fail(str(e))
     model = build_model(emb, hidden=hidden, seed=seed)
     splits = CorpusSplits(train=train_units,
                           valid=train_units if eval_on_train else valid_units,

@@ -39,6 +39,8 @@ class EmbeddingConfig:
     def __post_init__(self):
         if self.d_char < 1 or self.d_radical < 1 or self.window < 1:
             raise ValueError(f"dims and window must be >= 1: {self}")
+        if self.epochs < 0 or not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"bad optimization settings: {self}")
 
     @property
     def d_total(self) -> int:
@@ -90,16 +92,6 @@ def encode_chars(chars: str, vocab: Vocab, radtable: RadicalTable) -> EncodedUni
     )
 
 
-@dataclass
-class CbowModel:
-    embeddings: EmbeddingSet
-    projection: np.ndarray  # (|V|, 2N * (d_char + d_radical))
-
-    @property
-    def config(self) -> EmbeddingConfig:
-        return self.embeddings.config
-
-
 def _uniform(rng, rows: int, dim: int) -> np.ndarray:
     """A (rows, dim) matrix uniform in [-0.5/dim, 0.5/dim]."""
     return rng.uniform(-0.5 / dim, 0.5 / dim, size=(rows, dim))
@@ -113,57 +105,44 @@ def untrained_embeddings(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingCon
                         vocab=vocab, radtable=radtable, config=cfg)
 
 
-def new_cbow_model(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig) -> CbowModel:
-    """The untrained embeddings, then the projection, from one generator seeded cfg.seed."""
+def new_cbow_model(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig) -> tuple:
+    """(embeddings, projection): the untrained embeddings, then the
+    (|V|, 2N * (d_char + d_radical)) projection, from one generator seeded cfg.seed."""
     rng = make_rng(cfg.seed)
     emb = untrained_embeddings(vocab, radtable, cfg, rng)
-    return CbowModel(embeddings=emb,
-                     projection=_uniform(rng, vocab.size, 2 * cfg.window * cfg.d_total))
+    return emb, _uniform(rng, vocab.size, 2 * cfg.window * cfg.d_total)
 
 
-def _context_rows(encoded: EncodedUnit, center: int, window: int) -> tuple:
-    """(2N,) char and radical rows of the context slots in order; the center
-    is excluded and slots outside the unit take the PAD and NO_RADICAL rows."""
+def _context_rows(encoded: EncodedUnit, window: int) -> tuple:
+    """(n, 2N) char and radical rows of every center's context slots in order;
+    the center is excluded and slots outside the unit take the PAD and
+    NO_RADICAL rows."""
     n = len(encoded)
-    if not 0 <= center < n:
-        raise IndexError(f"center {center} outside sequence of length {n}")
-    pos = np.arange(center - window, center + window)
-    pos[window:] += 1  # step over the center
+    pos = np.arange(n)[:, None] + np.r_[-window:0, 1:window + 1]
     inside = (pos >= 0) & (pos < n)
     pos[~inside] = 0
     return (np.where(inside, encoded.char_ids[pos], Vocab.PAD),
             np.where(inside, encoded.rad_ids[pos], NO_RADICAL))
 
 
-def context_vector(model: CbowModel, encoded: EncodedUnit, center: int) -> np.ndarray:
-    """Ordered concatenation of (char vector, radical vector) over the context."""
-    chars, rads = _context_rows(encoded, center, model.config.window)
-    emb = model.embeddings
-    return np.hstack([emb.char_vectors[chars], emb.radical_vectors[rads]]).reshape(-1)
+def cbow_loss_and_grads(emb: EmbeddingSet, projection: np.ndarray, chars: np.ndarray,
+                        rads: np.ndarray, target: int) -> tuple:
+    """Forward plus hand-derived backward at one center, from the (2N,) char
+    and radical rows of its context (a row of _context_rows) and its char
+    row target; writes nothing. Returns (loss, dlogits, h, dh).
 
-
-def _cbow_loss_parts(model: CbowModel, encoded: EncodedUnit, center: int):
-    """The CBOW forward at one center: (loss, context vector h, softmax probs)."""
-    h = context_vector(model, encoded, center)
-    logits = model.projection @ h
+    h concatenates (char vector, radical vector) over the slots in order,
+    and the projection's gradient is outer(dlogits, h). dh, shaped
+    (2N, d_char + d_radical), holds each slot's gradient: its first d_char
+    columns belong to the slot's char row and the rest to its radical row."""
+    h = np.hstack([emb.char_vectors[chars], emb.radical_vectors[rads]]).reshape(-1)
+    logits = projection @ h
     logits -= logits.max()
     exp = np.exp(logits)
-    probs = exp / exp.sum()
-    target = int(encoded.char_ids[center])
-    loss = -float(np.log(probs[target]))
-    return loss, h, probs
-
-
-def cbow_loss_and_grads(model: CbowModel, encoded: EncodedUnit, center: int) -> tuple:
-    """Forward plus hand-derived backward at one center; writes nothing.
-
-    Returns (loss, dlogits, h, dh). The projection's gradient is
-    outer(dlogits, h). dh, shaped (2N, d_char + d_radical), holds the
-    gradient of each context slot: its first d_char columns belong to the
-    slot's char row and the rest to its radical row (see _context_rows)."""
-    loss, h, dlogits = _cbow_loss_parts(model, encoded, center)
-    dlogits[encoded.char_ids[center]] -= 1.0
-    dh = (model.projection.T @ dlogits).reshape(-1, model.config.d_total)
+    dlogits = exp / exp.sum()  # the softmax, until the target's one-hot is taken off
+    loss = -float(np.log(dlogits[target]))
+    dlogits[target] -= 1.0
+    dh = (projection.T @ dlogits).reshape(len(chars), -1)
     return loss, dlogits, h, dh
 
 
@@ -183,8 +162,7 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     """
     if not units:
         raise ValueError("cannot train embeddings on an empty corpus")
-    model = new_cbow_model(vocab, radtable, cfg)
-    emb = model.embeddings
+    emb, projection = new_cbow_model(vocab, radtable, cfg)
     encoded = [encode_chars(u.seq.chars, vocab, radtable) for u in units]
     lr, d_c = cfg.learning_rate, cfg.d_char
     # (matrix, its scratch gradient, its columns of dh)
@@ -195,20 +173,21 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
         # every loss is checked, so numpy's overflow warnings would only repeat it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for unit, enc in enumerate(encoded):
-                for center in range(len(enc)):
-                    loss, dlogits, h, dh = cbow_loss_and_grads(model, enc, center)
+                for center, rows in enumerate(zip(*_context_rows(enc, cfg.window))):
+                    loss, dlogits, h, dh = cbow_loss_and_grads(emb, projection, *rows,
+                                                               enc.char_ids[center])
                     if not math.isfinite(loss):
                         raise NumericError(f"CBOW loss is {loss} at epoch {epoch + 1}, "
                                            f"unit {unit}, position {center}; "
                                            f"try a learning rate below {lr}")
                     total += loss
                     count += 1
-                    add_outer(model.projection, dlogits, h, -lr)
-                    for (M, G, cols), rows in zip(sparse, _context_rows(enc, center, cfg.window)):
+                    add_outer(projection, dlogits, h, -lr)
+                    for (M, G, cols), slots in zip(sparse, rows):
                         # add.at sums a row repeated across slots in slot order
-                        np.add.at(G, rows, dh[cols])
-                        M[rows] -= lr * G[rows]
-                        G[rows] = 0.0
+                        np.add.at(G, slots, dh[cols])
+                        M[slots] -= lr * G[slots]
+                        G[slots] = 0.0
         mean = total / max(1, count)
         if progress is not None:
             progress(epoch, mean)

@@ -41,7 +41,7 @@ class Hyperparams:
     def __post_init__(self):
         if min(self.embed_dim, self.hidden, self.batch) < 1:
             raise ValueError(f"dimensions and batch must be positive: {self}")
-        if self.epochs < 0 or self.learning_rate < 0 or self.clip_norm <= 0:
+        if self.epochs < 0 or not 0 <= self.learning_rate < np.inf or not self.clip_norm > 0:
             raise ValueError(f"bad optimization settings: {self}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1): {self.dropout}")

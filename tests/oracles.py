@@ -13,7 +13,7 @@ import numpy as np
 
 from judou.corpus import DEFAULT_PUNCT, UNSURE_CHAR, LabeledSequence, PunctConfig, Vocab
 from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
-from judou.embedding import _cbow_loss_parts, cbow_loss_and_grads, encode_chars, new_cbow_model
+from judou.embedding import cbow_loss_and_grads, encode_chars, new_cbow_model
 from judou.lstm import LSTM_NAMES
 
 
@@ -190,19 +190,44 @@ def cbow_context_slots(enc, center, window) -> list:
             for p in slots]
 
 
-def dense_cbow_step(model, enc, center) -> float:
+def cbow_slot_rows(enc, center, window) -> tuple:
+    """cbow_context_slots as the (2N,) char rows and (2N,) radical rows that
+    cbow_loss_and_grads takes."""
+    chars, rads = zip(*cbow_context_slots(enc, center, window))
+    return np.array(chars, dtype=np.intp), np.array(rads, dtype=np.intp)
+
+
+def cbow_step(emb, projection, enc, center) -> tuple:
+    """cbow_loss_and_grads at one center of enc, its context rows built slot by slot."""
+    chars, rads = cbow_slot_rows(enc, center, emb.config.window)
+    return cbow_loss_and_grads(emb, projection, chars, rads, int(enc.char_ids[center]))
+
+
+def dense_cbow_forward(emb, projection, enc, center) -> tuple:
+    """The CBOW forward at one center: (loss, context vector h, softmax probs).
+    h is put together slot by slot; the softmax repeats the shipped op
+    sequence, so that its bits match."""
+    h = np.concatenate([np.concatenate([emb.char_vectors[cid], emb.radical_vectors[rid]])
+                        for cid, rid in cbow_context_slots(enc, center, emb.config.window)])
+    logits = projection @ h
+    logits -= logits.max()
+    exp = np.exp(logits)
+    probs = exp / exp.sum()
+    return -float(np.log(probs[int(enc.char_ids[center])])), h, probs
+
+
+def dense_cbow_step(emb, projection, enc, center) -> float:
     """One position's forward and backward into zeroed full-size gradients of
     all three matrices, the (|V|, 2N*d) projection's included, then
     value -= lr * grad over each."""
-    cfg = model.config
+    cfg = emb.config
     d, d_c = cfg.d_total, cfg.d_char
-    values = (model.embeddings.char_vectors, model.embeddings.radical_vectors, model.projection)
+    values = (emb.char_vectors, emb.radical_vectors, projection)
     g_char, g_rad, g_proj = (np.zeros_like(v) for v in values)
-    loss, h, probs = _cbow_loss_parts(model, enc, center)
-    dlogits = probs.copy()
+    loss, h, dlogits = dense_cbow_forward(emb, projection, enc, center)
     dlogits[int(enc.char_ids[center])] -= 1.0
     g_proj += np.outer(dlogits, h)
-    dh = model.projection.T @ dlogits
+    dh = projection.T @ dlogits
     for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, cfg.window)):
         g_char[cid] += dh[slot * d:slot * d + d_c]
         g_rad[rid] += dh[slot * d + d_c:(slot + 1) * d]
@@ -214,32 +239,32 @@ def dense_cbow_step(model, enc, center) -> float:
 def dense_train_embeddings(texts, vocab, radtable, cfg):
     """CBOW SGD over every position in corpus order, one dense step each.
     Returns (char vectors, radical vectors, per-epoch mean losses)."""
-    model = new_cbow_model(vocab, radtable, cfg)
+    emb, projection = new_cbow_model(vocab, radtable, cfg)
     encoded = [encode_chars(t, vocab, radtable) for t in texts]
     losses = []
     for _ in range(cfg.epochs):
         total, count = 0.0, 0
         for enc in encoded:
             for center in range(len(enc)):
-                total += dense_cbow_step(model, enc, center)
+                total += dense_cbow_step(emb, projection, enc, center)
                 count += 1
         losses.append(total / count)
-    return model.embeddings.char_vectors, model.embeddings.radical_vectors, losses
+    return emb.char_vectors, emb.radical_vectors, losses
 
 
-def cbow_grad_params(model, enc, center) -> tuple:
+def cbow_grad_params(emb, projection, enc, center) -> tuple:
     """cbow_loss_and_grads at one center, for grad_check: (weights, grads),
     the weights being the model's own char, radical and projection arrays
     (shared, not copied) and the grads filled slot by slot from dh, and with
     outer(dlogits, h)."""
-    emb, d_c = model.embeddings, model.config.d_char
-    _, dlogits, h, dh = cbow_loss_and_grads(model, enc, center)
+    _, dlogits, h, dh = cbow_step(emb, projection, enc, center)
     weights = {"cbow.char_vectors": emb.char_vectors,
                "cbow.radical_vectors": emb.radical_vectors,
-               "cbow.projection": model.projection}
+               "cbow.projection": projection}
     grads = {name: np.zeros_like(w) for name, w in weights.items()}
     chars, rads, proj = grads.values()
-    for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, model.config.window)):
+    d_c = emb.config.d_char
+    for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, emb.config.window)):
         chars[cid] += dh[slot, :d_c]
         rads[rid] += dh[slot, d_c:]
     proj += np.outer(dlogits, h)

@@ -24,7 +24,7 @@ from judou.corpus import (
 from judou.crf import crf_nll, log_partition, viterbi_decode
 from judou.embedding import (
     EmbeddingConfig,
-    _cbow_loss_parts,
+    cbow_loss_and_grads,
     encode_chars,
     new_cbow_model,
 )
@@ -40,7 +40,8 @@ from judou.segmenter import (
 from judou.synthetic import random_embeddings, run_overfit, run_radical_signal
 
 from conftest import unit_of
-from oracles import cbow_grad_params, grad_check, oracle_log_partition, oracle_viterbi, random_crf
+from oracles import (cbow_grad_params, cbow_slot_rows, grad_check, oracle_log_partition,
+                     oracle_viterbi, random_crf)
 from test_cli import SENTENCES
 from test_segmenter import ALL_O, PERIOD3
 
@@ -70,11 +71,13 @@ def test_02_gradient_checks(criterion):
 
     def cbow_err(seed):
         cfg = EmbeddingConfig(d_char=3, d_radical=2, window=1, seed=seed)
-        m = new_cbow_model(vocab, table, cfg)
+        emb, projection = new_cbow_model(vocab, table, cfg)
         enc = encode_chars("天地人山水", vocab, table)
         center = 1 + seed % 3
-        return grad_check(lambda: _cbow_loss_parts(m, enc, center)[0],
-                          *cbow_grad_params(m, enc, center))
+        chars, rads = cbow_slot_rows(enc, center, cfg.window)
+        return grad_check(lambda: cbow_loss_and_grads(emb, projection, chars, rads,
+                                                      enc.char_ids[center])[0],
+                          *cbow_grad_params(emb, projection, enc, center))
 
     def bilstm_err(seed, n):
         rng = make_rng(seed)

@@ -157,6 +157,19 @@ def test_prepare_missing_input_dir(runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["prepare", "pretrain", "train"])
+def test_a_negative_seed_is_a_usage_error(runner, command, docs_dir, data_dir, emb_path, tmp_path):
+    args = {"prepare": ["--input", str(docs_dir)],
+            "pretrain": ["--data", str(data_dir)],
+            "train": ["--data", str(data_dir), "--embeddings", str(emb_path),
+                      "--embed-dim", "10"]}[command]
+    out = tmp_path / "out"
+    r = runner.invoke(main, [command, *args, "--seed", "-1", "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert "--seed" in r.stderr and "Traceback" not in r.output
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pretrain
 
@@ -193,6 +206,16 @@ def test_pretrain_stops_at_a_non_finite_loss(runner, data_dir, tmp_path):
     assert r.stdout == ""
     assert r.stderr.startswith("error: CBOW loss is") and r.stderr.count("\n") == 1
     assert "at epoch 1, unit 0, position" in r.stderr
+    assert not out.exists()
+
+
+def test_pretrain_rejects_a_nan_learning_rate_before_the_first_epoch(runner, data_dir, tmp_path):
+    out = tmp_path / "emb.bin"
+    r = runner.invoke(main, ["pretrain", "--data", str(data_dir), "--learning-rate", "nan",
+                             "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: bad optimization settings") and "try" not in r.stderr
     assert not out.exists()
 
 
@@ -310,6 +333,23 @@ def test_train_reports_non_finite_embeddings_as_an_error(runner, data_dir, emb_p
                              "--out", str(out)])
     assert r.exit_code == 2
     assert r.stderr == "error: non-finite gradient in parameter 'emb.char_vectors'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--dropout", "dropout must be in"),
+    ("--learning-rate", "bad optimization settings"),
+    ("--clip-norm", "bad optimization settings"),
+])
+def test_train_rejects_a_nan_setting_before_the_first_epoch(runner, data_dir, emb_path, tmp_path,
+                                                            option, message):
+    out = tmp_path / "m.bin"
+    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
+                             "--embed-dim", "10", "--hidden", "3", "--epochs", "1",
+                             option, "nan", "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"error: {message}") and r.stderr.count("\n") == 1
     assert not out.exists()
 
 

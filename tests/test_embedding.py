@@ -10,24 +10,22 @@ from judou.binio import FormatError
 from judou.corpus import LabeledSequence, Unit, Vocab, build_vocab
 from judou import embedding
 from judou.embedding import (
-    CbowModel,
     EmbeddingConfig,
     EmbeddingSet,
     MAGIC,
     cbow_loss_and_grads,
-    context_vector,
     encode_chars,
     load_embeddings,
     new_cbow_model,
     save_embeddings,
     train_embeddings,
-    _cbow_loss_parts,
     _context_rows,
 )
 from judou.nncore import OUTER_BLOCK_BYTES, NumericError, add_outer
 from judou.radicals import radical_index
 
-from oracles import cbow_context_slots, cbow_grad_params, dense_train_embeddings, grad_check
+from oracles import (cbow_context_slots, cbow_grad_params, cbow_step, dense_cbow_forward,
+                     dense_train_embeddings, grad_check)
 
 
 def units_over(texts) -> list:
@@ -44,47 +42,53 @@ def train_on(texts, table, cfg, **kwargs):
     return train_embeddings(units, table, cfg, vocab=build_vocab(units), **kwargs)
 
 
-def small_model(text, table, **cfg_kwargs) -> CbowModel:
+def small_model(text, table, **cfg_kwargs) -> tuple:
+    """(embeddings, projection) of an untrained CBOW model over text's vocab."""
     cfg = EmbeddingConfig(**{"d_char": 3, "d_radical": 2, "window": 1, **cfg_kwargs})
     return new_cbow_model(vocab_over(text), table, cfg)
+
+
+def context_h(emb, projection, enc, center) -> np.ndarray:
+    """The context vector h that cbow_loss_and_grads takes from _context_rows."""
+    chars, rads = _context_rows(enc, emb.config.window)
+    return cbow_loss_and_grads(emb, projection, chars[center], rads[center],
+                               enc.char_ids[center])[2]
 
 
 # ---------------------------------------------------------------------------
 # context assembly
 
-def test_context_vector_length(table):
-    model = small_model("天地人", table, d_char=2, d_radical=1, window=1)
-    enc = encode_chars("天地人", model.embeddings.vocab, table)
+def test_context_h_has_2n_slots(table):
+    emb, projection = small_model("天地人", table, d_char=2, d_radical=1, window=1)
+    enc = encode_chars("天地人", emb.vocab, table)
     # 2N slots of (char ++ radical): 2 * 1 * (2 + 1)
-    assert context_vector(model, enc, 1).shape == (6,)
+    assert context_h(emb, projection, enc, 1).shape == (6,)
 
 
 def test_out_of_range_slots_use_pad_and_sentinel(table):
-    model = small_model("天地", table)
-    vocab = model.embeddings.vocab
-    enc = encode_chars("天地", vocab, table)
-    ctx = context_vector(model, enc, 0)
-    cv, rv = model.embeddings.char_vectors, model.embeddings.radical_vectors
+    emb, projection = small_model("天地", table)
+    enc = encode_chars("天地", emb.vocab, table)
+    ctx = context_h(emb, projection, enc, 0)
+    cv, rv = emb.char_vectors, emb.radical_vectors
     expected = np.concatenate([
         cv[Vocab.PAD], rv[0],                       # left slot is off the edge
-        cv[vocab.encode("地")], rv[radical_index(table, "地")],
+        cv[emb.vocab.encode("地")], rv[radical_index(table, "地")],
     ])
     assert np.array_equal(ctx, expected)
 
 
 def test_center_character_is_excluded_from_its_context(table):
-    model = small_model("天地人", table)
-    enc = encode_chars("天地人", model.embeddings.vocab, table)
-    before = context_vector(model, enc, 1)
-    model.embeddings.char_vectors[model.embeddings.vocab.encode("地")] += 10.0
-    assert np.array_equal(context_vector(model, enc, 1), before)
+    emb, projection = small_model("天地人", table)
+    enc = encode_chars("天地人", emb.vocab, table)
+    before = context_h(emb, projection, enc, 1)
+    emb.char_vectors[emb.vocab.encode("地")] += 10.0
+    assert np.array_equal(context_h(emb, projection, enc, 1), before)
 
 
 def test_context_is_ordered_not_averaged(table):
-    model = small_model("天地人", table)
-    vocab = model.embeddings.vocab
-    a = context_vector(model, encode_chars("天地人", vocab, table), 1)
-    b = context_vector(model, encode_chars("人地天", vocab, table), 1)
+    emb, projection = small_model("天地人", table)
+    a = context_h(emb, projection, encode_chars("天地人", emb.vocab, table), 1)
+    b = context_h(emb, projection, encode_chars("人地天", emb.vocab, table), 1)
     d = 5  # d_char + d_radical
     assert not np.allclose(a, b)
     # swapping the neighbours swaps the slot blocks
@@ -92,15 +96,19 @@ def test_context_is_ordered_not_averaged(table):
     assert np.array_equal(a[d:], b[:d])
 
 
-@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
 def test_context_rows_match_the_per_slot_loop(table, window):
-    enc = encode_chars("天地人山", vocab_over("天地人"), table)  # 山 is out of vocabulary
-    for center in range(len(enc)):
-        chars, rads = _context_rows(enc, center, window)
-        assert list(zip(chars.tolist(), rads.tolist())) == cbow_context_slots(enc, center, window)
-    for center in (-1, len(enc)):
-        with pytest.raises(IndexError, match="center"):
-            _context_rows(enc, center, window)
+    """Every unit length from 0 to 12, units shorter than the window included,
+    with out-of-vocabulary and repeated characters."""
+    text = "天地人山水天地江河海天天"  # 山 on are out of vocabulary
+    vocab = vocab_over("天地人")
+    for n in range(len(text) + 1):
+        enc = encode_chars(text[:n], vocab, table)
+        chars, rads = _context_rows(enc, window)
+        assert chars.shape == rads.shape == (n, 2 * window)
+        for center in range(n):
+            assert list(zip(chars[center].tolist(), rads[center].tolist())) == \
+                cbow_context_slots(enc, center, window)
 
 
 def test_repeated_context_rows_sum_in_slot_order(table):
@@ -108,23 +116,35 @@ def test_repeated_context_rows_sum_in_slot_order(table):
     context. The returned dh must hold each slot's gradient, bit for bit as
     the per-slot loop takes it from projection.T @ dlogits, and write nothing
     to the model."""
-    model = small_model("天地", table, window=3)
-    before = [a.copy() for a in (model.embeddings.char_vectors,
-                                 model.embeddings.radical_vectors, model.projection)]
-    enc = encode_chars("天天天地", model.embeddings.vocab, table)
-    d, d_c = model.config.d_total, model.config.d_char
+    emb, projection = small_model("天地", table, window=3)
+    before = [a.copy() for a in (emb.char_vectors, emb.radical_vectors, projection)]
+    enc = encode_chars("天天天地", emb.vocab, table)
+    d, d_c = emb.config.d_total, emb.config.d_char
+    chars, rads = _context_rows(enc, 3)
     for center in range(len(enc)):
-        _, dlogits, h, dh = cbow_loss_and_grads(model, enc, center)
+        _, dlogits, h, dh = cbow_loss_and_grads(emb, projection, chars[center], rads[center],
+                                                enc.char_ids[center])
         assert dh.shape == (2 * 3, d)
-        _, ref_h, probs = _cbow_loss_parts(model, enc, center)
+        _, ref_h, probs = dense_cbow_forward(emb, projection, enc, center)
         probs[enc.char_ids[center]] -= 1.0
         assert dlogits.tobytes() == probs.tobytes() and h.tobytes() == ref_h.tobytes()
-        ref_dh = model.projection.T @ probs
+        ref_dh = projection.T @ probs
         for slot in range(2 * 3):
             assert dh[slot, :d_c].tobytes() == ref_dh[slot * d:slot * d + d_c].tobytes()
             assert dh[slot, d_c:].tobytes() == ref_dh[slot * d + d_c:(slot + 1) * d].tobytes()
-    after = (model.embeddings.char_vectors, model.embeddings.radical_vectors, model.projection)
+    after = (emb.char_vectors, emb.radical_vectors, projection)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("bad", [
+    {"epochs": -1},
+    {"learning_rate": -1.0},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+])
+def test_embedding_config_rejects_bad_optimization_settings(bad):
+    with pytest.raises(ValueError, match="bad optimization settings"):
+        EmbeddingConfig(**bad)
 
 
 def test_encode_chars_keeps_radical_for_oov(table):
@@ -138,34 +158,28 @@ def test_encode_chars_keeps_radical_for_oov(table):
 # loss and gradients
 
 def test_zero_projection_gives_uniform_loss(table):
-    model = small_model("天地人山水", table)
-    model.projection[:] = 0.0
-    enc = encode_chars("天地人", model.embeddings.vocab, table)
-    assert _cbow_loss_parts(model, enc, 1)[0] == pytest.approx(
-        np.log(model.embeddings.vocab.size))
+    emb, projection = small_model("天地人山水", table)
+    projection[:] = 0.0
+    enc = encode_chars("天地人", emb.vocab, table)
+    assert cbow_step(emb, projection, enc, 1)[0] == pytest.approx(np.log(emb.vocab.size))
 
 
 def test_softmax_is_a_distribution(table):
-    model = small_model("天地人山水", table)
-    enc = encode_chars("山水天", model.embeddings.vocab, table)
-    loss, _, probs = _cbow_loss_parts(model, enc, 1)
+    emb, projection = small_model("天地人山水", table)
+    enc = encode_chars("山水天", emb.vocab, table)
+    loss, dlogits, _, _ = cbow_step(emb, projection, enc, 1)
+    probs = dlogits.copy()
+    probs[enc.char_ids[1]] += 1.0  # dlogits is probs less the target's one-hot
     assert probs.sum() == pytest.approx(1.0)
     assert np.all(probs > 0)
     assert loss > 0
 
 
-def test_center_out_of_range_rejected(table):
-    model = small_model("天地人", table)
-    enc = encode_chars("天地", model.embeddings.vocab, table)
-    with pytest.raises(IndexError, match="center"):
-        context_vector(model, enc, 2)
-
-
 def test_gradients_match_finite_differences(table):
-    model = small_model("天地人山水火", table, d_char=3, d_radical=2, window=2)
-    enc = encode_chars("天地人山水", model.embeddings.vocab, table)
-    err = grad_check(lambda: _cbow_loss_parts(model, enc, 2)[0],
-                     *cbow_grad_params(model, enc, 2))
+    emb, projection = small_model("天地人山水火", table, d_char=3, d_radical=2, window=2)
+    enc = encode_chars("天地人山水", emb.vocab, table)
+    err = grad_check(lambda: cbow_step(emb, projection, enc, 2)[0],
+                     *cbow_grad_params(emb, projection, enc, 2))
     assert err < 1e-4
 
 
@@ -250,9 +264,9 @@ def test_non_finite_vectors_after_the_last_step_fail(table, monkeypatch):
     real = embedding.cbow_loss_and_grads
     calls = []
 
-    def poisoned(model, enc, center):
-        out = real(model, enc, center)
-        calls.append(center)
+    def poisoned(*args):
+        out = real(*args)
+        calls.append(out[0])
         if len(calls) == 3:
             out[3][0] = np.inf
         return out
@@ -260,7 +274,7 @@ def test_non_finite_vectors_after_the_last_step_fail(table, monkeypatch):
     monkeypatch.setattr(embedding, "cbow_loss_and_grads", poisoned)
     with pytest.raises(NumericError, match="non-finite embedding vectors"):
         train_on(["天地人"], table, EmbeddingConfig(d_char=3, d_radical=2, epochs=1))
-    assert calls == [0, 1, 2]
+    assert len(calls) == 3
 
 
 def block_rows(cols: int) -> int:
@@ -290,14 +304,15 @@ def test_sparse_steps_match_the_dense_oracle_bytewise(table, window):
     """Context-row updates and the blocked projection update give the dense
     per-position step's vectors and losses, bit for bit, over a vocab that
     spans several projection blocks and ends in a partial one, with one
-    character repeated across the slots of a context."""
+    character repeated across the slots of a context, and with units of one
+    and two characters, shorter than windows 2 and 3."""
     alphabet = [chr(0x4E00 + i) for i in range(298)] + ["天", "地"]
     vocab = vocab_over("".join(alphabet))
     cfg = EmbeddingConfig(window=window, epochs=2, learning_rate=0.1, seed=window)
     rows = block_rows(2 * window * cfg.d_total)
     assert vocab.size > rows and vocab.size % rows
     rng = np.random.default_rng(window)
-    corpus = ["".join(rng.choice(alphabet, size=40)) for _ in range(3)] + ["天天天地"]
+    corpus = ["".join(rng.choice(alphabet, size=40)) for _ in range(3)] + ["天天天地", "地", "天地"]
     losses = []
     emb = train_embeddings(units_over(corpus), table, cfg, vocab=vocab,
                            progress=lambda e, m: losses.append(m))

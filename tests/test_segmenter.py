@@ -102,10 +102,18 @@ def test_hyperparam_defaults():
     {"clip_norm": 0.0},
     {"dropout": 1.0},
     {"dropout": -0.2},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"clip_norm": float("nan")},
 ])
 def test_hyperparam_validation(bad):
     with pytest.raises(ValueError):
         Hyperparams(**bad)
+
+
+def test_an_infinite_clip_norm_is_allowed():
+    # it means never clip
+    assert Hyperparams(clip_norm=float("inf")).clip_norm == float("inf")
 
 
 def test_eval_report_counts():

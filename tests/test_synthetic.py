@@ -92,7 +92,7 @@ def test_random_embeddings_are_the_untrained_cbow_embeddings(table):
     # one draw: the CBOW model's char and radical vectors, before its projection
     vocab = build_vocab(overfit_corpus(seed=0)[:2])
     emb = random_embeddings(vocab, table, 4, 3, 9)
-    cbow = new_cbow_model(vocab, table, EmbeddingConfig(d_char=4, d_radical=3, seed=9)).embeddings
+    cbow, _ = new_cbow_model(vocab, table, EmbeddingConfig(d_char=4, d_radical=3, seed=9))
     assert emb.radical_vectors.shape == (N_RADICAL_ROWS, 3)
     assert emb.char_vectors.tobytes() == cbow.char_vectors.tobytes()
     assert emb.radical_vectors.tobytes() == cbow.radical_vectors.tobytes()
