@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocab, first_repeat
+from .corpus import Vocab
 
 
 class FormatError(ValueError):
@@ -78,9 +78,11 @@ def _parse_header(raw: bytes, field_type: type) -> tuple:
         raise FormatError(f"format field is a {type(field).__name__}, not {field_type.__name__}")
     if type(entries) is not list or not {str}.issuperset(map(type, entries)):
         raise FormatError("vocab is not a list of strings")
-    if len(set(entries)) != len(entries):
-        i, j = first_repeat(entries)
-        raise FormatError(f"duplicate vocab entry {i} {entries[i]!r}, first at {j}")
+    first = {}
+    for i, s in enumerate(entries):
+        # a repeated entry would leave a row no character maps to
+        if first.setdefault(s, i) != i:
+            raise FormatError(f"duplicate vocab entry {i} {s!r}, first at {first[s]}")
     if tuple(entries[:2]) != Vocab.RESERVED:
         raise FormatError(f"vocab starts {tuple(entries[:2])}, expected {Vocab.RESERVED}")
     if type(header["sections"]) is not list:

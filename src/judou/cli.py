@@ -11,8 +11,8 @@ import click
 
 from . import binio, corpus
 from .corpus import (CorpusSplits, PunctConfig, build_vocab, chunk_units,
-                     clean_unsure, normalize_text, read_units, read_vocab,
-                     split_corpus, text_to_tags, write_units, write_vocab)
+                     clean_unsure, normalize_text, read_units, split_corpus,
+                     text_to_tags, write_units)
 from .embedding import EmbeddingConfig, load_embeddings, save_embeddings, train_embeddings
 from .nncore import NumericError
 from .radicals import default_table, radical_char, radical_of
@@ -64,7 +64,7 @@ def main():
 @click.option("--out", "out_dir", required=True,
               type=click.Path(file_okay=False, path_type=Path))
 def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
-    """Tag, chunk, and split a corpus; write dataset files plus vocab."""
+    """Tag, chunk, and split a corpus; write the three splits and a manifest."""
     try:
         punct = PunctConfig(stops=frozenset(stops))
     except ValueError as e:
@@ -76,12 +76,10 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
     if not units:
         _fail("no units produced: corpus is empty after normalization", EXIT_EMPTY)
     splits = split_corpus(units, seed)
-    vocab = build_vocab(splits.train)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_units(splits.train, out_dir / "train.tsv")
     write_units(splits.valid, out_dir / "valid.tsv")
     write_units(splits.test, out_dir / "test.tsv")
-    write_vocab(vocab, out_dir / "vocab.txt")
     with open(out_dir / "manifest.tsv", "w", encoding="utf-8", newline="\n") as f:
         f.write("train\ttrain.tsv\n")
         f.write("valid\tvalid.tsv\n")
@@ -107,11 +105,11 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
 @click.option("--seed", default=EmbeddingConfig.seed, show_default=True, type=click.IntRange(0))
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, seed, out_path):
-    """Pretrain radical-augmented character embeddings on the training split."""
+    """Pretrain radical-augmented character embeddings on the training split,
+    over the vocabulary of its characters."""
     units = _load(read_units, data_dir / "train.tsv")
     if not units:
         _fail("training split is empty", EXIT_EMPTY)
-    vocab = _load(read_vocab, data_dir / "vocab.txt")
     try:
         cfg = EmbeddingConfig(d_char=dim_char, d_radical=dim_radical, window=window,
                               epochs=epochs, learning_rate=learning_rate, seed=seed)
@@ -122,7 +120,8 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
         click.echo(f"epoch {epoch + 1} loss {mean_loss:.4f}")
 
     try:
-        emb = train_embeddings(units, default_table(), cfg, vocab=vocab, progress=report)
+        emb = train_embeddings(units, default_table(), cfg, vocab=build_vocab(units),
+                               progress=report)
     except NumericError as e:
         _fail(str(e))
     save_embeddings(emb, out_path)
@@ -132,8 +131,6 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
 @click.option("--data", "data_dir", required=True,
               type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--embeddings", "emb_path", required=True, type=click.Path(path_type=Path))
-@click.option("--embed-dim", default=Hyperparams.embed_dim, show_default=True,
-              type=click.IntRange(1))
 @click.option("--hidden", default=Hyperparams.hidden, show_default=True, type=click.IntRange(1))
 @click.option("--batch", default=Hyperparams.batch, show_default=True, type=click.IntRange(1))
 @click.option("--epochs", default=Hyperparams.epochs, show_default=True, type=click.IntRange(0))
@@ -151,7 +148,7 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 @click.option("--log", "log_path", type=click.Path(path_type=Path),
               help="Training log destination [default: OUT.log].")
-def train_cmd(data_dir, emb_path, embed_dim, hidden, batch, epochs,
+def train_cmd(data_dir, emb_path, hidden, batch, epochs,
               learning_rate, clip_norm, dropout, seed, freeze_embeddings,
               eval_on_train, out_path, log_path):
     """Train the tagger and write a checkpoint plus a per-epoch log."""
@@ -161,17 +158,14 @@ def train_cmd(data_dir, emb_path, embed_dim, hidden, batch, epochs,
         _fail(f"cannot read embeddings: {e.strerror}")
     except binio.FormatError as e:
         _fail(f"bad embedding file: {e}")
-    if emb.d_char + emb.d_radical != embed_dim:
-        _fail(f"embedding file is {emb.d_char}+{emb.d_radical} dims, "
-              f"--embed-dim is {embed_dim}")
     train_units = _load(read_units, data_dir / "train.tsv")
     if not train_units:
         _fail("training split is empty", EXIT_EMPTY)
     valid_path = data_dir / "valid.tsv"
     valid_units = _load(read_units, valid_path) if valid_path.exists() else []
     try:
-        hp = Hyperparams(embed_dim=embed_dim, hidden=hidden, batch=batch, epochs=epochs,
-                         learning_rate=learning_rate, clip_norm=clip_norm, dropout=dropout)
+        hp = Hyperparams(batch=batch, epochs=epochs, learning_rate=learning_rate,
+                         clip_norm=clip_norm, dropout=dropout)
     except ValueError as e:
         _fail(str(e))
     model = build_model(emb, hidden=hidden, seed=seed)

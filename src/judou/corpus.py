@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
-import numpy as np
+from .nncore import make_rng
 
 # Tag order is fixed everywhere (serialization, CRF rows).
 TAG_B, TAG_E, TAG_O = 0, 1, 2
@@ -80,6 +80,8 @@ class LabeledSequence:
     def __post_init__(self):
         if len(self.chars) != len(self.tags):
             raise ValueError(f"chars/tags length mismatch: {len(self.chars)} vs {len(self.tags)}")
+        if not set(self.tags) <= set(TAG_CHARS):
+            raise ValueError(f"tags must be a string over {TAG_CHARS!r}, got {self.tags!r}")
 
     def __len__(self) -> int:
         return len(self.chars)
@@ -181,8 +183,7 @@ def chunk_units(seq: LabeledSequence, unit_size: int = UNIT_SIZE, doc_id: str = 
 
 def split_corpus(units: list, seed: int) -> CorpusSplits:
     """Shuffle units with a seeded PCG64 and split 50/25/25, remainder to train."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(len(units))
+    order = make_rng(seed).permutation(len(units))
     shuffled = [units[i] for i in order]
     n = len(units)
     n_quarter = n // 4
@@ -223,40 +224,11 @@ def read_units(path) -> list:
                 chars, tags = line.split("\t")
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 'chars<TAB>tags'") from None
-            if not chars or len(chars) != len(tags) or not set(tags) <= set(TAG_CHARS):
-                raise ValueError(f"{path}:{lineno}: malformed unit line")
-            units.append(Unit(seq=LabeledSequence(chars, tags)))
-    return units
-
-
-def write_vocab(vocab: Vocab, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for ch in vocab.index_to_char[2:]:
-            f.write(ch + "\n")
-
-
-def first_repeat(entries: list):
-    """(i, j) for the first entry i that equals an earlier entry j, or None.
-    A repeated vocab entry would leave a row no character maps to."""
-    first = {}
-    for i, s in enumerate(entries):
-        if first.setdefault(s, i) != i:
-            return i, first[s]
-
-
-def read_vocab(path) -> Vocab:
-    """One character per line after PAD and UNK; a line that is not one UTF-8
-    character, or repeats an earlier line, is rejected as path:line."""
-    chars = []
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
             try:
-                chars.append(line.decode("utf-8").rstrip("\r\n"))
-            except UnicodeDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: not valid UTF-8: {e.reason}") from None
-            if len(chars[-1]) != 1:
-                raise ValueError(f"{path}:{lineno}: expected one character, got {chars[-1]!r}")
-    if repeat := first_repeat(chars):
-        i, j = repeat
-        raise ValueError(f"{path}:{i + 1}: {chars[i]!r} repeats line {j + 1}")
-    return Vocab([*Vocab.RESERVED, *chars])
+                seq = LabeledSequence(chars, tags) if chars else None
+            except ValueError:
+                seq = None
+            if seq is None:
+                raise ValueError(f"{path}:{lineno}: malformed unit line")
+            units.append(Unit(seq=seq))
+    return units

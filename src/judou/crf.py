@@ -62,12 +62,10 @@ def _forward_alphas(P: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _backward_betas(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    betas = np.empty_like(P)
-    betas[:, -1] = A[:N_TAGS, STOP]
-    for t in range(P.shape[1] - 2, -1, -1):
-        betas[:, t] = _logsumexp(A[:N_TAGS, :N_TAGS] + (P[:, t + 1] + betas[:, t + 1])[:, None, :],
-                                 axis=2)
-    return betas
+    """The forward recursion of the reversed chain, whose transitions are A
+    transposed with START and STOP swapped, less the emissions it adds."""
+    swap = [0, 1, 2, STOP, START]
+    return _forward_alphas(P[:, ::-1], A.T[swap][:, swap])[:, ::-1] - P
 
 
 def log_partition(P: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import binio
 from .corpus import Vocab
-from .nncore import NumericError, add_outer, make_rng
+from .nncore import NumericError, add_outer, check_seed, make_rng
 from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, default_table, radical_index
 
 MAGIC = b"GJEMB01\n"
@@ -41,6 +41,7 @@ class EmbeddingConfig:
             raise ValueError(f"dims and window must be >= 1: {self}")
         if self.epochs < 0 or not 0 <= self.learning_rate < math.inf:
             raise ValueError(f"bad optimization settings: {self}")
+        check_seed(self.seed)
 
     @property
     def d_total(self) -> int:

@@ -21,8 +21,15 @@ class NumericError(ValueError):
     """A parameter produced non-finite values."""
 
 
+def check_seed(seed: int) -> int:
+    """seed itself if it is a non-negative int (a numpy integer included)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))
 
 
 # ---------------------------------------------------------------------------

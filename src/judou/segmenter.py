@@ -103,6 +103,8 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
                 use_radicals: bool = True) -> SegmenterModel:
     """A fresh tagger over its own copy of the embedding arrays; training the
     model leaves the caller's EmbeddingSet as it was."""
+    if hidden < 1:
+        raise ValueError(f"hidden size must be >= 1, got {hidden}")
     rng = make_rng(seed)
     d_in = embeddings.d_char + (embeddings.d_radical if use_radicals else 0)
     weights = {"emb.char_vectors": np.array(embeddings.char_vectors, dtype=np.float64),

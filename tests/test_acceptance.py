@@ -248,8 +248,8 @@ def test_07_pipeline_determinism(criterion, tmp_path):
                                      "--out", str(emb)])
         assert r.exit_code == 0, r.stderr
         r = runner.invoke(cli_main, ["train", "--data", str(data), "--embeddings", str(emb),
-                                     "--embed-dim", "10", "--hidden", "4", "--batch", "4",
-                                     "--epochs", "2", "--out", str(model)])
+                                     "--hidden", "4", "--batch", "4", "--epochs", "2",
+                                     "--out", str(model)])
         assert r.exit_code == 0, r.stderr
         r = runner.invoke(cli_main, ["eval", "--model", str(model),
                                      "--data", str(data / "test.tsv")])
@@ -258,7 +258,6 @@ def test_07_pipeline_determinism(criterion, tmp_path):
             "train.tsv": (data / "train.tsv").read_bytes(),
             "valid.tsv": (data / "valid.tsv").read_bytes(),
             "test.tsv": (data / "test.tsv").read_bytes(),
-            "vocab.txt": (data / "vocab.txt").read_bytes(),
             "emb.bin": emb.read_bytes(),
             "model.bin": model.read_bytes(),
             "eval": r.stdout,

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from judou.cli import main
-from judou.corpus import read_units, read_vocab
+from judou.corpus import build_vocab, read_units
 from judou.embedding import EmbeddingConfig, load_embeddings, save_embeddings
 from judou.segmenter import Hyperparams, load_model, save_model
 from judou.corpus import write_units
@@ -55,7 +55,7 @@ def model_path(runner, data_dir, emb_path, tmp_path_factory):
     out = tmp_path_factory.mktemp("model") / "model.bin"
     r = runner.invoke(main, [
         "train", "--data", str(data_dir), "--embeddings", str(emb_path),
-        "--embed-dim", "10", "--hidden", "6", "--batch", "4", "--epochs", "15",
+        "--hidden", "6", "--batch", "4", "--epochs", "15",
         "--learning-rate", "0.1", "--dropout", "0.0", "--eval-on-train",
         "--out", str(out)])
     assert r.exit_code == 0, r.stdout + r.stderr
@@ -67,7 +67,6 @@ def model_path(runner, data_dir, emb_path, tmp_path_factory):
 
 def test_train_defaults_match_reference_settings():
     defaults = {o.name: o.default for o in main.commands["train"].params}
-    assert defaults["embed_dim"] == 100
     assert defaults["hidden"] == 100
     assert defaults["batch"] == 50
     assert defaults["epochs"] == 30
@@ -96,7 +95,7 @@ def test_pretrain_and_train_defaults_are_the_config_defaults():
             if name in names:
                 assert param.default == getattr(config, name), (command, param.name)
                 checked += 1
-    assert checked == 13
+    assert checked == 12
 
 
 def test_prepare_help_says_segment_decodes_fixed_units(runner):
@@ -113,8 +112,8 @@ def test_prepare_outputs(runner, data_dir):
     assert len(read_units(data_dir / "valid.tsv")) == 2
     assert len(read_units(data_dir / "test.tsv")) == 2
     assert all(len(u.seq) == 100 for u in units)
-    vocab = read_vocab(data_dir / "vocab.txt")
-    assert vocab.size > 2
+    assert sorted(p.name for p in data_dir.iterdir()) == [
+        "manifest.tsv", "test.tsv", "train.tsv", "valid.tsv"]
     manifest = (data_dir / "manifest.tsv").read_text(encoding="utf-8")
     assert manifest == "train\ttrain.tsv\nvalid\tvalid.tsv\ntest\ttest.tsv\nseed\t0\n"
 
@@ -132,7 +131,7 @@ def test_prepare_is_deterministic(runner, docs_dir, tmp_path):
         r = runner.invoke(main, ["prepare", "--input", str(docs_dir), "--out", str(out)])
         assert r.exit_code == 0
         outs.append(out)
-    for fname in ("train.tsv", "valid.tsv", "test.tsv", "vocab.txt", "manifest.tsv"):
+    for fname in ("train.tsv", "valid.tsv", "test.tsv", "manifest.tsv"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
@@ -161,8 +160,7 @@ def test_prepare_missing_input_dir(runner, tmp_path):
 def test_a_negative_seed_is_a_usage_error(runner, command, docs_dir, data_dir, emb_path, tmp_path):
     args = {"prepare": ["--input", str(docs_dir)],
             "pretrain": ["--data", str(data_dir)],
-            "train": ["--data", str(data_dir), "--embeddings", str(emb_path),
-                      "--embed-dim", "10"]}[command]
+            "train": ["--data", str(data_dir), "--embeddings", str(emb_path)]}[command]
     out = tmp_path / "out"
     r = runner.invoke(main, [command, *args, "--seed", "-1", "--out", str(out)])
     assert r.exit_code == 2, r.output
@@ -183,6 +181,7 @@ def test_pretrain_reports_decreasing_loss(runner, data_dir, tmp_path):
     assert losses[-1] < losses[0]
     emb = load_embeddings(out)
     assert emb.d_char == 5 and emb.d_radical == 3
+    assert emb.vocab == build_vocab(read_units(data_dir / "train.tsv"))
 
 
 def test_pretrain_rejects_zero_radical_dim(runner, data_dir, tmp_path):
@@ -225,30 +224,6 @@ def data_copy(data_dir, tmp_path):
     return out
 
 
-@pytest.mark.parametrize("fault, message", [
-    ("duplicate", r"vocab\.txt:5: '.' repeats line 2"),
-    ("invalid utf-8", r"vocab\.txt:3: not valid UTF-8"),
-    ("two characters", r"vocab\.txt:1: expected one character, got '..'"),
-], ids=["duplicate", "invalid-utf8", "two-characters"])
-def test_pretrain_rejects_a_malformed_vocab(runner, data_dir, tmp_path, fault, message):
-    data = data_copy(data_dir, tmp_path)
-    vocab = data / "vocab.txt"
-    lines = vocab.read_bytes().splitlines(keepends=True)
-    if fault == "duplicate":
-        lines.insert(4, lines[1])
-    elif fault == "invalid utf-8":
-        lines[2] = b"\xff\n"
-    else:
-        lines[0] = lines[0].rstrip(b"\n") + lines[1]
-    vocab.write_bytes(b"".join(lines))
-    out = tmp_path / "emb.bin"
-    r = runner.invoke(main, ["pretrain", "--data", str(data), "--dim-char", "4",
-                             "--dim-radical", "2", "--epochs", "1", "--out", str(out)])
-    assert r.exit_code == 2, r.output
-    assert r.stderr.startswith("error: ") and re.search(message, r.stderr), r.stderr
-    assert not out.exists()
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -258,7 +233,7 @@ def test_train_rejects_an_empty_unit(runner, data_dir, emb_path, tmp_path):
     with open(data / "train.tsv", "a", encoding="utf-8") as f:
         f.write("\t\n")
     r = runner.invoke(main, ["train", "--data", str(data), "--embeddings", str(emb_path),
-                             "--embed-dim", "10", "--hidden", "3", "--epochs", "1",
+                             "--hidden", "3", "--epochs", "1",
                              "--out", str(tmp_path / "m.bin")])
     assert r.exit_code == 2, r.output
     assert f"train.tsv:{n_lines + 1}: malformed unit line" in r.stderr
@@ -290,24 +265,17 @@ def test_train_converges_on_train_split(runner, model_path, data_dir):
 def test_train_zero_epochs_still_writes_checkpoint(runner, data_dir, emb_path, tmp_path):
     out = tmp_path / "untrained.bin"
     r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
-                             "--embed-dim", "10", "--hidden", "3", "--epochs", "0",
+                             "--hidden", "3", "--epochs", "0",
                              "--out", str(out)])
     assert r.exit_code == 0
     assert r.stdout == ""
     assert load_model(out).vocab.size > 2
 
 
-def test_train_embedding_dim_mismatch(runner, data_dir, emb_path, tmp_path):
-    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
-                             "--out", str(tmp_path / "m")])  # default --embed-dim 100
-    assert r.exit_code == 2
-    assert "6+4" in r.stderr and "100" in r.stderr
-
-
 def test_train_missing_embeddings(runner, data_dir, tmp_path):
     r = runner.invoke(main, ["train", "--data", str(data_dir),
                              "--embeddings", str(tmp_path / "nope.bin"),
-                             "--embed-dim", "10", "--out", str(tmp_path / "m")])
+                             "--out", str(tmp_path / "m")])
     assert r.exit_code == 2
     assert "cannot read embeddings" in r.stderr
 
@@ -318,7 +286,7 @@ def test_train_rejects_an_embedding_file_with_window_zero(runner, data_dir, emb_
     bad = tmp_path / "emb.bin"
     save_embeddings(emb, bad)
     r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(bad),
-                             "--embed-dim", "10", "--out", str(tmp_path / "m")])
+                             "--out", str(tmp_path / "m")])
     assert r.exit_code == 2
     assert "bad embedding file" in r.stderr
 
@@ -329,7 +297,7 @@ def test_train_reports_non_finite_embeddings_as_an_error(runner, data_dir, emb_p
     bad, out = tmp_path / "emb.bin", tmp_path / "m.bin"
     save_embeddings(emb, bad)
     r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(bad),
-                             "--embed-dim", "10", "--hidden", "3", "--epochs", "1",
+                             "--hidden", "3", "--epochs", "1",
                              "--out", str(out)])
     assert r.exit_code == 2
     assert r.stderr == "error: non-finite gradient in parameter 'emb.char_vectors'\n"
@@ -345,7 +313,7 @@ def test_train_rejects_a_nan_setting_before_the_first_epoch(runner, data_dir, em
                                                             option, message):
     out = tmp_path / "m.bin"
     r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
-                             "--embed-dim", "10", "--hidden", "3", "--epochs", "1",
+                             "--hidden", "3", "--epochs", "1",
                              option, "nan", "--out", str(out)])
     assert r.exit_code == 2, r.output
     assert r.stdout == ""

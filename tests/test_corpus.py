@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from judou.corpus import (DEFAULT_PUNCT, DEFAULT_STOPS, UNSURE_CHAR, LabeledSequence,
                           PunctConfig, Unit, Vocab, boundary_positions,
                           build_vocab, chunk_units, clean_unsure, normalize_text,
-                          read_units, read_vocab, split_corpus, tags_to_text,
-                          text_to_tags, write_units, write_vocab)
+                          read_units, split_corpus, tags_to_text, text_to_tags,
+                          write_units)
 from judou.embedding import load_embeddings, save_embeddings
 from judou.synthetic import random_embeddings
 import oracles
@@ -309,31 +309,6 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=":2: malformed unit line"):
             read_units(p)
 
-    @pytest.mark.parametrize("content, message", [
-        (b"\xe5\xa4\xa9\n\xe5\x9c\xb0\n\xe5\xa4\xa9\n", r":3: '天' repeats line 1"),
-        (b"\xe5\xa4\xa9\n\xff\n", r":2: not valid UTF-8"),
-        (b"\xe5\xa4\xa9\xe5\x9c\xb0\n", r":1: expected one character, got '天地'"),
-        (b"\xe5\xa4\xa9\n\n\xe5\x9c\xb0\n", r":2: expected one character, got ''"),
-    ], ids=["duplicate", "invalid-utf8", "two-characters", "blank-line"])
-    def test_malformed_vocab_rejected(self, tmp_path, content, message):
-        p = tmp_path / "v.txt"
-        p.write_bytes(content)
-        with pytest.raises(ValueError, match=message):
-            read_vocab(p)
-
-    def test_vocab_with_crlf_line_ends_reads(self, tmp_path):
-        p = tmp_path / "v.txt"
-        p.write_bytes("天\r\n地\r\n".encode("utf-8"))
-        assert read_vocab(p).index_to_char[2:] == ["天", "地"]
-
-    def test_vocab_round_trip(self, tmp_path):
-        v = build_vocab([Unit(seq=LabeledSequence("天地人山", "BOOE"))])
-        p = tmp_path / "v.txt"
-        write_vocab(v, p)
-        back = read_vocab(p)
-        assert back.index_to_char == v.index_to_char
-        assert back.char_to_index == v.char_to_index
-
 
 # line-shaped bytes: separators, line ends, tag letters, a Han character and a non-UTF-8 byte
 line_bytes = st.lists(st.sampled_from([b"\t", b"\r", b"\n", b"B", b"E", b"O",
@@ -345,7 +320,7 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "file.txt"
 
 
-@pytest.mark.parametrize("read", [read_units, read_vocab])
+@pytest.mark.parametrize("read", [read_units])
 @settings(deadline=None)
 @given(content=st.binary() | line_bytes)
 def test_dataset_loaders_return_or_raise_value_error(read, fuzz_path, content):
@@ -374,8 +349,6 @@ def test_vocab_is_the_same_from_every_source(chars, table, vocab_dir):
     v = Vocab([*Vocab.RESERVED, *chars])
     assert list(v.char_to_index) == v.index_to_char[2:]
     assert all(v.index_to_char[i] == ch for ch, i in v.char_to_index.items())
-    write_vocab(v, vocab_dir / "vocab.txt")
-    assert read_vocab(vocab_dir / "vocab.txt") == v
     save_embeddings(random_embeddings(v, table, d_char=1, d_radical=1, seed=0),
                     vocab_dir / "emb.bin")
     assert load_embeddings(vocab_dir / "emb.bin").vocab == v
