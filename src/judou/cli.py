@@ -5,6 +5,7 @@ Data goes to stdout, diagnostics to stderr. All text I/O is strict UTF-8.
 """
 
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -116,12 +117,19 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
     except ValueError as e:
         _fail(str(e))
 
-    def report(epoch, mean_loss):
-        click.echo(f"epoch {epoch + 1} loss {mean_loss:.4f}")
+    positions = sum(len(u.seq) for u in units)
+    vocab = build_vocab(units)
 
+    def report(epoch, mean_loss):
+        nonlocal start  # the first epoch's time includes drawing the model
+        now = time.perf_counter()
+        click.echo(f"epoch {epoch + 1} {now - start:.2f}s {positions / (now - start):.0f} "
+                   f"positions/s loss {mean_loss:.4f}")
+        start = now
+
+    start = time.perf_counter()
     try:
-        emb = train_embeddings(units, default_table(), cfg, vocab=build_vocab(units),
-                               progress=report)
+        emb = train_embeddings(units, default_table(), cfg, vocab=vocab, progress=report)
     except NumericError as e:
         _fail(str(e))
     save_embeddings(emb, out_path)

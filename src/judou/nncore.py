@@ -2,7 +2,9 @@
 
 Everything is float64 numpy; backpropagation is hand-derived per module, and
 the tests check each module against central finite differences. The seeded
-generator is PCG64 throughout, which keeps training bit-reproducible.
+generator is PCG64 throughout, which keeps training bit-reproducible. The
+configs, build_model and make_rng check each size, epoch count and seed they
+take with check_int.
 
 A model's weights are one dict of plain arrays keyed by name. Gradients are
 a second dict, owned by the training loop, with the names of the weights it
@@ -12,7 +14,7 @@ and sgd_step applies and zeroes it in its own key order.
 
 import numpy as np
 
-# add_outer's scratch block: small enough to stay in cache between the
+# add_low_rank's scratch block: small enough to stay in cache between the
 # product and the add, large enough that per-block overhead does not show
 OUTER_BLOCK_BYTES = 400_000
 
@@ -21,15 +23,16 @@ class NumericError(ValueError):
     """A parameter produced non-finite values."""
 
 
-def check_seed(seed: int) -> int:
-    """seed itself if it is a non-negative int (a numpy integer included)."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+def check_int(name: str, value: int, low: int) -> int:
+    """value itself if it is an int (a numpy integer included, a bool not) of
+    at least low; name is the input's name in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(check_seed(seed)))
+    return np.random.Generator(np.random.PCG64(check_int("seed", seed, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -45,17 +48,18 @@ def sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def add_outer(M: np.ndarray, a: np.ndarray, b: np.ndarray, scale: float) -> None:
-    """M += scale * outer(a, b), in row blocks through one scratch buffer of
-    OUTER_BLOCK_BYTES, so no (len(a), len(b)) temporary is made. Entry by
-    entry it rounds as the dense `G = zeros; G += outer(a, b); M += scale * G`
-    does, so with scale = -lr it is the SGD step `M -= lr * G` bit for bit."""
-    rows = max(1, OUTER_BLOCK_BYTES // (b.size * M.itemsize))
-    buf = np.empty((min(rows, len(a)), b.size))
-    for start in range(0, len(a), rows):
-        # einsum writes 0 + a_i * b_j, as G += outer did into a zeroed G (a
-        # zero product is +0.0), without np.multiply.outer's per-row overhead
-        blk = np.einsum("i,j->ij", a[start:start + rows], b, out=buf[:len(a) - start])
+def add_low_rank(M: np.ndarray, A: np.ndarray, B: np.ndarray, scale: float) -> None:
+    """M += scale * (A.T @ B) for A (k, rows of M) and B (k, columns of M), in
+    row blocks through one scratch buffer of OUTER_BLOCK_BYTES, so no
+    temporary of M's size is made. At k = 1 it rounds entry by entry as the
+    dense `G = zeros; G += outer(a, b); M += scale * G` does, so with
+    scale = -lr it is the SGD step `M -= lr * G` bit for bit."""
+    rows = max(1, OUTER_BLOCK_BYTES // (B.shape[1] * M.itemsize))
+    buf = np.empty((min(rows, len(M)), B.shape[1]))
+    for start in range(0, len(M), rows):
+        # the product sums from +0.0, as G += outer did into a zeroed G, so a
+        # zero product of either sign is +0.0 there too
+        blk = np.matmul(A[:, start:start + rows].T, B, out=buf[:len(M) - start])
         blk *= scale
         M[start:start + rows] += blk
 

@@ -18,7 +18,7 @@ from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
 from .embedding import EmbeddingSet, encode_chars, take_embeddings
 from .lstm import (bilstm_backward_batch, bilstm_forward_batch, lstm_shapes,
                    new_bilstm_weights)
-from .nncore import dropout_mask, glorot_uniform, make_rng, sgd_step
+from .nncore import check_int, dropout_mask, glorot_uniform, make_rng, sgd_step
 from .radicals import RadicalTable, default_table
 
 MAGIC = b"GJSEG01\n"
@@ -39,9 +39,9 @@ class Hyperparams:
     dropout: float = 0.5
 
     def __post_init__(self):
-        if min(self.embed_dim, self.hidden, self.batch) < 1:
-            raise ValueError(f"dimensions and batch must be positive: {self}")
-        if self.epochs < 0 or not 0 <= self.learning_rate < np.inf or not self.clip_norm > 0:
+        for name, low in (("embed_dim", 1), ("hidden", 1), ("batch", 1), ("epochs", 0)):
+            check_int(name, getattr(self, name), low)
+        if not 0 <= self.learning_rate < np.inf or not self.clip_norm > 0:
             raise ValueError(f"bad optimization settings: {self}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1): {self.dropout}")
@@ -103,8 +103,7 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
                 use_radicals: bool = True) -> SegmenterModel:
     """A fresh tagger over its own copy of the embedding arrays; training the
     model leaves the caller's EmbeddingSet as it was."""
-    if hidden < 1:
-        raise ValueError(f"hidden size must be >= 1, got {hidden}")
+    check_int("hidden", hidden, 1)
     rng = make_rng(seed)
     d_in = embeddings.d_char + (embeddings.d_radical if use_radicals else 0)
     weights = {"emb.char_vectors": np.array(embeddings.char_vectors, dtype=np.float64),

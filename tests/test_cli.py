@@ -184,6 +184,18 @@ def test_pretrain_reports_decreasing_loss(runner, data_dir, tmp_path):
     assert emb.vocab == build_vocab(read_units(data_dir / "train.tsv"))
 
 
+def test_pretrain_reports_each_epochs_time_and_speed(runner, data_dir, tmp_path):
+    r = runner.invoke(main, ["pretrain", "--data", str(data_dir), "--dim-char", "5",
+                             "--dim-radical", "3", "--epochs", "2", "--out",
+                             str(tmp_path / "emb.bin")])
+    assert r.exit_code == 0
+    lines = r.stdout.splitlines()
+    assert len(lines) == 2
+    for epoch, line in enumerate(lines, 1):
+        pattern = rf"epoch {epoch} \d+\.\d\ds \d+ positions/s loss \d+\.\d{{4}}"
+        assert re.fullmatch(pattern, line), line
+
+
 def test_pretrain_rejects_zero_radical_dim(runner, data_dir, tmp_path):
     r = runner.invoke(main, ["pretrain", "--data", str(data_dir),
                              "--dim-radical", "0", "--out", str(tmp_path / "e")])

@@ -21,7 +21,7 @@ from judou.embedding import (
     train_embeddings,
     _context_rows,
 )
-from judou.nncore import OUTER_BLOCK_BYTES, NumericError, add_outer
+from judou.nncore import OUTER_BLOCK_BYTES, NumericError, add_low_rank
 from judou.radicals import radical_index
 
 from oracles import (cbow_context_slots, cbow_grad_params, cbow_step, dense_cbow_forward,
@@ -143,7 +143,9 @@ def test_repeated_context_rows_sum_in_slot_order(table):
     {"learning_rate": float("inf")},
 ])
 def test_embedding_config_rejects_bad_optimization_settings(bad):
-    with pytest.raises(ValueError, match="bad optimization settings"):
+    # an epoch count is checked as every other integer input is
+    match = "epochs must be an integer >= 0" if "epochs" in bad else "bad optimization settings"
+    with pytest.raises(ValueError, match=match):
         EmbeddingConfig(**bad)
 
 
@@ -282,7 +284,7 @@ def block_rows(cols: int) -> int:
 
 
 @pytest.mark.parametrize("rows", [1, 7, 300])
-def test_add_outer_matches_the_dense_expressions_bytewise(rows):
+def test_add_low_rank_matches_the_dense_expressions_bytewise(rows):
     # 600 columns are 4800-byte rows, 83 to a block: 300 rows end in a partial block
     assert 300 % block_rows(600) and 300 > 3 * block_rows(600)
     rng = np.random.default_rng(rows)
@@ -293,19 +295,27 @@ def test_add_outer_matches_the_dense_expressions_bytewise(rows):
     grad = np.zeros_like(M)
     grad += np.outer(a, b)
     stepped, summed = M.copy(), M.copy()
-    add_outer(stepped, a, b, -0.05)
+    add_low_rank(stepped, a[None], b[None], -0.05)
     assert stepped.tobytes() == (M - 0.05 * grad).tobytes()
-    add_outer(summed, a, b, 1.0)
+    add_low_rank(summed, a[None], b[None], 1.0)
     assert summed.tobytes() == (M + grad).tobytes()
 
 
-@pytest.mark.parametrize("window", [1, 2, 3])
-def test_sparse_steps_match_the_dense_oracle_bytewise(table, window):
-    """Context-row updates and the blocked projection update give the dense
-    per-position step's vectors and losses, bit for bit, over a vocab that
-    spans several projection blocks and ends in a partial one, with one
-    character repeated across the slots of a context, and with units of one
-    and two characters, shorter than windows 2 and 3."""
+def test_add_low_rank_matches_the_product_at_rank_16():
+    # 300 rows of 600 columns end in a partial block; the sums over k may
+    # run in another order than one product's, so only rounding may differ
+    rng = np.random.default_rng(16)
+    A, B, M = rng.normal(size=(16, 300)), rng.normal(size=(16, 600)), rng.normal(size=(300, 600))
+    want = M + -0.05 * (A.T @ B)
+    add_low_rank(M, A, B, -0.05)
+    assert abs(M - want).max() <= 1e-14 * abs(want).max()
+
+
+def dense_oracle_case(window) -> tuple:
+    """(vocab, config, corpus) over a vocab that spans several projection
+    blocks and ends in a partial one, with one character repeated across the
+    slots of a context, units of 40 characters, and units of one and two
+    characters, shorter than windows 2 and 3."""
     alphabet = [chr(0x4E00 + i) for i in range(298)] + ["天", "地"]
     vocab = vocab_over("".join(alphabet))
     cfg = EmbeddingConfig(window=window, epochs=2, learning_rate=0.1, seed=window)
@@ -313,6 +323,16 @@ def test_sparse_steps_match_the_dense_oracle_bytewise(table, window):
     assert vocab.size > rows and vocab.size % rows
     rng = np.random.default_rng(window)
     corpus = ["".join(rng.choice(alphabet, size=40)) for _ in range(3)] + ["天天天地", "地", "天地"]
+    return vocab, cfg, corpus
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_sparse_steps_match_the_dense_oracle_bytewise(table, window, monkeypatch):
+    """Context-row updates and the blocked projection update, applied at
+    every step, give the dense per-position step's vectors and losses, bit
+    for bit."""
+    monkeypatch.setattr(embedding, "PENDING_UPDATES", 1)
+    vocab, cfg, corpus = dense_oracle_case(window)
     losses = []
     emb = train_embeddings(units_over(corpus), table, cfg, vocab=vocab,
                            progress=lambda e, m: losses.append(m))
@@ -320,6 +340,23 @@ def test_sparse_steps_match_the_dense_oracle_bytewise(table, window):
     assert emb.char_vectors.tobytes() == chars.tobytes()
     assert emb.radical_vectors.tobytes() == rads.tobytes()
     assert losses == ref_losses
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_pending_projection_updates_match_the_dense_oracle_to_rounding(table, window):
+    """At the shipped PENDING_UPDATES the projection's steps wait and are
+    applied together, within units (40 positions), across unit joins and
+    across epochs (127 positions each); only the order of the sums changes."""
+    vocab, cfg, corpus = dense_oracle_case(window)
+    assert max(map(len, corpus)) > embedding.PENDING_UPDATES > 1
+    assert sum(map(len, corpus)) % embedding.PENDING_UPDATES
+    losses = []
+    emb = train_embeddings(units_over(corpus), table, cfg, vocab=vocab,
+                           progress=lambda e, m: losses.append(m))
+    chars, rads, ref_losses = dense_train_embeddings(corpus, vocab, table, cfg)
+    for got, want in ((emb.char_vectors, chars), (emb.radical_vectors, rads),
+                      (np.array(losses), np.array(ref_losses))):
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
 def test_an_epoch_at_full_vocab_holds_no_dense_temporaries(table):

@@ -9,12 +9,27 @@ from hypothesis import strategies as st
 from judou.corpus import TAG_CHARS, LabeledSequence, Unit, build_vocab
 from judou.embedding import EmbeddingConfig, untrained_embeddings
 from judou.nncore import make_rng
-from judou.segmenter import build_model
+from judou.segmenter import Hyperparams, build_model
 
 # a negative int, or anything that is not an int: PCG64 raises TypeError on
-# a float or text, and takes None (fresh OS entropy) or a list of ints
-invalid_seeds = st.one_of(st.integers(max_value=-1), st.floats(), st.none(),
+# a float or text, and takes None (fresh OS entropy), a bool or a list of ints
+invalid_seeds = st.one_of(st.integers(max_value=-1), st.floats(), st.none(), st.booleans(),
                           st.text(max_size=2), st.lists(st.integers(0, 9), max_size=2))
+
+
+def invalid_sizes(low: int):
+    """An int below low, or a float, bool or text: a float size of at least
+    low used to pass every check and fail deep in numpy."""
+    return st.one_of(st.integers(max_value=low - 1), st.floats(), st.booleans(),
+                     st.text(max_size=2))
+
+
+# (type, size field, least valid value)
+SIZES = [(EmbeddingConfig, "d_char", 1), (EmbeddingConfig, "d_radical", 1),
+         (EmbeddingConfig, "window", 1), (EmbeddingConfig, "epochs", 0),
+         (Hyperparams, "embed_dim", 1), (Hyperparams, "hidden", 1),
+         (Hyperparams, "batch", 1), (Hyperparams, "epochs", 0)]
+
 # a tag string holding at least one letter outside B, E and O
 invalid_tags = st.text(min_size=1, max_size=6).filter(lambda t: not set(t) <= set(TAG_CHARS))
 
@@ -30,7 +45,9 @@ def embeddings(table):
 @given(case=st.one_of(
     invalid_seeds.map(lambda s: ("seed", make_rng, {"seed": s})),
     invalid_seeds.map(lambda s: ("seed", EmbeddingConfig, {"seed": s})),
-    st.integers(-3, 0).map(lambda h: ("hidden", build_model, {"hidden": h})),
+    invalid_sizes(1).map(lambda h: ("hidden", build_model, {"hidden": h})),
+    st.sampled_from(SIZES).flatmap(lambda s: invalid_sizes(s[2]).map(
+        lambda v: (s[1], s[0], {s[1]: v}))),
     invalid_tags.map(lambda t: ("tags", LabeledSequence, {"chars": "天" * len(t), "tags": t})),
 ))
 def test_an_invalid_input_raises_a_value_error_naming_it(case, embeddings):
