@@ -210,7 +210,10 @@ def eval_cmd(model_path, data_path):
     units = _load(read_units, data_path)
     if not units:
         _fail(f"{data_path} holds no units", EXIT_EMPTY)
-    rep = evaluate(model, units)
+    try:
+        rep = evaluate(model, units)
+    except NumericError as e:
+        _fail(str(e))
     click.echo(f"P={rep.precision:.4f} R={rep.recall:.4f} F1={rep.f1:.4f}")
 
 
@@ -239,7 +242,10 @@ def segment_cmd(model_path, in_path, sep):
             text = sys.stdin.buffer.read().decode("utf-8")
         except UnicodeDecodeError as e:
             _fail(f"stdin is not valid UTF-8: {e}")
-    out = segment(model, text, separator=sep)
+    try:
+        out = segment(model, text, separator=sep)
+    except NumericError as e:
+        _fail(str(e))
     if out:
         click.echo(out)
 

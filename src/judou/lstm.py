@@ -8,6 +8,8 @@ Gates are fused per direction as [i f g o] (Appleyard et al., arXiv
 1604.01946): one GEMM projects the inputs of all timesteps, then each step
 adds one recurrent and two peephole products and activates in place. Passes
 run over (B, n, d_in) batches of equal-length sequences from a zero state.
+Every array a pass allocates takes the dtype of its inputs xs: training runs
+in float64, and decoding passes float32 inputs with float32 weights.
 
 The weights are ten plain arrays in a dict, five per direction under "fwd."
 and "bwd." (lstm_shapes); the backward pass adds into a gradient dict with
@@ -30,9 +32,16 @@ so `segment` on a document of one or a few units runs serially. Threaded
 over serial speed, the range of two sweeps at H = d_in = 100, n = 100 (65 at
 B = 1), with 1 BLAS thread on a 2-core host:
 
-    B                1            8            16           25           50
-    forward pass     0.90-0.94x   0.97-0.99x   1.02-1.12x   1.24-1.36x   1.39-1.55x
-    backward pass    0.96-0.97x   0.96-1.09x   1.46-1.53x   1.19-1.51x   1.38-1.81x
+    B                  1            8            16           25           50
+    forward, f64       0.90-0.94x   0.97-0.99x   1.02-1.12x   1.24-1.36x   1.39-1.55x
+    backward, f64      0.96-0.97x   0.96-1.09x   1.46-1.53x   1.19-1.51x   1.38-1.81x
+    forward, f32       0.98x        0.63-0.66x   0.84-0.94x   0.76-0.77x   1.21-1.38x
+    backward, f32      0.96-0.99x   0.72-0.84x   1.34-1.38x   1.07-1.20x   1.41-1.63x
+
+A float32 step is shorter, so the hand-offs weigh more: a forward pass
+without cache (as decoding runs) measured 0.83x at B = 25, 1.07x at B = 35
+and 1.32x at B = 50 in float32, against 1.40x, 1.58x and 1.69x in float64.
+PARALLEL_MIN_ROWS is one value for both dtypes: no other value sped up both.
 """
 
 import threading
@@ -94,8 +103,8 @@ def _direction_forward(w: tuple, xs, hs):
     H = W_h.shape[0]
     A = (xs.reshape(-1, d) @ W_x).reshape(batch, n, 4 * H)
     A += b
-    C, TC = np.empty((batch, n, H)), np.empty((batch, n, H))
-    h = c = np.zeros((batch, H))
+    C, TC = np.empty((batch, n, H), xs.dtype), np.empty((batch, n, H), xs.dtype)
+    h = c = np.zeros((batch, H), xs.dtype)
     for t in range(n):
         a = A[:, t]
         i_f, i, f, g, o = a[:, :2 * H], a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
@@ -136,7 +145,7 @@ def _direction_backward(w: tuple, g: tuple, xs, cache, dhs, input_grads: bool):
     np.subtract(1.0, o, out=o)
     o *= Hs
 
-    dh, dc = np.zeros((batch, H)), np.zeros((batch, H))
+    dh, dc = np.zeros((batch, H), A.dtype), np.zeros((batch, H), A.dtype)
     for t in range(n - 1, -1, -1):
         a, f_t = A[:, t], A[:, t, H:2 * H]
         dh += dhs[:, t]
@@ -198,7 +207,7 @@ def bilstm_forward_batch(weights: dict, xs: np.ndarray, keep_cache: bool = True)
     """xs (B, n, d_in) -> outputs (B, n, 2H) plus the cache for backprop, or
     None in place of it with keep_cache False."""
     H = weights["fwd.W_h"].shape[0]
-    out = np.empty(xs.shape[:2] + (2 * H,))
+    out = np.empty(xs.shape[:2] + (2 * H,), xs.dtype)
 
     def direction(w, x, hs):
         cache = _direction_forward(w, x, hs)

@@ -1,10 +1,11 @@
 """Numeric substrate shared by every model module.
 
-Everything is float64 numpy; backpropagation is hand-derived per module, and
-the tests check each module against central finite differences. The seeded
-generator is PCG64 throughout, which keeps training bit-reproducible. The
-configs, build_model and make_rng check each size, epoch count and seed they
-take with check_int.
+Everything is float64 numpy, save decoding, which runs the BiLSTM and the
+emission on float32 copies (segmenter._decode). Backpropagation is
+hand-derived per module, and the tests check each module against central
+finite differences. The seeded generator is PCG64 throughout, which keeps
+training bit-reproducible. The configs, build_model and make_rng check each
+size, epoch count and seed they take with check_int.
 
 A model's weights are one dict of plain arrays keyed by name. Gradients are
 a second dict, owned by the training loop, with the names of the weights it

@@ -4,6 +4,9 @@ Training fine-tunes the pretrained embeddings together with the network
 (freezing them is available as an option), selects the best epoch by
 validation F1, and restores those parameters at the end. Evaluation scores
 sentence boundaries (positions after each E tag), never the tags themselves.
+Weights and training are float64; decoding runs the BiLSTM and emission
+projection in float32 (mixed precision, Micikevicius et al., arXiv
+1710.03740) and the CRF in float64.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,8 @@ from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
 from .embedding import EmbeddingSet, encode_chars, take_embeddings
 from .lstm import (bilstm_backward_batch, bilstm_forward_batch, lstm_shapes,
                    new_bilstm_weights)
-from .nncore import check_int, dropout_mask, glorot_uniform, make_rng, sgd_step
+from .nncore import (NumericError, check_int, dropout_mask, glorot_uniform, make_rng,
+                     sgd_step)
 from .radicals import RadicalTable, default_table
 
 MAGIC = b"GJSEG01\n"
@@ -84,10 +88,10 @@ EMBEDDING_NAMES = ("emb.char_vectors", "emb.radical_vectors")
 @dataclass
 class SegmenterModel:
     """The tagger's vocabulary, radical table and weights. weights holds
-    every array, 2-D, by its checkpoint section name, in the order train()
-    steps and save_model() writes them: EMBEDDING_NAMES, the BiLSTM's ten
-    (lstm.py), emit.W (2H, 3), emit.b (1, 3) and crf.trans (5, 5), the CRF
-    transitions with START and STOP included."""
+    every array, 2-D and float64, by its checkpoint section name, in the
+    order train() steps and save_model() writes them: EMBEDDING_NAMES, the
+    BiLSTM's ten (lstm.py), emit.W (2H, 3), emit.b (1, 3) and crf.trans
+    (5, 5), the CRF transitions with START and STOP included."""
 
     vocab: Vocab
     radtable: RadicalTable
@@ -124,6 +128,8 @@ def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndar
     X = w["emb.char_vectors"][char_ids]
     if model.use_radicals:
         X = np.concatenate([X, w["emb.radical_vectors"][rad_ids]], axis=2)
+    # the pass runs in the BiLSTM's dtype; the rows are cast after the gather
+    X = X.astype(w["fwd.W_x"].dtype, copy=False)
     in_mask = out_mask = None
     if dropout > 0:
         in_mask = dropout_mask(X.shape, dropout, rng)
@@ -183,17 +189,33 @@ def _length_groups(encoded: list, idxs):
 
 def _decode(model: SegmenterModel, encoded: list) -> list:
     """Viterbi tag ids (one array per unit) from forward passes over
-    equal-length units, at most DECODE_BATCH units per pass."""
+    equal-length units, at most DECODE_BATCH units per pass.
+
+    The passes run on float32 copies of the BiLSTM and emission weights, made
+    once per call; the embedding rows are cast after the gather, and the CRF
+    decodes the emissions upcast to float64 with the float64 transitions.
+    model.weights is only read."""
     if any(len(e) == 0 for e in encoded):
         raise ValueError("cannot run the model on an empty unit")
+    trans = model.weights["crf.trans"]
+    if not np.isfinite(trans).all():
+        raise NumericError("non-finite CRF transition scores")
+    decoder = SegmenterModel(model.vocab, model.radtable, {
+        name: w if name in EMBEDDING_NAMES or name == "crf.trans" else w.astype(np.float32)
+        for name, w in model.weights.items()})
     tags = {}
     for idxs, char_ids, rad_ids in _length_groups(encoded, range(len(encoded))):
         for start in range(0, len(idxs), DECODE_BATCH):
             part = slice(start, start + DECODE_BATCH)
             # no LSTM cache: a serial pass then frees the forward direction's
             # cache before the backward direction allocates its own
-            P = _forward_batch(model, char_ids[part], rad_ids[part], keep_cache=False)[0]
-            tags.update(zip(idxs[part], viterbi_decode(P, model.weights["crf.trans"])))
+            P = _forward_batch(decoder, char_ids[part], rad_ids[part], keep_cache=False)[0]
+            P = P.astype(np.float64)
+            # a NaN weight, or one beyond float32's range, would decode as no boundary
+            if not np.isfinite(P).all():
+                raise NumericError("non-finite emission scores: a weight is NaN or infinite, "
+                                   "or too large for float32")
+            tags.update(zip(idxs[part], viterbi_decode(P, trans)))
     return [tags[i] for i in range(len(encoded))]
 
 

@@ -427,6 +427,22 @@ def test_a_checkpoint_with_214_radical_rows_is_a_bad_checkpoint(runner, make_mod
     assert "bad checkpoint" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["eval", "segment"])
+def test_a_checkpoint_with_a_nan_weight_exits_2(runner, make_model, command, tmp_path):
+    # it loads, but decodes to non-finite emission scores
+    ckpt = tmp_path / "m.bin"
+    model = make_model([unit_of("天地人山水火", "BOEBOE")])
+    model.weights["emit.W"][0, 0] = np.nan
+    save_model(model, ckpt)
+    data = tmp_path / "gold.tsv"
+    write_units([unit_of("天地", "BE")], data)
+    args = ["--data", str(data)] if command == "eval" else []
+    r = runner.invoke(main, [command, "--model", str(ckpt)] + args, input="天地")
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "non-finite emission scores" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # segment
 

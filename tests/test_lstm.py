@@ -352,13 +352,20 @@ def test_backward_accumulates_across_calls(both_paths):
 # ---------------------------------------------------------------------------
 # the two directions in two threads
 
-def pass_bytes(batch, n, keep_cache, input_grads):
+def in_dtype(p, dtype):
+    """The weight dict p with every array cast to dtype."""
+    return {name: w.astype(dtype) for name, w in p.items()}
+
+
+def pass_bytes(batch, n, keep_cache, input_grads, dtype=np.float64):
     """Every array one forward pass, and with keep_cache the backward pass
     after it, produces: outputs, caches before and after the backward pass,
-    dxs and every weight gradient, as (shape, bytes)."""
+    dxs and every weight gradient, as (shape, dtype, bytes); weights, inputs
+    and output gradients are in dtype."""
     rng = np.random.default_rng(1000 * batch + n)
-    p = new_bilstm_weights(5, 4, rng)
-    xs, douts = rng.normal(size=(batch, n, 5)), rng.normal(size=(batch, n, 8))
+    p = in_dtype(new_bilstm_weights(5, 4, rng), dtype)
+    xs = rng.normal(size=(batch, n, 5)).astype(dtype)
+    douts = rng.normal(size=(batch, n, 8)).astype(dtype)
     out, cache = bilstm_forward_batch(p, xs, keep_cache=keep_cache)
     arrays = [out]
     if keep_cache:
@@ -371,15 +378,44 @@ def pass_bytes(batch, n, keep_cache, input_grads):
         arrays += list(fwd + bwd) + list(grads.values()) + ([dxs] if input_grads else [])
     else:
         assert cache is None
-    return [(a.shape, a.tobytes()) for a in arrays]
+    assert all(a.dtype == dtype for a in arrays)
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+def assert_paths_bytewise_equal(batch, n, dtype, both_paths):
+    flags = [(True, True), (True, False), (False, True)]  # (keep_cache, input_grads)
+    threaded, serial = ([pass_bytes(batch, n, *f, dtype) for f in flags] for _ in both_paths())
+    assert threaded == serial
 
 
 @pytest.mark.parametrize("batch", [1, 24, 25, 50])
 @pytest.mark.parametrize("n", [1, 7, 100])
 def test_threaded_and_serial_passes_are_bytewise_equal(batch, n, both_paths):
-    flags = [(True, True), (True, False), (False, True)]  # (keep_cache, input_grads)
-    threaded, serial = ([pass_bytes(batch, n, *f) for f in flags] for _ in both_paths())
-    assert threaded == serial
+    assert_paths_bytewise_equal(batch, n, np.float64, both_paths)
+
+
+@pytest.mark.parametrize("batch", [1, 24, 25, 50])
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_threaded_and_serial_float32_passes_are_bytewise_equal(batch, n, both_paths):
+    assert_paths_bytewise_equal(batch, n, np.float32, both_paths)
+
+
+@pytest.mark.parametrize("batch,n", [(1, 1), (3, 0), (4, 30), (25, 12)])
+def test_a_float32_pass_runs_in_float32_within_1e_5_of_float64(batch, n, both_paths):
+    rng = np.random.default_rng(31 * n + batch)
+    p = new_bilstm_weights(6, 5, rng)
+    xs = rng.normal(size=(batch, n, 6))
+    for _ in both_paths():
+        out64, (_, *cache64) = bilstm_forward_batch(p, xs)
+        out32, (xs32, *cache32) = bilstm_forward_batch(in_dtype(p, np.float32),
+                                                       xs.astype(np.float32))
+        assert xs32.dtype == np.float32
+        arrays64 = [out64] + [a for d in cache64 for a in d]
+        arrays32 = [out32] + [a for d in cache32 for a in d]
+        for a64, a32 in zip(arrays64, arrays32):
+            assert a64.dtype == np.float64 and a32.dtype == np.float32
+            assert a32.shape == a64.shape
+            assert np.allclose(a32, a64, rtol=0, atol=1e-5)
 
 
 def test_directions_run_in_two_threads_from_the_threshold(monkeypatch):

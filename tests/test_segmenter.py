@@ -17,7 +17,7 @@ from judou.corpus import (
     boundary_positions,
     build_vocab,
 )
-from judou.crf import crf_nll
+from judou.crf import crf_nll, viterbi_decode
 from judou.embedding import encode_chars, load_embeddings, save_embeddings
 from judou.nncore import make_rng
 from judou.segmenter import (
@@ -36,7 +36,8 @@ from judou.segmenter import (
     segment,
     train,
 )
-from judou.synthetic import overfit_corpus, random_embeddings
+from judou.synthetic import (overfit_corpus, radical_signal_corpus, radical_signal_hyperparams,
+                             random_embeddings, run_overfit)
 
 from conftest import unit_of
 
@@ -563,6 +564,83 @@ def test_segment_custom_separator(make_model, force_transitions):
     model = make_model([unit_of("天地人山水火", "BOEBOE")])
     force_transitions(model, PERIOD3)
     assert segment(model, "天地人山水火", separator="|") == "天地人|山水火"
+
+
+# ---------------------------------------------------------------------------
+# decoding in float32
+
+def float64_tags(model, encoded):
+    """The float64 reference: _forward_batch on the model's own weights, one
+    pass per length, then viterbi_decode."""
+    tags = {}
+    for idxs, char_ids, rad_ids in segmenter._length_groups(encoded, range(len(encoded))):
+        P, _ = _forward_batch(model, char_ids, rad_ids, keep_cache=False)
+        assert P.dtype == np.float64
+        tags.update(zip(idxs, viterbi_decode(P, model.weights["crf.trans"])))
+    return [tags[i].tolist() for i in range(len(encoded))]
+
+
+def assert_float32_tags_are_float64s(model, texts):
+    encoded = [encode_chars(t, model.vocab, model.radtable) for t in texts]
+    assert [t.tolist() for t in _decode(model, encoded)] == float64_tags(model, encoded)
+
+
+def test_float32_decoding_gives_float64s_tags_on_the_trained_overfit_fixture():
+    model, report, _ = run_overfit(seed=0)
+    assert report.f1 == 1.0
+    assert_float32_tags_are_float64s(model, [u.seq.chars for u in overfit_corpus(seed=0)])
+
+
+def test_float32_decoding_gives_float64s_tags_on_the_radical_signal_test_units(table):
+    hp = radical_signal_hyperparams()
+    splits = radical_signal_corpus(0, table)
+    emb = random_embeddings(build_vocab(splits.train), table, d_char=hp.embed_dim - 12,
+                            d_radical=12, seed=0)
+    model = build_model(emb, hidden=hp.hidden, seed=0)
+    train(model, splits, hp, seed=0)
+    assert_float32_tags_are_float64s(model, [u.seq.chars for u in splits.test])
+
+
+def test_float32_decoding_gives_float64s_tags_on_random_units_of_mixed_lengths(table):
+    # 300 Han characters, the first 200 in the vocab and the rest unknown
+    pool = [chr(0x4E00 + 7 * k) for k in range(300)]
+    rng = make_rng(41)
+    vocab = build_vocab([unit_of("".join(pool[:200]), "O" * 200)])
+    model = build_model(random_embeddings(vocab, table, d_char=24, d_radical=8, seed=41),
+                        hidden=32, seed=41)
+    texts = ["".join(rng.choice(pool, size=int(rng.integers(1, 101)))) for _ in range(200)]
+    assert_float32_tags_are_float64s(model, texts)
+
+
+def test_evaluate_and_segment_leave_the_weights_float64_and_unchanged(make_model):
+    model = make_model([unit_of("天地人山水火", "BOEBOE")])
+    arrays = dict(model.weights)
+    before = {name: w.tobytes() for name, w in arrays.items()}
+    evaluate(model, [unit_of("天地人山水火", "BOEBOE"), unit_of("天地", "BE")])
+    segment(model, "天地人山水火" * 30)
+    assert list(model.weights) == list(arrays)
+    for name, w in model.weights.items():
+        assert w is arrays[name] and w.dtype == np.float64, name
+        assert w.tobytes() == before[name], name
+
+
+@pytest.mark.parametrize("name,index,value", [
+    ("emit.W", (0, 0), np.nan),
+    ("fwd.W_x", (1, 2), np.nan),
+    ("emb.char_vectors", (slice(None), 0), np.nan),
+    ("crf.trans", (0, 1), np.nan),
+    ("emit.b", (0, 1), 1e39),  # finite in float64, infinite in float32
+    ("bwd.W_h", (0, 0), -1e39),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_non_finite_decode_raises_a_numeric_error(make_model, name, index, value):
+    model = make_model([unit_of("天地人山水火", "BOEBOE")])
+    model.weights[name][index] = value
+    with pytest.raises(nncore.NumericError, match="non-finite"):
+        evaluate(model, [unit_of("天地人山水火", "BOEBOE")])
+    with pytest.raises(nncore.NumericError, match="non-finite"):
+        segment(model, "天地人山水火")
 
 
 # ---------------------------------------------------------------------------
