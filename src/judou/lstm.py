@@ -38,10 +38,12 @@ B = 1), with 1 BLAS thread on a 2-core host:
     forward, f32       0.98x        0.63-0.66x   0.84-0.94x   0.76-0.77x   1.21-1.38x
     backward, f32      0.96-0.99x   0.72-0.84x   1.34-1.38x   1.07-1.20x   1.41-1.63x
 
-A float32 step is shorter, so the hand-offs weigh more: a forward pass
-without cache (as decoding runs) measured 0.83x at B = 25, 1.07x at B = 35
-and 1.32x at B = 50 in float32, against 1.40x, 1.58x and 1.69x in float64.
-PARALLEL_MIN_ROWS is one value for both dtypes: no other value sped up both.
+A float32 step is shorter, so the hand-offs weigh more: over four sweeps on
+a shared 2-core host, the forward pass (decoding runs it and leaves the cache
+unread) measured 0.70-1.01x at B = 25, 0.88-0.99x at B = 35 and 0.94-1.06x
+at B = 50 in float32, against 0.89-1.00x, 0.88-1.34x and 1.24-1.92x in
+float64. PARALLEL_MIN_ROWS is one value for both dtypes: no other value sped
+up both.
 """
 
 import threading
@@ -120,9 +122,9 @@ def _direction_forward(w: tuple, xs, hs):
     return A, C, TC
 
 
-def _direction_backward(w: tuple, g: tuple, xs, cache, dhs, input_grads: bool):
+def _direction_backward(w: tuple, g: tuple, xs, cache, dhs):
     """Add one direction's weight gradients into g from xs, the cache and dhs
-    in its step order; returns dxs, shaped like xs, or None if not input_grads."""
+    in its step order; returns dxs, shaped like xs."""
     A, C, TC = cache
     batch, n, H = C.shape
     W_x, W_h, W_c, W_co, _ = w
@@ -172,7 +174,7 @@ def _direction_backward(w: tuple, g: tuple, xs, cache, dhs, input_grads: bool):
         Hs[:, -1] = C[:, -1] = 0.0
         gW_h += Hs.reshape(-1, H)[:-1].T @ dA[1:]
         gW_c += C.reshape(-1, H)[:-1].T @ dA[1:, :2 * H]
-    return (dA @ W_x.T).reshape(xs.shape) if input_grads else None
+    return (dA @ W_x.T).reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -203,35 +205,24 @@ def _both(fn, args_f, args_b, rows: int):
     return first, second[0]
 
 
-def bilstm_forward_batch(weights: dict, xs: np.ndarray, keep_cache: bool = True):
-    """xs (B, n, d_in) -> outputs (B, n, 2H) plus the cache for backprop, or
-    None in place of it with keep_cache False."""
+def bilstm_forward_batch(weights: dict, xs: np.ndarray):
+    """xs (B, n, d_in) -> outputs (B, n, 2H) plus the cache for backprop."""
     H = weights["fwd.W_h"].shape[0]
     out = np.empty(xs.shape[:2] + (2 * H,), xs.dtype)
-
-    def direction(w, x, hs):
-        cache = _direction_forward(w, x, hs)
-        # without keep_cache, a serial pass frees one direction's cache
-        # before the other allocates its own
-        return cache if keep_cache else None
-
-    fwd, bwd = _both(direction, (_direction(weights, "fwd"), xs, out[:, :, :H]),
+    fwd, bwd = _both(_direction_forward, (_direction(weights, "fwd"), xs, out[:, :, :H]),
                      (_direction(weights, "bwd"), xs[:, ::-1], out[:, ::-1, H:]), len(xs))
-    return out, (xs, fwd, bwd) if keep_cache else None
+    return out, (xs, fwd, bwd)
 
 
-def bilstm_backward_batch(weights: dict, grads: dict, cache, douts: np.ndarray,
-                          input_grads: bool = True):
+def bilstm_backward_batch(weights: dict, grads: dict, cache, douts: np.ndarray):
     """Add the ten weight gradients into grads; returns gradients w.r.t. the
-    inputs, or None if not input_grads. Consumes the cache: the gate
-    gradients are written over it."""
+    inputs. Consumes the cache: the gate gradients are written over it."""
     xs, fwd, bwd = cache
     H = weights["fwd.W_h"].shape[0]
     dxs, dxs_b = _both(_direction_backward,
                        (_direction(weights, "fwd"), _direction(grads, "fwd"),
-                        xs, fwd, douts[:, :, :H], input_grads),
+                        xs, fwd, douts[:, :, :H]),
                        (_direction(weights, "bwd"), _direction(grads, "bwd"),
-                        xs[:, ::-1], bwd, douts[:, ::-1, H:], input_grads), len(xs))
-    if input_grads:
-        dxs += dxs_b[:, ::-1]
+                        xs[:, ::-1], bwd, douts[:, ::-1, H:]), len(xs))
+    dxs += dxs_b[:, ::-1]
     return dxs

@@ -111,6 +111,4 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability rate, else 1/(1-rate)."""
     if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0:
-        return np.ones(shape)
     return (rng.random(shape) >= rate) / (1.0 - rate)

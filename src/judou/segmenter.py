@@ -123,7 +123,7 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
 # forward / backward over a batch of equal-length units
 
 def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndarray,
-                   rng=None, dropout: float = 0.0, keep_cache: bool = True):
+                   rng=None, dropout: float = 0.0):
     w = model.weights
     X = w["emb.char_vectors"][char_ids]
     if model.use_radicals:
@@ -134,7 +134,7 @@ def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndar
     if dropout > 0:
         in_mask = dropout_mask(X.shape, dropout, rng)
         X = X * in_mask
-    H2, lstm_cache = bilstm_forward_batch(w, X, keep_cache=keep_cache)
+    H2, lstm_cache = bilstm_forward_batch(w, X)
     if dropout > 0:
         out_mask = dropout_mask(H2.shape, dropout, rng)
         H2 = H2 * out_mask
@@ -146,9 +146,9 @@ def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndar
 
 def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndarray) -> None:
     """Add into grads the gradients of the weights below the CRF; without the
-    embedding names in grads (frozen embeddings) no input gradient is computed.
-    Consumes the cache: H2 and the output mask are freed before the BiLSTM's
-    backward pass allocates its own temporaries."""
+    embedding names in grads (frozen embeddings) the input gradient is not
+    scattered into them. Consumes the cache: H2 and the output mask are freed
+    before the BiLSTM's backward pass allocates its own temporaries."""
     w = model.weights
     two_h = w["emit.W"].shape[0]
     grads["emit.W"] += cache.pop("H2").reshape(-1, two_h).T @ dP.reshape(-1, N_TAGS)
@@ -156,9 +156,8 @@ def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndar
     dH2 = np.tensordot(dP, w["emit.W"].T, axes=([2], [0]))
     if cache["out_mask"] is not None:
         dH2 *= cache.pop("out_mask")
-    input_grads = "emb.char_vectors" in grads
-    dX = bilstm_backward_batch(w, grads, cache["lstm_cache"], dH2, input_grads)
-    if not input_grads:
+    dX = bilstm_backward_batch(w, grads, cache["lstm_cache"], dH2)
+    if "emb.char_vectors" not in grads:
         return
     if cache["in_mask"] is not None:
         dX *= cache["in_mask"]
@@ -189,7 +188,9 @@ def _length_groups(encoded: list, idxs):
 
 def _decode(model: SegmenterModel, encoded: list) -> list:
     """Viterbi tag ids (one array per unit) from forward passes over
-    equal-length units, at most DECODE_BATCH units per pass.
+    equal-length units, at most DECODE_BATCH units per pass. Each is
+    training's forward pass without dropout; its LSTM cache is dropped
+    unread.
 
     The passes run on float32 copies of the BiLSTM and emission weights, made
     once per call; the embedding rows are cast after the gather, and the CRF
@@ -207,9 +208,7 @@ def _decode(model: SegmenterModel, encoded: list) -> list:
     for idxs, char_ids, rad_ids in _length_groups(encoded, range(len(encoded))):
         for start in range(0, len(idxs), DECODE_BATCH):
             part = slice(start, start + DECODE_BATCH)
-            # no LSTM cache: a serial pass then frees the forward direction's
-            # cache before the backward direction allocates its own
-            P = _forward_batch(decoder, char_ids[part], rad_ids[part], keep_cache=False)[0]
+            P = _forward_batch(decoder, char_ids[part], rad_ids[part])[0]
             P = P.astype(np.float64)
             # a NaN weight, or one beyond float32's range, would decode as no boundary
             if not np.isfinite(P).all():
@@ -331,6 +330,13 @@ def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
     for name, shape in shapes.items():
         views[name] = c.take(name, shape)
     c.done()
+    # decoding casts the weights to float32, which cannot hold such a value;
+    # the transitions stay float64 but share the range. NaN fails both tests
+    limit = np.finfo(np.float32).max
+    for name, v in views.items():
+        if not (-limit <= v.min() and v.max() <= limit):
+            raise binio.FormatError(f"section {name!r} holds a NaN, an infinity or a value "
+                                    f"beyond float32's range")
     # the views are read-only and keep the file's bytes alive
     return SegmenterModel(vocab=c.vocab, radtable=radtable,
                           weights={name: v.copy() for name, v in views.items()})

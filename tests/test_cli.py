@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from judou.binio import FormatError
 from judou.cli import main
 from judou.corpus import build_vocab, read_units
 from judou.embedding import EmbeddingConfig, load_embeddings, save_embeddings
@@ -429,7 +430,7 @@ def test_a_checkpoint_with_214_radical_rows_is_a_bad_checkpoint(runner, make_mod
 
 @pytest.mark.parametrize("command", ["eval", "segment"])
 def test_a_checkpoint_with_a_nan_weight_exits_2(runner, make_model, command, tmp_path):
-    # it loads, but decodes to non-finite emission scores
+    # it used to load and then decode to non-finite emission scores
     ckpt = tmp_path / "m.bin"
     model = make_model([unit_of("天地人山水火", "BOEBOE")])
     model.weights["emit.W"][0, 0] = np.nan
@@ -440,7 +441,33 @@ def test_a_checkpoint_with_a_nan_weight_exits_2(runner, make_model, command, tmp
     r = runner.invoke(main, [command, "--model", str(ckpt)] + args, input="天地")
     assert r.exit_code == 2
     assert r.stdout == ""
-    assert "non-finite emission scores" in r.stderr
+    assert "bad checkpoint: section 'emit.W'" in r.stderr
+
+
+@pytest.mark.parametrize("section, row, value", [
+    ("emb.char_vectors", "人", np.inf),
+    ("fwd.W_x", 0, 3.5e38),
+    ("emb.radical_vectors", 0, np.nan),
+], ids=["inf-in-a-char-row", "beyond-float32-in-W_x", "nan-in-radical-row-0"])
+def test_a_value_float32_cannot_hold_makes_a_bad_checkpoint(runner, make_model, table, section,
+                                                            row, value, tmp_path):
+    # each of these used to load and segment 天地人山水火也 with at most a numpy
+    # warning (an invalid value in matmul, an overflow in the float32 cast),
+    # or silently, as no character reads radical row 0
+    text = "天地人山水火也"
+    model = make_model([unit_of(text, "BOEBOOE")], hidden=5)
+    model.weights[section][model.vocab.encode(row) if isinstance(row, str) else row, 0] = value
+    ckpt = tmp_path / "m.bin"
+    save_model(model, ckpt)
+    with pytest.raises(FormatError, match=f"section '{section}'"):
+        load_model(ckpt, radtable=table)
+    data = tmp_path / "gold.tsv"
+    write_units([unit_of(text, "BOEBOOE")], data)
+    for args in (["eval", "--data", str(data)], ["segment"]):
+        r = runner.invoke(main, args + ["--model", str(ckpt)], input=text * 2)
+        assert r.exit_code == 2, r.output
+        assert r.stdout == ""
+        assert "bad checkpoint" in r.stderr
 
 
 # ---------------------------------------------------------------------------

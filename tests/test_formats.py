@@ -152,6 +152,37 @@ def test_load_rejects_a_hidden_size_or_input_width_that_fits_no_model(table, tmp
         load_model(path, radtable=table)
 
 
+@pytest.fixture(scope="module")
+def checkpoint(table, tmp_path_factory):
+    emb = random_embeddings(build_vocab(tiny_splits().train), table, d_char=4, d_radical=3, seed=0)
+    path = tmp_path_factory.mktemp("checkpoint") / "model.bin"
+    save_model(build_model(emb, hidden=5), path)
+    return Saved(path.read_bytes(), path, partial(load_model, radtable=table), save_model,
+                 (segmenter.MAGIC, segmenter.VERSION, str))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_one_overwritten_float_loads_and_decodes_or_raises_format_error(checkpoint, data):
+    # every weight is cast to float32 to decode, so a float of the data either
+    # fits float32's range, and the model segments, or the load fails
+    floats = sum(m.size for m in checkpoint.contents().sections.values())
+    at = len(checkpoint.blob) - 8 * floats + 8 * data.draw(st.integers(0, floats - 1), label="at")
+    value = data.draw(st.floats(), label="value")
+    blob = bytearray(checkpoint.blob)
+    struct.pack_into("<d", blob, at, value)
+    checkpoint.path.write_bytes(bytes(blob))
+    fits = abs(value) <= float(np.finfo(np.float32).max)
+    try:
+        model = checkpoint.load(checkpoint.path)
+    except FormatError:
+        assert not fits
+        return
+    assert fits
+    text = "天地人山水火雲" * 3
+    assert segmenter.segment(model, text).replace("/", "") == text
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),

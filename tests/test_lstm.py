@@ -185,16 +185,6 @@ def test_batch_forward_matches_per_sequence():
         assert np.allclose(out[b], single[0])
 
 
-def test_forward_without_cache_gives_the_same_outputs():
-    rng = np.random.default_rng(9)
-    p = new_bilstm_weights(4, 3, rng)
-    xs = rng.normal(size=(3, 5, 4))
-    out, cache = bilstm_forward_batch(p, xs)
-    bare, no_cache = bilstm_forward_batch(p, xs, keep_cache=False)
-    assert np.array_equal(bare, out)
-    assert cache is not None and no_cache is None
-
-
 # ---------------------------------------------------------------------------
 # the fused layout
 
@@ -223,24 +213,6 @@ def test_fused_pass_matches_per_gate_oracle(batch, n, d_in, hidden, both_paths):
         for name, g in (grads_f | grads_b).items():
             assert grads[name].shape == g.shape, name
             assert np.allclose(grads[name], g, rtol=0, atol=1e-12), name
-
-
-@pytest.mark.parametrize("batch,n", [(1, 1), (3, 0), (4, 11)])
-def test_without_input_grads_the_parameter_grads_are_unchanged(batch, n, both_paths):
-    # frozen embeddings read no input gradient, so the backward pass skips it
-    rng = np.random.default_rng(7 * n + batch)
-    xs, douts = rng.normal(size=(batch, n, 3)), rng.normal(size=(batch, n, 8))
-    for _ in both_paths():
-        grads = []
-        for input_grads in (True, False):
-            p = new_bilstm_weights(3, 4, np.random.default_rng(5))
-            g = zero_grads(p)
-            _, cache = bilstm_forward_batch(p, xs)
-            dxs = bilstm_backward_batch(p, g, cache, douts, input_grads=input_grads)
-            assert (dxs is None) == (not input_grads)
-            grads.append(list(g.values()))
-        for with_dxs, without in zip(*grads):
-            assert np.array_equal(with_dxs, without)
 
 
 def test_new_params_follow_the_per_gate_draw_order():
@@ -357,34 +329,28 @@ def in_dtype(p, dtype):
     return {name: w.astype(dtype) for name, w in p.items()}
 
 
-def pass_bytes(batch, n, keep_cache, input_grads, dtype=np.float64):
-    """Every array one forward pass, and with keep_cache the backward pass
-    after it, produces: outputs, caches before and after the backward pass,
-    dxs and every weight gradient, as (shape, dtype, bytes); weights, inputs
-    and output gradients are in dtype."""
+def pass_bytes(batch, n, dtype):
+    """Every array one forward pass and the backward pass after it produce:
+    outputs, caches before and after the backward pass, dxs and every weight
+    gradient, as (shape, dtype, bytes); weights, inputs and output gradients
+    are in dtype."""
     rng = np.random.default_rng(1000 * batch + n)
     p = in_dtype(new_bilstm_weights(5, 4, rng), dtype)
     xs = rng.normal(size=(batch, n, 5)).astype(dtype)
     douts = rng.normal(size=(batch, n, 8)).astype(dtype)
-    out, cache = bilstm_forward_batch(p, xs, keep_cache=keep_cache)
-    arrays = [out]
-    if keep_cache:
-        cached_xs, fwd, bwd = cache
-        assert cached_xs is xs
-        arrays += [a.copy() for a in fwd + bwd]
-        grads = zero_grads(p)
-        dxs = bilstm_backward_batch(p, grads, cache, douts, input_grads=input_grads)
-        assert (dxs is None) == (not input_grads)
-        arrays += list(fwd + bwd) + list(grads.values()) + ([dxs] if input_grads else [])
-    else:
-        assert cache is None
+    out, cache = bilstm_forward_batch(p, xs)
+    cached_xs, fwd, bwd = cache
+    assert cached_xs is xs
+    arrays = [out] + [a.copy() for a in fwd + bwd]
+    grads = zero_grads(p)
+    dxs = bilstm_backward_batch(p, grads, cache, douts)
+    arrays += list(fwd + bwd) + list(grads.values()) + [dxs]
     assert all(a.dtype == dtype for a in arrays)
     return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
 
 
 def assert_paths_bytewise_equal(batch, n, dtype, both_paths):
-    flags = [(True, True), (True, False), (False, True)]  # (keep_cache, input_grads)
-    threaded, serial = ([pass_bytes(batch, n, *f, dtype) for f in flags] for _ in both_paths())
+    threaded, serial = (pass_bytes(batch, n, dtype) for _ in both_paths())
     assert threaded == serial
 
 

@@ -356,6 +356,30 @@ def test_frozen_embeddings_take_no_gradient(make_model, monkeypatch):
         assert np.array_equal(w, before[name]) == (name in EMBEDDING_NAMES), name
 
 
+def test_freezing_leaves_the_first_steps_other_gradients_bytewise_equal(make_model, monkeypatch):
+    """Freezing only skips the scatter into the embedding gradients: with
+    dropout and the same seed, the first SGD step of frozen and of unfrozen
+    training gets the same bytes for every other weight's gradient."""
+    splits = tiny_splits()
+    real_step, stepped = segmenter.sgd_step, []
+
+    def step(weights, grads, *args):
+        stepped.append({name: g.tobytes() for name, g in grads.items()})
+        return real_step(weights, grads, *args)
+
+    monkeypatch.setattr(segmenter, "sgd_step", step)
+    firsts = []
+    for freeze in (False, True):
+        train(make_model(splits.train), splits, tiny_hp(dropout=0.3, epochs=1), seed=5,
+              freeze_embeddings=freeze)
+        firsts.append(stepped[0])
+        stepped.clear()
+    unfrozen, frozen = firsts
+    assert list(frozen) == [name for name in unfrozen if name not in EMBEDDING_NAMES]
+    for name, g in frozen.items():
+        assert g == unfrozen[name], name
+
+
 def test_unfrozen_training_steps_every_weight(make_model, monkeypatch):
     splits = tiny_splits()
     model = make_model(splits.train)
@@ -574,7 +598,7 @@ def float64_tags(model, encoded):
     pass per length, then viterbi_decode."""
     tags = {}
     for idxs, char_ids, rad_ids in segmenter._length_groups(encoded, range(len(encoded))):
-        P, _ = _forward_batch(model, char_ids, rad_ids, keep_cache=False)
+        P, _ = _forward_batch(model, char_ids, rad_ids)
         assert P.dtype == np.float64
         tags.update(zip(idxs, viterbi_decode(P, model.weights["crf.trans"])))
     return [tags[i].tolist() for i in range(len(encoded))]
