@@ -179,7 +179,7 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
     model = build_model(emb, hidden=hidden, seed=seed)
     splits = CorpusSplits(train=train_units,
                           valid=train_units if eval_on_train else valid_units,
-                          test=[], seed=seed)
+                          test=[])
     lines = []
 
     def report(epoch, record):

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
-from .nncore import make_rng
+from .nncore import check_int, make_rng
 
 # Tag order is fixed everywhere (serialization, CRF rows).
 TAG_B, TAG_E, TAG_O = 0, 1, 2
@@ -93,7 +93,6 @@ class Unit:
 
     seq: LabeledSequence
     doc_id: str = ""
-    offset: int = 0
 
 
 @dataclass
@@ -101,7 +100,6 @@ class CorpusSplits:
     train: list
     valid: list
     test: list
-    seed: int
 
 
 @dataclass
@@ -166,19 +164,15 @@ def clean_unsure(text: str, max_run: int = 5, punct: PunctConfig = DEFAULT_PUNCT
     Sentences keep their trailing stop; a deleted sentence takes its stop with
     it. Idempotent by construction.
     """
-    run = UNSURE_CHAR * (max_run + 1)
+    run = UNSURE_CHAR * (check_int("max_run", max_run, 0) + 1)
     return "".join(s for s in punct.compile(SENTENCE).findall(text) if run not in s)
 
 
 def chunk_units(seq: LabeledSequence, unit_size: int = UNIT_SIZE, doc_id: str = "") -> list:
     """Cut a tagged stream into consecutive windows of unit_size characters."""
-    if unit_size < 2:
-        raise ValueError(f"unit_size must be >= 2, got {unit_size}")
-    units = []
-    for start in range(0, len(seq), unit_size):
-        piece = LabeledSequence(seq.chars[start:start + unit_size], seq.tags[start:start + unit_size])
-        units.append(Unit(seq=piece, doc_id=doc_id, offset=start))
-    return units
+    check_int("unit_size", unit_size, 2)
+    return [Unit(LabeledSequence(seq.chars[i:i + unit_size], seq.tags[i:i + unit_size]), doc_id)
+            for i in range(0, len(seq), unit_size)]
 
 
 def split_corpus(units: list, seed: int) -> CorpusSplits:
@@ -192,7 +186,6 @@ def split_corpus(units: list, seed: int) -> CorpusSplits:
         train=shuffled[:n_train],
         valid=shuffled[n_train:n_train + n_quarter],
         test=shuffled[n_train + n_quarter:],
-        seed=seed,
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import binio
 from .corpus import Vocab
-from .nncore import NumericError, add_low_rank, check_int, make_rng
+from .nncore import NumericError, add_low_rank, check_int, check_real, make_rng
 from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, default_table, radical_index
 
 MAGIC = b"GJEMB01\n"
@@ -50,7 +50,7 @@ class EmbeddingConfig:
         for name, low in (("d_char", 1), ("d_radical", 1), ("window", 1), ("epochs", 0),
                           ("seed", 0)):
             check_int(name, getattr(self, name), low)
-        if not 0 <= self.learning_rate < math.inf:
+        if not 0 <= check_real("learning_rate", self.learning_rate) < math.inf:
             raise ValueError(f"bad optimization settings: {self}")
 
     @property
@@ -257,11 +257,9 @@ def take_embeddings(c: binio.Container, radtable: RadicalTable,
                         vocab=c.vocab, radtable=radtable, config=cfg)
 
 
-def load_embeddings(path, radtable: RadicalTable = None) -> EmbeddingSet:
-    """An embedding file, with the bundled radical table unless one is given."""
-    if radtable is None:
-        radtable = default_table()
+def load_embeddings(path) -> EmbeddingSet:
+    """An embedding file, with the bundled radical table."""
     c = binio.read_container(path, MAGIC, VERSION, int)
-    emb = take_embeddings(c, radtable, window=c.field)
+    emb = take_embeddings(c, default_table(), window=c.field)
     c.done()
     return emb

@@ -21,12 +21,12 @@ gradients over it, so it serves once.
 The two directions share no state until their outputs are concatenated, and
 their input gradients meet only in one sum. From PARALLEL_MIN_ROWS batch rows
 on, bilstm_forward_batch and bilstm_backward_batch hand the backward
-direction to a second thread, joined before they return, and run the forward
-direction in the caller's (the cuDNN design of running independent
-directions concurrently); numpy releases the GIL inside most of a step's
-GEMMs and ufuncs. Each direction writes only its own output half, cache and
-gradient arrays, and the sum runs after the join, so every result is
-bit-identical to the serial order. Below the threshold each step's calls are
+direction to a one-thread executor, joined before they return, and run the
+forward direction in the caller's thread (the cuDNN design of running
+independent directions concurrently); numpy releases the GIL inside most of
+a step's GEMMs and ufuncs. Each direction writes only its own output half,
+cache and gradient arrays, and the sum runs after the join, so every result
+is bit-identical to the serial order. Below the threshold each step's calls are
 too short: the GIL hand-offs between them cost more than the overlap saves,
 so `segment` on a document of one or a few units runs serially. Threaded
 over serial speed, the range of two sweeps at H = d_in = 100, n = 100 (65 at
@@ -46,7 +46,7 @@ float64. PARALLEL_MIN_ROWS is one value for both dtypes: no other value sped
 up both.
 """
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -182,27 +182,14 @@ def _direction_backward(w: tuple, g: tuple, xs, cache, dhs):
 
 def _both(fn, args_f, args_b, rows: int):
     """(fn(*args_f), fn(*args_b)); from PARALLEL_MIN_ROWS rows on, the second
-    runs in a worker thread, joined before this returns or raises. The calls
+    runs on a one-thread executor, whose shutdown joins it before this returns
+    or raises; its exception reaches the caller through result(). The calls
     must share no array they write."""
     if rows < PARALLEL_MIN_ROWS:
         return fn(*args_f), fn(*args_b)
-    second = [None, None]  # the worker's result, or the exception it raised
-
-    def run():
-        try:
-            second[0] = fn(*args_b)
-        except BaseException as e:  # re-raised in the caller's thread
-            second[1] = e
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    try:
-        first = fn(*args_f)
-    finally:
-        worker.join()
-    if second[1] is not None:
-        raise second[1]
-    return first, second[0]
+    with ThreadPoolExecutor(1) as worker:
+        second = worker.submit(fn, *args_b)
+        return fn(*args_f), second.result()
 
 
 def bilstm_forward_batch(weights: dict, xs: np.ndarray):

@@ -5,7 +5,8 @@ emission on float32 copies (segmenter._decode). Backpropagation is
 hand-derived per module, and the tests check each module against central
 finite differences. The seeded generator is PCG64 throughout, which keeps
 training bit-reproducible. The configs, build_model and make_rng check each
-size, epoch count and seed they take with check_int.
+size, epoch count and seed they take with check_int, and the configs each
+rate and norm with check_real.
 
 A model's weights are one dict of plain arrays keyed by name. Gradients are
 a second dict, owned by the training loop, with the names of the weights it
@@ -29,6 +30,13 @@ def check_int(name: str, value: int, low: int) -> int:
     at least low; name is the input's name in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_real(name: str, value: float) -> float:
+    """value itself if it is an int or a float, numpy's included, a bool not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
 
 

@@ -21,8 +21,8 @@ from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
 from .embedding import EmbeddingSet, encode_chars, take_embeddings
 from .lstm import (bilstm_backward_batch, bilstm_forward_batch, lstm_shapes,
                    new_bilstm_weights)
-from .nncore import (NumericError, check_int, dropout_mask, glorot_uniform, make_rng,
-                     sgd_step)
+from .nncore import (NumericError, check_int, check_real, dropout_mask, glorot_uniform,
+                     make_rng, sgd_step)
 from .radicals import RadicalTable, default_table
 
 MAGIC = b"GJSEG01\n"
@@ -45,6 +45,8 @@ class Hyperparams:
     def __post_init__(self):
         for name, low in (("embed_dim", 1), ("hidden", 1), ("batch", 1), ("epochs", 0)):
             check_int(name, getattr(self, name), low)
+        for name in ("learning_rate", "clip_norm", "dropout"):
+            check_real(name, getattr(self, name))
         if not 0 <= self.learning_rate < np.inf or not self.clip_norm > 0:
             raise ValueError(f"bad optimization settings: {self}")
         if not 0 <= self.dropout < 1:

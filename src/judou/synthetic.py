@@ -1,11 +1,14 @@
 """Synthetic corpora for the two end-to-end checks.
 
 The real 150-book corpus is proprietary, so the pipeline is exercised on
-generated text instead. Two generators:
+generated text instead. Two generators, each of one size set by the module
+constants below, whose units are plain `Unit(seq)`s:
 
-* an overfit fixture whose boundaries follow a fixed period-3 rule with a
-  marker character, learnable within 30 epochs at the default hyperparameters;
-* a radical-signal corpus where sentence-final characters come from two
+* an overfit fixture, 20 units of 7 sentences whose boundaries follow a fixed
+  period-3 rule with a marker character, learnable within 30 epochs at the
+  default hyperparameters under 70+30 embedding dims and H = 100;
+* a radical-signal corpus, 60/15/30 train/valid/test units of 36 characters
+  (24+12 dims, H = 32), where sentence-final characters come from two
   radical classes (water and speech) and the held-out units use finals never
   seen in training. A model with radical vectors can generalize through the
   shared radical row; a char-only ablation sees only UNK there, and unseen
@@ -19,12 +22,16 @@ from .corpus import (CorpusSplits, LabeledSequence, Unit, build_vocab,
 from .embedding import EmbeddingConfig, EmbeddingSet, untrained_embeddings
 from .nncore import make_rng
 from .radicals import RadicalTable, default_table
-from .segmenter import (EvalReport, Hyperparams, SegmenterModel, TrainLog,
-                        build_model, evaluate, train)
+from .segmenter import Hyperparams, build_model, evaluate, train
 
 WATER, SPEECH = 85, 149
 # filler radicals: person, mouth, earth, wood, fire, jade, silk, grass, metal, horse
 FILLER_RADICALS = (9, 30, 32, 75, 86, 96, 120, 140, 167, 187)
+# the radical-signal corpus's train/valid/test unit counts and unit size, and its
+# model, trained at a hot learning rate: the point is the gap, not absolute F1
+RS_UNITS, RS_UNIT_SIZE = (60, 15, 30), 36
+RS_D_CHAR, RS_D_RADICAL, RS_HIDDEN = 24, 12, 32
+RS_HYPERPARAMS = Hyperparams(batch=10, epochs=12, learning_rate=0.1, clip_norm=5.0, dropout=0.1)
 
 
 def chars_with_radical(table: RadicalTable, radical_id: int, count: int,
@@ -47,39 +54,36 @@ def chars_with_radical(table: RadicalTable, radical_id: int, count: int,
 
 OVERFIT_FILLERS = "天地人山水火木金土日月星春秋冬夏風雨雪"
 OVERFIT_MARKER = "也"
+OVERFIT_UNITS, OVERFIT_SENTENCES = 20, 7
+OVERFIT_D_CHAR, OVERFIT_D_RADICAL, OVERFIT_HIDDEN = 70, 30, 100
 
 
-def overfit_corpus(seed: int = 0, n_units: int = 20, sentences_per_unit: int = 7) -> list:
-    """Units of `sentences_per_unit` three-character sentences; each sentence is
-    two random fillers plus the marker, so tags are a strict BOE period."""
+def overfit_corpus(seed: int = 0) -> list:
+    """OVERFIT_UNITS units of OVERFIT_SENTENCES three-character sentences; each
+    sentence is two random fillers plus the marker, so tags are a strict BOE period."""
     rng = make_rng(seed)
     fillers = list(OVERFIT_FILLERS)
     units = []
-    for u in range(n_units):
+    for _ in range(OVERFIT_UNITS):
         chars = []
-        for _ in range(sentences_per_unit):
+        for _ in range(OVERFIT_SENTENCES):
             chars.append(fillers[rng.integers(len(fillers))])
             chars.append(fillers[rng.integers(len(fillers))])
             chars.append(OVERFIT_MARKER)
-        seq = LabeledSequence("".join(chars), "BOE" * sentences_per_unit)
-        units.append(Unit(seq=seq, doc_id="overfit", offset=u))
+        units.append(Unit(LabeledSequence("".join(chars), "BOE" * OVERFIT_SENTENCES)))
     return units
 
 
-def run_overfit(seed: int = 0, hp: Hyperparams = None, progress=None):
-    """Train on the 20-unit fixture at the default hyperparameters; returns
-    (model, training-set report, log). Validation is the training set itself,
-    so best-epoch restoration tracks exactly the quantity under test."""
-    if hp is None:
-        hp = Hyperparams()
+def run_overfit(seed: int = 0, progress=None):
+    """Train on the fixture at the default hyperparameters; returns (model,
+    training-set report, log). Validation is the training set itself, so
+    best-epoch restoration tracks exactly the quantity under test."""
     units = overfit_corpus(seed)
-    vocab = build_vocab(units)
-    table = default_table()
-    emb = random_embeddings(vocab, table, d_char=hp.embed_dim - 30, d_radical=30,
-                            seed=seed)
-    model = build_model(emb, hidden=hp.hidden, seed=seed)
-    splits = CorpusSplits(train=units, valid=units, test=[], seed=seed)
-    log = train(model, splits, hp, seed=seed, progress=progress)
+    emb = random_embeddings(build_vocab(units), default_table(), OVERFIT_D_CHAR,
+                            OVERFIT_D_RADICAL, seed)
+    model = build_model(emb, hidden=OVERFIT_HIDDEN, seed=seed)
+    log = train(model, CorpusSplits(train=units, valid=units, test=[]), Hyperparams(),
+                seed=seed, progress=progress)
     return model, evaluate(model, units), log
 
 
@@ -115,14 +119,13 @@ def _sentence_stream(rng, n_chars: int, finals: str, filler_draw) -> LabeledSequ
     return LabeledSequence("".join(chars[:n_chars]), "".join(tags)[:n_chars])
 
 
-def radical_signal_corpus(seed: int, table: RadicalTable, n_train: int = 60,
-                          n_valid: int = 15, n_test: int = 30,
-                          unit_size: int = 36,
+def radical_signal_corpus(seed: int, table: RadicalTable,
                           pools: RadicalPools = None) -> CorpusSplits:
-    """Splits with test finals all outside the training pool. Validation comes
-    from the training pools (model selection must not peek at held-out
-    characters). Test fillers are an even mix of seen and unseen characters,
-    so being unknown is, by itself, weak evidence of a boundary."""
+    """RS_UNITS train/valid/test units of RS_UNIT_SIZE characters, with test
+    finals all outside the training pool. Validation comes from the training
+    pools (model selection must not peek at held-out characters). Test fillers
+    are an even mix of seen and unseen characters, so being unknown is, by
+    itself, weak evidence of a boundary."""
     if pools is None:
         pools = default_pools(table)
     rng = make_rng(seed)
@@ -134,16 +137,13 @@ def radical_signal_corpus(seed: int, table: RadicalTable, n_train: int = 60,
         pool = pools.fillers_heldout if r.random() < 0.5 else pools.fillers_train
         return pool[r.integers(len(pool))]
 
-    def cut(stream, n, doc_id):
-        return chunk_units(stream, unit_size, doc_id=doc_id)[:n]
+    def cut(n, finals, filler):
+        return chunk_units(_sentence_stream(rng, n * RS_UNIT_SIZE, finals, filler), RS_UNIT_SIZE)
 
-    train_stream = _sentence_stream(rng, n_train * unit_size, pools.finals_train, train_filler)
-    valid_stream = _sentence_stream(rng, n_valid * unit_size, pools.finals_train, train_filler)
-    test_stream = _sentence_stream(rng, n_test * unit_size, pools.finals_heldout, test_filler)
-    return CorpusSplits(train=cut(train_stream, n_train, "rs-train"),
-                        valid=cut(valid_stream, n_valid, "rs-valid"),
-                        test=cut(test_stream, n_test, "rs-test"),
-                        seed=seed)
+    n_train, n_valid, n_test = RS_UNITS
+    return CorpusSplits(train=cut(n_train, pools.finals_train, train_filler),
+                        valid=cut(n_valid, pools.finals_train, train_filler),
+                        test=cut(n_test, pools.finals_heldout, test_filler))
 
 
 def random_embeddings(vocab: Vocab, table: RadicalTable, d_char: int,
@@ -181,34 +181,20 @@ class AblationResult:
         return sum(r.f1_char_only for r in self.runs) / len(self.runs)
 
 
-def radical_signal_hyperparams() -> Hyperparams:
-    # small model, hot learning rate: the point is the gap, not absolute F1
-    return Hyperparams(embed_dim=36, hidden=32, batch=10, epochs=12,
-                       learning_rate=0.1, clip_norm=5.0, dropout=0.1)
-
-
-def run_radical_signal(seeds=(0, 1, 2, 3, 4), table: RadicalTable = None,
-                       hp: Hyperparams = None, progress=None) -> AblationResult:
+def run_radical_signal(seeds=(0, 1, 2, 3, 4), progress=None) -> AblationResult:
     """Train the radical model and the char-only ablation on the same corpus
     and embedding init for each seed; score both on the held-out units."""
-    if table is None:
-        table = default_table()
-    if hp is None:
-        hp = radical_signal_hyperparams()
+    table = default_table()
     pools = default_pools(table)
     runs = []
     for seed in seeds:
         splits = radical_signal_corpus(seed, table, pools=pools)
-        vocab = build_vocab(splits.train)
-        d_radical = 12
-        emb = random_embeddings(vocab, table, d_char=hp.embed_dim - d_radical,
-                                d_radical=d_radical, seed=seed)
+        emb = random_embeddings(build_vocab(splits.train), table, RS_D_CHAR, RS_D_RADICAL, seed)
 
         scores = {}
         for use_radicals in (True, False):
-            model = build_model(emb, hidden=hp.hidden, seed=seed,
-                                use_radicals=use_radicals)
-            train(model, splits, hp, seed=seed)
+            model = build_model(emb, hidden=RS_HIDDEN, seed=seed, use_radicals=use_radicals)
+            train(model, splits, RS_HYPERPARAMS, seed=seed)
             scores[use_radicals] = evaluate(model, splits.test).f1
         run = AblationRun(seed=seed, f1_radical=scores[True], f1_char_only=scores[False])
         runs.append(run)

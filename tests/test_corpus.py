@@ -214,10 +214,10 @@ class TestChunkUnits:
         with pytest.raises(ValueError, match="unit_size"):
             chunk_units(LabeledSequence("天地", "BE"), 1)
 
-    def test_offsets_recorded(self):
+    def test_doc_id_recorded(self):
         seq = LabeledSequence("天地人山水火" * 3, "O" * 18)
         units = chunk_units(seq, 5, doc_id="doc")
-        assert [u.offset for u in units] == [0, 5, 10, 15]
+        assert [len(u.seq) for u in units] == [5, 5, 5, 3]
         assert all(u.doc_id == "doc" for u in units)
 
     @given(han_text, st.integers(2, 9))
@@ -230,7 +230,12 @@ class TestChunkUnits:
 
 
 def _units(n):
-    return [Unit(seq=LabeledSequence("天", "B"), offset=i) for i in range(n)]
+    """n one-character units, unit i holding the i-th basic-block ideograph."""
+    return [Unit(seq=LabeledSequence(chr(0x4E00 + i), "B")) for i in range(n)]
+
+
+def _ids(units):
+    return [ord(u.seq.chars) - 0x4E00 for u in units]
 
 
 class TestSplitCorpus:
@@ -245,21 +250,18 @@ class TestSplitCorpus:
         units = _units(n)
         s = split_corpus(units, seed)
         combined = s.train + s.valid + s.test
-        assert sorted(u.offset for u in combined) == list(range(n))
+        assert sorted(_ids(combined)) == list(range(n))
 
     def test_same_seed_identical(self):
         a = split_corpus(_units(20), seed=7)
         b = split_corpus(_units(20), seed=7)
-        assert [u.offset for u in a.train] == [u.offset for u in b.train]
-        assert [u.offset for u in a.test] == [u.offset for u in b.test]
+        assert _ids(a.train) == _ids(b.train)
+        assert _ids(a.test) == _ids(b.test)
 
     def test_seed_changes_order(self):
         a = split_corpus(_units(40), seed=0)
         b = split_corpus(_units(40), seed=1)
-        assert [u.offset for u in a.train] != [u.offset for u in b.train]
-
-    def test_seed_recorded(self):
-        assert split_corpus(_units(4), seed=9).seed == 9
+        assert _ids(a.train) != _ids(b.train)
 
 
 class TestBuildVocab:

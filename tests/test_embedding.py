@@ -389,7 +389,7 @@ def trained(table, tmp_path):
 
 def test_save_load_round_trip_is_bitwise(table, tmp_path):
     emb, path = trained(table, tmp_path)
-    back = load_embeddings(path, radtable=table)
+    back = load_embeddings(path)
     assert back.vocab.index_to_char == emb.vocab.index_to_char
     assert back.config.d_char == 3
     assert back.config.d_radical == 2

@@ -1,12 +1,13 @@
 """Each input is checked once, in the type that holds it: an invalid seed,
-size or tag string raises ValueError with a message naming the input, never
-a KeyError, a ZeroDivisionError or numpy's own error from deeper down."""
+size, rate or tag string raises ValueError with a message that begins with
+the input's name, never a KeyError, a ZeroDivisionError, a TypeError or
+numpy's own error from deeper down."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from judou.corpus import TAG_CHARS, LabeledSequence, Unit, build_vocab
+from judou.corpus import TAG_CHARS, LabeledSequence, Unit, build_vocab, chunk_units, clean_unsure
 from judou.embedding import EmbeddingConfig, untrained_embeddings
 from judou.nncore import make_rng
 from judou.segmenter import Hyperparams, build_model
@@ -30,6 +31,12 @@ SIZES = [(EmbeddingConfig, "d_char", 1), (EmbeddingConfig, "d_radical", 1),
          (Hyperparams, "embed_dim", 1), (Hyperparams, "hidden", 1),
          (Hyperparams, "batch", 1), (Hyperparams, "epochs", 0)]
 
+# (type, real-valued field): a bool used to pass as 0 or 1, and text or None
+# to fail with a TypeError from a comparison
+REALS = [(EmbeddingConfig, "learning_rate"), (Hyperparams, "learning_rate"),
+         (Hyperparams, "clip_norm"), (Hyperparams, "dropout")]
+not_reals = st.one_of(st.booleans(), st.text(max_size=2), st.none())
+
 # a tag string holding at least one letter outside B, E and O
 invalid_tags = st.text(min_size=1, max_size=6).filter(lambda t: not set(t) <= set(TAG_CHARS))
 
@@ -46,13 +53,20 @@ def embeddings(table):
     invalid_seeds.map(lambda s: ("seed", make_rng, {"seed": s})),
     invalid_seeds.map(lambda s: ("seed", EmbeddingConfig, {"seed": s})),
     invalid_sizes(1).map(lambda h: ("hidden", build_model, {"hidden": h})),
+    # max_run -1 used to drop all the text without a word, and a float or
+    # text size of either to fail with a TypeError from deep inside
+    invalid_sizes(0).map(lambda m: ("max_run", clean_unsure,
+                                    {"text": "天地。□□人。", "max_run": m})),
+    invalid_sizes(2).map(lambda u: ("unit_size", chunk_units,
+                                    {"seq": LabeledSequence("天地人", "BOE"), "unit_size": u})),
     st.sampled_from(SIZES).flatmap(lambda s: invalid_sizes(s[2]).map(
         lambda v: (s[1], s[0], {s[1]: v}))),
+    st.sampled_from(REALS).flatmap(lambda s: not_reals.map(lambda v: (s[1], s[0], {s[1]: v}))),
     invalid_tags.map(lambda t: ("tags", LabeledSequence, {"chars": "天" * len(t), "tags": t})),
 ))
 def test_an_invalid_input_raises_a_value_error_naming_it(case, embeddings):
     name, make, kwargs = case
     if make is build_model:
         kwargs = {"embeddings": embeddings, **kwargs}
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         make(**kwargs)

@@ -36,8 +36,9 @@ from judou.segmenter import (
     segment,
     train,
 )
-from judou.synthetic import (overfit_corpus, radical_signal_corpus, radical_signal_hyperparams,
-                             random_embeddings, run_overfit)
+from judou.synthetic import (RS_D_CHAR, RS_D_RADICAL, RS_HIDDEN, RS_HYPERPARAMS,
+                             overfit_corpus, radical_signal_corpus, random_embeddings,
+                             run_overfit)
 
 from conftest import unit_of
 
@@ -271,7 +272,7 @@ def tiny_splits():
         unit_of("人火天水地山", "BOEBOE"),
         unit_of("地山水人火天", "BOEBOE"),
     ]
-    return CorpusSplits(train=units, valid=units[:2], test=[], seed=0)
+    return CorpusSplits(train=units, valid=units[:2], test=[])
 
 
 def tiny_hp(**kw):
@@ -318,7 +319,7 @@ def test_train_zero_epochs(make_model):
 def test_train_rejects_empty_split(make_model):
     splits = tiny_splits()
     model = make_model(splits.train)
-    empty = CorpusSplits(train=[], valid=splits.valid, test=[], seed=0)
+    empty = CorpusSplits(train=[], valid=splits.valid, test=[])
     with pytest.raises(ValueError, match="empty"):
         train(model, empty, tiny_hp())
 
@@ -407,7 +408,7 @@ def test_best_epoch_parameters_are_restored(make_model):
 
 def test_empty_validation_keeps_the_last_epoch(make_model):
     splits = tiny_splits()
-    no_valid = CorpusSplits(train=splits.train, valid=[], test=[], seed=0)
+    no_valid = CorpusSplits(train=splits.train, valid=[], test=[])
     model = make_model(splits.train)
     snapshots = []
 
@@ -439,7 +440,7 @@ def test_training_learns_mixed_length_sentences(make_model):
         unit_of("三人行必有我師焉", "BOEBOOOE"),
         unit_of("學而時習之不亦說乎", "BOOOEBOOE"),
     ] * 3
-    splits = CorpusSplits(train=units, valid=units[:2], test=[], seed=0)
+    splits = CorpusSplits(train=units, valid=units[:2], test=[])
     model = make_model(units, d_char=6, d_radical=4, hidden=5)
     hp = Hyperparams(embed_dim=10, hidden=5, batch=6, epochs=30,
                      learning_rate=0.5, clip_norm=5.0, dropout=0.0)
@@ -453,7 +454,7 @@ def test_one_crf_call_per_forward_pass(make_model, monkeypatch):
     """Training runs crf_nll and decoding runs viterbi_decode once per forward
     pass, over the pass's whole (B, n) batch."""
     units = [unit_of("三人行必有我師焉", "BOEBOOOE"), unit_of("天地人山水火", "BOEBOE")] * 3
-    splits = CorpusSplits(train=units, valid=units[:2], test=[], seed=0)
+    splits = CorpusSplits(train=units, valid=units[:2], test=[])
     model = make_model(units)
     calls = []
 
@@ -502,8 +503,8 @@ def test_the_clip_rate_is_the_share_of_clipped_steps(make_model, monkeypatch):
 
 def test_threaded_training_is_bit_identical(table, both_paths, tmp_path):
     # one 50-unit and one 10-unit minibatch per epoch, with dropout
-    units = overfit_corpus(seed=2, n_units=60)
-    splits = CorpusSplits(train=units, valid=units[:10], test=[], seed=0)
+    units = overfit_corpus(seed=2) + overfit_corpus(seed=3) + overfit_corpus(seed=4)
+    splits = CorpusSplits(train=units, valid=units[:10], test=[])
     hp = Hyperparams(embed_dim=7, hidden=3, batch=50, epochs=2, learning_rate=0.1,
                      clip_norm=5.0, dropout=0.5)
     runs = []
@@ -616,12 +617,10 @@ def test_float32_decoding_gives_float64s_tags_on_the_trained_overfit_fixture():
 
 
 def test_float32_decoding_gives_float64s_tags_on_the_radical_signal_test_units(table):
-    hp = radical_signal_hyperparams()
     splits = radical_signal_corpus(0, table)
-    emb = random_embeddings(build_vocab(splits.train), table, d_char=hp.embed_dim - 12,
-                            d_radical=12, seed=0)
-    model = build_model(emb, hidden=hp.hidden, seed=0)
-    train(model, splits, hp, seed=0)
+    emb = random_embeddings(build_vocab(splits.train), table, RS_D_CHAR, RS_D_RADICAL, seed=0)
+    model = build_model(emb, hidden=RS_HIDDEN, seed=0)
+    train(model, splits, RS_HYPERPARAMS, seed=0)
     assert_float32_tags_are_float64s(model, [u.seq.chars for u in splits.test])
 
 
