@@ -244,7 +244,7 @@ def segment_cmd(model_path, in_path, sep):
             _fail(f"stdin is not valid UTF-8: {e}")
     try:
         out = segment(model, text, separator=sep)
-    except NumericError as e:
+    except ValueError as e:  # a NumericError, or an empty --sep
         _fail(str(e))
     if out:
         click.echo(out)

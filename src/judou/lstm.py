@@ -8,8 +8,10 @@ Gates are fused per direction as [i f g o] (Appleyard et al., arXiv
 1604.01946): one GEMM projects the inputs of all timesteps, then each step
 adds one recurrent and two peephole products and activates in place. Passes
 run over (B, n, d_in) batches of equal-length sequences from a zero state.
-Every array a pass allocates takes the dtype of its inputs xs: training runs
-in float64, and decoding passes float32 inputs with float32 weights.
+Every array a pass allocates takes the dtype of its inputs xs: training and
+decoding pass float32 inputs with float32 weights, the gradient checks
+float64 ones. The gradient dict may be wider than the pass; training adds
+the float32 products into float64 gradients.
 
 The weights are ten plain arrays in a dict, five per direction under "fwd."
 and "bwd." (lstm_shapes); the backward pass adds into a gradient dict with
@@ -29,21 +31,24 @@ cache and gradient arrays, and the sum runs after the join, so every result
 is bit-identical to the serial order. Below the threshold each step's calls are
 too short: the GIL hand-offs between them cost more than the overlap saves,
 so `segment` on a document of one or a few units runs serially. Threaded
-over serial speed, the range of two sweeps at H = d_in = 100, n = 100 (65 at
-B = 1), with 1 BLAS thread on a 2-core host:
+over serial speed at H = d_in = 100, n = 100 (65 at B = 1), with 1 BLAS
+thread on a shared 2-core host, below. Training and decoding run float32
+passes, so the float64 rows (the range of two sweeps) concern only the
+gradient checks. The float32 rows at B = 16 to 50 are the range of three
+sweeps of 15-21 alternating pairs, the backward pass adding into float64
+gradients as training does; at B = 1 and 8, of two earlier sweeps:
 
-    B                  1            8            16           25           50
-    forward, f64       0.90-0.94x   0.97-0.99x   1.02-1.12x   1.24-1.36x   1.39-1.55x
-    backward, f64      0.96-0.97x   0.96-1.09x   1.46-1.53x   1.19-1.51x   1.38-1.81x
-    forward, f32       0.98x        0.63-0.66x   0.84-0.94x   0.76-0.77x   1.21-1.38x
-    backward, f32      0.96-0.99x   0.72-0.84x   1.34-1.38x   1.07-1.20x   1.41-1.63x
+    B               1           8           16          25          35          50
+    forward, f64    0.90-0.94   0.97-0.99   1.02-1.12   1.24-1.36               1.39-1.55
+    backward, f64   0.96-0.97   0.96-1.09   1.46-1.53   1.19-1.51               1.38-1.81
+    forward, f32    0.98        0.63-0.66   0.90-1.06   1.00-1.07   0.94-1.09   1.38
+    backward, f32   0.96-0.99   0.72-0.84   0.96-1.43   0.98-1.53   1.17-1.41   1.61-1.63
 
-A float32 step is shorter, so the hand-offs weigh more: over four sweeps on
-a shared 2-core host, the forward pass (decoding runs it and leaves the cache
-unread) measured 0.70-1.01x at B = 25, 0.88-0.99x at B = 35 and 0.94-1.06x
-at B = 50 in float32, against 0.89-1.00x, 0.88-1.34x and 1.24-1.92x in
-float64. PARALLEL_MIN_ROWS is one value for both dtypes: no other value sped
-up both.
+A float32 step is shorter, so the hand-offs weigh more. At B = 25, the test
+and validation splits' decode batch, the float32 forward pass is even
+(threaded won 33 of 57 pairs) and the backward pass gains, while at 16 the
+forward pass lost two sweeps of three; no other value won in paired runs.
+PARALLEL_MIN_ROWS stays one value for both dtypes.
 """
 
 from concurrent.futures import ThreadPoolExecutor

@@ -1,7 +1,8 @@
 """Numeric substrate shared by every model module.
 
-Everything is float64 numpy, save decoding, which runs the BiLSTM and the
-emission on float32 copies (segmenter._decode). Backpropagation is
+Weights, gradients and the SGD step are float64 numpy; training and
+decoding run the BiLSTM and the emission on float32 copies of the weights
+(segmenter._float32_passes). Backpropagation is
 hand-derived per module, and the tests check each module against central
 finite differences. The seeded generator is PCG64 throughout, which keeps
 training bit-reproducible. The configs, build_model and make_rng check each

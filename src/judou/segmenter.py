@@ -4,9 +4,9 @@ Training fine-tunes the pretrained embeddings together with the network
 (freezing them is available as an option), selects the best epoch by
 validation F1, and restores those parameters at the end. Evaluation scores
 sentence boundaries (positions after each E tag), never the tags themselves.
-Weights and training are float64; decoding runs the BiLSTM and emission
-projection in float32 (mixed precision, Micikevicius et al., arXiv
-1710.03740) and the CRF in float64.
+The weights are float64. Training and decoding run the BiLSTM and emission
+projection in float32 against them (mixed precision, Micikevicius et al.,
+arXiv 1710.03740), and the CRF, the gradients and the SGD step in float64.
 """
 
 from dataclasses import dataclass
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binio
-from .corpus import (DEFAULT_PUNCT, STOP, LabeledSequence, TAG_CHARS, TAG_E,
-                     TAG_TO_ID, UNIT_SIZE, Vocab, boundary_positions,
+from .corpus import (DEFAULT_PUNCT, STOP, CorpusSplits, LabeledSequence, TAG_CHARS, TAG_E,
+                     TAG_TO_ID, UNIT_SIZE, Unit, Vocab, boundary_positions,
                      normalize_text, tags_to_text)
 from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
 from .embedding import EmbeddingSet, encode_chars, take_embeddings
@@ -130,15 +130,16 @@ def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndar
     X = w["emb.char_vectors"][char_ids]
     if model.use_radicals:
         X = np.concatenate([X, w["emb.radical_vectors"][rad_ids]], axis=2)
-    # the pass runs in the BiLSTM's dtype; the rows are cast after the gather
+    # the pass runs in the BiLSTM's dtype; the rows are cast after the gather,
+    # the masks after their float64 draw (a float64 mask would upcast the pass)
     X = X.astype(w["fwd.W_x"].dtype, copy=False)
     in_mask = out_mask = None
     if dropout > 0:
-        in_mask = dropout_mask(X.shape, dropout, rng)
+        in_mask = dropout_mask(X.shape, dropout, rng).astype(X.dtype, copy=False)
         X = X * in_mask
     H2, lstm_cache = bilstm_forward_batch(w, X)
     if dropout > 0:
-        out_mask = dropout_mask(H2.shape, dropout, rng)
+        out_mask = dropout_mask(H2.shape, dropout, rng).astype(H2.dtype, copy=False)
         H2 = H2 * out_mask
     P = np.tensordot(H2, w["emit.W"], axes=([2], [0])) + w["emit.b"]
     cache = {"char_ids": char_ids, "rad_ids": rad_ids, "in_mask": in_mask,
@@ -150,7 +151,8 @@ def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndar
     """Add into grads the gradients of the weights below the CRF; without the
     embedding names in grads (frozen embeddings) the input gradient is not
     scattered into them. Consumes the cache: H2 and the output mask are freed
-    before the BiLSTM's backward pass allocates its own temporaries."""
+    before the BiLSTM's backward pass allocates its own temporaries. The pass
+    runs in the dtype of model's weights and dP, and grads may be wider."""
     w = model.weights
     two_h = w["emit.W"].shape[0]
     grads["emit.W"] += cache.pop("H2").reshape(-1, two_h).T @ dP.reshape(-1, N_TAGS)
@@ -163,6 +165,8 @@ def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndar
         return
     if cache["in_mask"] is not None:
         dX *= cache["in_mask"]
+    # in the gradients' dtype, np.add.at keeps its fast path
+    dX = dX.astype(grads["emb.char_vectors"].dtype, copy=False)
     d_c = w["emb.char_vectors"].shape[1]
     np.add.at(grads["emb.char_vectors"], cache["char_ids"], dX[:, :, :d_c])
     if model.use_radicals:
@@ -171,6 +175,11 @@ def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndar
 
 # ---------------------------------------------------------------------------
 # training / evaluation / segmentation
+
+def _check_units(name: str, units: list) -> None:
+    if not isinstance(units, list) or not all(isinstance(u, Unit) for u in units):
+        raise ValueError(f"{name} must be a list of corpus Units, got {units!r:.60}")
+
 
 def _encode_units(model: SegmenterModel, units: list) -> list:
     return [encode_chars(u.seq.chars, model.vocab, model.radtable) for u in units]
@@ -188,24 +197,31 @@ def _length_groups(encoded: list, idxs):
                np.stack([encoded[i].rad_ids for i in group]))
 
 
+def _float32_passes(model: SegmenterModel) -> SegmenterModel:
+    """The model the float32 passes run on: float32 copies of the BiLSTM and
+    emission weights, with the embedding tables and the CRF transitions
+    shared, in float64, with model."""
+    return SegmenterModel(model.vocab, model.radtable, {
+        name: w if name in EMBEDDING_NAMES or name == "crf.trans" else w.astype(np.float32)
+        for name, w in model.weights.items()})
+
+
 def _decode(model: SegmenterModel, encoded: list) -> list:
     """Viterbi tag ids (one array per unit) from forward passes over
     equal-length units, at most DECODE_BATCH units per pass. Each is
     training's forward pass without dropout; its LSTM cache is dropped
     unread.
 
-    The passes run on float32 copies of the BiLSTM and emission weights, made
-    once per call; the embedding rows are cast after the gather, and the CRF
-    decodes the emissions upcast to float64 with the float64 transitions.
-    model.weights is only read."""
+    The passes run on _float32_passes(model), made once per call; the
+    embedding rows are cast after the gather, and the CRF decodes the
+    emissions upcast to float64 with the float64 transitions. model.weights
+    is only read."""
     if any(len(e) == 0 for e in encoded):
         raise ValueError("cannot run the model on an empty unit")
     trans = model.weights["crf.trans"]
     if not np.isfinite(trans).all():
         raise NumericError("non-finite CRF transition scores")
-    decoder = SegmenterModel(model.vocab, model.radtable, {
-        name: w if name in EMBEDDING_NAMES or name == "crf.trans" else w.astype(np.float32)
-        for name, w in model.weights.items()})
+    decoder = _float32_passes(model)
     tags = {}
     for idxs, char_ids, rad_ids in _length_groups(encoded, range(len(encoded))):
         for start in range(0, len(idxs), DECODE_BATCH):
@@ -228,7 +244,17 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     The model ends up with the parameters of the epoch with the best
     validation F1 (earliest on ties). With no validation units there is
     nothing to select by, and the last epoch's parameters stand.
+
+    Mixed precision: each minibatch runs its BiLSTM and emission passes on
+    _float32_passes(model), copied after the previous step. The CRF takes
+    the emissions upcast to float64, and the passes' float32 gradient
+    products are added into float64 gradients, so clipping, the SGD step and
+    model.weights (the same arrays throughout) stay float64.
     """
+    if not isinstance(splits, CorpusSplits):
+        raise ValueError(f"splits must be a CorpusSplits, got {splits!r:.60}")
+    _check_units("splits.train", splits.train)
+    _check_units("splits.valid", splits.valid)
     if not splits.train:
         raise ValueError("training split is empty")
     rng = make_rng(seed)
@@ -252,12 +278,14 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
         for start in steps:
             batch = order[start:start + hp.batch]
             n_batch = len(batch)
+            passes = _float32_passes(model)
             for idxs, char_ids, rad_ids in _length_groups(encoded, batch):
-                P, cache = _forward_batch(model, char_ids, rad_ids, rng, hp.dropout)
-                loss, dP, dA = crf_nll(P, weights["crf.trans"], np.stack([golds[i] for i in idxs]))
+                P, cache = _forward_batch(passes, char_ids, rad_ids, rng, hp.dropout)
+                loss, dP, dA = crf_nll(P.astype(np.float64), weights["crf.trans"],
+                                       np.stack([golds[i] for i in idxs]))
                 total_loss += loss.sum()
                 grads["crf.trans"] += dA / n_batch
-                _backward_batch(model, grads, cache, dP / n_batch)
+                _backward_batch(passes, grads, cache, (dP / n_batch).astype(P.dtype))
                 del P, cache  # free the LSTM cache before the next pass allocates one
             # lr 0 is a null update: value -= 0.0 * grad leaves the values as they are
             clipped += sgd_step(weights, grads, hp.learning_rate, hp.clip_norm) < 1.0
@@ -281,6 +309,7 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
 
 def evaluate(model: SegmenterModel, units: list) -> EvalReport:
     """Boundary-level precision/recall/F1 over gold-tagged units."""
+    _check_units("units", units)
     tp = fp = fn = 0
     for unit, tags in zip(units, _decode(model, _encode_units(model, units))):
         gold = boundary_positions(unit.seq.tags)
@@ -294,6 +323,10 @@ def evaluate(model: SegmenterModel, units: list) -> EvalReport:
 def segment(model: SegmenterModel, raw: str, separator: str = "/") -> str:
     """Segment raw text: normalize (dropping any existing stops), decode
     UNIT_SIZE-character units, and reinsert boundaries after predicted E tags."""
+    if not isinstance(raw, str):
+        raise ValueError(f"raw must be a str, got {raw!r:.60}")
+    if not isinstance(separator, str) or not separator:
+        raise ValueError(f"separator must be a non-empty str, got {separator!r}")
     chars = DEFAULT_PUNCT.compile(STOP).sub("", normalize_text(raw))
     units = [encode_chars(chars[start:start + UNIT_SIZE], model.vocab, model.radtable)
              for start in range(0, len(chars), UNIT_SIZE)]

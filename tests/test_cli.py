@@ -492,6 +492,14 @@ def test_segment_from_file_with_custom_separator(runner, make_model, force_trans
     assert r.stdout == "天地人|山水火\n"
 
 
+def test_segment_rejects_an_empty_separator(runner, make_model, force_transitions, tmp_path):
+    ckpt = tmp_path / "m.bin"
+    rigged_checkpoint(make_model, force_transitions, PERIOD3, ckpt)
+    r = runner.invoke(main, ["segment", "--model", str(ckpt), "--sep", ""], input="天地人山水火")
+    assert r.exit_code == 2
+    assert "separator must be a non-empty str" in r.stderr
+
+
 def test_segment_empty_stdin(runner, make_model, force_transitions, tmp_path):
     ckpt = tmp_path / "m.bin"
     rigged_checkpoint(make_model, force_transitions, ALL_O, ckpt)

@@ -1,16 +1,18 @@
 """Each input is checked once, in the type that holds it: an invalid seed,
-size, rate or tag string raises ValueError with a message that begins with
-the input's name, never a KeyError, a ZeroDivisionError, a TypeError or
-numpy's own error from deeper down."""
+size, rate or tag string, or an entry point's argument of the wrong type,
+raises ValueError with a message that begins with the input's name, never a
+KeyError, a ZeroDivisionError, a TypeError, an AttributeError or numpy's own
+error from deeper down."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from judou.corpus import TAG_CHARS, LabeledSequence, Unit, build_vocab, chunk_units, clean_unsure
+from judou.corpus import (TAG_CHARS, CorpusSplits, LabeledSequence, Unit, build_vocab,
+                          chunk_units, clean_unsure)
 from judou.embedding import EmbeddingConfig, untrained_embeddings
 from judou.nncore import make_rng
-from judou.segmenter import Hyperparams, build_model
+from judou.segmenter import Hyperparams, build_model, evaluate, segment, train
 
 # a negative int, or anything that is not an int: PCG64 raises TypeError on
 # a float or text, and takes None (fresh OS entropy), a bool or a list of ints
@@ -70,3 +72,25 @@ def test_an_invalid_input_raises_a_value_error_naming_it(case, embeddings):
         kwargs = {"embeddings": embeddings, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must be"):
         make(**kwargs)
+
+
+UNIT = Unit(seq=LabeledSequence("天地", "BE"))
+HP = Hyperparams(embed_dim=4, hidden=2, batch=1, epochs=1)
+
+
+# Each call used to fail deep inside with a TypeError or an AttributeError,
+# save the empty separator, which returned the text with every boundary lost.
+@pytest.mark.parametrize("name,call", [
+    ("raw", lambda m: segment(m, b"abc")),
+    ("raw", lambda m: segment(m, None)),
+    ("separator", lambda m: segment(m, "天地", separator="")),
+    ("separator", lambda m: segment(m, "天地", separator=None)),
+    ("splits", lambda m: train(m, [UNIT], HP)),
+    ("splits.train", lambda m: train(m, CorpusSplits(train=["天地"], valid=[], test=[]), HP)),
+    ("splits.valid", lambda m: train(m, CorpusSplits(train=[UNIT], valid=["天地"], test=[]), HP)),
+    ("units", lambda m: evaluate(m, ["天地"])),
+    ("units", lambda m: evaluate(m, UNIT)),
+], ids=["bytes", "none", "empty", "none", "list", "text-unit", "text-unit", "text-unit", "unit"])
+def test_an_entry_points_invalid_argument_raises_a_value_error_naming_it(name, call, embeddings):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(build_model(embeddings, hidden=2))

@@ -19,6 +19,7 @@ from judou.corpus import (
 )
 from judou.crf import crf_nll, viterbi_decode
 from judou.embedding import encode_chars, load_embeddings, save_embeddings
+from judou.lstm import bilstm_backward_batch, bilstm_forward_batch
 from judou.nncore import make_rng
 from judou.segmenter import (
     DECODE_BATCH,
@@ -515,6 +516,91 @@ def test_threaded_training_is_bit_identical(table, both_paths, tmp_path):
         save_model(model, tmp_path / f"{path}.bin")
         runs.append(([r.mean_loss for r in log.epochs], (tmp_path / f"{path}.bin").read_bytes()))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# training in mixed precision
+
+def lstm_dtypes(arrays):
+    """The dtypes of the ten BiLSTM arrays in a weight or gradient dict."""
+    return {arrays[f"{d}.{n}"].dtype for d in ("fwd", "bwd") for n in lstm.LSTM_NAMES}
+
+
+def test_training_runs_the_passes_in_float32_and_the_crf_and_gradients_in_float64(
+        make_model, monkeypatch):
+    splits = tiny_splits()
+    model = make_model(splits.train)
+    seen = {"forward": [], "backward": [], "crf_nll": []}
+
+    def forward(weights, xs):
+        seen["forward"].append(lstm_dtypes(weights) | {xs.dtype})
+        return bilstm_forward_batch(weights, xs)
+
+    def backward(weights, grads, cache, douts):
+        seen["backward"].append((lstm_dtypes(weights) | {douts.dtype}, lstm_dtypes(grads)))
+        return bilstm_backward_batch(weights, grads, cache, douts)
+
+    def nll(P, A, gold):
+        seen["crf_nll"].append({P.dtype, A.dtype})
+        return crf_nll(P, A, gold)
+
+    monkeypatch.setattr(segmenter, "bilstm_forward_batch", forward)
+    monkeypatch.setattr(segmenter, "bilstm_backward_batch", backward)
+    monkeypatch.setattr(segmenter, "crf_nll", nll)
+    train(model, splits, tiny_hp(dropout=0.3), seed=1)
+    # 2 steps of 2 units and one validation pass per epoch
+    assert seen["forward"] == [{np.dtype(np.float32)}] * 9
+    assert seen["backward"] == [({np.dtype(np.float32)}, {np.dtype(np.float64)})] * 6
+    assert seen["crf_nll"] == [{np.dtype(np.float64)}] * 6
+
+
+def test_training_keeps_the_models_float64_arrays(make_model):
+    splits = tiny_splits()
+    model = make_model(splits.train)
+    arrays = dict(model.weights)
+    before = {name: w.copy() for name, w in arrays.items()}
+    train(model, splits, tiny_hp(dropout=0.3), seed=2)
+    assert list(model.weights) == list(arrays)
+    for name, w in model.weights.items():
+        assert w is arrays[name] and w.dtype == np.float64, name
+        assert not np.array_equal(w, before[name]), name
+
+
+def test_a_float32_pass_draws_float64s_dropout_masks_and_holds_them_in_float32(make_model):
+    units = [unit_of("天地人山水火", "BOEBOE"), unit_of("山水火天地人", "BOEBOE")]
+    model = make_model(units)
+    encoded = segmenter._encode_units(model, units)
+    ids = [np.stack([e.char_ids for e in encoded]), np.stack([e.rad_ids for e in encoded])]
+    P, cache = _forward_batch(segmenter._float32_passes(model), *ids, make_rng(3), 0.5)
+    _, cache64 = _forward_batch(model, *ids, make_rng(3), 0.5)
+    assert P.dtype == np.float32
+    for name in ("H2", "in_mask", "out_mask"):
+        assert cache[name].dtype == np.float32, name
+    for name in ("in_mask", "out_mask"):
+        assert np.array_equal(cache[name], cache64[name]), name
+
+
+def fixture_logs(table):
+    """Per-epoch (mean loss, validation F1) of the overfit fixture at seed 1 and
+    of the radical-signal model at seed 2."""
+    splits = radical_signal_corpus(2, table)
+    emb = random_embeddings(build_vocab(splits.train), table, RS_D_CHAR, RS_D_RADICAL, seed=2)
+    logs = [run_overfit(seed=1)[2],
+            train(build_model(emb, hidden=RS_HIDDEN, seed=2), splits, RS_HYPERPARAMS, seed=2)]
+    return [[(r.mean_loss, r.val_report.f1) for r in log.epochs] for log in logs]
+
+
+def test_float32_training_follows_a_float64_run_on_both_fixtures(table, monkeypatch):
+    mixed = fixture_logs(table)
+    # passes on the model's own weights: the same training, all in float64
+    monkeypatch.setattr(segmenter, "_float32_passes", lambda model: model)
+    reference = fixture_logs(table)
+    for run, ref in zip(mixed, reference):
+        assert len(run) == len(ref)
+        for (loss, f1), (loss64, f1_64) in zip(run, ref):
+            assert abs(f1 - f1_64) <= 0.005
+            assert abs(loss - loss64) <= 1e-6 * abs(loss64)
+        assert run != ref  # the float32 run is not the reference itself
 
 
 # Peak traced bytes of the training step below with the two directions run
