@@ -1,7 +1,9 @@
 """Command-line pipeline: prepare -> pretrain -> train -> eval / segment.
 
 Exit codes: 0 success, 2 usage, validation or numeric failure, 3 empty data.
-Data goes to stdout, diagnostics to stderr. All text I/O is strict UTF-8.
+Any ValueError a command raises exits 2 with its message: the library reports
+bad input, a malformed file and a non-finite number that way. Data goes to
+stdout, diagnostics to stderr. All text I/O is strict UTF-8.
 """
 
 import sys
@@ -15,7 +17,6 @@ from .corpus import (CorpusSplits, PunctConfig, build_vocab, chunk_units,
                      clean_unsure, normalize_text, read_units, split_corpus,
                      text_to_tags, write_units)
 from .embedding import EmbeddingConfig, load_embeddings, save_embeddings, train_embeddings
-from .nncore import NumericError
 from .radicals import default_table, radical_char, radical_of
 from .segmenter import (Hyperparams, build_model, evaluate, load_model,
                         save_model, segment, train)
@@ -30,22 +31,30 @@ def _fail(message: str, code: int = EXIT_USAGE):
 
 
 def _load(read, path: Path):
-    """read(path), a file that cannot be read or is malformed being a usage error."""
+    """read(path), a file that cannot be read or decoded being a usage error."""
     try:
         return read(path)
     except OSError as e:
         _fail(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError as e:
         _fail(f"{path} is not valid UTF-8: {e}")
-    except ValueError as e:
-        _fail(str(e))
 
 
 def _read_text(path: Path) -> str:
     return _load(lambda p: p.read_bytes().decode("utf-8"), path)
 
 
-@click.group()
+class _Pipeline(click.Group):
+    """The command group: a ValueError from any command exits 2 with its message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as e:
+            _fail(str(e))
+
+
+@click.group(cls=_Pipeline, context_settings={"show_default": True})
 @click.version_option(package_name="judou")
 def main():
     """Sentence segmentation for unpunctuated classical Chinese."""
@@ -56,20 +65,17 @@ def main():
               type=click.Path(exists=True, file_okay=False, path_type=Path),
               help="Directory of punctuated UTF-8 source documents.")
 @click.option("--stops", default="".join(sorted(corpus.DEFAULT_STOPS)),
-              show_default=True, help="Characters treated as sentence stops.")
-@click.option("--unit-size", default=corpus.UNIT_SIZE, show_default=True, type=click.IntRange(2),
+              help="Characters treated as sentence stops.")
+@click.option("--unit-size", default=corpus.UNIT_SIZE, type=click.IntRange(2),
               help=f"Characters per unit; segment always decodes {corpus.UNIT_SIZE}-character units.")
-@click.option("--max-unsure-run", default=5, show_default=True, type=click.IntRange(0),
+@click.option("--max-unsure-run", default=5, type=click.IntRange(0),
               help="Drop sentences with more consecutive □ than this.")
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
+@click.option("--seed", default=0, type=click.IntRange(0))
 @click.option("--out", "out_dir", required=True,
               type=click.Path(file_okay=False, path_type=Path))
 def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
     """Tag, chunk, and split a corpus; write the three splits and a manifest."""
-    try:
-        punct = PunctConfig(stops=frozenset(stops))
-    except ValueError as e:
-        _fail(str(e))
+    punct = PunctConfig(stops=frozenset(stops))
     units = []
     for doc in sorted(p for p in input_dir.iterdir() if p.is_file()):
         text = clean_unsure(normalize_text(_read_text(doc), punct), max_unsure_run, punct)
@@ -95,15 +101,13 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
 @click.option("--data", "data_dir", required=True,
               type=click.Path(exists=True, file_okay=False, path_type=Path),
               help="Directory written by prepare.")
-@click.option("--dim-char", default=EmbeddingConfig.d_char, show_default=True,
-              type=click.IntRange(1))
-@click.option("--dim-radical", default=EmbeddingConfig.d_radical, show_default=True,
-              type=click.IntRange(1))
-@click.option("--window", default=EmbeddingConfig.window, show_default=True, type=click.IntRange(1))
-@click.option("--epochs", default=EmbeddingConfig.epochs, show_default=True, type=click.IntRange(1))
-@click.option("--learning-rate", default=EmbeddingConfig.learning_rate, show_default=True,
+@click.option("--dim-char", default=EmbeddingConfig.d_char, type=click.IntRange(1))
+@click.option("--dim-radical", default=EmbeddingConfig.d_radical, type=click.IntRange(1))
+@click.option("--window", default=EmbeddingConfig.window, type=click.IntRange(1))
+@click.option("--epochs", default=EmbeddingConfig.epochs, type=click.IntRange(1))
+@click.option("--learning-rate", default=EmbeddingConfig.learning_rate,
               type=click.FloatRange(0, min_open=True))
-@click.option("--seed", default=EmbeddingConfig.seed, show_default=True, type=click.IntRange(0))
+@click.option("--seed", default=EmbeddingConfig.seed, type=click.IntRange(0))
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, seed, out_path):
     """Pretrain radical-augmented character embeddings on the training split,
@@ -111,11 +115,8 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
     units = _load(read_units, data_dir / "train.tsv")
     if not units:
         _fail("training split is empty", EXIT_EMPTY)
-    try:
-        cfg = EmbeddingConfig(d_char=dim_char, d_radical=dim_radical, window=window,
-                              epochs=epochs, learning_rate=learning_rate, seed=seed)
-    except ValueError as e:
-        _fail(str(e))
+    cfg = EmbeddingConfig(d_char=dim_char, d_radical=dim_radical, window=window,
+                          epochs=epochs, learning_rate=learning_rate, seed=seed)
 
     positions = sum(len(u.seq) for u in units)
     vocab = build_vocab(units)
@@ -128,10 +129,7 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
         start = now
 
     start = time.perf_counter()
-    try:
-        emb = train_embeddings(units, default_table(), cfg, vocab=vocab, progress=report)
-    except NumericError as e:
-        _fail(str(e))
+    emb = train_embeddings(units, default_table(), cfg, vocab=vocab, progress=report)
     save_embeddings(emb, out_path)
 
 
@@ -139,16 +137,13 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
 @click.option("--data", "data_dir", required=True,
               type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--embeddings", "emb_path", required=True, type=click.Path(path_type=Path))
-@click.option("--hidden", default=Hyperparams.hidden, show_default=True, type=click.IntRange(1))
-@click.option("--batch", default=Hyperparams.batch, show_default=True, type=click.IntRange(1))
-@click.option("--epochs", default=Hyperparams.epochs, show_default=True, type=click.IntRange(0))
-@click.option("--learning-rate", default=Hyperparams.learning_rate, show_default=True,
-              type=click.FloatRange(0))
-@click.option("--clip-norm", default=Hyperparams.clip_norm, show_default=True,
-              type=click.FloatRange(0, min_open=True))
-@click.option("--dropout", default=Hyperparams.dropout, show_default=True,
-              type=click.FloatRange(0, 1, max_open=True))
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
+@click.option("--hidden", default=Hyperparams.hidden, type=click.IntRange(1))
+@click.option("--batch", default=Hyperparams.batch, type=click.IntRange(1))
+@click.option("--epochs", default=Hyperparams.epochs, type=click.IntRange(0))
+@click.option("--learning-rate", default=Hyperparams.learning_rate, type=click.FloatRange(0))
+@click.option("--clip-norm", default=Hyperparams.clip_norm, type=click.FloatRange(0, min_open=True))
+@click.option("--dropout", default=Hyperparams.dropout, type=click.FloatRange(0, 1, max_open=True))
+@click.option("--seed", default=0, type=click.IntRange(0))
 @click.option("--freeze-embeddings", is_flag=True,
               help="Keep the pretrained embeddings fixed during training.")
 @click.option("--eval-on-train", is_flag=True,
@@ -171,11 +166,8 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
         _fail("training split is empty", EXIT_EMPTY)
     valid_path = data_dir / "valid.tsv"
     valid_units = _load(read_units, valid_path) if valid_path.exists() else []
-    try:
-        hp = Hyperparams(batch=batch, epochs=epochs, learning_rate=learning_rate,
-                         clip_norm=clip_norm, dropout=dropout)
-    except ValueError as e:
-        _fail(str(e))
+    hp = Hyperparams(batch=batch, epochs=epochs, learning_rate=learning_rate,
+                     clip_norm=clip_norm, dropout=dropout)
     model = build_model(emb, hidden=hidden, seed=seed)
     splits = CorpusSplits(train=train_units,
                           valid=train_units if eval_on_train else valid_units,
@@ -190,11 +182,7 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
         lines.append(line)
         click.echo(line)
 
-    try:
-        train(model, splits, hp, seed=seed, freeze_embeddings=freeze_embeddings,
-              progress=report)
-    except NumericError as e:
-        _fail(str(e))
+    train(model, splits, hp, seed=seed, freeze_embeddings=freeze_embeddings, progress=report)
     save_model(model, out_path)
     log_path = log_path or out_path.with_name(out_path.name + ".log")
     log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -210,10 +198,7 @@ def eval_cmd(model_path, data_path):
     units = _load(read_units, data_path)
     if not units:
         _fail(f"{data_path} holds no units", EXIT_EMPTY)
-    try:
-        rep = evaluate(model, units)
-    except NumericError as e:
-        _fail(str(e))
+    rep = evaluate(model, units)
     click.echo(f"P={rep.precision:.4f} R={rep.recall:.4f} F1={rep.f1:.4f}")
 
 
@@ -230,8 +215,7 @@ def _load_model(path: Path):
 @click.option("--model", "model_path", required=True, type=click.Path(path_type=Path))
 @click.option("--in", "in_path", type=click.Path(path_type=Path),
               help="Input file [default: stdin].")
-@click.option("--sep", default="/", show_default=True,
-              help="Separator inserted at predicted boundaries.")
+@click.option("--sep", default="/", help="Separator inserted at predicted boundaries.")
 def segment_cmd(model_path, in_path, sep):
     """Segment raw text; existing punctuation is stripped first."""
     model = _load_model(model_path)
@@ -242,10 +226,7 @@ def segment_cmd(model_path, in_path, sep):
             text = sys.stdin.buffer.read().decode("utf-8")
         except UnicodeDecodeError as e:
             _fail(f"stdin is not valid UTF-8: {e}")
-    try:
-        out = segment(model, text, separator=sep)
-    except ValueError as e:  # a NumericError, or an empty --sep
-        _fail(str(e))
+    out = segment(model, text, separator=sep)
     if out:
         click.echo(out)
 

@@ -56,9 +56,10 @@ class PunctConfig:
     def __post_init__(self):
         if not self.stops or any(len(c) != 1 for c in self.stops):
             raise ValueError(f"stop set must be non-empty single characters: {sorted(self.stops)}")
-        han = [c for c in self.stops if re.fullmatch(f"[{_HAN}]", c)]
-        if han:
-            raise ValueError(f"stop set may not contain Han ideographs: {han!r}")
+        # both are text, not marks; a '□' stop would also hide runs of '□' from clean_unsure
+        kept = sorted(c for c in self.stops if re.fullmatch(f"[{_HAN}{UNSURE_CHAR}]", c))
+        if kept:
+            raise ValueError(f"stop set may not contain Han ideographs or {UNSURE_CHAR}: {kept!r}")
 
     @cache
     def compile(self, pattern: str) -> re.Pattern:
@@ -93,6 +94,12 @@ class Unit:
 
     seq: LabeledSequence
     doc_id: str = ""
+
+
+def check_units(name: str, units: list) -> None:
+    """Raise a ValueError naming the argument unless units is a list of Units."""
+    if not isinstance(units, list) or not all(isinstance(u, Unit) for u in units):
+        raise ValueError(f"{name} must be a list of corpus Units, got {units!r:.60}")
 
 
 @dataclass

@@ -5,6 +5,8 @@ with augmented START/STOP states carrying the boundary terms. All dynamic
 programming runs in log space so length-100 sequences stay well-conditioned.
 Every function takes emissions P of shape (B, n, 3), the (5, 5) transition
 matrix A and tag paths of shape (B, n), and returns one result per row.
+`viterbi_decode` and `crf_nll` take float32 emissions as well and work on a
+float64 copy: a step that mixed the dtypes would pay for a cast in each ufunc.
 
 Tag indices are fixed as B=0, E=1, O=2; START=3 and STOP=4 only ever appear
 inside the transition matrix.
@@ -76,6 +78,7 @@ def log_partition(P: np.ndarray, A: np.ndarray) -> np.ndarray:
 def viterbi_decode(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     """(B, n) best-scoring tag paths; ties resolve to the lowest tag index at
     each backtrack step (so each path minimizes (y_n, ..., y_1) among optima)."""
+    P = P.astype(np.float64, copy=False)
     T_to_from = A[:N_TAGS, :N_TAGS].T
     batch, n, _ = P.shape
     score = A[START, :N_TAGS] + P[:, 0]
@@ -104,6 +107,7 @@ def crf_nll(P: np.ndarray, A: np.ndarray, gold) -> tuple:
     counts) summed over the rows, both from forward-backward. dA covers the
     full (N_TAGS+2)^2 matrix; cells for impossible transitions stay zero.
     """
+    P = P.astype(np.float64, copy=False)
     gold = _check_tags(P, gold)
     alphas = _forward_alphas(P, A)
     betas = _backward_betas(P, A)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binio
-from .corpus import Vocab
+from .corpus import Vocab, check_units
 from .nncore import NumericError, add_low_rank, check_int, check_real, make_rng
 from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, default_table, radical_index
 
@@ -188,6 +188,11 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     The model keeps no gradient buffers. Raises NumericError at the first
     non-finite loss, or if the returned vectors are not finite.
     """
+    check_units("units", units)
+    for name, value, kind in (("radtable", radtable, RadicalTable),
+                              ("cfg", cfg, EmbeddingConfig), ("vocab", vocab, Vocab)):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r:.60}")
     if not units:
         raise ValueError("cannot train embeddings on an empty corpus")
     emb, projection = new_cbow_model(vocab, radtable, cfg)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import binio
 from .corpus import (DEFAULT_PUNCT, STOP, CorpusSplits, LabeledSequence, TAG_CHARS, TAG_E,
-                     TAG_TO_ID, UNIT_SIZE, Unit, Vocab, boundary_positions,
+                     TAG_TO_ID, UNIT_SIZE, Vocab, boundary_positions, check_units,
                      normalize_text, tags_to_text)
 from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
 from .embedding import EmbeddingSet, encode_chars, take_embeddings
@@ -176,11 +176,6 @@ def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndar
 # ---------------------------------------------------------------------------
 # training / evaluation / segmentation
 
-def _check_units(name: str, units: list) -> None:
-    if not isinstance(units, list) or not all(isinstance(u, Unit) for u in units):
-        raise ValueError(f"{name} must be a list of corpus Units, got {units!r:.60}")
-
-
 def _encode_units(model: SegmenterModel, units: list) -> list:
     return [encode_chars(u.seq.chars, model.vocab, model.radtable) for u in units]
 
@@ -214,7 +209,7 @@ def _decode(model: SegmenterModel, encoded: list) -> list:
 
     The passes run on _float32_passes(model), made once per call; the
     embedding rows are cast after the gather, and the CRF decodes the
-    emissions upcast to float64 with the float64 transitions. model.weights
+    float32 emissions in float64 with the float64 transitions. model.weights
     is only read."""
     if any(len(e) == 0 for e in encoded):
         raise ValueError("cannot run the model on an empty unit")
@@ -227,7 +222,6 @@ def _decode(model: SegmenterModel, encoded: list) -> list:
         for start in range(0, len(idxs), DECODE_BATCH):
             part = slice(start, start + DECODE_BATCH)
             P = _forward_batch(decoder, char_ids[part], rad_ids[part])[0]
-            P = P.astype(np.float64)
             # a NaN weight, or one beyond float32's range, would decode as no boundary
             if not np.isfinite(P).all():
                 raise NumericError("non-finite emission scores: a weight is NaN or infinite, "
@@ -247,14 +241,14 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
 
     Mixed precision: each minibatch runs its BiLSTM and emission passes on
     _float32_passes(model), copied after the previous step. The CRF takes
-    the emissions upcast to float64, and the passes' float32 gradient
-    products are added into float64 gradients, so clipping, the SGD step and
-    model.weights (the same arrays throughout) stay float64.
+    the float32 emissions and works in float64, and the passes' float32
+    gradient products are added into float64 gradients, so clipping, the SGD
+    step and model.weights (the same arrays throughout) stay float64.
     """
     if not isinstance(splits, CorpusSplits):
         raise ValueError(f"splits must be a CorpusSplits, got {splits!r:.60}")
-    _check_units("splits.train", splits.train)
-    _check_units("splits.valid", splits.valid)
+    check_units("splits.train", splits.train)
+    check_units("splits.valid", splits.valid)
     if not splits.train:
         raise ValueError("training split is empty")
     rng = make_rng(seed)
@@ -281,8 +275,7 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
             passes = _float32_passes(model)
             for idxs, char_ids, rad_ids in _length_groups(encoded, batch):
                 P, cache = _forward_batch(passes, char_ids, rad_ids, rng, hp.dropout)
-                loss, dP, dA = crf_nll(P.astype(np.float64), weights["crf.trans"],
-                                       np.stack([golds[i] for i in idxs]))
+                loss, dP, dA = crf_nll(P, weights["crf.trans"], np.stack([golds[i] for i in idxs]))
                 total_loss += loss.sum()
                 grads["crf.trans"] += dA / n_batch
                 _backward_batch(passes, grads, cache, (dP / n_batch).astype(P.dtype))
@@ -309,7 +302,7 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
 
 def evaluate(model: SegmenterModel, units: list) -> EvalReport:
     """Boundary-level precision/recall/F1 over gold-tagged units."""
-    _check_units("units", units)
+    check_units("units", units)
     tp = fp = fn = 0
     for unit, tags in zip(units, _decode(model, _encode_units(model, units))):
         gold = boundary_positions(unit.seq.tags)

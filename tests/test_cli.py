@@ -142,6 +142,16 @@ def test_prepare_rejects_tiny_unit_size(runner, docs_dir, tmp_path):
     assert r.exit_code == 2
 
 
+def test_prepare_rejects_the_unsure_placeholder_as_a_stop(runner, docs_dir, tmp_path):
+    # it used to write units in which a run of □ had become a sentence break
+    out = tmp_path / "d"
+    r = runner.invoke(main, ["prepare", "--input", str(docs_dir), "--stops", "。□",
+                             "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert r.stderr == "error: stop set may not contain Han ideographs or □: ['□']\n"
+    assert not out.exists()
+
+
 def test_prepare_empty_corpus_exits_3(runner, tmp_path):
     docs = tmp_path / "docs"
     docs.mkdir()
@@ -545,3 +555,33 @@ def test_radical_rejects_multiple_chars(runner):
     r = runner.invoke(main, ["radical", "--char", "雲雨"])
     assert r.exit_code == 2
     assert "exactly one" in r.stderr
+
+
+# ---------------------------------------------------------------------------
+# the error boundary: any ValueError a command raises exits 2 with its message
+
+@pytest.mark.parametrize("command, name", [
+    ("prepare", "split_corpus"), ("pretrain", "build_vocab"), ("train", "build_model"),
+    ("eval", "evaluate"), ("segment", "segment"), ("radical", "radical_of")])
+def test_a_value_error_from_any_command_exits_2_with_its_message(
+        runner, make_model, force_transitions, docs_dir, data_dir, emb_path, monkeypatch,
+        command, name, tmp_path):
+    # only segment turned it into exit 2; the others exited 1 with a traceback
+    def probe(*args, **kwargs):
+        raise ValueError("probe")
+
+    monkeypatch.setattr(f"judou.cli.{name}", probe)
+    ckpt = tmp_path / "m.bin"
+    rigged_checkpoint(make_model, force_transitions, PERIOD3, ckpt)
+    out = str(tmp_path / "out")
+    args = {"prepare": ["--input", str(docs_dir), "--out", out],
+            "pretrain": ["--data", str(data_dir), "--out", out],
+            "train": ["--data", str(data_dir), "--embeddings", str(emb_path), "--out", out],
+            "eval": ["--model", str(ckpt), "--data", str(data_dir / "test.tsv")],
+            "segment": ["--model", str(ckpt)],
+            "radical": ["--char", "雲"]}[command]
+    r = runner.invoke(main, [command, *args], input="天地人山水火")
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == "error: probe\n"
+    assert isinstance(r.exception, SystemExit) and "Traceback" not in r.output

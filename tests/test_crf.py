@@ -250,3 +250,17 @@ class TestStackedRows:
             np.testing.assert_allclose(dP[b], expected_dP, rtol=0, atol=1e-10)
             dA_rows += expected_dA
         np.testing.assert_allclose(dA, dA_rows, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float32_emissions_give_the_bytes_of_their_float64_upcast(seed):
+    # training and decoding hand the CRF float32 emissions; it used to keep
+    # its alphas, and so every score, in float32
+    rng = make_rng(60 + seed)
+    batch, n = int(rng.integers(1, 60)), int(rng.integers(1, 120))
+    P = rng.normal(scale=3.0, size=(batch, n, 3)).astype(np.float32)
+    crf = random_crf(rng)
+    gold = rng.integers(0, 3, size=(batch, n))
+    for got, want in zip(crf_nll(P, crf, gold), crf_nll(P.astype(np.float64), crf, gold)):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert np.array_equal(viterbi_decode(P, crf), viterbi_decode(P.astype(np.float64), crf))

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from judou.corpus import (TAG_CHARS, CorpusSplits, LabeledSequence, Unit, build_vocab,
                           chunk_units, clean_unsure)
-from judou.embedding import EmbeddingConfig, untrained_embeddings
+from judou.embedding import EmbeddingConfig, train_embeddings, untrained_embeddings
 from judou.nncore import make_rng
+from judou.radicals import default_table
 from judou.segmenter import Hyperparams, build_model, evaluate, segment, train
 
 # a negative int, or anything that is not an int: PCG64 raises TypeError on
@@ -76,10 +77,13 @@ def test_an_invalid_input_raises_a_value_error_naming_it(case, embeddings):
 
 UNIT = Unit(seq=LabeledSequence("天地", "BE"))
 HP = Hyperparams(embed_dim=4, hidden=2, batch=1, epochs=1)
+CBOW = EmbeddingConfig(d_char=2, d_radical=2, epochs=1)
+VOCAB = build_vocab([UNIT])
 
 
 # Each call used to fail deep inside with a TypeError or an AttributeError,
 # save the empty separator, which returned the text with every boundary lost.
+# The train_embeddings calls take the model argument unused.
 @pytest.mark.parametrize("name,call", [
     ("raw", lambda m: segment(m, b"abc")),
     ("raw", lambda m: segment(m, None)),
@@ -90,7 +94,12 @@ HP = Hyperparams(embed_dim=4, hidden=2, batch=1, epochs=1)
     ("splits.valid", lambda m: train(m, CorpusSplits(train=[UNIT], valid=["天地"], test=[]), HP)),
     ("units", lambda m: evaluate(m, ["天地"])),
     ("units", lambda m: evaluate(m, UNIT)),
-], ids=["bytes", "none", "empty", "none", "list", "text-unit", "text-unit", "text-unit", "unit"])
+    ("units", lambda m: train_embeddings(["天地人"], default_table(), CBOW, vocab=VOCAB)),
+    ("radtable", lambda m: train_embeddings([UNIT], None, CBOW, vocab=VOCAB)),
+    ("cfg", lambda m: train_embeddings([UNIT], default_table(), {"d_char": 2}, vocab=VOCAB)),
+    ("vocab", lambda m: train_embeddings([UNIT], default_table(), CBOW, vocab=None)),
+], ids=["bytes", "none", "empty", "none", "list", "text-unit", "text-unit", "text-unit", "unit",
+        "pretrain-text-unit", "no-table", "dict-config", "no-vocab"])
 def test_an_entry_points_invalid_argument_raises_a_value_error_naming_it(name, call, embeddings):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(build_model(embeddings, hidden=2))

@@ -541,8 +541,9 @@ def test_training_runs_the_passes_in_float32_and_the_crf_and_gradients_in_float6
         return bilstm_backward_batch(weights, grads, cache, douts)
 
     def nll(P, A, gold):
-        seen["crf_nll"].append({P.dtype, A.dtype})
-        return crf_nll(P, A, gold)
+        loss, dP, dA = crf_nll(P, A, gold)
+        seen["crf_nll"].append((P.dtype, A.dtype, dP.dtype, dA.dtype))
+        return loss, dP, dA
 
     monkeypatch.setattr(segmenter, "bilstm_forward_batch", forward)
     monkeypatch.setattr(segmenter, "bilstm_backward_batch", backward)
@@ -551,7 +552,7 @@ def test_training_runs_the_passes_in_float32_and_the_crf_and_gradients_in_float6
     # 2 steps of 2 units and one validation pass per epoch
     assert seen["forward"] == [{np.dtype(np.float32)}] * 9
     assert seen["backward"] == [({np.dtype(np.float32)}, {np.dtype(np.float64)})] * 6
-    assert seen["crf_nll"] == [{np.dtype(np.float64)}] * 6
+    assert seen["crf_nll"] == [(np.float32, np.float64, np.float64, np.float64)] * 6
 
 
 def test_training_keeps_the_models_float64_arrays(make_model):
