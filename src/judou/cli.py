@@ -1,9 +1,9 @@
 """Command-line pipeline: prepare -> pretrain -> train -> eval / segment.
 
-Exit codes: 0 success, 2 usage, validation or numeric failure, 3 empty data.
-Any ValueError a command raises exits 2 with its message: the library reports
-bad input, a malformed file and a non-finite number that way. Data goes to
-stdout, diagnostics to stderr. All text I/O is strict UTF-8.
+Exit codes: 0 success, 2 usage, validation, numeric or I/O failure, 3 empty
+data. Any ValueError or OSError a command raises exits 2 with one error: line;
+the library raises ValueError for bad input, a malformed file and a non-finite
+number. Data goes to stdout, diagnostics to stderr. Text I/O is strict UTF-8.
 """
 
 import sys
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from . import binio, corpus
+from . import __version__, binio, corpus
 from .corpus import (CorpusSplits, PunctConfig, build_vocab, chunk_units,
                      clean_unsure, normalize_text, read_units, split_corpus,
                      text_to_tags, write_units)
@@ -23,6 +23,8 @@ from .segmenter import (Hyperparams, build_model, evaluate, load_model,
 
 EXIT_USAGE = 2
 EXIT_EMPTY = 3
+# an output file; pretrain and train create its directory before they start
+OUT_FILE = click.Path(dir_okay=False, path_type=Path)
 
 
 def _fail(message: str, code: int = EXIT_USAGE):
@@ -30,32 +32,36 @@ def _fail(message: str, code: int = EXIT_USAGE):
     sys.exit(code)
 
 
-def _load(read, path: Path):
-    """read(path), a file that cannot be read or decoded being a usage error."""
+def _load(read, path: Path | None, kind: str = ""):
+    """read(path), a file that does not decode being a usage error, and one
+    that read finds malformed (a binio.FormatError) a bad kind."""
     try:
         return read(path)
-    except OSError as e:
-        _fail(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError as e:
-        _fail(f"{path} is not valid UTF-8: {e}")
+        _fail(f"{path or 'stdin'} is not valid UTF-8: {e}")
+    except binio.FormatError as e:
+        _fail(f"bad {kind}: {e}")
 
 
-def _read_text(path: Path) -> str:
-    return _load(lambda p: p.read_bytes().decode("utf-8"), path)
+def _read_text(path: Path | None) -> str:
+    """The text of path, or of stdin when path is None."""
+    return _load(lambda p: (p.read_bytes() if p else sys.stdin.buffer.read()).decode(), path)
 
 
 class _Pipeline(click.Group):
-    """The command group: a ValueError from any command exits 2 with its message."""
+    """The command group: a ValueError or OSError from any command exits 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except OSError as e:
+            _fail(f"cannot open {e.filename}: {e.strerror}" if e.filename else str(e))
         except ValueError as e:
             _fail(str(e))
 
 
 @click.group(cls=_Pipeline, context_settings={"show_default": True})
-@click.version_option(package_name="judou")
+@click.version_option(__version__)
 def main():
     """Sentence segmentation for unpunctuated classical Chinese."""
 
@@ -108,7 +114,7 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
 @click.option("--learning-rate", default=EmbeddingConfig.learning_rate,
               type=click.FloatRange(0, min_open=True))
 @click.option("--seed", default=EmbeddingConfig.seed, type=click.IntRange(0))
-@click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
+@click.option("--out", "out_path", required=True, type=OUT_FILE)
 def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, seed, out_path):
     """Pretrain radical-augmented character embeddings on the training split,
     over the vocabulary of its characters."""
@@ -117,6 +123,7 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
         _fail("training split is empty", EXIT_EMPTY)
     cfg = EmbeddingConfig(d_char=dim_char, d_radical=dim_radical, window=window,
                           epochs=epochs, learning_rate=learning_rate, seed=seed)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
 
     positions = sum(len(u.seq) for u in units)
     vocab = build_vocab(units)
@@ -148,19 +155,14 @@ def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, see
               help="Keep the pretrained embeddings fixed during training.")
 @click.option("--eval-on-train", is_flag=True,
               help="Log per-epoch metrics on the training split instead of validation.")
-@click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
-@click.option("--log", "log_path", type=click.Path(path_type=Path),
+@click.option("--out", "out_path", required=True, type=OUT_FILE)
+@click.option("--log", "log_path", type=OUT_FILE,
               help="Training log destination [default: OUT.log].")
 def train_cmd(data_dir, emb_path, hidden, batch, epochs,
               learning_rate, clip_norm, dropout, seed, freeze_embeddings,
               eval_on_train, out_path, log_path):
     """Train the tagger and write a checkpoint plus a per-epoch log."""
-    try:
-        emb = load_embeddings(emb_path)
-    except OSError as e:
-        _fail(f"cannot read embeddings: {e.strerror}")
-    except binio.FormatError as e:
-        _fail(f"bad embedding file: {e}")
+    emb = _load(load_embeddings, emb_path, "embedding file")
     train_units = _load(read_units, data_dir / "train.tsv")
     if not train_units:
         _fail("training split is empty", EXIT_EMPTY)
@@ -172,6 +174,9 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
     splits = CorpusSplits(train=train_units,
                           valid=train_units if eval_on_train else valid_units,
                           test=[])
+    log_path = log_path or out_path.with_name(out_path.name + ".log")
+    for path in (out_path, log_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
 
     def report(epoch, record):
@@ -184,7 +189,6 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
 
     train(model, splits, hp, seed=seed, freeze_embeddings=freeze_embeddings, progress=report)
     save_model(model, out_path)
-    log_path = log_path or out_path.with_name(out_path.name + ".log")
     log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -194,21 +198,12 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
               help="A split file written by prepare (e.g. test.tsv).")
 def eval_cmd(model_path, data_path):
     """Boundary precision/recall/F1 of a checkpoint on a gold split."""
-    model = _load_model(model_path)
+    model = _load(load_model, model_path, "checkpoint")
     units = _load(read_units, data_path)
     if not units:
         _fail(f"{data_path} holds no units", EXIT_EMPTY)
     rep = evaluate(model, units)
     click.echo(f"P={rep.precision:.4f} R={rep.recall:.4f} F1={rep.f1:.4f}")
-
-
-def _load_model(path: Path):
-    try:
-        return load_model(path)
-    except OSError as e:
-        _fail(f"cannot read model: {e.strerror}")
-    except binio.FormatError as e:
-        _fail(f"bad checkpoint: {e}")
 
 
 @main.command(name="segment")
@@ -218,15 +213,8 @@ def _load_model(path: Path):
 @click.option("--sep", default="/", help="Separator inserted at predicted boundaries.")
 def segment_cmd(model_path, in_path, sep):
     """Segment raw text; existing punctuation is stripped first."""
-    model = _load_model(model_path)
-    if in_path is not None:
-        text = _read_text(in_path)
-    else:
-        try:
-            text = sys.stdin.buffer.read().decode("utf-8")
-        except UnicodeDecodeError as e:
-            _fail(f"stdin is not valid UTF-8: {e}")
-    out = segment(model, text, separator=sep)
+    model = _load(load_model, model_path, "checkpoint")
+    out = segment(model, _read_text(in_path), separator=sep)
     if out:
         click.echo(out)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import binio
 from .corpus import Vocab, check_units
-from .nncore import NumericError, add_low_rank, check_int, check_real, make_rng
+from .nncore import NumericError, add_low_rank, check_int, check_real, check_type, make_rng
 from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, default_table, radical_index
 
 MAGIC = b"GJEMB01\n"
@@ -189,10 +189,9 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     non-finite loss, or if the returned vectors are not finite.
     """
     check_units("units", units)
-    for name, value, kind in (("radtable", radtable, RadicalTable),
-                              ("cfg", cfg, EmbeddingConfig), ("vocab", vocab, Vocab)):
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r:.60}")
+    check_type("radtable", radtable, RadicalTable)
+    check_type("cfg", cfg, EmbeddingConfig)
+    check_type("vocab", vocab, Vocab)
     if not units:
         raise ValueError("cannot train embeddings on an empty corpus")
     emb, projection = new_cbow_model(vocab, radtable, cfg)

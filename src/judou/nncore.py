@@ -7,7 +7,8 @@ hand-derived per module, and the tests check each module against central
 finite differences. The seeded generator is PCG64 throughout, which keeps
 training bit-reproducible. The configs, build_model and make_rng check each
 size, epoch count and seed they take with check_int, and the configs each
-rate and norm with check_real.
+rate and norm with check_real; the entry points check each argument's type
+with check_type.
 
 A model's weights are one dict of plain arrays keyed by name. Gradients are
 a second dict, owned by the training loop, with the names of the weights it
@@ -32,6 +33,12 @@ def check_int(name: str, value: int, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return value
+
+
+def check_type(name: str, value, kind: type) -> None:
+    """Raise a ValueError naming the input unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r:.60}")
 
 
 def check_real(name: str, value: float) -> float:

@@ -21,8 +21,8 @@ from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
 from .embedding import EmbeddingSet, encode_chars, take_embeddings
 from .lstm import (bilstm_backward_batch, bilstm_forward_batch, lstm_shapes,
                    new_bilstm_weights)
-from .nncore import (NumericError, check_int, check_real, dropout_mask, glorot_uniform,
-                     make_rng, sgd_step)
+from .nncore import (NumericError, check_int, check_real, check_type, dropout_mask,
+                     glorot_uniform, make_rng, sgd_step)
 from .radicals import RadicalTable, default_table
 
 MAGIC = b"GJSEG01\n"
@@ -109,6 +109,7 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
                 use_radicals: bool = True) -> SegmenterModel:
     """A fresh tagger over its own copy of the embedding arrays; training the
     model leaves the caller's EmbeddingSet as it was."""
+    check_type("embeddings", embeddings, EmbeddingSet)
     check_int("hidden", hidden, 1)
     rng = make_rng(seed)
     d_in = embeddings.d_char + (embeddings.d_radical if use_radicals else 0)
@@ -245,8 +246,9 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     gradient products are added into float64 gradients, so clipping, the SGD
     step and model.weights (the same arrays throughout) stay float64.
     """
-    if not isinstance(splits, CorpusSplits):
-        raise ValueError(f"splits must be a CorpusSplits, got {splits!r:.60}")
+    check_type("model", model, SegmenterModel)
+    check_type("splits", splits, CorpusSplits)
+    check_type("hp", hp, Hyperparams)
     check_units("splits.train", splits.train)
     check_units("splits.valid", splits.valid)
     if not splits.train:
@@ -302,6 +304,7 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
 
 def evaluate(model: SegmenterModel, units: list) -> EvalReport:
     """Boundary-level precision/recall/F1 over gold-tagged units."""
+    check_type("model", model, SegmenterModel)
     check_units("units", units)
     tp = fp = fn = 0
     for unit, tags in zip(units, _decode(model, _encode_units(model, units))):
@@ -316,8 +319,8 @@ def evaluate(model: SegmenterModel, units: list) -> EvalReport:
 def segment(model: SegmenterModel, raw: str, separator: str = "/") -> str:
     """Segment raw text: normalize (dropping any existing stops), decode
     UNIT_SIZE-character units, and reinsert boundaries after predicted E tags."""
-    if not isinstance(raw, str):
-        raise ValueError(f"raw must be a str, got {raw!r:.60}")
+    check_type("model", model, SegmenterModel)
+    check_type("raw", raw, str)
     if not isinstance(separator, str) or not separator:
         raise ValueError(f"separator must be a non-empty str, got {separator!r}")
     chars = DEFAULT_PUNCT.compile(STOP).sub("", normalize_text(raw))

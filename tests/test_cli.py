@@ -1,13 +1,16 @@
 """End-to-end command tests through click's test runner."""
 
+import errno
 import re
 import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import judou
 from judou.binio import FormatError
 from judou.cli import main
 from judou.corpus import build_vocab, read_units
@@ -99,6 +102,19 @@ def test_pretrain_and_train_defaults_are_the_config_defaults():
     assert checked == 12
 
 
+def test_version_runs_without_an_installed_package(runner):
+    # the version used to come from the installed distribution's metadata,
+    # so a checkout run with PYTHONPATH=src exited 1 with a RuntimeError
+    r = runner.invoke(main, ["--version"])
+    assert r.exit_code == 0, r.output
+    assert r.stdout.endswith(f"version {judou.__version__}\n") and judou.__version__ == "0.1.0"
+
+
+def test_the_package_version_is_the_one_pyproject_declares():
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text("utf-8")
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M)[1] == judou.__version__
+
+
 def test_prepare_help_says_segment_decodes_fixed_units(runner):
     r = runner.invoke(main, ["prepare", "--help"])
     assert "segment always decodes 100-character units" in " ".join(r.stdout.split())
@@ -167,6 +183,19 @@ def test_prepare_missing_input_dir(runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_an_empty_training_split_exits_3(runner, command, data_dir, emb_path, tmp_path):
+    data = data_copy(data_dir, tmp_path)
+    write_units([], data / "train.tsv")
+    args = {"pretrain": [], "train": ["--embeddings", str(emb_path)]}[command]
+    out = tmp_path / "out.bin"
+    r = runner.invoke(main, [command, "--data", str(data), *args, "--out", str(out)])
+    assert r.exit_code == 3, r.output
+    assert r.stdout == ""
+    assert r.stderr == "error: training split is empty\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["prepare", "pretrain", "train"])
 def test_a_negative_seed_is_a_usage_error(runner, command, docs_dir, data_dir, emb_path, tmp_path):
     args = {"prepare": ["--input", str(docs_dir)],
@@ -205,6 +234,15 @@ def test_pretrain_reports_each_epochs_time_and_speed(runner, data_dir, tmp_path)
     for epoch, line in enumerate(lines, 1):
         pattern = rf"epoch {epoch} \d+\.\d\ds \d+ positions/s loss \d+\.\d{{4}}"
         assert re.fullmatch(pattern, line), line
+
+
+def test_pretrain_creates_the_directory_of_its_output(runner, data_dir, tmp_path):
+    # a missing directory used to fail with a traceback after pretraining
+    out = tmp_path / "new" / "emb.bin"
+    r = runner.invoke(main, ["pretrain", "--data", str(data_dir), "--dim-char", "2",
+                             "--dim-radical", "2", "--epochs", "1", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    assert load_embeddings(out).d_char == 2
 
 
 def test_pretrain_rejects_zero_radical_dim(runner, data_dir, tmp_path):
@@ -295,12 +333,37 @@ def test_train_zero_epochs_still_writes_checkpoint(runner, data_dir, emb_path, t
     assert load_model(out).vocab.size > 2
 
 
+def test_train_creates_the_directories_of_its_outputs(runner, data_dir, emb_path, tmp_path):
+    # a missing directory used to fail with a traceback after training, and
+    # one for the log after the checkpoint was written
+    out, log = tmp_path / "model" / "m.bin", tmp_path / "logs" / "train.log"
+    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
+                             "--hidden", "3", "--epochs", "1",
+                             "--out", str(out), "--log", str(log)])
+    assert r.exit_code == 0, r.output
+    assert load_model(out).vocab.size > 2
+    assert log.read_text(encoding="utf-8") == r.stdout
+
+
+@pytest.mark.parametrize("option", ["--out", "--log"])
+def test_train_refuses_a_directory_as_an_output_before_training(runner, data_dir, emb_path,
+                                                                tmp_path, option):
+    # it used to train for the full run, then fail with a traceback
+    paths = {"--out": str(tmp_path / "m.bin"), "--log": str(tmp_path / "m.log"),
+             option: str(tmp_path)}
+    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
+                             "--hidden", "3", "--epochs", "1",
+                             "--out", paths["--out"], "--log", paths["--log"]])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == "" and "is a directory" in r.stderr
+
+
 def test_train_missing_embeddings(runner, data_dir, tmp_path):
     r = runner.invoke(main, ["train", "--data", str(data_dir),
                              "--embeddings", str(tmp_path / "nope.bin"),
                              "--out", str(tmp_path / "m")])
     assert r.exit_code == 2
-    assert "cannot read embeddings" in r.stderr
+    assert r.stderr == f"error: cannot open {tmp_path / 'nope.bin'}: No such file or directory\n"
 
 
 def test_train_rejects_an_embedding_file_with_window_zero(runner, data_dir, emb_path, tmp_path):
@@ -402,7 +465,7 @@ def test_eval_missing_model(runner, tmp_path):
     r = runner.invoke(main, ["eval", "--model", str(tmp_path / "nope.bin"),
                              "--data", str(data)])
     assert r.exit_code == 2
-    assert "cannot read model" in r.stderr
+    assert r.stderr == f"error: cannot open {tmp_path / 'nope.bin'}: No such file or directory\n"
 
 
 def test_eval_missing_data(runner, make_model, force_transitions, tmp_path):
@@ -584,4 +647,34 @@ def test_a_value_error_from_any_command_exits_2_with_its_message(
     assert r.exit_code == 2, r.output
     assert r.stdout == ""
     assert r.stderr == "error: probe\n"
+    assert isinstance(r.exception, SystemExit) and "Traceback" not in r.output
+
+
+# ---------------------------------------------------------------------------
+# the I/O boundary: any OSError a command raises exits 2 with the file it names
+
+@pytest.mark.parametrize("command, name", [
+    ("prepare", "split_corpus"), ("pretrain", "build_vocab"), ("train", "build_model"),
+    ("eval", "evaluate"), ("segment", "segment"), ("radical", "radical_of")])
+def test_an_os_error_from_any_command_exits_2_naming_the_file(
+        runner, make_model, force_transitions, docs_dir, data_dir, emb_path, monkeypatch,
+        command, name, tmp_path):
+    # each exited 1 with a traceback
+    def probe(*args, **kwargs):
+        raise OSError(errno.EACCES, "Permission denied", "probe")
+
+    monkeypatch.setattr(f"judou.cli.{name}", probe)
+    ckpt = tmp_path / "m.bin"
+    rigged_checkpoint(make_model, force_transitions, PERIOD3, ckpt)
+    out = str(tmp_path / "out")
+    args = {"prepare": ["--input", str(docs_dir), "--out", out],
+            "pretrain": ["--data", str(data_dir), "--out", out],
+            "train": ["--data", str(data_dir), "--embeddings", str(emb_path), "--out", out],
+            "eval": ["--model", str(ckpt), "--data", str(data_dir / "test.tsv")],
+            "segment": ["--model", str(ckpt)],
+            "radical": ["--char", "雲"]}[command]
+    r = runner.invoke(main, [command, *args], input="天地人山水火")
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == "error: cannot open probe: Permission denied\n"
     assert isinstance(r.exception, SystemExit) and "Traceback" not in r.output

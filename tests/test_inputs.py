@@ -103,3 +103,54 @@ VOCAB = build_vocab([UNIT])
 def test_an_entry_points_invalid_argument_raises_a_value_error_naming_it(name, call, embeddings):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(build_model(embeddings, hidden=2))
+
+
+# a value of most kinds: no entry point argument is any of them, save text for
+# raw and non-empty text for separator, which the pairs below filter out
+any_value = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                      st.binary(max_size=3), st.text(max_size=3),
+                      st.lists(st.text(max_size=2), min_size=1, max_size=2),
+                      st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
+SPLITS = CorpusSplits(train=[UNIT], valid=[], test=[])
+
+# (entry point, argument, values of the wrong type, call(model, value))
+ARGUMENTS = [
+    ("build_model", "embeddings", any_value, lambda m, v: build_model(v, hidden=2)),
+    ("train", "model", any_value, lambda m, v: train(v, SPLITS, HP)),
+    ("train", "splits", any_value, lambda m, v: train(m, v, HP)),
+    ("train", "splits.train", any_value,
+     lambda m, v: train(m, CorpusSplits(train=v, valid=[], test=[]), HP)),
+    ("train", "splits.valid", any_value,
+     lambda m, v: train(m, CorpusSplits(train=[UNIT], valid=v, test=[]), HP)),
+    ("train", "hp", any_value, lambda m, v: train(m, SPLITS, v)),
+    ("evaluate", "model", any_value, lambda m, v: evaluate(v, [UNIT])),
+    ("evaluate", "units", any_value, lambda m, v: evaluate(m, v)),
+    ("segment", "model", any_value, lambda m, v: segment(v, "天地")),
+    ("segment", "raw", any_value.filter(lambda v: not isinstance(v, str)),
+     lambda m, v: segment(m, v)),
+    ("segment", "separator", any_value.filter(lambda v: not (isinstance(v, str) and v)),
+     lambda m, v: segment(m, "天地", separator=v)),
+    ("train_embeddings", "units", any_value,
+     lambda m, v: train_embeddings(v, default_table(), CBOW, vocab=VOCAB)),
+    ("train_embeddings", "radtable", any_value,
+     lambda m, v: train_embeddings([UNIT], v, CBOW, vocab=VOCAB)),
+    ("train_embeddings", "cfg", any_value,
+     lambda m, v: train_embeddings([UNIT], default_table(), v, vocab=VOCAB)),
+    ("train_embeddings", "vocab", any_value,
+     lambda m, v: train_embeddings([UNIT], default_table(), CBOW, vocab=v)),
+]
+
+
+@pytest.fixture(scope="module")
+def model(embeddings):
+    return build_model(embeddings, hidden=2)
+
+
+# a model, hp or embeddings of the wrong type used to fail with an AttributeError
+@pytest.mark.parametrize("name, values, call", [a[1:] for a in ARGUMENTS],
+                         ids=[f"{a[0]}-{a[1]}" for a in ARGUMENTS])
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_an_entry_point_rejects_any_argument_of_the_wrong_type(name, values, call, model, data):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(model, data.draw(values))
