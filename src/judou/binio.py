@@ -39,8 +39,8 @@ def write_container(path, magic: bytes, version: int, field, vocab: Vocab, secti
 
 @dataclass
 class Container:
-    """A parsed container; a loader takes each section exactly once, then
-    calls done(), so a missing, mis-shaped or unknown section is an error."""
+    """A parsed container; a loader takes every section in one take_all call,
+    so a missing, mis-shaped or unknown section is an error."""
 
     field: str | int
     vocab: Vocab
@@ -51,16 +51,15 @@ class Container:
             raise FormatError(f"section {name!r} missing")
         return self.sections[name].shape
 
-    def take(self, name: str, shape: tuple) -> np.ndarray:
-        """Remove and return a section; a None in shape matches any size."""
-        got = self.shape(name)
-        if any(want is not None and want != n for want, n in zip(shape, got)):
-            raise FormatError(f"section {name!r}: shape {got}, expected {shape}")
-        return self.sections.pop(name)
-
-    def done(self) -> None:
-        if self.sections:
-            raise FormatError(f"unknown sections {sorted(self.sections)}")
+    def take_all(self, shapes: dict) -> list:
+        """The sections named in shapes, {name: (rows, cols)}, in its order;
+        the file must hold those sections, of those shapes, and no others."""
+        for name, want in shapes.items():
+            if self.shape(name) != want:
+                raise FormatError(f"section {name!r}: shape {self.shape(name)}, expected {want}")
+        if unknown := self.sections.keys() - shapes.keys():
+            raise FormatError(f"unknown sections {sorted(unknown)}")
+        return [self.sections[name] for name in shapes]
 
 
 def _parse_header(raw: bytes, field_type: type) -> tuple:

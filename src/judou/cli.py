@@ -162,6 +162,9 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
               learning_rate, clip_norm, dropout, seed, freeze_embeddings,
               eval_on_train, out_path, log_path):
     """Train the tagger and write a checkpoint plus a per-epoch log."""
+    log_path = log_path or out_path.with_name(out_path.name + ".log")
+    if log_path.resolve() == out_path.resolve():
+        _fail(f"--log {log_path} would overwrite the --out checkpoint")
     emb = _load(load_embeddings, emb_path, "embedding file")
     train_units = _load(read_units, data_dir / "train.tsv")
     if not train_units:
@@ -174,7 +177,6 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
     splits = CorpusSplits(train=train_units,
                           valid=train_units if eval_on_train else valid_units,
                           test=[])
-    log_path = log_path or out_path.with_name(out_path.name + ".log")
     for path in (out_path, log_path):
         path.parent.mkdir(parents=True, exist_ok=True)
     lines = []

@@ -35,6 +35,13 @@ N_RADICAL_ROWS = N_RADICALS + 1  # row 0 is the no-radical sentinel
 # 70+30, window 2, one BLAS thread), 8 gave 2.4 times the positions/s of a
 # rank-1 update at every step, and 16 to 64 gave 2.5 to 2.7 times.
 PENDING_UPDATES = 16
+# the char then the radical table, as the two formats save them
+EMBEDDING_NAMES = ("emb.char_vectors", "emb.radical_vectors")
+
+
+def embedding_shapes(vocab_size: int, d_char: int, d_radical: int) -> dict:
+    """The two embedding tables' (rows, cols) by section name."""
+    return dict(zip(EMBEDDING_NAMES, [(vocab_size, d_char), (N_RADICAL_ROWS, d_radical)]))
 
 
 @dataclass
@@ -67,12 +74,10 @@ class EmbeddingSet:
     config: EmbeddingConfig = field(default_factory=EmbeddingConfig)
 
     def __post_init__(self):
-        if self.char_vectors.shape[0] != self.vocab.size:
-            raise ValueError(
-                f"char matrix rows {self.char_vectors.shape[0]} != vocab size {self.vocab.size}")
-        if self.radical_vectors.shape[0] != N_RADICAL_ROWS:
-            raise ValueError(
-                f"radical matrix must have {N_RADICAL_ROWS} rows, got {self.radical_vectors.shape[0]}")
+        shapes = embedding_shapes(self.vocab.size, self.d_char, self.d_radical)
+        for (name, want), m in zip(shapes.items(), (self.char_vectors, self.radical_vectors)):
+            if m.shape != want:
+                raise ValueError(f"{name}: shape {m.shape}, expected {want}")
 
     @property
     def d_char(self) -> int:
@@ -242,28 +247,18 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
     binio.write_container(path, MAGIC, VERSION, emb.config.window, emb.vocab,
-                          [("emb.char_vectors", emb.char_vectors),
-                           ("emb.radical_vectors", emb.radical_vectors)])
-
-
-def take_embeddings(c: binio.Container, radtable: RadicalTable,
-                    window: int = EmbeddingConfig.window) -> EmbeddingSet:
-    """The two embedding sections of a container (embedding file or checkpoint),
-    as read-only views of the file's bytes."""
-    char_vectors = c.take("emb.char_vectors", (c.vocab.size, None))
-    radical_vectors = c.take("emb.radical_vectors", (N_RADICAL_ROWS, None))
-    try:
-        cfg = EmbeddingConfig(d_char=char_vectors.shape[1],
-                              d_radical=radical_vectors.shape[1], window=window)
-    except ValueError as e:
-        raise binio.FormatError(str(e)) from None
-    return EmbeddingSet(char_vectors=char_vectors, radical_vectors=radical_vectors,
-                        vocab=c.vocab, radtable=radtable, config=cfg)
+                          zip(EMBEDDING_NAMES, (emb.char_vectors, emb.radical_vectors)))
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """An embedding file, with the bundled radical table."""
+    """An embedding file, with the bundled radical table, as read-only views
+    of the file's bytes."""
     c = binio.read_container(path, MAGIC, VERSION, int)
-    emb = take_embeddings(c, default_table(), window=c.field)
-    c.done()
-    return emb
+    d_char, d_radical = (c.shape(name)[1] for name in EMBEDDING_NAMES)
+    char_vectors, radical_vectors = c.take_all(embedding_shapes(c.vocab.size, d_char, d_radical))
+    try:
+        cfg = EmbeddingConfig(d_char=d_char, d_radical=d_radical, window=c.field)
+    except ValueError as e:
+        raise binio.FormatError(str(e)) from None
+    return EmbeddingSet(char_vectors=char_vectors, radical_vectors=radical_vectors,
+                        vocab=c.vocab, radtable=default_table(), config=cfg)

@@ -10,6 +10,7 @@ original CJK Unified Ideographs block, and the CJK Compatibility Ideographs
 that NFKC maps into it, as 803 runs of consecutive codepoints with one radical.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,6 @@ KANGXI_BLOCK_FIRST = 0x2F00
 
 _HEX, _DECIMAL = set("0123456789ABCDEF"), set("0123456789")  # the only field forms
 _DEFAULT_TABLE_PATH = Path(__file__).parent / "data" / "kangxi_radicals.tsv"
-_default_table = None
 
 
 class RadicalTableError(ValueError):
@@ -88,12 +88,10 @@ def load_radical_table(path) -> RadicalTable:
     return RadicalTable(entries=entries, sha256=hashlib.sha256(pairs.tobytes()).hexdigest())
 
 
+@functools.cache
 def default_table() -> RadicalTable:
     """The bundled table, loaded once per process."""
-    global _default_table
-    if _default_table is None:
-        _default_table = load_radical_table(_DEFAULT_TABLE_PATH)
-    return _default_table
+    return load_radical_table(_DEFAULT_TABLE_PATH)
 
 
 def radical_of(table: RadicalTable, ch: str) -> int | None:

@@ -18,7 +18,7 @@ from .corpus import (DEFAULT_PUNCT, STOP, CorpusSplits, LabeledSequence, TAG_CHA
                      TAG_TO_ID, UNIT_SIZE, Vocab, boundary_positions, check_units,
                      normalize_text, tags_to_text)
 from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
-from .embedding import EmbeddingSet, encode_chars, take_embeddings
+from .embedding import EMBEDDING_NAMES, EmbeddingSet, embedding_shapes, encode_chars
 from .lstm import (bilstm_backward_batch, bilstm_forward_batch, lstm_shapes,
                    new_bilstm_weights)
 from .nncore import (NumericError, check_int, check_real, check_type, dropout_mask,
@@ -81,10 +81,6 @@ class EpochRecord:
 class TrainLog:
     epochs: list
     best_epoch: int | None
-
-
-# the weights train() leaves as they are with frozen embeddings
-EMBEDDING_NAMES = ("emb.char_vectors", "emb.radical_vectors")
 
 
 @dataclass
@@ -350,24 +346,21 @@ def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
     if c.field != radtable.sha256:
         raise binio.FormatError(f"radical table hash mismatch: checkpoint has {c.field[:12]!r}")
     d_in, hidden = c.shape("fwd.W_x")[0], c.shape("fwd.W_h")[0]
-    emb = take_embeddings(c, radtable)
-    if d_in not in (emb.d_char, emb.d_char + emb.d_radical) or hidden < 1:
+    d_char, d_radical = (c.shape(name)[1] for name in EMBEDDING_NAMES)
+    if d_in not in (d_char, d_char + d_radical) or min(d_char, d_radical, hidden) < 1:
         raise binio.FormatError(f"fwd.W_x rows {d_in} and hidden size {hidden} do not fit "
-                                f"embeddings of {emb.d_char}+{emb.d_radical} dims")
-    shapes = (lstm_shapes(d_in, hidden, "fwd") | lstm_shapes(d_in, hidden, "bwd")
+                                f"embeddings of {d_char}+{d_radical} dims")
+    shapes = (embedding_shapes(c.vocab.size, d_char, d_radical)
+              | lstm_shapes(d_in, hidden, "fwd") | lstm_shapes(d_in, hidden, "bwd")
               | {"emit.W": (2 * hidden, N_TAGS), "emit.b": (1, N_TAGS),
                  "crf.trans": (N_TAGS + 2, N_TAGS + 2)})
-    views = {"emb.char_vectors": emb.char_vectors, "emb.radical_vectors": emb.radical_vectors}
-    for name, shape in shapes.items():
-        views[name] = c.take(name, shape)
-    c.done()
+    # the sections are read-only views that keep the file's bytes alive
+    weights = {name: v.copy() for name, v in zip(shapes, c.take_all(shapes))}
     # decoding casts the weights to float32, which cannot hold such a value;
     # the transitions stay float64 but share the range. NaN fails both tests
     limit = np.finfo(np.float32).max
-    for name, v in views.items():
-        if not (-limit <= v.min() and v.max() <= limit):
+    for name, w in weights.items():
+        if not (-limit <= w.min() and w.max() <= limit):
             raise binio.FormatError(f"section {name!r} holds a NaN, an infinity or a value "
                                     f"beyond float32's range")
-    # the views are read-only and keep the file's bytes alive
-    return SegmenterModel(vocab=c.vocab, radtable=radtable,
-                          weights={name: v.copy() for name, v in views.items()})
+    return SegmenterModel(vocab=c.vocab, radtable=radtable, weights=weights)

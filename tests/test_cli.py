@@ -358,6 +358,20 @@ def test_train_refuses_a_directory_as_an_output_before_training(runner, data_dir
     assert r.stdout == "" and "is a directory" in r.stderr
 
 
+@pytest.mark.parametrize("out, log", [("same.bin", "same.bin"),
+                                      ("sub/../same2.bin", "same2.bin")])
+def test_train_refuses_a_log_that_is_the_checkpoint_before_training(
+        runner, data_dir, emb_path, tmp_path, monkeypatch, out, log):
+    # it used to save the checkpoint, write the log over it and exit 0
+    monkeypatch.chdir(tmp_path)
+    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
+                             "--hidden", "3", "--epochs", "1", "--out", out, "--log", log])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == f"error: --log {log} would overwrite the --out checkpoint\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_embeddings(runner, data_dir, tmp_path):
     r = runner.invoke(main, ["train", "--data", str(data_dir),
                              "--embeddings", str(tmp_path / "nope.bin"),

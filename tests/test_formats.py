@@ -1,6 +1,7 @@
 """Strict validation of the shared container, fuzzed over both file formats."""
 
 import json
+import re
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -121,6 +122,16 @@ def test_load_rejects_a_missing_section(saved):
             saved.load(saved.path)
 
 
+def test_load_rejects_a_section_with_an_extra_row(saved):
+    # W_x and W_h size the model, so their extra row mis-sizes another section
+    sections = dict(saved.contents().sections)
+    for name, m in sections.items():
+        saved.rewrite({**sections, name: np.vstack([m, m[:1]])}.items())
+        with pytest.raises(FormatError, match=None if name in ("fwd.W_x", "fwd.W_h")
+                           else re.escape(f"section {name!r}: shape")):
+            saved.load(saved.path)
+
+
 @pytest.mark.parametrize("entries", [lambda chars: ["<PAD>"],
                                      lambda chars: ["<UNK>", "<PAD>"] + chars[2:]],
                          ids=["pad-only", "unk-pad-swapped"])
@@ -181,6 +192,16 @@ def test_one_overwritten_float_loads_and_decodes_or_raises_format_error(checkpoi
     assert fits
     text = "天地人山水火雲" * 3
     assert segmenter.segment(model, text).replace("/", "") == text
+
+
+def test_a_checkpoint_with_its_sections_reversed_loads_in_weight_order(checkpoint):
+    sections = list(checkpoint.contents().sections.items())
+    checkpoint.rewrite(sections[::-1])
+    model = checkpoint.load(checkpoint.path)
+    assert list(model.weights) == [name for name, _ in sections]
+    assert all(np.array_equal(model.weights[name], m) for name, m in sections)
+    save_model(model, checkpoint.path)
+    assert checkpoint.path.read_bytes() == checkpoint.blob
 
 
 json_values = st.recursive(
