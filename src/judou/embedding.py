@@ -15,7 +15,8 @@ Training is per-position SGD, but the projection is not rewritten at every
 step: its rank-1 steps wait as the rows of two small arrays, every step
 corrects its two products with the projection by them, and one blocked GEMM
 applies PENDING_UPDATES of them at a time, so that a pass that writes the
-(|V|, 2N * d) projection serves that many positions instead of one.
+(|V|, 2N * d) projection serves that many positions instead of one. The
+projection, its waiting rows and their products are float32, the rest float64.
 """
 
 import math
@@ -108,9 +109,13 @@ def encode_chars(chars: str, vocab: Vocab, radtable: RadicalTable) -> EncodedUni
     )
 
 
-def _uniform(rng, rows: int, dim: int) -> np.ndarray:
-    """A (rows, dim) matrix uniform in [-0.5/dim, 0.5/dim]."""
-    return rng.uniform(-0.5 / dim, 0.5 / dim, size=(rows, dim))
+def _uniform(rng, rows: int, dim: int, dtype=np.float64) -> np.ndarray:
+    """A (rows, dim) matrix of dtype uniform in [-0.5/dim, 0.5/dim], drawn 256
+    rows at a time: one whole draw's values and rng state, no float64 copy of it."""
+    out = np.empty((rows, dim), dtype)
+    for block in np.split(out, range(256, rows, 256)):
+        block[:] = rng.uniform(-0.5 / dim, 0.5 / dim, size=block.shape)
+    return out
 
 
 def untrained_embeddings(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig,
@@ -119,14 +124,6 @@ def untrained_embeddings(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingCon
     return EmbeddingSet(char_vectors=_uniform(rng, vocab.size, cfg.d_char),
                         radical_vectors=_uniform(rng, N_RADICAL_ROWS, cfg.d_radical),
                         vocab=vocab, radtable=radtable, config=cfg)
-
-
-def new_cbow_model(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingConfig) -> tuple:
-    """(embeddings, projection): the untrained embeddings, then the
-    (|V|, 2N * (d_char + d_radical)) projection, from one generator seeded cfg.seed."""
-    rng = make_rng(cfg.seed)
-    emb = untrained_embeddings(vocab, radtable, cfg, rng)
-    return emb, _uniform(rng, vocab.size, 2 * cfg.window * cfg.d_total)
 
 
 def _context_rows(encoded: EncodedUnit, window: int) -> tuple:
@@ -154,21 +151,25 @@ def cbow_loss_and_grads(emb: EmbeddingSet, projection: np.ndarray, chars: np.nda
 
     pending, if given, is (G, Hs, scale): updates not yet applied, so that
     the projection in effect is projection + scale * G.T @ Hs. Both products
-    with it go through the k rows of G and Hs, not through a new matrix."""
+    with it go through the k rows of G and Hs, not through a new matrix. They
+    run in the projection's dtype; everything else, the returns included, is float64."""
     h = np.hstack([emb.char_vectors[chars], emb.radical_vectors[rads]]).reshape(-1)
-    logits = projection @ h
+    h_p = h.astype(projection.dtype, copy=False)
+    logits = projection @ h_p
     if pending is not None:
         G, Hs, scale = pending
-        logits += G.T @ (scale * (Hs @ h))
+        logits += G.T @ (scale * (Hs @ h_p))
+    logits = logits.astype(np.float64, copy=False)
     logits -= logits.max()
     exp = np.exp(logits)
     dlogits = exp / exp.sum()  # the softmax, until the target's one-hot is taken off
     loss = -float(np.log(dlogits[target]))
     dlogits[target] -= 1.0
-    dh = projection.T @ dlogits
+    d_p = dlogits.astype(projection.dtype, copy=False)
+    dh = projection.T @ d_p
     if pending is not None:
-        dh += Hs.T @ (scale * (G @ dlogits))
-    return loss, dlogits, h, dh.reshape(len(chars), -1)
+        dh += Hs.T @ (scale * (G @ d_p))
+    return loss, dlogits, h, dh.astype(np.float64, copy=False).reshape(len(chars), -1)
 
 
 def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
@@ -186,10 +187,13 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     cache-sized row blocks. Pending rows carry across units and epochs; those
     left at the end go with the projection, which is not returned.
 
-    The iterates are those of the dense update `value -= lr * grad` over all
-    three matrices in exact arithmetic. With PENDING_UPDATES = 1 they are
-    that update bit for bit; otherwise the products sum in another order,
-    and the vectors differ from it by about 1e-15 of their largest entry.
+    One generator seeded cfg.seed draws the untrained embeddings, then the
+    (|V|, 2N * d) projection, float32 as G and Hs are. The iterates are those
+    of the dense update `value -= lr * grad` over all three matrices with the
+    projection in float32: with PENDING_UPDATES = 1 bit for bit, otherwise
+    with the products summed in another order, so that the vectors differ
+    from it by about 2e-7 of their largest entry (and from all-float64
+    pretraining by about 1e-7 relative).
     The model keeps no gradient buffers. Raises NumericError at the first
     non-finite loss, or if the returned vectors are not finite.
     """
@@ -199,14 +203,16 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     check_type("vocab", vocab, Vocab)
     if not units:
         raise ValueError("cannot train embeddings on an empty corpus")
-    emb, projection = new_cbow_model(vocab, radtable, cfg)
+    rng = make_rng(cfg.seed)
+    emb = untrained_embeddings(vocab, radtable, cfg, rng)
+    projection = _uniform(rng, vocab.size, 2 * cfg.window * cfg.d_total, np.float32)
     encoded = [encode_chars(u.seq.chars, vocab, radtable) for u in units]
-    lr, d_c = cfg.learning_rate, cfg.d_char
+    lr, d_c = float(cfg.learning_rate), cfg.d_char  # a numpy rate would promote to float64
     # (matrix, its scratch gradient, its columns of dh)
     sparse = ((emb.char_vectors, np.zeros_like(emb.char_vectors), np.s_[:, :d_c]),
               (emb.radical_vectors, np.zeros_like(emb.radical_vectors), np.s_[:, d_c:]))
-    G = np.empty((PENDING_UPDATES, projection.shape[0]))
-    Hs = np.empty((PENDING_UPDATES, projection.shape[1]))
+    G = np.empty((PENDING_UPDATES, projection.shape[0]), np.float32)
+    Hs = np.empty((PENDING_UPDATES, projection.shape[1]), np.float32)
     k = 0  # rows of G and Hs not yet applied to the projection
     for epoch in range(cfg.epochs):
         total, count = 0.0, 0

@@ -2,13 +2,13 @@
 
 Weights, gradients and the SGD step are float64 numpy; training and
 decoding run the BiLSTM and the emission on float32 copies of the weights
-(segmenter._float32_passes). Backpropagation is
-hand-derived per module, and the tests check each module against central
-finite differences. The seeded generator is PCG64 throughout, which keeps
-training bit-reproducible. The configs, build_model and make_rng check each
-size, epoch count and seed they take with check_int, and the configs each
-rate and norm with check_real; the entry points check each argument's type
-with check_type.
+(segmenter._float32_passes), and CBOW pretraining keeps its projection in
+float32. Backpropagation is hand-derived per module, and the tests check
+each module against central finite differences. The seeded generator is
+PCG64 throughout, which keeps training bit-reproducible. The configs,
+build_model and make_rng check each size, epoch count and seed they take
+with check_int, and the configs each rate and norm with check_real; the
+entry points check each argument's type with check_type.
 
 A model's weights are one dict of plain arrays keyed by name. Gradients are
 a second dict, owned by the training loop, with the names of the weights it
@@ -68,11 +68,11 @@ def sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
 def add_low_rank(M: np.ndarray, A: np.ndarray, B: np.ndarray, scale: float) -> None:
     """M += scale * (A.T @ B) for A (k, rows of M) and B (k, columns of M), in
     row blocks through one scratch buffer of OUTER_BLOCK_BYTES, so no
-    temporary of M's size is made. At k = 1 it rounds entry by entry as the
-    dense `G = zeros; G += outer(a, b); M += scale * G` does, so with
-    scale = -lr it is the SGD step `M -= lr * G` bit for bit."""
+    temporary of M's size is made; all three share one dtype. At k = 1 it rounds
+    entry by entry as the dense `G = zeros; G += outer(a, b); M += scale * G`
+    does, so with scale = -lr it is the SGD step `M -= lr * G` bit for bit."""
     rows = max(1, OUTER_BLOCK_BYTES // (B.shape[1] * M.itemsize))
-    buf = np.empty((min(rows, len(M)), B.shape[1]))
+    buf = np.empty((min(rows, len(M)), B.shape[1]), M.dtype)
     for start in range(0, len(M), rows):
         # the product sums from +0.0, as G += outer did into a zeroed G, so a
         # zero product of either sign is +0.0 there too

@@ -1,10 +1,10 @@
 """Independent reimplementations with explicit loops: brute-force CRF oracles
 that check the dynamic-programming routines by exhaustive enumeration, the
 unfused per-gate LSTM cell that checks the fused one, the dense CBOW step
-that checks the sparse one, the slot-by-slot CBOW gradients that the
-central-difference gradient checker reads, the tag grammar, and the
-character-loop text rules that the regular expressions of `judou.corpus`
-replaced."""
+that checks the sparse one, the float64 CBOW model and its slot-by-slot
+gradients that the central-difference gradient checker reads, the tag
+grammar, and the character-loop text rules that the regular expressions of
+`judou.corpus` replaced."""
 
 import itertools
 import re
@@ -13,8 +13,9 @@ import numpy as np
 
 from judou.corpus import DEFAULT_PUNCT, UNSURE_CHAR, LabeledSequence, PunctConfig, Vocab
 from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
-from judou.embedding import cbow_loss_and_grads, encode_chars, new_cbow_model
+from judou.embedding import _uniform, cbow_loss_and_grads, encode_chars, untrained_embeddings
 from judou.lstm import LSTM_NAMES
+from judou.nncore import make_rng
 
 
 def all_paths(n):
@@ -182,6 +183,15 @@ def oracle_lstm_direction(weights, prefix, xs, dhs, reverse: bool):
 # ---------------------------------------------------------------------------
 # CBOW pretraining with the dense per-position update
 
+def new_cbow_model(vocab, radtable, cfg, dtype=np.float64) -> tuple:
+    """(embeddings, projection): the untrained embeddings, then the
+    (|V|, 2N * (d_char + d_radical)) projection in dtype, from one generator
+    seeded cfg.seed, as train_embeddings draws them with dtype float32."""
+    rng = make_rng(cfg.seed)
+    emb = untrained_embeddings(vocab, radtable, cfg, rng)
+    return emb, _uniform(rng, vocab.size, 2 * cfg.window * cfg.d_total, dtype)
+
+
 def cbow_context_slots(enc, center, window) -> list:
     """(char row, radical row) of each context slot, left to right; slots
     off the unit take PAD and the no-radical row 0."""
@@ -205,11 +215,12 @@ def cbow_step(emb, projection, enc, center) -> tuple:
 
 def dense_cbow_forward(emb, projection, enc, center) -> tuple:
     """The CBOW forward at one center: (loss, context vector h, softmax probs).
-    h is put together slot by slot; the softmax repeats the shipped op
-    sequence, so that its bits match."""
+    h is put together slot by slot and cast to the projection's dtype for
+    the product, whose logits are upcast to float64; the softmax repeats
+    the shipped op sequence, so that its bits match."""
     h = np.concatenate([np.concatenate([emb.char_vectors[cid], emb.radical_vectors[rid]])
                         for cid, rid in cbow_context_slots(enc, center, emb.config.window)])
-    logits = projection @ h
+    logits = (projection @ h.astype(projection.dtype)).astype(np.float64)
     logits -= logits.max()
     exp = np.exp(logits)
     probs = exp / exp.sum()
@@ -219,13 +230,15 @@ def dense_cbow_forward(emb, projection, enc, center) -> tuple:
 def dense_cbow_step(emb, projection, enc, center) -> float:
     """One position's forward and backward into zeroed full-size gradients of
     all three matrices, the (|V|, 2N*d) projection's included, then
-    value -= lr * grad over each."""
+    value -= lr * grad over each. The projection's gradient and its product
+    with dlogits are in the projection's dtype, h and dlogits cast to it."""
     cfg = emb.config
     d, d_c = cfg.d_total, cfg.d_char
     values = (emb.char_vectors, emb.radical_vectors, projection)
     g_char, g_rad, g_proj = (np.zeros_like(v) for v in values)
     loss, h, dlogits = dense_cbow_forward(emb, projection, enc, center)
     dlogits[int(enc.char_ids[center])] -= 1.0
+    dlogits, h = (a.astype(projection.dtype) for a in (dlogits, h))
     g_proj += np.outer(dlogits, h)
     dh = projection.T @ dlogits
     for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, cfg.window)):
@@ -236,10 +249,11 @@ def dense_cbow_step(emb, projection, enc, center) -> float:
     return loss
 
 
-def dense_train_embeddings(texts, vocab, radtable, cfg):
-    """CBOW SGD over every position in corpus order, one dense step each.
-    Returns (char vectors, radical vectors, per-epoch mean losses)."""
-    emb, projection = new_cbow_model(vocab, radtable, cfg)
+def dense_train_embeddings(texts, vocab, radtable, cfg, dtype=np.float32):
+    """CBOW SGD over every position in corpus order, one dense step each,
+    with the projection in dtype. Returns (char vectors, radical vectors,
+    per-epoch mean losses)."""
+    emb, projection = new_cbow_model(vocab, radtable, cfg, dtype)
     encoded = [encode_chars(t, vocab, radtable) for t in texts]
     losses = []
     for _ in range(cfg.epochs):

@@ -26,7 +26,6 @@ from judou.embedding import (
     EmbeddingConfig,
     cbow_loss_and_grads,
     encode_chars,
-    new_cbow_model,
 )
 from judou.lstm import bilstm_backward_batch, bilstm_forward_batch, new_bilstm_weights
 from judou.nncore import make_rng
@@ -40,8 +39,8 @@ from judou.segmenter import (
 from judou.synthetic import random_embeddings, run_overfit, run_radical_signal
 
 from conftest import unit_of
-from oracles import (cbow_grad_params, cbow_slot_rows, grad_check, oracle_log_partition,
-                     oracle_viterbi, random_crf)
+from oracles import (cbow_grad_params, cbow_slot_rows, grad_check, new_cbow_model,
+                     oracle_log_partition, oracle_viterbi, random_crf)
 from test_cli import SENTENCES
 from test_segmenter import ALL_O, PERIOD3
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from judou.corpus import build_vocab, Vocab
-from judou.embedding import N_RADICAL_ROWS, EmbeddingConfig, new_cbow_model
+from judou.embedding import N_RADICAL_ROWS, EmbeddingConfig
 from judou.radicals import radical_of
 from judou.synthetic import (
     FILLER_RADICALS,
@@ -17,6 +17,8 @@ from judou.synthetic import (
     radical_signal_corpus,
     random_embeddings,
 )
+
+from oracles import new_cbow_model
 
 
 def test_chars_with_radical_all_carry_it(table):
