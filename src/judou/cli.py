@@ -90,17 +90,14 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
         _fail("no units produced: corpus is empty after normalization", EXIT_EMPTY)
     splits = split_corpus(units, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_units(splits.train, out_dir / "train.tsv")
-    write_units(splits.valid, out_dir / "valid.tsv")
-    write_units(splits.test, out_dir / "test.tsv")
+    names = ("train", "valid", "test")
+    for name in names:
+        write_units(getattr(splits, name), out_dir / f"{name}.tsv")
     with open(out_dir / "manifest.tsv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("train\ttrain.tsv\n")
-        f.write("valid\tvalid.tsv\n")
-        f.write("test\ttest.tsv\n")
+        f.writelines(f"{name}\t{name}.tsv\n" for name in names)
         f.write(f"seed\t{seed}\n")
-    click.echo(f"train\t{len(splits.train)}")
-    click.echo(f"valid\t{len(splits.valid)}")
-    click.echo(f"test\t{len(splits.test)}")
+    for name in names:
+        click.echo(f"{name}\t{len(getattr(splits, name))}")
 
 
 @main.command()

