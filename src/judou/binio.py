@@ -40,7 +40,7 @@ def write_container(path, magic: bytes, version: int, field, vocab: Vocab, secti
 @dataclass
 class Container:
     """A parsed container; a loader takes every section in one take_all call,
-    so a missing, mis-shaped or unknown section is an error."""
+    so a missing, mis-shaped, unknown or out-of-range section is an error."""
 
     field: str | int
     vocab: Vocab
@@ -51,15 +51,22 @@ class Container:
             raise FormatError(f"section {name!r} missing")
         return self.sections[name].shape
 
-    def take_all(self, shapes: dict) -> list:
-        """The sections named in shapes, {name: (rows, cols)}, in its order;
-        the file must hold those sections, of those shapes, and no others."""
+    def take_all(self, shapes: dict) -> dict:
+        """{name: owned copy} for shapes, {name: (rows, cols)}, in its order; a missing,
+        mis-shaped or unknown section, or a value float32 cannot hold, is a FormatError."""
         for name, want in shapes.items():
             if self.shape(name) != want:
                 raise FormatError(f"section {name!r}: shape {self.shape(name)}, expected {want}")
         if unknown := self.sections.keys() - shapes.keys():
             raise FormatError(f"unknown sections {sorted(unknown)}")
-        return [self.sections[name] for name in shapes]
+        # decoding casts to float32, so a weight beyond its range is lost; NaN fails both tests
+        limit = np.finfo(np.float32).max
+        taken = {name: self.sections[name].copy() for name in shapes}
+        for name, m in taken.items():
+            if m.size and not (-limit <= m.min() and m.max() <= limit):
+                raise FormatError(f"section {name!r} holds a NaN, an infinity or a value "
+                                  f"beyond float32's range")
+        return taken
 
 
 def _parse_header(raw: bytes, field_type: type) -> tuple:

@@ -85,7 +85,7 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
     units = []
     for doc in sorted(p for p in input_dir.iterdir() if p.is_file()):
         text = clean_unsure(normalize_text(_read_text(doc), punct), max_unsure_run, punct)
-        units.extend(chunk_units(text_to_tags(text, punct), unit_size, doc_id=doc.name))
+        units.extend(chunk_units(text_to_tags(text, punct), unit_size))
     if not units:
         _fail("no units produced: corpus is empty after normalization", EXIT_EMPTY)
     splits = split_corpus(units, seed)

@@ -257,11 +257,12 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """An embedding file, with the bundled radical table, as read-only views
-    of the file's bytes."""
+    """An embedding file, with the bundled radical table, as the owned,
+    range-checked sections from take_all."""
     c = binio.read_container(path, MAGIC, VERSION, int)
     d_char, d_radical = (c.shape(name)[1] for name in EMBEDDING_NAMES)
-    char_vectors, radical_vectors = c.take_all(embedding_shapes(c.vocab.size, d_char, d_radical))
+    char_vectors, radical_vectors = c.take_all(
+        embedding_shapes(c.vocab.size, d_char, d_radical)).values()
     try:
         cfg = EmbeddingConfig(d_char=d_char, d_radical=d_radical, window=c.field)
     except ValueError as e:

@@ -337,9 +337,9 @@ def save_model(model: SegmenterModel, path) -> None:
 
 def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
     """Rebuild a model from a checkpoint, verifying the radical table hash:
-    one writeable copy of each section, and nothing drawn or allocated
-    besides. The model is char-only when fwd.W_x has d_char rows, not
-    d_char + d_radical."""
+    its weights are the owned, range-checked sections from take_all, and
+    nothing is drawn or allocated besides. The model is char-only when fwd.W_x
+    has d_char rows, not d_char + d_radical."""
     if radtable is None:
         radtable = default_table()
     c = binio.read_container(path, MAGIC, VERSION, str)
@@ -354,13 +354,4 @@ def load_model(path, radtable: RadicalTable = None) -> SegmenterModel:
               | lstm_shapes(d_in, hidden, "fwd") | lstm_shapes(d_in, hidden, "bwd")
               | {"emit.W": (2 * hidden, N_TAGS), "emit.b": (1, N_TAGS),
                  "crf.trans": (N_TAGS + 2, N_TAGS + 2)})
-    # the sections are read-only views that keep the file's bytes alive
-    weights = {name: v.copy() for name, v in zip(shapes, c.take_all(shapes))}
-    # decoding casts the weights to float32, which cannot hold such a value;
-    # the transitions stay float64 but share the range. NaN fails both tests
-    limit = np.finfo(np.float32).max
-    for name, w in weights.items():
-        if not (-limit <= w.min() and w.max() <= limit):
-            raise binio.FormatError(f"section {name!r} holds a NaN, an infinity or a value "
-                                    f"beyond float32's range")
-    return SegmenterModel(vocab=c.vocab, radtable=radtable, weights=weights)
+    return SegmenterModel(vocab=c.vocab, radtable=radtable, weights=c.take_all(shapes))

@@ -400,7 +400,23 @@ def test_train_reports_non_finite_embeddings_as_an_error(runner, data_dir, emb_p
                              "--hidden", "3", "--epochs", "1",
                              "--out", str(out)])
     assert r.exit_code == 2
-    assert r.stderr == "error: non-finite gradient in parameter 'emb.char_vectors'\n"
+    assert r.stderr == ("error: bad embedding file: section 'emb.char_vectors' holds a NaN, "
+                        "an infinity or a value beyond float32's range\n")
+    assert not out.exists()
+
+
+def test_train_refuses_embeddings_with_a_nan_in_the_pad_row(runner, data_dir, emb_path, tmp_path):
+    # no unit gathers the PAD row, so such a file used to train and exit 0,
+    # and eval then refused the checkpoint that carried the NaN over
+    emb = load_embeddings(emb_path)
+    emb.char_vectors[0, 0] = np.nan
+    bad, out = tmp_path / "emb.bin", tmp_path / "m.bin"
+    save_embeddings(emb, bad)
+    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(bad),
+                             "--hidden", "3", "--epochs", "1", "--out", str(out)])
+    assert r.exit_code == 2
+    assert r.stderr == ("error: bad embedding file: section 'emb.char_vectors' holds a NaN, "
+                        "an infinity or a value beyond float32's range\n")
     assert not out.exists()
 
 

@@ -435,6 +435,9 @@ def test_save_load_round_trip_is_bitwise(table, tmp_path):
     assert back.config.window == 2
     assert np.array_equal(back.char_vectors, emb.char_vectors)
     assert np.array_equal(back.radical_vectors, emb.radical_vectors)
+    # owned copies, not views that keep the file's bytes alive
+    for m in (back.char_vectors, back.radical_vectors):
+        assert m.flags.writeable and m.flags.owndata
 
 
 def test_load_rejects_bad_magic(tmp_path):
