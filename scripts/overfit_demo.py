@@ -6,8 +6,9 @@ report the training-set F1, plus a sample segmentation from the fixture rule.
 import argparse
 import time
 
-from judou.synthetic import OVERFIT_MARKER, run_overfit
 from judou.segmenter import segment
+
+from synthetic import OVERFIT_MARKER, run_overfit
 
 
 def main():

@@ -10,7 +10,7 @@ Reports per-seed F1 for both models and the mean gap.
 import argparse
 import time
 
-from judou.synthetic import run_radical_signal
+from synthetic import run_radical_signal
 
 
 def main():

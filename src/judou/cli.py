@@ -162,7 +162,7 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
     log_path = log_path or out_path.with_name(out_path.name + ".log")
     if log_path.resolve() == out_path.resolve():
         _fail(f"--log {log_path} would overwrite the --out checkpoint")
-    emb = _load(load_embeddings, emb_path, "embedding file")
+    model = build_model(_load(load_embeddings, emb_path, "embedding file"), hidden=hidden, seed=seed)
     train_units = _load(read_units, data_dir / "train.tsv")
     if not train_units:
         _fail("training split is empty", EXIT_EMPTY)
@@ -170,7 +170,6 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
     valid_units = _load(read_units, valid_path) if valid_path.exists() else []
     hp = Hyperparams(batch=batch, epochs=epochs, learning_rate=learning_rate,
                      clip_norm=clip_norm, dropout=dropout)
-    model = build_model(emb, hidden=hidden, seed=seed)
     splits = CorpusSplits(train=train_units,
                           valid=train_units if eval_on_train else valid_units,
                           test=[])

@@ -37,9 +37,6 @@ class RadicalTable:
     entries: dict[int, int]
     sha256: str = field(default="", compare=False)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def load_radical_table(path) -> RadicalTable:
     """Parse a radical table file: "FIRST<TAB>LAST<TAB>radical-id" per line,

@@ -36,7 +36,8 @@ from judou.segmenter import (
     build_model,
     evaluate,
 )
-from judou.synthetic import random_embeddings, run_overfit, run_radical_signal
+from judou.synthetic import random_embeddings
+from synthetic import run_overfit, run_radical_signal
 
 from conftest import unit_of
 from oracles import (cbow_grad_params, cbow_slot_rows, grad_check, new_cbow_model,

@@ -1,8 +1,10 @@
 """End-to-end command tests through click's test runner."""
 
 import errno
+import gc
 import re
 import shutil
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import judou
+from judou import cli
 from judou.binio import FormatError
 from judou.cli import main
 from judou.corpus import build_vocab, read_units
@@ -370,6 +373,29 @@ def test_train_refuses_a_log_that_is_the_checkpoint_before_training(
     assert r.stdout == ""
     assert r.stderr == f"error: --log {log} would overwrite the --out checkpoint\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_holds_no_copy_of_the_loaded_embeddings(runner, data_dir, emb_path, tmp_path,
+                                                      monkeypatch):
+    # the loaded set used to stay alive for the whole run next to the model's own copy
+    loaded, alive, real_train = [], [], cli.train
+
+    def spy_load(path):
+        emb = load_embeddings(path)
+        loaded.append(weakref.ref(emb))
+        return emb
+
+    def spy_train(*args, **kwargs):
+        gc.collect()
+        alive.append(loaded[0]() is not None)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_embeddings", spy_load)
+    monkeypatch.setattr(cli, "train", spy_train)
+    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
+                             "--hidden", "3", "--epochs", "0", "--out", str(tmp_path / "m.bin")])
+    assert r.exit_code == 0, r.output
+    assert alive == [False]
 
 
 def test_train_missing_embeddings(runner, data_dir, tmp_path):

@@ -132,7 +132,7 @@ class TestLoadRadicalTable:
         p.write_text("817F\t817F\t130\n", encoding="utf-8")
         t = load_radical_table(p)
         assert radical_of(t, "腿") == 130
-        assert len(t) == 1
+        assert len(t.entries) == 1
 
     def test_a_run_covers_first_to_last(self, tmp_path):
         p = tmp_path / "t.tsv"
@@ -142,13 +142,13 @@ class TestLoadRadicalTable:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("# header\n\n817F\t817F\t130\n", encoding="utf-8")
-        assert len(load_radical_table(p)) == 1
+        assert len(load_radical_table(p).entries) == 1
 
     def test_empty_file_gives_empty_table(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("", encoding="utf-8")
         t = load_radical_table(p)
-        assert len(t) == 0
+        assert len(t.entries) == 0
         assert radical_of(t, "腿") is None
 
     def test_malformed_hex_names_line(self, tmp_path):
@@ -326,12 +326,12 @@ class TestBundledFile:
     def test_holds_803_runs(self, table):
         lines = TABLE_PATH.read_text("utf-8").splitlines()
         assert len([line for line in lines if not line.startswith("#")]) == 803
-        assert len(table) == 21566
+        assert len(table.entries) == 21566
 
 
 class TestDefaultTable:
     def test_covers_the_basic_block(self, table):
-        assert len(table) > 20000
+        assert len(table.entries) > 20000
 
     def test_ids_in_range_and_all_radicals_used(self, table):
         ids = set(table.entries.values())

@@ -37,9 +37,9 @@ from judou.segmenter import (
     segment,
     train,
 )
-from judou.synthetic import (RS_D_CHAR, RS_D_RADICAL, RS_HIDDEN, RS_HYPERPARAMS,
-                             overfit_corpus, radical_signal_corpus, random_embeddings,
-                             run_overfit)
+from judou.synthetic import random_embeddings
+from synthetic import (RS_D_CHAR, RS_D_RADICAL, RS_HIDDEN, RS_HYPERPARAMS, overfit_corpus,
+                       radical_signal_corpus, run_overfit)
 
 from conftest import unit_of
 

@@ -1,4 +1,5 @@
-"""Every top-level function and class in src/judou has a caller outside tests/.
+"""Every top-level function and class in src/judou and scripts/ has a caller
+outside tests/.
 
 A definition whose name appears nowhere else in the shipped code (the package,
 scripts/ and perfbench/) is test-only code and belongs in tests/. Names are
@@ -12,7 +13,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "judou"
-SHIPPED = [PACKAGE, ROOT / "scripts", ROOT / "perfbench"]
+SCRIPTS = ROOT / "scripts"
+SHIPPED = [PACKAGE, SCRIPTS, ROOT / "perfbench"]
 
 ALLOWED = {
     # acceptance criterion 1 checks the shipped forward recursion against
@@ -36,9 +38,9 @@ def _is_cli_command(node) -> bool:
     return False
 
 
-def _definitions():
-    """(module.name, name) of each top-level def and class in the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
+def _definitions(root=PACKAGE):
+    """(module.name, name) of each top-level def and class in root's modules."""
+    for path in sorted(root.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
@@ -47,16 +49,23 @@ def _definitions():
             yield f"{path.stem}.{node.name}", node.name
 
 
-def unused_definitions() -> list:
+def unused_definitions(root=PACKAGE) -> list:
     uses = Counter()
-    for root in SHIPPED:
-        for path in sorted(root.rglob("*.py")):
+    for shipped in SHIPPED:
+        for path in sorted(shipped.rglob("*.py")):
             uses += _name_tokens(path)
-    return [qual for qual, name in _definitions() if uses[name] < 2 and qual not in ALLOWED]
+    return [qual for qual, name in _definitions(root) if uses[name] < 2 and qual not in ALLOWED]
 
 
 def test_every_definition_has_a_shipped_caller():
     unused = unused_definitions()
+    assert not unused, f"no caller outside tests/, move them there: {', '.join(unused)}"
+
+
+def test_every_script_definition_has_a_shipped_caller():
+    # the synthetic fixtures live in scripts/, so they must not grow test-only helpers either
+    assert "synthetic.run_radical_signal" in {qual for qual, _ in _definitions(SCRIPTS)}
+    unused = unused_definitions(SCRIPTS)
     assert not unused, f"no caller outside tests/, move them there: {', '.join(unused)}"
 
 

@@ -6,7 +6,8 @@ import pytest
 from judou.corpus import build_vocab, Vocab
 from judou.embedding import N_RADICAL_ROWS, EmbeddingConfig
 from judou.radicals import radical_of
-from judou.synthetic import (
+from judou.synthetic import random_embeddings
+from synthetic import (
     FILLER_RADICALS,
     OVERFIT_MARKER,
     SPEECH,
@@ -15,7 +16,6 @@ from judou.synthetic import (
     default_pools,
     overfit_corpus,
     radical_signal_corpus,
-    random_embeddings,
 )
 
 from oracles import new_cbow_model
