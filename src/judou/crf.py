@@ -61,8 +61,9 @@ def _forward_alphas(P: np.ndarray, A: np.ndarray, reduce=_logsumexp) -> np.ndarr
     """The one step loop: reduce is _logsumexp, or np.maximum.reduce for Viterbi."""
     alphas = np.empty_like(P)
     alphas[:, 0] = A[START, :N_TAGS] + P[:, 0]
+    T = A[:N_TAGS, :N_TAGS]
     for t in range(1, P.shape[1]):
-        alphas[:, t] = reduce(alphas[:, t - 1, :, None] + A[:N_TAGS, :N_TAGS], axis=1) + P[:, t]
+        np.add(reduce(alphas[:, t - 1, :, None] + T, axis=1), P[:, t], out=alphas[:, t])
     return alphas
 
 

@@ -8,10 +8,20 @@ Gates are fused per direction as [i f g o] (Appleyard et al., arXiv
 1604.01946): one GEMM projects the inputs of all timesteps, then each step
 adds one recurrent and two peephole products and activates in place. Passes
 run over (B, n, d_in) batches of equal-length sequences from a zero state.
-Every array a pass allocates takes the dtype of its inputs xs: training and
-decoding pass float32 inputs with float32 weights, the gradient checks
-float64 ones. The gradient dict may be wider than the pass; training adds
-the float32 products into float64 gradients.
+Every array a pass allocates takes the dtype of its inputs xs, and each pass
+casts the weights to that dtype: training and decoding pass float32 inputs
+with the model's float64 weights, the gradient checks float64 ones. The gradient dict may be wider than the pass; training adds the
+float32 products into float64 gradients.
+
+The forward pass's copy holds every term of the i, f and o pre-activations
+at half scale (_pass_copy). Short of underflow, scaling by a power of two
+commutes with rounding, so each product and sum in those columns is exactly
+half of the full-scale one, and sigmoid(a) = 0.5 + 0.5 tanh(a / 2) takes no
+multiply: one tanh covers [i f g] and one o, each followed by the affine on
+[i f] or o. A step is 17 numpy calls, where the sigmoid on full-scale
+pre-activations took 20, and its results, the cached gates included, are
+bit for bit those of that step (tests/oracles.py keeps it as the
+reference). The backward pass reads the weights at full scale.
 
 The weights are ten plain arrays in a dict, five per direction under "fwd."
 and "bwd." (lstm_shapes); the backward pass adds into a gradient dict with
@@ -31,31 +41,31 @@ cache and gradient arrays, and the sum runs after the join, so every result
 is bit-identical to the serial order. Below the threshold each step's calls are
 too short: the GIL hand-offs between them cost more than the overlap saves,
 so `segment` on a document of one or a few units runs serially. Threaded
-over serial speed at H = d_in = 100, n = 100 (65 at B = 1), with 1 BLAS
-thread on a shared 2-core host, below. Training and decoding run float32
-passes, so the float64 rows (the range of two sweeps) concern only the
-gradient checks. The float32 rows at B = 16 to 50 are the range of three
-sweeps of 15-21 alternating pairs, the backward pass adding into float64
-gradients as training does; at B = 1 and 8, of two earlier sweeps:
+over serial speed at H = d_in = 100, n = 100, with 1 BLAS thread on a shared
+2-core host, below. Training and decoding run float32 passes, so the float64
+rows (the range of two sweeps, taken on the 20-call step) concern only the
+gradient checks. The float32 rows are the range of three sweeps of 15
+alternating pairs (two at B = 1 and 8) on the 17-call step, the backward
+pass adding into float64 gradients as training does:
 
     B               1           8           16          25          35          50
     forward, f64    0.90-0.94   0.97-0.99   1.02-1.12   1.24-1.36               1.39-1.55
     backward, f64   0.96-0.97   0.96-1.09   1.46-1.53   1.19-1.51               1.38-1.81
-    forward, f32    0.98        0.63-0.66   0.90-1.06   1.00-1.07   0.94-1.09   1.38
-    backward, f32   0.96-0.99   0.72-0.84   0.96-1.43   0.98-1.53   1.17-1.41   1.61-1.63
+    forward, f32    0.67-0.95   0.83-1.00   0.89-1.03   1.04-1.12   1.02-1.32   1.25-1.49
+    backward, f32   0.93-0.95   0.85-0.97   0.97-1.43   0.97-1.56   0.97-1.69   1.30-1.67
 
 A float32 step is shorter, so the hand-offs weigh more. At B = 25, the test
-and validation splits' decode batch, the float32 forward pass is even
-(threaded won 33 of 57 pairs) and the backward pass gains, while at 16 the
-forward pass lost two sweeps of three; no other value won in paired runs.
-PARALLEL_MIN_ROWS stays one value for both dtypes.
+and validation splits' decode batch, the float32 forward pass gained in all
+three sweeps (threaded won 36 of 45 pairs) and the backward pass in one,
+while at 16 the forward pass lost one sweep outright (0 of 15 pairs).
+PARALLEL_MIN_ROWS stays 25, one value for both dtypes.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .nncore import glorot_uniform, sigmoid
+from .nncore import glorot_uniform
 
 # batch rows from which the two directions run in two threads; below it the
 # GIL hand-offs between the per-step numpy calls cost more than the overlap saves
@@ -102,28 +112,53 @@ def _direction(arrays: dict, prefix: str) -> tuple:
 # ---------------------------------------------------------------------------
 # one direction over a (B, n, d_in) batch
 
+def _pass_copy(weights: dict, prefix: str, dtype: np.dtype) -> tuple:
+    """One direction's weights in dtype, in LSTM_NAMES order, with every term
+    of the i, f and o pre-activations at half scale: the i, f and o columns of
+    W_x, W_h and b, and all of W_c and W_co. Halving is exact in binary
+    floating point, so each product and sum over these arrays is exactly half
+    of the full-scale one."""
+    H = weights[f"{prefix}.W_h"].shape[0]
+    half = dtype.type(0.5)
+    columns = np.full(4 * H, half)
+    columns[2 * H:3 * H] = 1.0  # g is activated at full scale
+    # cast, then halve in dtype: 2.5x faster than one multiply into a float32 out
+    w = tuple(a.astype(dtype) for a in _direction(weights, prefix))
+    for a, scale in zip(w, (columns, columns, half, half, columns)):
+        a *= scale
+    return w
+
+
 def _direction_forward(w: tuple, xs, hs):
-    """One direction with weights w in step order, writing h into hs (B, n, H);
-    the backward direction is this pass over xs and hs reversed along time."""
+    """One direction with the weights of _pass_copy, in step order, writing h
+    into hs (B, n, H); the backward direction is this pass over xs and hs
+    reversed along time."""
     W_x, W_h, W_c, W_co, b = w
     batch, n, d = xs.shape
     H = W_h.shape[0]
+    half = xs.dtype.type(0.5)  # a Python float would cost a conversion per call
     A = (xs.reshape(-1, d) @ W_x).reshape(batch, n, 4 * H)
     A += b
     C, TC = np.empty((batch, n, H), xs.dtype), np.empty((batch, n, H), xs.dtype)
+    # every step's views, made up front: [i f g o], [i f], [i f g], i, f, g, o,
+    # then the step's rows of C, TC and hs
+    blocks = (A, A[..., :2 * H], A[..., :3 * H], A[..., :H], A[..., H:2 * H],
+              A[..., 2 * H:3 * H], A[..., 3 * H:], C, TC, hs)
     h = c = np.zeros((batch, H), xs.dtype)
-    for t in range(n):
-        a = A[:, t]
-        i_f, i, f, g, o = a[:, :2 * H], a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-        a += h @ W_h
-        i_f += c @ W_c
-        sigmoid(i_f, out=i_f)
-        np.tanh(g, out=g)
-        c = np.multiply(f, c, out=C[:, t])
+    for a, i_f, ifg, i, f, g, o, c_t, tc_t, h_t in zip(*(v.swapaxes(0, 1) for v in blocks)):
+        a += np.dot(h, W_h)
+        i_f += np.dot(c, W_c)
+        # sigmoid(x) = 0.5 + 0.5 tanh(x / 2), and i and f hold x / 2 already
+        np.tanh(ifg, out=ifg)
+        i_f *= half
+        i_f += half
+        c = np.multiply(f, c, out=c_t)
         c += i * g
-        o += c @ W_co
-        sigmoid(o, out=o)
-        h = np.multiply(o, np.tanh(c, out=TC[:, t]), out=hs[:, t])
+        o += np.dot(c, W_co)
+        np.tanh(o, out=o)
+        o *= half
+        o += half
+        h = np.multiply(o, np.tanh(c, out=tc_t), out=h_t)
     return A, C, TC
 
 
@@ -201,20 +236,23 @@ def bilstm_forward_batch(weights: dict, xs: np.ndarray):
     """xs (B, n, d_in) -> outputs (B, n, 2H) plus the cache for backprop."""
     H = weights["fwd.W_h"].shape[0]
     out = np.empty(xs.shape[:2] + (2 * H,), xs.dtype)
-    fwd, bwd = _both(_direction_forward, (_direction(weights, "fwd"), xs, out[:, :, :H]),
-                     (_direction(weights, "bwd"), xs[:, ::-1], out[:, ::-1, H:]), len(xs))
+    fwd, bwd = _both(_direction_forward, (_pass_copy(weights, "fwd", xs.dtype), xs, out[:, :, :H]),
+                     (_pass_copy(weights, "bwd", xs.dtype), xs[:, ::-1], out[:, ::-1, H:]),
+                     len(xs))
     return out, (xs, fwd, bwd)
 
 
 def bilstm_backward_batch(weights: dict, grads: dict, cache, douts: np.ndarray):
     """Add the ten weight gradients into grads; returns gradients w.r.t. the
-    inputs. Consumes the cache: the gate gradients are written over it."""
+    inputs. The weights are cast to the cache's dtype at full scale. Consumes
+    the cache: the gate gradients are written over it."""
     xs, fwd, bwd = cache
     H = weights["fwd.W_h"].shape[0]
+    w_f, w_b = (tuple(w.astype(xs.dtype, copy=False) for w in _direction(weights, prefix))
+                for prefix in ("fwd", "bwd"))
     dxs, dxs_b = _both(_direction_backward,
-                       (_direction(weights, "fwd"), _direction(grads, "fwd"),
-                        xs, fwd, douts[:, :, :H]),
-                       (_direction(weights, "bwd"), _direction(grads, "bwd"),
-                        xs[:, ::-1], bwd, douts[:, ::-1, H:]), len(xs))
+                       (w_f, _direction(grads, "fwd"), xs, fwd, douts[:, :, :H]),
+                       (w_b, _direction(grads, "bwd"), xs[:, ::-1], bwd, douts[:, ::-1, H:]),
+                       len(xs))
     dxs += dxs_b[:, ::-1]
     return dxs

@@ -1,14 +1,15 @@
 """Numeric substrate shared by every model module.
 
 Weights, gradients and the SGD step are float64 numpy; training and
-decoding run the BiLSTM and the emission on float32 copies of the weights
-(segmenter._float32_passes), and CBOW pretraining keeps its projection in
-float32. Backpropagation is hand-derived per module, and the tests check
-each module against central finite differences. The seeded generator is
-PCG64 throughout, which keeps training bit-reproducible. The configs,
-build_model and make_rng check each size, epoch count and seed they take
-with check_int, and the configs each rate and norm with check_real; the
-entry points check each argument's type with check_type.
+decoding run the BiLSTM and the emission on float32 copies of the weights,
+which the BiLSTM passes (lstm.py) and segmenter._float32_passes make, and
+CBOW pretraining keeps its projection in float32. Backpropagation is
+hand-derived per module, and the tests check each module against central
+finite differences. The seeded generator is PCG64 throughout, which keeps
+training bit-reproducible. The configs, build_model and make_rng check each
+size, epoch count and seed they take with check_int, and the configs each
+rate and norm with check_real; the entry points check each argument's type
+with check_type.
 
 A model's weights are one dict of plain arrays keyed by name. Gradients are
 a second dict, owned by the training loop, with the names of the weights it
@@ -54,16 +55,6 @@ def make_rng(seed: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # elementary ops
-
-def sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """Logistic function in its tanh form, 0.5 + 0.5 tanh(x / 2): it cannot
-    overflow and needs no masks. out may be x itself."""
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
-    return out
-
 
 def add_low_rank(M: np.ndarray, A: np.ndarray, B: np.ndarray, scale: float) -> None:
     """M += scale * (A.T @ B) for A (k, rows of M) and B (k, columns of M), in

@@ -127,9 +127,10 @@ def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndar
     X = w["emb.char_vectors"][char_ids]
     if model.use_radicals:
         X = np.concatenate([X, w["emb.radical_vectors"][rad_ids]], axis=2)
-    # the pass runs in the BiLSTM's dtype; the rows are cast after the gather,
-    # the masks after their float64 draw (a float64 mask would upcast the pass)
-    X = X.astype(w["fwd.W_x"].dtype, copy=False)
+    # the pass runs in the emission's dtype, the BiLSTM casting its own weights
+    # to it; the rows are cast after the gather, the masks after their float64
+    # draw (a float64 mask would upcast the pass)
+    X = X.astype(w["emit.W"].dtype, copy=False)
     in_mask = out_mask = None
     if dropout > 0:
         in_mask = dropout_mask(X.shape, dropout, rng).astype(X.dtype, copy=False)
@@ -149,7 +150,8 @@ def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndar
     embedding names in grads (frozen embeddings) the input gradient is not
     scattered into them. Consumes the cache: H2 and the output mask are freed
     before the BiLSTM's backward pass allocates its own temporaries. The pass
-    runs in the dtype of model's weights and dP, and grads may be wider."""
+    runs in the dtype of the emission weights and dP, and grads may be
+    wider."""
     w = model.weights
     two_h = w["emit.W"].shape[0]
     grads["emit.W"] += cache.pop("H2").reshape(-1, two_h).T @ dP.reshape(-1, N_TAGS)
@@ -190,11 +192,13 @@ def _length_groups(encoded: list, idxs):
 
 
 def _float32_passes(model: SegmenterModel) -> SegmenterModel:
-    """The model the float32 passes run on: float32 copies of the BiLSTM and
-    emission weights, with the embedding tables and the CRF transitions
-    shared, in float64, with model."""
+    """The model the float32 passes run on: float32 copies of the emission
+    weights, with every other array shared, in float64, with model. The
+    BiLSTM passes make their own float32 copies of its ten arrays: the
+    forward pass a half-scale one per call, the backward pass a full-scale
+    one (lstm.py)."""
     return SegmenterModel(model.vocab, model.radtable, {
-        name: w if name in EMBEDDING_NAMES or name == "crf.trans" else w.astype(np.float32)
+        name: w.astype(np.float32) if name.startswith("emit.") else w
         for name, w in model.weights.items()})
 
 
@@ -204,10 +208,11 @@ def _decode(model: SegmenterModel, encoded: list) -> list:
     training's forward pass without dropout; its LSTM cache is dropped
     unread.
 
-    The passes run on _float32_passes(model), made once per call; the
-    embedding rows are cast after the gather, and the CRF decodes the
-    float32 emissions in float64 with the float64 transitions. model.weights
-    is only read."""
+    The passes run on _float32_passes(model), made once per call, each
+    BiLSTM pass making its own float32 copy of the ten arrays; the embedding
+    rows are cast after the gather, and the CRF decodes the float32
+    emissions in float64 with the float64 transitions. model.weights is only
+    read."""
     if any(len(e) == 0 for e in encoded):
         raise ValueError("cannot run the model on an empty unit")
     trans = model.weights["crf.trans"]
@@ -236,11 +241,13 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     validation F1 (earliest on ties). With no validation units there is
     nothing to select by, and the last epoch's parameters stand.
 
-    Mixed precision: each minibatch runs its BiLSTM and emission passes on
-    _float32_passes(model), copied after the previous step. The CRF takes
-    the float32 emissions and works in float64, and the passes' float32
-    gradient products are added into float64 gradients, so clipping, the SGD
-    step and model.weights (the same arrays throughout) stay float64.
+    Mixed precision: each minibatch runs its BiLSTM and emission passes in
+    float32 on copies made after the previous step: _float32_passes(model)
+    for the emission, and each BiLSTM pass's own copy of the ten arrays. The
+    CRF takes the float32 emissions and works in float64, and the passes'
+    float32 gradient products are added into float64 gradients, so clipping,
+    the SGD step and model.weights (the same arrays throughout) stay
+    float64.
     """
     check_type("model", model, SegmenterModel)
     check_type("splits", splits, CorpusSplits)

@@ -1,7 +1,8 @@
 """Independent reimplementations with explicit loops: brute-force CRF oracles
 that check the dynamic-programming routines by exhaustive enumeration, the
 stepwise Viterbi that checks the max-plus one at lengths past enumeration, the
-unfused per-gate LSTM cell that checks the fused one, the dense CBOW step
+unfused per-gate LSTM cell that checks the fused one, the full-scale fused
+step that the half-scale one must match bit for bit, the dense CBOW step
 that checks the sparse one, the float64 CBOW model and its slot-by-slot
 gradients that the central-difference gradient checker reads, the tag
 grammar, and the character-loop text rules that the regular expressions of
@@ -15,6 +16,7 @@ import numpy as np
 from judou.corpus import DEFAULT_PUNCT, UNSURE_CHAR, LabeledSequence, PunctConfig, Vocab
 from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
 from judou.embedding import _uniform, cbow_loss_and_grads, encode_chars, untrained_embeddings
+from judou import lstm
 from judou.lstm import LSTM_NAMES
 from judou.nncore import make_rng
 
@@ -203,6 +205,72 @@ def oracle_lstm_direction(weights, prefix, xs, dhs, reverse: bool):
     for t in reversed(steps):
         dxs[:, t], dh, dc = oracle_cell_backward(w, grads, caches[t], dhs[:, t] + dh, dc)
     return hs, dxs, fuse_gate_grads(grads, prefix)
+
+
+# ---------------------------------------------------------------------------
+# the fused step on full-scale weights: sigmoid in its tanh form, products by @
+
+def _sigmoid(x):
+    """0.5 + 0.5 tanh(x / 2), in place."""
+    np.multiply(x, 0.5, out=x)
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+
+
+def full_scale_direction_forward(w, xs, hs):
+    """lstm._direction_forward as it was before the half-scale pass copy, on
+    one direction's weights w in xs's dtype."""
+    W_x, W_h, W_c, W_co, b = w
+    batch, n, d = xs.shape
+    H = W_h.shape[0]
+    A = (xs.reshape(-1, d) @ W_x).reshape(batch, n, 4 * H)
+    A += b
+    C, TC = np.empty((batch, n, H), xs.dtype), np.empty((batch, n, H), xs.dtype)
+    h = c = np.zeros((batch, H), xs.dtype)
+    for t in range(n):
+        a = A[:, t]
+        i_f, i, f, g, o = a[:, :2 * H], a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        a += h @ W_h
+        i_f += c @ W_c
+        _sigmoid(i_f)
+        np.tanh(g, out=g)
+        c = np.multiply(f, c, out=C[:, t])
+        c += i * g
+        o += c @ W_co
+        _sigmoid(o)
+        h = np.multiply(o, np.tanh(c, out=TC[:, t]), out=hs[:, t])
+    return A, C, TC
+
+
+def _full_scale(weights, prefix, dtype) -> tuple:
+    return tuple(weights[f"{prefix}.{name}"].astype(dtype, copy=False) for name in LSTM_NAMES)
+
+
+def full_scale_bilstm_forward_batch(weights, xs):
+    """bilstm_forward_batch on full_scale_direction_forward, with the weights
+    cast to xs's dtype as the float32 passes once cast them."""
+    H = weights["fwd.W_h"].shape[0]
+    out = np.empty(xs.shape[:2] + (2 * H,), xs.dtype)
+    fwd, bwd = lstm._both(full_scale_direction_forward,
+                          (_full_scale(weights, "fwd", xs.dtype), xs, out[:, :, :H]),
+                          (_full_scale(weights, "bwd", xs.dtype), xs[:, ::-1], out[:, ::-1, H:]),
+                          len(xs))
+    return out, (xs, fwd, bwd)
+
+
+def full_scale_bilstm_backward_batch(weights, grads, cache, douts):
+    """bilstm_backward_batch with the weights cast, at full scale, to the
+    cache's dtype here."""
+    xs, fwd, bwd = cache
+    H = weights["fwd.W_h"].shape[0]
+    dxs, dxs_b = lstm._both(lstm._direction_backward,
+                            (_full_scale(weights, "fwd", xs.dtype), lstm._direction(grads, "fwd"),
+                             xs, fwd, douts[:, :, :H]),
+                            (_full_scale(weights, "bwd", xs.dtype), lstm._direction(grads, "bwd"),
+                             xs[:, ::-1], bwd, douts[:, ::-1, H:]), len(xs))
+    dxs += dxs_b[:, ::-1]
+    return dxs
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from judou.lstm import (
 )
 from judou.nncore import glorot_uniform
 
-from oracles import grad_check, lstm_gate_weights, oracle_cell_forward, oracle_lstm_direction
+from oracles import (full_scale_bilstm_backward_batch, full_scale_bilstm_forward_batch,
+                     grad_check, lstm_gate_weights, oracle_cell_forward, oracle_lstm_direction)
 
 
 def direction(d_in, hidden, rng):
@@ -60,11 +61,17 @@ def test_zero_params_zero_input_gives_zero_state():
     # every sequence starts from the zero state; with zero weights all gate
     # preactivations are 0: i = f = o = 0.5, g = 0, so c = h = 0 at every step
     shared = zeroed_params(3, 4)
-    out, (_, fwd, bwd) = bilstm_forward_batch(bilstm(shared, shared), np.zeros((2, 3, 3)))
-    assert np.array_equal(out, np.zeros((2, 3, 8)))
-    for A, C, TC in (fwd, bwd):
-        assert np.array_equal(C, np.zeros((2, 3, 4)))
-        assert np.array_equal(TC, np.zeros((2, 3, 4)))
+    for dtype in (np.float32, np.float64):
+        out, (_, fwd, bwd) = bilstm_forward_batch(bilstm(shared, shared),
+                                                  np.zeros((2, 3, 3), dtype))
+        assert np.array_equal(out, np.zeros((2, 3, 8)))
+        for A, C, TC in (fwd, bwd):
+            i, f, g, o = gates(A, 4)
+            for gate in (i, f, o):
+                assert np.all(gate == 0.5)
+            assert np.array_equal(g, np.zeros((2, 3, 4)))
+            assert np.array_equal(C, np.zeros((2, 3, 4)))
+            assert np.array_equal(TC, np.zeros((2, 3, 4)))
 
 
 def test_zero_params_carried_cell_closed_form():
@@ -101,6 +108,22 @@ def test_gate_ranges_on_random_inputs():
         assert np.allclose(hs, o * np.tanh(C))
     # h = o * tanh(c) with o in (0,1) keeps every output inside (-1, 1)
     assert np.all(np.abs(out) < 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pre_activations_of_1000_give_finite_gates_in_0_1(dtype):
+    # biases of +-1000 alternate by unit; halved to +-500 in the pass copy,
+    # their tanh is exactly +-1, so the gates are exactly 1 and 0
+    p = zeroed_params(2, 4)
+    signs = np.where(np.arange(16) % 2, 1.0, -1.0)
+    p["lstm.b"][0] = 1000.0 * signs
+    with np.errstate(all="raise"):
+        _, (_, (A, C, TC), _) = bilstm_forward_batch(bilstm(p, p), np.zeros((3, 5, 2), dtype))
+    i, f, g, o = gates(A, 4)
+    assert np.all(np.isfinite(A)) and np.all(np.isfinite(C))
+    for gate, k in ((i, 0), (f, 1), (o, 3)):
+        assert np.array_equal(gate, np.broadcast_to(signs[4 * k:4 * k + 4] > 0, gate.shape))
+    assert np.array_equal(g, np.broadcast_to(signs[8:12], g.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -329,24 +352,30 @@ def in_dtype(p, dtype):
     return {name: w.astype(dtype) for name, w in p.items()}
 
 
-def pass_bytes(batch, n, dtype):
+def pass_bytes(batch, n, dtype, weight_dtype=None,
+               passes=(bilstm_forward_batch, bilstm_backward_batch)):
     """Every array one forward pass and the backward pass after it produce:
     outputs, caches before and after the backward pass, dxs and every weight
-    gradient, as (shape, dtype, bytes); weights, inputs and output gradients
-    are in dtype."""
+    gradient, as (shape, dtype, bytes); inputs and output gradients are in
+    dtype, the weights and gradients in weight_dtype (dtype by default)."""
+    forward, backward = passes
+    weight_dtype = weight_dtype or dtype
     rng = np.random.default_rng(1000 * batch + n)
-    p = in_dtype(new_bilstm_weights(5, 4, rng), dtype)
+    p = in_dtype(new_bilstm_weights(5, 4, rng), weight_dtype)
     xs = rng.normal(size=(batch, n, 5)).astype(dtype)
     douts = rng.normal(size=(batch, n, 8)).astype(dtype)
-    out, cache = bilstm_forward_batch(p, xs)
+    for name in ("fwd.b", "bwd.b"):  # drawn last, so xs and douts stay as they were
+        p[name][...] = rng.normal(size=p[name].shape)
+    out, cache = forward(p, xs)
     cached_xs, fwd, bwd = cache
     assert cached_xs is xs
     arrays = [out] + [a.copy() for a in fwd + bwd]
     grads = zero_grads(p)
-    dxs = bilstm_backward_batch(p, grads, cache, douts)
-    arrays += list(fwd + bwd) + list(grads.values()) + [dxs]
+    dxs = backward(p, grads, cache, douts)
+    arrays += list(fwd + bwd) + [dxs]
     assert all(a.dtype == dtype for a in arrays)
-    return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+    assert all(g.dtype == weight_dtype for g in grads.values())
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays + list(grads.values())]
 
 
 def assert_paths_bytewise_equal(batch, n, dtype, both_paths):
@@ -364,6 +393,24 @@ def test_threaded_and_serial_passes_are_bytewise_equal(batch, n, both_paths):
 @pytest.mark.parametrize("n", [1, 7, 100])
 def test_threaded_and_serial_float32_passes_are_bytewise_equal(batch, n, both_paths):
     assert_paths_bytewise_equal(batch, n, np.float32, both_paths)
+
+
+# (input dtype, weight dtype): training and decoding pass float32 inputs with
+# the model's float64 weights, the gradient checks float64 throughout
+PASS_DTYPES = [(np.float32, np.float64), (np.float32, np.float32), (np.float64, np.float64)]
+
+
+@pytest.mark.parametrize("dtype,weight_dtype", PASS_DTYPES, ids=["f32-f64", "f32", "f64"])
+@pytest.mark.parametrize("batch", [1, 2, 24, 25, 50])
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_passes_are_bytewise_equal_to_the_full_scale_step(batch, n, dtype, weight_dtype,
+                                                          both_paths):
+    # the half-scale pass copy and np.dot, against the sigmoid on full-scale
+    # weights and @; numpy 1.24's kernels are checked on CI's floor leg
+    reference = (full_scale_bilstm_forward_batch, full_scale_bilstm_backward_batch)
+    for _ in both_paths():
+        assert (pass_bytes(batch, n, dtype, weight_dtype)
+                == pass_bytes(batch, n, dtype, weight_dtype, reference))
 
 
 @pytest.mark.parametrize("batch,n", [(1, 1), (3, 0), (4, 30), (25, 12)])
@@ -385,11 +432,13 @@ def test_a_float32_pass_runs_in_float32_within_1e_5_of_float64(batch, n, both_pa
 
 
 def test_directions_run_in_two_threads_from_the_threshold(monkeypatch):
-    threads = {}  # (pass, id of the direction's W_x) -> the thread it ran in
+    # (pass, whether the direction's last argument, hs or dhs, runs forward in
+    # time) -> the thread it ran in; the forward pass gets copies of the weights
+    threads = {}
     for name in ("_direction_forward", "_direction_backward"):
-        def record(w, *args, real=getattr(lstm, name)):
-            threads[real.__name__, id(w[0])] = threading.get_ident()
-            return real(w, *args)
+        def record(*args, real=getattr(lstm, name)):
+            threads[real.__name__, args[-1].strides[1] > 0] = threading.get_ident()
+            return real(*args)
         monkeypatch.setattr(lstm, name, record)
     rng = np.random.default_rng(23)
     p = new_bilstm_weights(3, 4, rng)
@@ -399,8 +448,7 @@ def test_directions_run_in_two_threads_from_the_threshold(monkeypatch):
         out, cache = bilstm_forward_batch(p, rng.normal(size=(batch, 5, 3)))
         bilstm_backward_batch(p, zero_grads(p), cache, np.ones_like(out))
         for pass_name in ("_direction_forward", "_direction_backward"):
-            mine = threads[pass_name, id(p["fwd.W_x"])]
-            other = threads[pass_name, id(p["bwd.W_x"])]
+            mine, other = threads[pass_name, True], threads[pass_name, False]
             assert mine == threading.get_ident()  # the forward direction runs in the caller
             assert len({mine, other}) == n_threads
 

@@ -1,42 +1,36 @@
-"""Numeric substrate: ops, clipping, SGD, dropout, and the gradient checker."""
+"""Numeric substrate: the logistic, initialization, clipping, SGD, dropout,
+and the gradient checker."""
 
 import numpy as np
 import pytest
 
-from judou.nncore import (NumericError, clip_gradients, dropout_mask,
-                          glorot_uniform, make_rng, sgd_step, sigmoid)
+from judou.lstm import bilstm_forward_batch, lstm_shapes
+from judou.nncore import (NumericError, clip_gradients, dropout_mask, glorot_uniform,
+                          make_rng, sgd_step)
 from oracles import grad_check
+
+
+def logistic_gates(x: np.ndarray) -> list:
+    """The i, f and o gates of a BiLSTM pass (the one place the logistic is
+    computed) whose i, f and o pre-activations are x (B,) at the first step:
+    d_in = H = 1, W_x all ones and every other weight zero."""
+    weights = {name: np.zeros(shape) for prefix in ("fwd", "bwd")
+               for name, shape in lstm_shapes(1, 1, prefix).items()}
+    for prefix in ("fwd", "bwd"):
+        weights[f"{prefix}.W_x"][:] = 1.0
+    _, (_, (A, _, _), _) = bilstm_forward_batch(weights, x.reshape(-1, 1, 1))
+    return [A[:, 0, k] for k in (0, 1, 3)]
 
 
 class TestElementaryOps:
     def test_sigmoid_at_zero(self):
-        assert sigmoid(np.zeros(3)) == pytest.approx([0.5, 0.5, 0.5])
-
-    def test_sigmoid_overflow_safe(self):
-        out = sigmoid(np.array([-1000.0, 1000.0]))
-        assert out == pytest.approx([0.0, 1.0])
-        assert np.all(np.isfinite(out))
-        assert np.all((out >= 0.0) & (out <= 1.0))
+        for gate in logistic_gates(np.zeros(3)):
+            assert np.array_equal(gate, [0.5, 0.5, 0.5])
 
     def test_sigmoid_matches_the_exp_form(self):
         x = np.linspace(-40.0, 40.0, 8001)
-        assert np.max(np.abs(sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) <= 1e-15
-
-    def test_sigmoid_writes_into_out(self):
-        x = np.linspace(-5.0, 5.0, 11)
-        out = np.empty_like(x)
-        assert sigmoid(x, out=out) is out
-        assert np.array_equal(out, sigmoid(x))
-        assert np.array_equal(x, np.linspace(-5.0, 5.0, 11))
-
-    def test_sigmoid_in_place_on_a_view(self):
-        x = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
-        expected = sigmoid(x[:, :2])
-        rest = x[:, 2:].copy()
-        view = x[:, :2]
-        assert sigmoid(view, out=view) is view
-        assert np.array_equal(x[:, :2], expected)
-        assert np.array_equal(x[:, 2:], rest)
+        for gate in logistic_gates(x):
+            assert np.max(np.abs(gate - 1.0 / (1.0 + np.exp(-x)))) <= 1e-15
 
 
 class TestGlorot:

@@ -42,6 +42,7 @@ from synthetic import (RS_D_CHAR, RS_D_RADICAL, RS_HIDDEN, RS_HYPERPARAMS, overf
                        radical_signal_corpus, run_overfit)
 
 from conftest import unit_of
+from oracles import full_scale_bilstm_backward_batch, full_scale_bilstm_forward_batch
 
 # the radical table field of a version-3 checkpoint: sha256 of the old file bytes
 V3_TABLE_SHA256 = "86564a8df1460f15362aa394035eedcdd0e2877d901b93a20c7c16530b816311"
@@ -532,13 +533,18 @@ def test_training_runs_the_passes_in_float32_and_the_crf_and_gradients_in_float6
     model = make_model(splits.train)
     seen = {"forward": [], "backward": [], "crf_nll": []}
 
+    # the BiLSTM takes the model's float64 arrays and casts them itself
     def forward(weights, xs):
-        seen["forward"].append(lstm_dtypes(weights) | {xs.dtype})
-        return bilstm_forward_batch(weights, xs)
+        out, cache = bilstm_forward_batch(weights, xs)
+        seen["forward"].append((lstm_dtypes(weights), {xs.dtype, out.dtype}
+                                | {a.dtype for direction in cache[1:] for a in direction}))
+        return out, cache
 
     def backward(weights, grads, cache, douts):
-        seen["backward"].append((lstm_dtypes(weights) | {douts.dtype}, lstm_dtypes(grads)))
-        return bilstm_backward_batch(weights, grads, cache, douts)
+        dxs = bilstm_backward_batch(weights, grads, cache, douts)
+        seen["backward"].append((lstm_dtypes(weights), {douts.dtype, dxs.dtype},
+                                 lstm_dtypes(grads)))
+        return dxs
 
     def nll(P, A, gold):
         loss, dP, dA = crf_nll(P, A, gold)
@@ -550,8 +556,9 @@ def test_training_runs_the_passes_in_float32_and_the_crf_and_gradients_in_float6
     monkeypatch.setattr(segmenter, "crf_nll", nll)
     train(model, splits, tiny_hp(dropout=0.3), seed=1)
     # 2 steps of 2 units and one validation pass per epoch
-    assert seen["forward"] == [{np.dtype(np.float32)}] * 9
-    assert seen["backward"] == [({np.dtype(np.float32)}, {np.dtype(np.float64)})] * 6
+    f32, f64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
+    assert seen["forward"] == [(f64, f32)] * 9
+    assert seen["backward"] == [(f64, f32, f64)] * 6
     assert seen["crf_nll"] == [(np.float32, np.float64, np.float64, np.float64)] * 6
 
 
@@ -602,6 +609,28 @@ def test_float32_training_follows_a_float64_run_on_both_fixtures(table, monkeypa
             assert abs(f1 - f1_64) <= 0.005
             assert abs(loss - loss64) <= 1e-6 * abs(loss64)
         assert run != ref  # the float32 run is not the reference itself
+
+
+def test_training_and_decoding_are_bytewise_equal_on_the_full_scale_step(table, monkeypatch):
+    # minibatches of one to three unit lengths, dropout on, two epochs; then
+    # evaluate, and segment a raw text of three units of two lengths
+    units = overfit_corpus(seed=2) + [unit_of("天地人山水火", "BOEBOE"), unit_of("山水火", "BOE")]
+    splits = CorpusSplits(train=units, valid=units[:12], test=[])
+    hp = Hyperparams(embed_dim=7, hidden=6, batch=8, epochs=2, learning_rate=0.1,
+                     clip_norm=5.0, dropout=0.5)
+    raw = "".join(u.seq.chars for u in units)[:250]
+    runs = []
+    for forward, backward in ((bilstm_forward_batch, bilstm_backward_batch),
+                              (full_scale_bilstm_forward_batch, full_scale_bilstm_backward_batch)):
+        monkeypatch.setattr(segmenter, "bilstm_forward_batch", forward)
+        monkeypatch.setattr(segmenter, "bilstm_backward_batch", backward)
+        emb = random_embeddings(build_vocab(units), table, d_char=4, d_radical=3, seed=0)
+        model = build_model(emb, hidden=6, seed=1)
+        log = train(model, splits, hp, seed=3)
+        runs.append(([(r.mean_loss, r.val_report) for r in log.epochs],
+                     {name: w.tobytes() for name, w in model.weights.items()},
+                     evaluate(model, units), segment(model, raw)))
+    assert runs[0] == runs[1]
 
 
 # Peak traced bytes of the training step below with the two directions run
