@@ -13,7 +13,8 @@ import re
 
 import numpy as np
 
-from judou.corpus import DEFAULT_PUNCT, UNSURE_CHAR, LabeledSequence, PunctConfig, Vocab
+from judou.corpus import (DEFAULT_PUNCT, UNIT_SIZE, UNSURE_CHAR, LabeledSequence, PunctConfig,
+                          Vocab)
 from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
 from judou.embedding import _uniform, cbow_loss_and_grads, encode_chars, untrained_embeddings
 from judou import lstm
@@ -512,3 +513,61 @@ def clean_unsure(text: str, max_run: int = 5, punct: PunctConfig = DEFAULT_PUNCT
     if tail and not run_re.search(tail):
         out.append(tail)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# decoding, one unit at a time
+
+def oracle_emissions(model, chars: str) -> np.ndarray:
+    """(1, n, 3) float32 emissions of one unit at B = 1: ids looked up
+    character by character, the full-scale BiLSTM step, then the emission."""
+    w = model.weights
+    X = w["emb.char_vectors"][[model.vocab.char_to_index.get(c, Vocab.UNK) for c in chars]]
+    if model.use_radicals:
+        rads = [model.radtable.entries.get(ord(c), 0) for c in chars]
+        X = np.hstack([X, w["emb.radical_vectors"][rads]])
+    H2, _ = full_scale_bilstm_forward_batch(w, X[None].astype(np.float32))
+    return H2 @ w["emit.W"].astype(np.float32) + w["emit.b"].astype(np.float32)
+
+
+def oracle_units(chars: str) -> list:
+    """segment's units: UNIT_SIZE characters each, the last one shorter."""
+    return [chars[start:start + UNIT_SIZE] for start in range(0, len(chars), UNIT_SIZE)]
+
+
+def oracle_decode(model, chars: str) -> str:
+    """One unit's tags, by stepwise_viterbi over its oracle_emissions."""
+    tags = stepwise_viterbi(oracle_emissions(model, chars), model.weights["crf.trans"])[0]
+    return "".join("BEO"[t] for t in tags)
+
+
+def oracle_segment(model, raw: str, separator: str = "/") -> str:
+    """segment: the text normalized and stripped of stops, each unit decoded
+    alone, the tags rejoined over the whole stream."""
+    chars = "".join(c for c in normalize_text(raw) if c not in DEFAULT_PUNCT.stops)
+    tags = "".join(oracle_decode(model, unit) for unit in oracle_units(chars))
+    return tags_to_text(LabeledSequence(chars, tags), separator)
+
+
+def oracle_counts(model, units) -> tuple:
+    """evaluate's (tp, fp, fn), from sets of the 1-based positions after each E."""
+    tp = fp = fn = 0
+    for unit in units:
+        gold = {i + 1 for i, t in enumerate(unit.seq.tags) if t == "E"}
+        pred = {i + 1 for i, t in enumerate(oracle_decode(model, unit.seq.chars)) if t == "E"}
+        tp, fp, fn = tp + len(gold & pred), fp + len(pred - gold), fn + len(gold - pred)
+    return tp, fp, fn
+
+
+def max_marginals(P, A) -> np.ndarray:
+    """(n, 3) best score of a path through each (position, tag) of one row of
+    emissions P (n, 3), by a max-plus forward and backward loop."""
+    P = P.astype(np.float64)
+    T = A[:N_TAGS, :N_TAGS]
+    fwd, bwd = np.empty_like(P), np.empty_like(P)
+    fwd[0], bwd[-1] = A[START, :N_TAGS] + P[0], A[:N_TAGS, STOP]
+    for t in range(1, len(P)):
+        fwd[t] = (fwd[t - 1][:, None] + T).max(axis=0) + P[t]
+    for t in range(len(P) - 2, -1, -1):
+        bwd[t] = (T + P[t + 1] + bwd[t + 1]).max(axis=1)
+    return fwd + bwd
