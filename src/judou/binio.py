@@ -26,9 +26,20 @@ class FormatError(ValueError):
 _PREAMBLE = struct.Struct("<BI")  # version, header length
 
 
+def _check_range(name: str, m: np.ndarray, error: type) -> None:
+    """Raise error unless float32 can hold every value of section m: decoding
+    casts to float32, so a weight beyond its range is lost; NaN fails both tests."""
+    limit = np.finfo(np.float32).max
+    if m.size and not (-limit <= m.min() and m.max() <= limit):
+        raise error(f"section {name!r} holds a NaN, an infinity or a value beyond float32's range")
+
+
 def write_container(path, magic: bytes, version: int, field, vocab: Vocab, sections) -> None:
-    """sections: (name, 2-D array) pairs, written in the order given."""
+    """sections: (name, 2-D array) pairs, written in the order given. A value
+    the loaders would refuse is a ValueError, raised before the file is opened."""
     sections = [(name, np.ascontiguousarray(m, dtype="<f8")) for name, m in sections]
+    for name, m in sections:
+        _check_range(name, m, ValueError)
     header = json.dumps({"field": field, "vocab": vocab.index_to_char,
                          "sections": [[name, *m.shape] for name, m in sections]},
                         separators=(",", ":")).encode("ascii")
@@ -59,13 +70,9 @@ class Container:
                 raise FormatError(f"section {name!r}: shape {self.shape(name)}, expected {want}")
         if unknown := self.sections.keys() - shapes.keys():
             raise FormatError(f"unknown sections {sorted(unknown)}")
-        # decoding casts to float32, so a weight beyond its range is lost; NaN fails both tests
-        limit = np.finfo(np.float32).max
         taken = {name: self.sections[name].copy() for name in shapes}
         for name, m in taken.items():
-            if m.size and not (-limit <= m.min() and m.max() <= limit):
-                raise FormatError(f"section {name!r} holds a NaN, an infinity or a value "
-                                  f"beyond float32's range")
+            _check_range(name, m, FormatError)
         return taken
 
 

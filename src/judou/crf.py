@@ -11,7 +11,7 @@ matrix A and tag paths of shape (B, n), and returns one result per row.
 float64 copy: a step that mixed the dtypes would pay for a cast in each ufunc.
 
 Tag indices are fixed as B=0, E=1, O=2; START=3 and STOP=4 only ever appear
-inside the transition matrix.
+inside the transition matrix, whose START column and STOP row nothing reads.
 """
 
 import numpy as np
@@ -19,15 +19,6 @@ import numpy as np
 N_TAGS = 3
 START = 3
 STOP = 4
-NEG_INF = -1.0e4  # finite stand-in for impossible transitions
-
-
-def new_transitions() -> np.ndarray:
-    """(N_TAGS+2) x (N_TAGS+2) transition scores over tags plus START/STOP."""
-    a = np.zeros((N_TAGS + 2, N_TAGS + 2))
-    a[:, START] = NEG_INF  # nothing enters START
-    a[STOP, :] = NEG_INF   # nothing leaves STOP
-    return a
 
 
 def _check_tags(P: np.ndarray, y) -> np.ndarray:

@@ -91,13 +91,10 @@ class EmbeddingSet:
 
 @dataclass
 class EncodedUnit:
-    """A unit's characters as parallel vocab indices and radical indices."""
+    """Characters as parallel vocab indices and radical indices."""
 
     char_ids: np.ndarray
     rad_ids: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.char_ids)
 
 
 def encode_chars(chars: str, vocab: Vocab, radtable: RadicalTable) -> EncodedUnit:
@@ -107,6 +104,13 @@ def encode_chars(chars: str, vocab: Vocab, radtable: RadicalTable) -> EncodedUni
         char_ids=np.array([vocab.encode(c) for c in chars], dtype=np.intp),
         rad_ids=np.array([radical_index(radtable, c) for c in chars], dtype=np.intp),
     )
+
+
+def encode_units(units: list, vocab: Vocab, radtable: RadicalTable) -> tuple:
+    """The units' characters encoded as one stream, and their (U + 1,) offsets
+    in it: unit i is stream positions offsets[i]:offsets[i + 1]."""
+    encoded = encode_chars("".join(u.seq.chars for u in units), vocab, radtable)
+    return encoded, np.cumsum([0, *(len(u.seq) for u in units)])
 
 
 def _uniform(rng, rows: int, dim: int, dtype=np.float64) -> np.ndarray:
@@ -126,13 +130,12 @@ def untrained_embeddings(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingCon
                         vocab=vocab, radtable=radtable, config=cfg)
 
 
-def _context_rows(encoded: EncodedUnit, window: int) -> tuple:
-    """(n, 2N) char and radical rows of every center's context slots in order;
-    the center is excluded and slots outside the unit take the PAD and
-    NO_RADICAL rows."""
-    n = len(encoded)
-    pos = np.arange(n)[:, None] + np.r_[-window:0, 1:window + 1]
-    inside = (pos >= 0) & (pos < n)
+def _context_rows(encoded: EncodedUnit, lo: int, hi: int, window: int) -> tuple:
+    """(hi - lo, 2N) char and radical rows of every center's context slots in
+    order, for the unit at stream positions lo:hi of encoded; the center is
+    excluded and slots outside the unit take the PAD and NO_RADICAL rows."""
+    pos = np.arange(lo, hi)[:, None] + np.r_[-window:0, 1:window + 1]
+    inside = (pos >= lo) & (pos < hi)
     pos[~inside] = 0
     return (np.where(inside, encoded.char_ids[pos], Vocab.PAD),
             np.where(inside, encoded.rad_ids[pos], NO_RADICAL))
@@ -185,7 +188,9 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     row of Hs; the steps after it see it through cbow_loss_and_grads' pending
     rows, and once PENDING_UPDATES rows wait, add_low_rank applies them in
     cache-sized row blocks. Pending rows carry across units and epochs; those
-    left at the end go with the projection, which is not returned.
+    left at the end go with the projection, which is not returned. The units
+    are encoded once, as one stream, and each unit's context rows are built
+    from its span as it comes up.
 
     One generator seeded cfg.seed draws the untrained embeddings, then the
     (|V|, 2N * d) projection, float32 as G and Hs are. The iterates are those
@@ -206,7 +211,7 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     rng = make_rng(cfg.seed)
     emb = untrained_embeddings(vocab, radtable, cfg, rng)
     projection = _uniform(rng, vocab.size, 2 * cfg.window * cfg.d_total, np.float32)
-    encoded = [encode_chars(u.seq.chars, vocab, radtable) for u in units]
+    encoded, offsets = encode_units(units, vocab, radtable)
     lr, d_c = float(cfg.learning_rate), cfg.d_char  # a numpy rate would promote to float64
     # (matrix, its scratch gradient, its columns of dh)
     sparse = ((emb.char_vectors, np.zeros_like(emb.char_vectors), np.s_[:, :d_c]),
@@ -218,10 +223,10 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
         total, count = 0.0, 0
         # every loss is checked, so numpy's overflow warnings would only repeat it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for unit, enc in enumerate(encoded):
-                for center, rows in enumerate(zip(*_context_rows(enc, cfg.window))):
+            for unit, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+                for center, rows in enumerate(zip(*_context_rows(encoded, lo, hi, cfg.window))):
                     loss, dlogits, h, dh = cbow_loss_and_grads(
-                        emb, projection, *rows, enc.char_ids[center],
+                        emb, projection, *rows, encoded.char_ids[lo + center],
                         (G[:k], Hs[:k], -lr) if k else None)
                     if not math.isfinite(loss):
                         raise NumericError(f"CBOW loss is {loss} at epoch {epoch + 1}, "

@@ -15,10 +15,9 @@ import numpy as np
 
 from . import binio
 from .corpus import (DEFAULT_PUNCT, STOP, CorpusSplits, LabeledSequence, TAG_CHARS, TAG_E,
-                     TAG_TO_ID, UNIT_SIZE, Vocab, boundary_positions, check_units,
-                     normalize_text, tags_to_text)
-from .crf import N_TAGS, crf_nll, new_transitions, viterbi_decode
-from .embedding import EMBEDDING_NAMES, EmbeddingSet, embedding_shapes, encode_chars
+                     TAG_TO_ID, UNIT_SIZE, Vocab, check_units, normalize_text, tags_to_text)
+from .crf import N_TAGS, crf_nll, viterbi_decode
+from .embedding import EMBEDDING_NAMES, EmbeddingSet, embedding_shapes, encode_chars, encode_units
 from .lstm import (bilstm_backward_batch, bilstm_forward_batch, lstm_shapes,
                    new_bilstm_weights)
 from .nncore import (NumericError, check_int, check_real, check_type, dropout_mask,
@@ -114,7 +113,7 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
                **new_bilstm_weights(d_in, hidden, rng),
                "emit.W": glorot_uniform((2 * hidden, N_TAGS), rng),
                "emit.b": np.zeros((1, N_TAGS)),
-               "crf.trans": new_transitions()}
+               "crf.trans": np.zeros((N_TAGS + 2, N_TAGS + 2))}
     return SegmenterModel(vocab=embeddings.vocab, radtable=embeddings.radtable, weights=weights)
 
 
@@ -175,20 +174,15 @@ def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndar
 # ---------------------------------------------------------------------------
 # training / evaluation / segmentation
 
-def _encode_units(model: SegmenterModel, units: list) -> list:
-    return [encode_chars(u.seq.chars, model.vocab, model.radtable) for u in units]
-
-
-def _length_groups(encoded: list, idxs):
-    """Yield (indices, char_ids, rad_ids) for each distinct length among
-    encoded[i], i in idxs, in order of first appearance; the id arrays stack
-    the group's units to (B, n)."""
+def _length_groups(offsets, idxs):
+    """Yield a (B, n) array of the stream positions of units idxs for each
+    distinct length n, in order of first appearance; its rows index the
+    stream's char ids, radical ids, gold tags and decoded tags alike."""
     by_len: dict = {}
     for i in idxs:
-        by_len.setdefault(len(encoded[i]), []).append(i)
-    for group in by_len.values():
-        yield (group, np.stack([encoded[i].char_ids for i in group]),
-               np.stack([encoded[i].rad_ids for i in group]))
+        by_len.setdefault(offsets[i + 1] - offsets[i], []).append(offsets[i])
+    for n, starts in by_len.items():
+        yield np.add.outer(starts, np.arange(n))
 
 
 def _float32_passes(model: SegmenterModel) -> SegmenterModel:
@@ -202,34 +196,34 @@ def _float32_passes(model: SegmenterModel) -> SegmenterModel:
         for name, w in model.weights.items()})
 
 
-def _decode(model: SegmenterModel, encoded: list) -> list:
-    """Viterbi tag ids (one array per unit) from forward passes over
-    equal-length units, at most DECODE_BATCH units per pass. Each is
-    training's forward pass without dropout; its LSTM cache is dropped
-    unread.
+def _decode(model: SegmenterModel, encoded, offsets) -> np.ndarray:
+    """Viterbi tag ids of an encoded stream's units (encoded and offsets as
+    from encode_units) as one flat array, from forward passes over equal-length
+    units, at most DECODE_BATCH units per pass. Each is training's forward
+    pass without dropout; its LSTM cache is dropped unread.
 
     The passes run on _float32_passes(model), made once per call, each
     BiLSTM pass making its own float32 copy of the ten arrays; the embedding
     rows are cast after the gather, and the CRF decodes the float32
     emissions in float64 with the float64 transitions. model.weights is only
     read."""
-    if any(len(e) == 0 for e in encoded):
+    if (np.diff(offsets) == 0).any():
         raise ValueError("cannot run the model on an empty unit")
     trans = model.weights["crf.trans"]
     if not np.isfinite(trans).all():
         raise NumericError("non-finite CRF transition scores")
     decoder = _float32_passes(model)
-    tags = {}
-    for idxs, char_ids, rad_ids in _length_groups(encoded, range(len(encoded))):
-        for start in range(0, len(idxs), DECODE_BATCH):
-            part = slice(start, start + DECODE_BATCH)
-            P = _forward_batch(decoder, char_ids[part], rad_ids[part])[0]
+    tags = np.empty(offsets[-1], dtype=np.intp)
+    for rows in _length_groups(offsets, range(len(offsets) - 1)):
+        for start in range(0, len(rows), DECODE_BATCH):
+            part = rows[start:start + DECODE_BATCH]
+            P = _forward_batch(decoder, encoded.char_ids[part], encoded.rad_ids[part])[0]
             # a NaN weight, or one beyond float32's range, would decode as no boundary
             if not np.isfinite(P).all():
                 raise NumericError("non-finite emission scores: a weight is NaN or infinite, "
                                    "or too large for float32")
-            tags.update(zip(idxs[part], viterbi_decode(P, trans)))
-    return [tags[i] for i in range(len(encoded))]
+            tags[part] = viterbi_decode(P, trans)
+    return tags
 
 
 def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
@@ -240,6 +234,9 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     The model ends up with the parameters of the epoch with the best
     validation F1 (earliest on ties). With no validation units there is
     nothing to select by, and the last epoch's parameters stand.
+
+    The units are encoded once, as one stream (encode_units); each pass's
+    rows from _length_groups index its ids and the one flat gold array.
 
     Mixed precision: each minibatch runs its BiLSTM and emission passes in
     float32 on copies made after the previous step: _float32_passes(model)
@@ -262,15 +259,15 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     # zeroes them again after each step
     grads = {name: np.zeros_like(w) for name, w in weights.items()
              if not (freeze_embeddings and name in EMBEDDING_NAMES)}
-    encoded = _encode_units(model, splits.train)
-    golds = [np.array([TAG_TO_ID[t] for t in u.seq.tags], dtype=np.intp) for u in splits.train]
+    encoded, offsets = encode_units(splits.train, model.vocab, model.radtable)
+    gold = np.array([TAG_TO_ID[t] for u in splits.train for t in u.seq.tags], dtype=np.intp)
 
     records = []
     best_f1 = -1.0
     best_epoch = None
     best_values = None
     for epoch in range(hp.epochs):
-        order = rng.permutation(len(encoded))
+        order = rng.permutation(len(splits.train))
         total_loss = 0.0
         clipped = 0
         steps = range(0, len(order), hp.batch)
@@ -278,16 +275,17 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
             batch = order[start:start + hp.batch]
             n_batch = len(batch)
             passes = _float32_passes(model)
-            for idxs, char_ids, rad_ids in _length_groups(encoded, batch):
-                P, cache = _forward_batch(passes, char_ids, rad_ids, rng, hp.dropout)
-                loss, dP, dA = crf_nll(P, weights["crf.trans"], np.stack([golds[i] for i in idxs]))
+            for rows in _length_groups(offsets, batch):
+                P, cache = _forward_batch(passes, encoded.char_ids[rows], encoded.rad_ids[rows],
+                                          rng, hp.dropout)
+                loss, dP, dA = crf_nll(P, weights["crf.trans"], gold[rows])
                 total_loss += loss.sum()
                 grads["crf.trans"] += dA / n_batch
                 _backward_batch(passes, grads, cache, (dP / n_batch).astype(P.dtype))
                 del P, cache  # free the LSTM cache before the next pass allocates one
             # lr 0 is a null update: value -= 0.0 * grad leaves the values as they are
             clipped += sgd_step(weights, grads, hp.learning_rate, hp.clip_norm) < 1.0
-        mean_loss = total_loss / len(encoded)
+        mean_loss = total_loss / len(splits.train)
         val_report = evaluate(model, splits.valid)
         records.append(EpochRecord(mean_loss=mean_loss, val_report=val_report,
                                    clip_rate=clipped / len(steps)))
@@ -306,32 +304,29 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
 
 
 def evaluate(model: SegmenterModel, units: list) -> EvalReport:
-    """Boundary-level precision/recall/F1 over gold-tagged units."""
+    """Boundary-level precision/recall/F1 over gold-tagged units: predicted
+    and gold E tags compared position by position over the units' stream."""
     check_type("model", model, SegmenterModel)
     check_units("units", units)
-    tp = fp = fn = 0
-    for unit, tags in zip(units, _decode(model, _encode_units(model, units))):
-        gold = boundary_positions(unit.seq.tags)
-        pred = {i + 1 for i, t in enumerate(tags) if t == TAG_E}
-        tp += len(gold & pred)
-        fp += len(pred - gold)
-        fn += len(gold - pred)
-    return EvalReport.from_counts(tp, fp, fn)
+    pred = _decode(model, *encode_units(units, model.vocab, model.radtable)) == TAG_E
+    gold = np.array([t == TAG_CHARS[TAG_E] for u in units for t in u.seq.tags], dtype=bool)
+    return EvalReport.from_counts(int((pred & gold).sum()), int((pred & ~gold).sum()),
+                                  int((gold & ~pred).sum()))
 
 
 def segment(model: SegmenterModel, raw: str, separator: str = "/") -> str:
-    """Segment raw text: normalize (dropping any existing stops), decode
-    UNIT_SIZE-character units, and reinsert boundaries after predicted E tags."""
+    """Segment raw text: normalize (dropping any existing stops), encode it
+    once, decode it in units of UNIT_SIZE positions, and reinsert boundaries
+    after predicted E tags."""
     check_type("model", model, SegmenterModel)
     check_type("raw", raw, str)
     if not isinstance(separator, str) or not separator:
         raise ValueError(f"separator must be a non-empty str, got {separator!r}")
     chars = DEFAULT_PUNCT.compile(STOP).sub("", normalize_text(raw))
-    units = [encode_chars(chars[start:start + UNIT_SIZE], model.vocab, model.radtable)
-             for start in range(0, len(chars), UNIT_SIZE)]
-    tags = "".join(TAG_CHARS[t] for unit_tags in _decode(model, units) for t in unit_tags)
+    offsets = [*range(0, len(chars), UNIT_SIZE), len(chars)]
+    tags = _decode(model, encode_chars(chars, model.vocab, model.radtable), offsets).tolist()
     # reconstruct over the whole stream so boundaries at unit joins survive
-    return tags_to_text(LabeledSequence(chars, tags), separator)
+    return tags_to_text(LabeledSequence(chars, "".join(TAG_CHARS[t] for t in tags)), separator)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from judou.corpus import (DEFAULT_PUNCT, UNIT_SIZE, UNSURE_CHAR, LabeledSequence, PunctConfig,
                           Vocab)
-from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp, new_transitions
+from judou.crf import N_TAGS, START, STOP, _backward_betas, _logsumexp
 from judou.embedding import _uniform, cbow_loss_and_grads, encode_chars, untrained_embeddings
 from judou import lstm
 from judou.lstm import LSTM_NAMES
@@ -111,8 +111,9 @@ def log_partition_reverse(P, A):
 
 
 def random_crf(rng, scale=1.0) -> np.ndarray:
-    """Random transitions on the structurally possible cells only."""
-    a = new_transitions()
+    """Random transitions on the structurally possible cells only, the others
+    (the START column and the STOP row, which nothing reads) zero."""
+    a = np.zeros((N_TAGS + 2, N_TAGS + 2))
     a[:N_TAGS, :N_TAGS] = rng.normal(scale=scale, size=(N_TAGS, N_TAGS))
     a[START, :N_TAGS] = rng.normal(scale=scale, size=N_TAGS)
     a[:N_TAGS, STOP] = rng.normal(scale=scale, size=N_TAGS)
@@ -290,7 +291,8 @@ def cbow_context_slots(enc, center, window) -> list:
     """(char row, radical row) of each context slot, left to right; slots
     off the unit take PAD and the no-radical row 0."""
     slots = [*range(center - window, center), *range(center + 1, center + window + 1)]
-    return [(int(enc.char_ids[p]), int(enc.rad_ids[p])) if 0 <= p < len(enc) else (Vocab.PAD, 0)
+    n = len(enc.char_ids)
+    return [(int(enc.char_ids[p]), int(enc.rad_ids[p])) if 0 <= p < n else (Vocab.PAD, 0)
             for p in slots]
 
 
@@ -353,7 +355,7 @@ def dense_train_embeddings(texts, vocab, radtable, cfg, dtype=np.float32):
     for _ in range(cfg.epochs):
         total, count = 0.0, 0
         for enc in encoded:
-            for center in range(len(enc)):
+            for center in range(len(enc.char_ids)):
                 total += dense_cbow_step(emb, projection, enc, center)
                 count += 1
         losses.append(total / count)

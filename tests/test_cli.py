@@ -2,9 +2,12 @@
 
 import errno
 import gc
+import json
 import re
 import shutil
+import struct
 import weakref
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,6 +28,24 @@ from conftest import unit_of
 from test_segmenter import PERIOD3, ALL_O
 
 SENTENCES = ["天地玄黃宇宙洪荒", "日月盈昃辰宿列張", "寒來暑往秋收冬藏", "閏餘成歲律呂調陽"]
+
+
+@contextmanager
+def section_of(path, name):
+    """A writable (rows, cols) view of one section of a saved file, written
+    back on exit. The savers refuse a value float32 cannot hold, so a file
+    that holds one is a saved file patched in place."""
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"\n") + 2  # past the magic, which ends in a newline, and the version
+    n, = struct.unpack_from("<I", blob, at)
+    offset = at + 4 + n
+    for section, rows, cols in json.loads(blob[at + 4:offset])["sections"]:
+        if section == name:
+            yield np.frombuffer(blob, "<f8", rows * cols, offset).reshape(rows, cols)
+            path.write_bytes(blob)
+            return
+        offset += 8 * rows * cols
+    raise KeyError(name)
 
 
 @pytest.fixture(scope="module")
@@ -418,10 +439,10 @@ def test_train_rejects_an_embedding_file_with_window_zero(runner, data_dir, emb_
 
 
 def test_train_reports_non_finite_embeddings_as_an_error(runner, data_dir, emb_path, tmp_path):
-    emb = load_embeddings(emb_path)
-    emb.char_vectors = np.full_like(emb.char_vectors, np.nan)
     bad, out = tmp_path / "emb.bin", tmp_path / "m.bin"
-    save_embeddings(emb, bad)
+    shutil.copy(emb_path, bad)
+    with section_of(bad, "emb.char_vectors") as char_vectors:
+        char_vectors[...] = np.nan
     r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(bad),
                              "--hidden", "3", "--epochs", "1",
                              "--out", str(out)])
@@ -434,16 +455,33 @@ def test_train_reports_non_finite_embeddings_as_an_error(runner, data_dir, emb_p
 def test_train_refuses_embeddings_with_a_nan_in_the_pad_row(runner, data_dir, emb_path, tmp_path):
     # no unit gathers the PAD row, so such a file used to train and exit 0,
     # and eval then refused the checkpoint that carried the NaN over
-    emb = load_embeddings(emb_path)
-    emb.char_vectors[0, 0] = np.nan
     bad, out = tmp_path / "emb.bin", tmp_path / "m.bin"
-    save_embeddings(emb, bad)
+    shutil.copy(emb_path, bad)
+    with section_of(bad, "emb.char_vectors") as char_vectors:
+        char_vectors[0, 0] = np.nan
     r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(bad),
                              "--hidden", "3", "--epochs", "1", "--out", str(out)])
     assert r.exit_code == 2
     assert r.stderr == ("error: bad embedding file: section 'emb.char_vectors' holds a NaN, "
                         "an infinity or a value beyond float32's range\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_refuses_to_write_weights_float32_cannot_hold(runner, data_dir, emb_path, tmp_path):
+    # with no valid.tsv there is nothing to select an epoch by, and lr 1e300
+    # ends on weights beyond float32's range: the checkpoint used to be
+    # written and exit 0, and eval then refused it
+    data = data_copy(data_dir, tmp_path)
+    (data / "valid.tsv").unlink()
+    out = tmp_path / "m.bin"
+    r = runner.invoke(main, ["train", "--data", str(data), "--embeddings", str(emb_path),
+                             "--hidden", "3", "--learning-rate", "1e300", "--epochs", "1",
+                             "--batch", "50", "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert re.fullmatch(r"error: section '[\w.]+' holds a NaN, an infinity or a value beyond "
+                        r"float32's range\n", r.stderr), r.stderr
+    assert not out.exists() and not out.with_name("m.bin.log").exists()
 
 
 @pytest.mark.parametrize("option, message", [
@@ -561,9 +599,9 @@ def test_a_checkpoint_with_214_radical_rows_is_a_bad_checkpoint(runner, make_mod
 def test_a_checkpoint_with_a_nan_weight_exits_2(runner, make_model, command, tmp_path):
     # it used to load and then decode to non-finite emission scores
     ckpt = tmp_path / "m.bin"
-    model = make_model([unit_of("天地人山水火", "BOEBOE")])
-    model.weights["emit.W"][0, 0] = np.nan
-    save_model(model, ckpt)
+    save_model(make_model([unit_of("天地人山水火", "BOEBOE")]), ckpt)
+    with section_of(ckpt, "emit.W") as emit_W:
+        emit_W[0, 0] = np.nan
     data = tmp_path / "gold.tsv"
     write_units([unit_of("天地", "BE")], data)
     args = ["--data", str(data)] if command == "eval" else []
@@ -585,9 +623,10 @@ def test_a_value_float32_cannot_hold_makes_a_bad_checkpoint(runner, make_model, 
     # or silently, as no character reads radical row 0
     text = "天地人山水火也"
     model = make_model([unit_of(text, "BOEBOOE")], hidden=5)
-    model.weights[section][model.vocab.encode(row) if isinstance(row, str) else row, 0] = value
     ckpt = tmp_path / "m.bin"
     save_model(model, ckpt)
+    with section_of(ckpt, section) as m:
+        m[model.vocab.encode(row) if isinstance(row, str) else row, 0] = value
     with pytest.raises(FormatError, match=f"section '{section}'"):
         load_model(ckpt, radtable=table)
     data = tmp_path / "gold.tsv"

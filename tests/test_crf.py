@@ -4,8 +4,7 @@ batches of emissions (B, n, 3): every row is checked on its own."""
 import numpy as np
 import pytest
 
-from judou.crf import (N_TAGS, NEG_INF, START, STOP, crf_nll, log_partition,
-                       new_transitions, path_score, viterbi_decode)
+from judou.crf import N_TAGS, START, STOP, crf_nll, log_partition, path_score, viterbi_decode
 from judou.nncore import make_rng
 from oracles import (all_paths, grad_check, log_partition_reverse, oracle_gradients,
                      oracle_log_partition, oracle_path_score, oracle_viterbi, random_crf,
@@ -13,7 +12,7 @@ from oracles import (all_paths, grad_check, log_partition_reverse, oracle_gradie
 
 
 def zero_crf():
-    return new_transitions()
+    return np.zeros((N_TAGS + 2, N_TAGS + 2))
 
 
 def half_integer_crf(rng):
@@ -24,12 +23,21 @@ def half_integer_crf(rng):
     return crf
 
 
-class TestNewTransitions:
-    def test_impossible_cells(self):
-        a = new_transitions()
-        assert np.all(a[:, START] == NEG_INF)
-        assert np.all(a[STOP, :] == NEG_INF)
-        assert a[0, 1] == 0.0
+def test_the_start_column_and_the_stop_row_are_never_read():
+    # no path enters START or leaves STOP: any values there change no result,
+    # and their gradient cells stay zero
+    rng = make_rng(12)
+    P, crf = rng.normal(size=(4, 7, 3)), random_crf(rng)
+    gold = rng.integers(0, N_TAGS, size=(4, 7))
+    filled = crf.copy()
+    filled[:, START] = rng.normal(scale=100.0, size=N_TAGS + 2)
+    filled[STOP, :] = rng.normal(scale=100.0, size=N_TAGS + 2)
+    for f in (log_partition, viterbi_decode, lambda P, A: path_score(P, A, gold)):
+        assert np.array_equal(f(P, filled), f(P, crf))
+    for got, want in zip(crf_nll(P, filled, gold), crf_nll(P, crf, gold)):
+        assert np.array_equal(got, want)
+    dA = crf_nll(P, filled, gold)[2]
+    assert not dA[:, START].any() and not dA[STOP, :].any()
 
 
 class TestPathScore:
@@ -150,7 +158,7 @@ class TestViterbi:
     def test_forbidden_bigram_never_decoded(self):
         # strong E emissions at even positions, O at odd, but E->O is blocked
         crf = zero_crf()
-        crf[1, 2] = NEG_INF
+        crf[1, 2] = -1.0e4
         P = np.zeros((1, 6, 3))
         P[0, ::2, 1] = 5.0
         P[0, 1::2, 2] = 5.0

@@ -48,8 +48,9 @@ def small_model(text, table, **cfg_kwargs) -> tuple:
 
 
 def context_h(emb, projection, enc, center) -> np.ndarray:
-    """The context vector h that cbow_loss_and_grads takes from _context_rows."""
-    chars, rads = _context_rows(enc, emb.config.window)
+    """The context vector h that cbow_loss_and_grads takes from _context_rows,
+    enc being the whole stream."""
+    chars, rads = _context_rows(enc, 0, len(enc.char_ids), emb.config.window)
     return cbow_loss_and_grads(emb, projection, chars[center], rads[center],
                                enc.char_ids[center])[2]
 
@@ -97,17 +98,20 @@ def test_context_is_ordered_not_averaged(table):
 
 @pytest.mark.parametrize("window", [1, 2, 3, 4])
 def test_context_rows_match_the_per_slot_loop(table, window):
-    """Every unit length from 0 to 12, units shorter than the window included,
-    with out-of-vocabulary and repeated characters."""
+    """Every unit lo:hi of a 12-character stream, of lengths 0 to 12, units
+    shorter than the window included, with out-of-vocabulary and repeated
+    characters: the slots of a unit of the stream are those of the unit alone."""
     text = "天地人山水天地江河海天天"  # 山 on are out of vocabulary
     vocab = vocab_over("天地人")
-    for n in range(len(text) + 1):
-        enc = encode_chars(text[:n], vocab, table)
-        chars, rads = _context_rows(enc, window)
-        assert chars.shape == rads.shape == (n, 2 * window)
-        for center in range(n):
-            assert list(zip(chars[center].tolist(), rads[center].tolist())) == \
-                cbow_context_slots(enc, center, window)
+    stream = encode_chars(text, vocab, table)
+    for lo in range(len(text) + 1):
+        for hi in range(lo, len(text) + 1):
+            enc = encode_chars(text[lo:hi], vocab, table)
+            chars, rads = _context_rows(stream, lo, hi, window)
+            assert chars.shape == rads.shape == (hi - lo, 2 * window)
+            for center in range(hi - lo):
+                assert list(zip(chars[center].tolist(), rads[center].tolist())) == \
+                    cbow_context_slots(enc, center, window)
 
 
 def test_repeated_context_rows_sum_in_slot_order(table):
@@ -119,8 +123,8 @@ def test_repeated_context_rows_sum_in_slot_order(table):
     before = [a.copy() for a in (emb.char_vectors, emb.radical_vectors, projection)]
     enc = encode_chars("天天天地", emb.vocab, table)
     d, d_c = emb.config.d_total, emb.config.d_char
-    chars, rads = _context_rows(enc, 3)
-    for center in range(len(enc)):
+    chars, rads = _context_rows(enc, 0, 4, 3)
+    for center in range(4):
         _, dlogits, h, dh = cbow_loss_and_grads(emb, projection, chars[center], rads[center],
                                                 enc.char_ids[center])
         assert dh.shape == (2 * 3, d)
@@ -146,6 +150,18 @@ def test_embedding_config_rejects_bad_optimization_settings(bad):
     match = "epochs must be an integer >= 0" if "epochs" in bad else "bad optimization settings"
     with pytest.raises(ValueError, match=match):
         EmbeddingConfig(**bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 3.5e38])
+def test_save_embeddings_refuses_a_value_float32_cannot_hold(table, tmp_path, value):
+    # load_embeddings refuses such a file, so it is not written
+    emb, _ = small_model("天地人", table)
+    emb.radical_vectors[0, 0] = value
+    path = tmp_path / "emb.bin"
+    with pytest.raises(ValueError, match="section 'emb.radical_vectors' holds a NaN, an infinity "
+                                         "or a value beyond float32's range"):
+        save_embeddings(emb, path)
+    assert not path.exists()
 
 
 def test_encode_chars_keeps_radical_for_oov(table):

@@ -18,7 +18,7 @@ from judou.corpus import (
     build_vocab,
 )
 from judou.crf import crf_nll, viterbi_decode
-from judou.embedding import encode_chars, load_embeddings, save_embeddings
+from judou.embedding import encode_chars, encode_units, load_embeddings, save_embeddings
 from judou.lstm import bilstm_backward_batch, bilstm_forward_batch
 from judou.nncore import make_rng
 from judou.segmenter import (
@@ -65,7 +65,7 @@ FRESH_DIGESTS = {
     "bwd.b": "38723a2e5e8a17aa",
     "emit.W": "23c1eecaa2717036",
     "emit.b": "9d908ecfb6b256de",
-    "crf.trans": "29ab9a12f81672f1",
+    "crf.trans": "6d9c54dee5660c46",
 }
 
 # tag indices 0/1/2 = B/E/O, plus the virtual start 3 and stop 4
@@ -81,10 +81,16 @@ def emissions(model, *texts):
     return P
 
 
+def encode_texts(model, texts) -> tuple:
+    """(encoded stream, unit offsets) of texts, as encode_units gives them."""
+    return encode_units([unit_of(t, "O" * len(t)) for t in texts], model.vocab, model.radtable)
+
+
 def predict_tags(model, *texts):
-    """Decoded tag strings, all texts decoded together."""
-    encoded = [encode_chars(t, model.vocab, model.radtable) for t in texts]
-    return ["".join(TAG_CHARS[t] for t in tags) for tags in _decode(model, encoded)]
+    """Decoded tag strings, all texts decoded together as one stream."""
+    encoded, offsets = encode_texts(model, texts)
+    tags = "".join(TAG_CHARS[t] for t in _decode(model, encoded, offsets))
+    return [tags[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +210,21 @@ def test_decode_batches_by_length_up_to_the_cap(make_model, force_transitions, m
     texts = ["天地人山水火", "天地人"] * DECODE_BATCH + ["天地人山水火"]
     assert predict_tags(model, *texts) == ["BOEBOE", "BOE"] * DECODE_BATCH + ["BOEBOE"]
     assert shapes == [(DECODE_BATCH, 6), (1, 6), (DECODE_BATCH, 3)]
+
+
+def test_length_groups_are_stream_positions_in_order_of_first_appearance():
+    offsets = np.cumsum([0, 3, 2, 3, 1, 2])
+    groups = [rows.tolist() for rows in segmenter._length_groups(offsets, [4, 1, 3, 0, 2])]
+    assert groups == [[[9, 10], [3, 4]], [[8]], [[0, 1, 2], [5, 6, 7]]]
+
+
+def test_decode_returns_one_flat_array_over_the_stream(make_model, force_transitions):
+    model = make_model([unit_of("天地人山水火", "BOEBOE")])
+    force_transitions(model, PERIOD3)
+    encoded, offsets = encode_texts(model, ["天地人", "天地人山水火", "天地"])
+    tags = _decode(model, encoded, offsets)
+    assert tags.shape == (11,) and tags.dtype == np.intp
+    assert "".join(TAG_CHARS[t] for t in tags) == "BOE" + "BOEBOE" + "BO"
 
 
 def test_evaluate_perfect(make_model, force_transitions):
@@ -577,8 +598,9 @@ def test_training_keeps_the_models_float64_arrays(make_model):
 def test_a_float32_pass_draws_float64s_dropout_masks_and_holds_them_in_float32(make_model):
     units = [unit_of("天地人山水火", "BOEBOE"), unit_of("山水火天地人", "BOEBOE")]
     model = make_model(units)
-    encoded = segmenter._encode_units(model, units)
-    ids = [np.stack([e.char_ids for e in encoded]), np.stack([e.rad_ids for e in encoded])]
+    encoded, offsets = encode_units(units, model.vocab, model.radtable)
+    [rows] = segmenter._length_groups(offsets, range(len(units)))
+    ids = [encoded.char_ids[rows], encoded.rad_ids[rows]]
     P, cache = _forward_batch(segmenter._float32_passes(model), *ids, make_rng(3), 0.5)
     _, cache64 = _forward_batch(model, *ids, make_rng(3), 0.5)
     assert P.dtype == np.float32
@@ -710,20 +732,20 @@ def test_segment_custom_separator(make_model, force_transitions):
 # ---------------------------------------------------------------------------
 # decoding in float32
 
-def float64_tags(model, encoded):
+def float64_tags(model, encoded, offsets):
     """The float64 reference: _forward_batch on the model's own weights, one
     pass per length, then viterbi_decode."""
-    tags = {}
-    for idxs, char_ids, rad_ids in segmenter._length_groups(encoded, range(len(encoded))):
-        P, _ = _forward_batch(model, char_ids, rad_ids)
+    tags = np.empty(offsets[-1], dtype=np.intp)
+    for rows in segmenter._length_groups(offsets, range(len(offsets) - 1)):
+        P, _ = _forward_batch(model, encoded.char_ids[rows], encoded.rad_ids[rows])
         assert P.dtype == np.float64
-        tags.update(zip(idxs, viterbi_decode(P, model.weights["crf.trans"])))
-    return [tags[i].tolist() for i in range(len(encoded))]
+        tags[rows] = viterbi_decode(P, model.weights["crf.trans"])
+    return tags.tolist()
 
 
 def assert_float32_tags_are_float64s(model, texts):
-    encoded = [encode_chars(t, model.vocab, model.radtable) for t in texts]
-    assert [t.tolist() for t in _decode(model, encoded)] == float64_tags(model, encoded)
+    encoded, offsets = encode_texts(model, texts)
+    assert _decode(model, encoded, offsets).tolist() == float64_tags(model, encoded, offsets)
 
 
 def test_float32_decoding_gives_float64s_tags_on_the_trained_overfit_fixture():
@@ -805,6 +827,24 @@ def test_checkpoint_round_trip_bitwise(make_model, table, tmp_path):
     # behavioural equality, including out-of-vocabulary characters
     text = "天地人山水火雲江"
     assert predict_tags(back, text) == predict_tags(model, text)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_weights_float32_cannot_hold_are_refused_before_the_checkpoint_is_opened(make_model,
+                                                                                  tmp_path):
+    # with no validation units to select by, training at lr 1e300 ends on
+    # weights beyond float32's range; save_model used to write them, and
+    # load_model then refused the file
+    splits = tiny_splits()
+    model = make_model(splits.train)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    before = path.read_bytes()
+    train(model, CorpusSplits(train=splits.train, valid=[], test=[]),
+          Hyperparams(epochs=1, learning_rate=1e300, dropout=0.0))
+    with pytest.raises(ValueError, match="section '.*' holds .* beyond float32's range"):
+        save_model(model, path)
+    assert path.read_bytes() == before
 
 
 def test_build_model_draws_the_pinned_weights(table):
