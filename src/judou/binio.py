@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Vocab
+from .nncore import fits_float32
 
 
 class FormatError(ValueError):
@@ -27,10 +28,7 @@ _PREAMBLE = struct.Struct("<BI")  # version, header length
 
 
 def _check_range(name: str, m: np.ndarray, error: type) -> None:
-    """Raise error unless float32 can hold every value of section m: decoding
-    casts to float32, so a weight beyond its range is lost; NaN fails both tests."""
-    limit = np.finfo(np.float32).max
-    if m.size and not (-limit <= m.min() and m.max() <= limit):
+    if not fits_float32(m):
         raise error(f"section {name!r} holds a NaN, an infinity or a value beyond float32's range")
 
 

@@ -9,9 +9,10 @@ Gates are fused per direction as [i f g o] (Appleyard et al., arXiv
 adds one recurrent and two peephole products and activates in place. Passes
 run over (B, n, d_in) batches of equal-length sequences from a zero state.
 Every array a pass allocates takes the dtype of its inputs xs, and each pass
-casts the weights to that dtype: training and decoding pass float32 inputs
-with the model's float64 weights, the gradient checks float64 ones. The gradient dict may be wider than the pass; training adds the
-float32 products into float64 gradients.
+casts the weights to that dtype, the rule every layer of the tagger follows:
+training and decoding pass float32 inputs with the model's float64 weights,
+the gradient checks float64 ones. The gradient dict may be wider than the
+pass; training adds the float32 products into float64 gradients.
 
 The forward pass's copy holds every term of the i, f and o pre-activations
 at half scale (_pass_copy). Short of underflow, scaling by a power of two

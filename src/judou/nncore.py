@@ -1,9 +1,9 @@
 """Numeric substrate shared by every model module.
 
 Weights, gradients and the SGD step are float64 numpy; training and
-decoding run the BiLSTM and the emission on float32 copies of the weights,
-which the BiLSTM passes (lstm.py) and segmenter._float32_passes make, and
-CBOW pretraining keeps its projection in float32. Backpropagation is
+decoding run the BiLSTM and the emission in float32, each layer casting the
+weights it reads, so every weight must fit float32's range (fits_float32),
+and CBOW pretraining keeps its projection in float32. Backpropagation is
 hand-derived per module, and the tests check each module against central
 finite differences. The seeded generator is PCG64 throughout, which keeps
 training bit-reproducible. The configs, build_model and make_rng check each
@@ -47,6 +47,13 @@ def check_real(name: str, value: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
+
+
+def fits_float32(m: np.ndarray) -> bool:
+    """Whether float32 can hold every value of m, the rule for every weight,
+    as the passes cast the weights to float32; NaN fails both tests."""
+    limit = np.finfo(np.float32).max
+    return not m.size or bool(-limit <= m.min() and m.max() <= limit)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -106,11 +113,16 @@ def clip_gradients(grads: dict, clip_norm: float) -> float:
 
 def sgd_step(weights: dict, grads: dict, learning_rate: float, clip_norm: float) -> float:
     """Clip, apply weights[name] -= lr * grads[name] for every name in grads,
-    zero the gradients. Returns the clip factor."""
+    zero the gradients. Returns the clip factor. A weight stepped beyond
+    float32's range, to infinity included, is a NumericError, not a warning."""
     scale = clip_gradients(grads, clip_norm)
-    for name, g in grads.items():
-        weights[name] -= learning_rate * g
-        g.fill(0.0)
+    with np.errstate(over="ignore"):
+        for name, g in grads.items():
+            weights[name] -= learning_rate * g
+            g.fill(0.0)
+            if not fits_float32(weights[name]):
+                raise NumericError(f"parameter {name!r} left float32's range; "
+                                   f"try a learning rate below {learning_rate:g}")
     return scale
 
 

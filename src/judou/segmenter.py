@@ -4,8 +4,8 @@ Training fine-tunes the pretrained embeddings together with the network
 (freezing them is available as an option), selects the best epoch by
 validation F1, and restores those parameters at the end. Evaluation scores
 sentence boundaries (positions after each E tag), never the tags themselves.
-The weights are float64. Training and decoding run the BiLSTM and emission
-projection in float32 against them (mixed precision, Micikevicius et al.,
+The weights are float64. The BiLSTM and emission passes run in float32, each
+layer casting the weights it reads (mixed precision, Micikevicius et al.,
 arXiv 1710.03740), and the CRF, the gradients and the SGD step in float64.
 """
 
@@ -121,24 +121,25 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
 # forward / backward over a batch of equal-length units
 
 def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndarray,
-                   rng=None, dropout: float = 0.0):
+                   rng=None, dropout: float = 0.0, dtype=np.float64):
+    """Emissions (B, n, 3) in dtype, and the cache. Each layer casts the weights
+    it reads to dtype, the BiLSTM its own; rows are cast after the gather, masks
+    after their float64 draw (a float64 mask would upcast the pass)."""
     w = model.weights
     X = w["emb.char_vectors"][char_ids]
     if model.use_radicals:
         X = np.concatenate([X, w["emb.radical_vectors"][rad_ids]], axis=2)
-    # the pass runs in the emission's dtype, the BiLSTM casting its own weights
-    # to it; the rows are cast after the gather, the masks after their float64
-    # draw (a float64 mask would upcast the pass)
-    X = X.astype(w["emit.W"].dtype, copy=False)
+    X = X.astype(dtype, copy=False)
     in_mask = out_mask = None
     if dropout > 0:
-        in_mask = dropout_mask(X.shape, dropout, rng).astype(X.dtype, copy=False)
+        in_mask = dropout_mask(X.shape, dropout, rng).astype(dtype, copy=False)
         X = X * in_mask
     H2, lstm_cache = bilstm_forward_batch(w, X)
     if dropout > 0:
-        out_mask = dropout_mask(H2.shape, dropout, rng).astype(H2.dtype, copy=False)
+        out_mask = dropout_mask(H2.shape, dropout, rng).astype(dtype, copy=False)
         H2 = H2 * out_mask
-    P = np.tensordot(H2, w["emit.W"], axes=([2], [0])) + w["emit.b"]
+    P = (np.tensordot(H2, w["emit.W"].astype(dtype, copy=False), axes=([2], [0]))
+         + w["emit.b"].astype(dtype, copy=False))
     cache = {"char_ids": char_ids, "rad_ids": rad_ids, "in_mask": in_mask,
              "out_mask": out_mask, "H2": H2, "lstm_cache": lstm_cache}
     return P, cache
@@ -149,13 +150,13 @@ def _backward_batch(model: SegmenterModel, grads: dict, cache: dict, dP: np.ndar
     embedding names in grads (frozen embeddings) the input gradient is not
     scattered into them. Consumes the cache: H2 and the output mask are freed
     before the BiLSTM's backward pass allocates its own temporaries. The pass
-    runs in the dtype of the emission weights and dP, and grads may be
-    wider."""
+    runs in dP's dtype, each layer casting the weights it reads to it, and
+    grads may be wider."""
     w = model.weights
     two_h = w["emit.W"].shape[0]
     grads["emit.W"] += cache.pop("H2").reshape(-1, two_h).T @ dP.reshape(-1, N_TAGS)
     grads["emit.b"] += dP.sum(axis=(0, 1))
-    dH2 = np.tensordot(dP, w["emit.W"].T, axes=([2], [0]))
+    dH2 = np.tensordot(dP, w["emit.W"].astype(dP.dtype, copy=False).T, axes=([2], [0]))
     if cache["out_mask"] is not None:
         dH2 *= cache.pop("out_mask")
     dX = bilstm_backward_batch(w, grads, cache["lstm_cache"], dH2)
@@ -185,39 +186,27 @@ def _length_groups(offsets, idxs):
         yield np.add.outer(starts, np.arange(n))
 
 
-def _float32_passes(model: SegmenterModel) -> SegmenterModel:
-    """The model the float32 passes run on: float32 copies of the emission
-    weights, with every other array shared, in float64, with model. The
-    BiLSTM passes make their own float32 copies of its ten arrays: the
-    forward pass a half-scale one per call, the backward pass a full-scale
-    one (lstm.py)."""
-    return SegmenterModel(model.vocab, model.radtable, {
-        name: w.astype(np.float32) if name.startswith("emit.") else w
-        for name, w in model.weights.items()})
-
-
 def _decode(model: SegmenterModel, encoded, offsets) -> np.ndarray:
     """Viterbi tag ids of an encoded stream's units (encoded and offsets as
     from encode_units) as one flat array, from forward passes over equal-length
     units, at most DECODE_BATCH units per pass. Each is training's forward
     pass without dropout; its LSTM cache is dropped unread.
 
-    The passes run on _float32_passes(model), made once per call, each
-    BiLSTM pass making its own float32 copy of the ten arrays; the embedding
-    rows are cast after the gather, and the CRF decodes the float32
-    emissions in float64 with the float64 transitions. model.weights is only
-    read."""
+    The passes run in float32, each layer casting the weights it reads
+    (_forward_batch), and the CRF decodes the float32 emissions in float64
+    with the float64 transitions. model.weights is only read, and nothing
+    read from it outlives the call."""
     if (np.diff(offsets) == 0).any():
         raise ValueError("cannot run the model on an empty unit")
     trans = model.weights["crf.trans"]
     if not np.isfinite(trans).all():
         raise NumericError("non-finite CRF transition scores")
-    decoder = _float32_passes(model)
     tags = np.empty(offsets[-1], dtype=np.intp)
     for rows in _length_groups(offsets, range(len(offsets) - 1)):
         for start in range(0, len(rows), DECODE_BATCH):
             part = rows[start:start + DECODE_BATCH]
-            P = _forward_batch(decoder, encoded.char_ids[part], encoded.rad_ids[part])[0]
+            P = _forward_batch(model, encoded.char_ids[part], encoded.rad_ids[part],
+                               dtype=np.float32)[0]
             # a NaN weight, or one beyond float32's range, would decode as no boundary
             if not np.isfinite(P).all():
                 raise NumericError("non-finite emission scores: a weight is NaN or infinite, "
@@ -238,13 +227,13 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
     The units are encoded once, as one stream (encode_units); each pass's
     rows from _length_groups index its ids and the one flat gold array.
 
-    Mixed precision: each minibatch runs its BiLSTM and emission passes in
-    float32 on copies made after the previous step: _float32_passes(model)
-    for the emission, and each BiLSTM pass's own copy of the ten arrays. The
-    CRF takes the float32 emissions and works in float64, and the passes'
+    Mixed precision: each pass runs its BiLSTM and emission in float32, each
+    layer casting the float64 weights it reads (_forward_batch). The CRF
+    takes the float32 emissions and works in float64, and the passes'
     float32 gradient products are added into float64 gradients, so clipping,
     the SGD step and model.weights (the same arrays throughout) stay
-    float64.
+    float64. A step that leaves a weight beyond float32's range stops
+    training with a NumericError (sgd_step).
     """
     check_type("model", model, SegmenterModel)
     check_type("splits", splits, CorpusSplits)
@@ -274,14 +263,13 @@ def train(model: SegmenterModel, splits, hp: Hyperparams, seed: int = 0,
         for start in steps:
             batch = order[start:start + hp.batch]
             n_batch = len(batch)
-            passes = _float32_passes(model)
             for rows in _length_groups(offsets, batch):
-                P, cache = _forward_batch(passes, encoded.char_ids[rows], encoded.rad_ids[rows],
-                                          rng, hp.dropout)
+                P, cache = _forward_batch(model, encoded.char_ids[rows], encoded.rad_ids[rows],
+                                          rng, hp.dropout, dtype=np.float32)
                 loss, dP, dA = crf_nll(P, weights["crf.trans"], gold[rows])
                 total_loss += loss.sum()
                 grads["crf.trans"] += dA / n_batch
-                _backward_batch(passes, grads, cache, (dP / n_batch).astype(P.dtype))
+                _backward_batch(model, grads, cache, (dP / n_batch).astype(P.dtype))
                 del P, cache  # free the LSTM cache before the next pass allocates one
             # lr 0 is a null update: value -= 0.0 * grad leaves the values as they are
             clipped += sgd_step(weights, grads, hp.learning_rate, hp.clip_norm) < 1.0

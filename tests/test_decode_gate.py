@@ -7,6 +7,8 @@ A batched pass may round its float32 products differently from a one-row
 pass, so where the oracle's emissions hold two paths within a tolerance of
 the best, the shipped path need only be one of them."""
 
+import copy
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -96,3 +98,28 @@ def test_segment_and_evaluate_match_the_one_unit_oracle(table, dims, scale, use_
         assert report.tp + report.fn == tp + fn
         assert any(near_tie(oracle_emissions(model, u.seq.chars), model.weights["crf.trans"])
                    for u in units)
+
+
+def test_decoding_reads_each_weight_as_it_is_at_the_call(table):
+    # a write into any one of model.weights between calls changes the next
+    # call's result to that of a new model with the same weights: nothing
+    # read from the weights may outlive a call
+    known = HAN + ASTRAL_HAN
+    vocab = build_vocab([Unit(LabeledSequence(known, "O" * len(known)))])
+    model = build_model(random_embeddings(vocab, table, 4, 3, seed=0), hidden=4, seed=0)
+    model.weights["crf.trans"][...] = random_crf(make_rng(0), 0.3)
+    model.weights["emit.W"] *= 4
+    rng = make_rng(100)
+    text = "".join(rng.choice(list(known + "石木金"), 250))
+    units = [Unit(LabeledSequence(text[i:i + n], "BOE" * (n // 3)))
+             for i, n in ((0, 99), (99, 60), (159, 60))]
+
+    def decode(m):
+        return segment(m, text), evaluate(m, units)
+
+    before = decode(model)
+    for name, w in model.weights.items():
+        w += rng.normal(0.0, 1.0, w.shape)
+        after = decode(model)
+        assert after != before and after == decode(copy.deepcopy(model)), name
+        before = after

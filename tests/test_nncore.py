@@ -1,6 +1,8 @@
 """Numeric substrate: the logistic, initialization, clipping, SGD, dropout,
 and the gradient checker."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,23 @@ class TestSgdStep:
         sgd_step(w, {"trained": np.ones(2)}, 0.5, 5.0)
         assert w["frozen"] is frozen and w["trained"] is trained
         assert np.all(frozen == 1.0) and np.all(trained == 0.5)
+
+    # 1e300 * 5 is finite in float64 but beyond float32; 1e308 * 5 overflows
+    # float64 to infinity, which must raise without a numpy warning
+    @pytest.mark.parametrize("lr", [1e300, 1e308])
+    @pytest.mark.filterwarnings("error")
+    def test_a_step_beyond_float32s_range_names_the_parameter(self, lr):
+        w = {"a": np.zeros(2), "b": np.zeros(2), "c": np.zeros(2)}
+        g = {"a": np.zeros(2), "b": np.array([0.0, -5.0]), "c": np.ones(2)}
+        with pytest.raises(NumericError, match=re.escape(f"parameter 'b' left float32's range; "
+                                                         f"try a learning rate below {lr:g}")):
+            sgd_step(w, g, lr, 5.0)
+
+    def test_a_step_to_float32s_largest_value_is_kept(self):
+        top = float(np.finfo(np.float32).max)
+        w = {"p": np.array([[0.0, -top]])}
+        sgd_step(w, {"p": np.array([[-top, 0.0]])}, 1.0, np.inf)
+        assert np.array_equal(w["p"], [[top, -top]])
 
     @pytest.mark.parametrize("clip_norm", [0.0, -1.0])
     def test_rejects_a_clip_norm_not_above_zero(self, clip_norm):

@@ -601,7 +601,7 @@ def test_a_float32_pass_draws_float64s_dropout_masks_and_holds_them_in_float32(m
     encoded, offsets = encode_units(units, model.vocab, model.radtable)
     [rows] = segmenter._length_groups(offsets, range(len(units)))
     ids = [encoded.char_ids[rows], encoded.rad_ids[rows]]
-    P, cache = _forward_batch(segmenter._float32_passes(model), *ids, make_rng(3), 0.5)
+    P, cache = _forward_batch(model, *ids, make_rng(3), 0.5, dtype=np.float32)
     _, cache64 = _forward_batch(model, *ids, make_rng(3), 0.5)
     assert P.dtype == np.float32
     for name in ("H2", "in_mask", "out_mask"):
@@ -622,8 +622,10 @@ def fixture_logs(table):
 
 def test_float32_training_follows_a_float64_run_on_both_fixtures(table, monkeypatch):
     mixed = fixture_logs(table)
-    # passes on the model's own weights: the same training, all in float64
-    monkeypatch.setattr(segmenter, "_float32_passes", lambda model: model)
+    # every pass in float64: the same training, all in the weights' dtype
+    forward = segmenter._forward_batch
+    monkeypatch.setattr(segmenter, "_forward_batch",
+                        lambda *args, dtype: forward(*args, dtype=np.float64))
     reference = fixture_logs(table)
     for run, ref in zip(mixed, reference):
         assert len(run) == len(ref)
@@ -829,22 +831,36 @@ def test_checkpoint_round_trip_bitwise(make_model, table, tmp_path):
     assert predict_tags(back, text) == predict_tags(model, text)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_weights_float32_cannot_hold_are_refused_before_the_checkpoint_is_opened(make_model,
                                                                                   tmp_path):
-    # with no validation units to select by, training at lr 1e300 ends on
-    # weights beyond float32's range; save_model used to write them, and
-    # load_model then refused the file
+    # load_model would refuse such a file; training stops before its weights
+    # get there (sgd_step), so the weight is set directly
     splits = tiny_splits()
     model = make_model(splits.train)
     path = tmp_path / "model.bin"
     save_model(model, path)
     before = path.read_bytes()
-    train(model, CorpusSplits(train=splits.train, valid=[], test=[]),
-          Hyperparams(epochs=1, learning_rate=1e300, dropout=0.0))
-    with pytest.raises(ValueError, match="section '.*' holds .* beyond float32's range"):
+    model.weights["fwd.W_h"][0, 1] = 1e300
+    with pytest.raises(ValueError, match="section 'fwd.W_h' holds .* beyond float32's range"):
         save_model(model, path)
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("valid", [False, True], ids=["no-valid", "valid"])
+@pytest.mark.filterwarnings("error")
+def test_training_stops_at_the_step_that_leaves_float32s_range(make_model, valid):
+    # each pass casts the weights to float32, so a weight beyond its range
+    # used to reach the next pass as an infinity, with numpy's warnings and
+    # later a non-finite gradient or emission error
+    splits = tiny_splits()
+    model = make_model(splits.train)
+    epochs = []
+    with pytest.raises(nncore.NumericError, match=r"parameter '[\w.]+' left float32's range; "
+                                                  r"try a learning rate below 1e\+300"):
+        train(model, CorpusSplits(train=splits.train, valid=splits.valid if valid else [],
+                                  test=[]),
+              tiny_hp(epochs=2, learning_rate=1e300), progress=lambda *a: epochs.append(a))
+    assert epochs == []
 
 
 def test_build_model_draws_the_pinned_weights(table):
