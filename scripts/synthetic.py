@@ -18,6 +18,8 @@ constants below, whose units are plain `Unit(seq)`s:
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from judou.corpus import CorpusSplits, LabeledSequence, Unit, build_vocab, chunk_units
 from judou.nncore import make_rng
 from judou.radicals import RadicalTable, default_table
@@ -38,12 +40,8 @@ def chars_with_radical(table: RadicalTable, radical_id: int, count: int,
                        skip: int = 0) -> str:
     """The first `count` basic-block characters carrying radical_id, in
     codepoint order (skipping `skip` lets two pools share a radical disjointly)."""
-    picked = []
-    for cp in sorted(table.entries):
-        if 0x4E00 <= cp <= 0x9FA5 and table.entries[cp] == radical_id:
-            picked.append(chr(cp))
-            if len(picked) == count + skip:
-                break
+    basic = np.arange(0x4E00, 0x9FA5 + 1)
+    picked = [chr(cp) for cp in basic[table.ids[basic] == radical_id][:count + skip]]
     if len(picked) < count + skip:
         raise ValueError(f"radical {radical_id}: only {len(picked)} characters available")
     return "".join(picked[skip:])

@@ -9,8 +9,7 @@ from .corpus import (CorpusSplits, LabeledSequence, PunctConfig, Unit, Vocab,
                      normalize_text, split_corpus, tags_to_text, text_to_tags)
 from .embedding import (EmbeddingConfig, EmbeddingSet, load_embeddings,
                         save_embeddings, train_embeddings)
-from .radicals import (RadicalTable, default_table, load_radical_table,
-                       radical_index, radical_of)
+from .radicals import RadicalTable, default_table, load_radical_table, radical_of
 from .segmenter import (EvalReport, Hyperparams, SegmenterModel, TrainLog,
                         build_model, evaluate, load_model, save_model,
                         segment, train)
@@ -23,8 +22,7 @@ __all__ = [
     "normalize_text", "split_corpus", "tags_to_text", "text_to_tags",
     "EmbeddingConfig", "EmbeddingSet", "load_embeddings", "save_embeddings",
     "train_embeddings",
-    "RadicalTable", "default_table", "load_radical_table", "radical_index",
-    "radical_of",
+    "RadicalTable", "default_table", "load_radical_table", "radical_of",
     "EvalReport", "Hyperparams", "SegmenterModel", "TrainLog", "build_model",
     "evaluate", "load_model", "save_model", "segment", "train",
 ]

@@ -89,13 +89,10 @@ def _parse_header(raw: bytes, field_type: type) -> tuple:
         raise FormatError(f"format field is a {type(field).__name__}, not {field_type.__name__}")
     if type(entries) is not list or not {str}.issuperset(map(type, entries)):
         raise FormatError("vocab is not a list of strings")
-    first = {}
-    for i, s in enumerate(entries):
-        # a repeated entry would leave a row no character maps to
-        if first.setdefault(s, i) != i:
-            raise FormatError(f"duplicate vocab entry {i} {s!r}, first at {first[s]}")
-    if tuple(entries[:2]) != Vocab.RESERVED:
-        raise FormatError(f"vocab starts {tuple(entries[:2])}, expected {Vocab.RESERVED}")
+    try:
+        vocab = Vocab(entries)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
     if type(header["sections"]) is not list:
         raise FormatError("sections is not a list")
     table = {}
@@ -107,7 +104,7 @@ def _parse_header(raw: bytes, field_type: type) -> tuple:
         if entry[0] in table:
             raise FormatError(f"duplicate section {entry[0]!r}")
         table[entry[0]] = (entry[1], entry[2])
-    return field, Vocab(entries), table
+    return field, vocab, table
 
 
 def read_container(path, magic: bytes, version: int, field_type: type) -> Container:

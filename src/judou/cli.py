@@ -224,10 +224,7 @@ def radical(ch):
     if len(ch) != 1:
         _fail(f"--char takes exactly one character, got {len(ch)}")
     rid = radical_of(default_table(), ch)
-    if rid is None:
-        click.echo("none")
-    else:
-        click.echo(f"{rid} {radical_char(rid)}")
+    click.echo("none" if rid is None else f"{rid} {radical_char(rid)}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ each run; `text_to_tags` splits on stops, the piece after the last stop being
 an open sentence; `clean_unsure` drops each sentence, stop and all, that holds
 more than max_run '□' in a row; `tags_to_text` cuts after each E but a final one.
 
-A `Vocab` is built from its entry list alone, PAD and UNK first, and indexes itself.
+A `Vocab` is built from its entries alone, PAD, UNK, then characters, and indexes itself.
 """
 
 import re
@@ -111,8 +111,8 @@ class CorpusSplits:
 
 @dataclass
 class Vocab:
-    """Character vocabulary with reserved PAD=0 and UNK=1 rows, built from
-    index_to_char alone: char_to_index maps each later entry to its row."""
+    """Entries PAD=0, UNK=1, then distinct single characters, which char_to_index
+    maps to their rows; any other entry would be a row no character reaches."""
 
     index_to_char: list
     char_to_index: dict = field(init=False, repr=False)
@@ -122,14 +122,19 @@ class Vocab:
     RESERVED = ("<PAD>", "<UNK>")  # the entries at PAD and UNK
 
     def __post_init__(self):
-        self.char_to_index = dict(zip(self.index_to_char[2:], range(2, len(self.index_to_char))))
+        entries, first = self.index_to_char, {}
+        for i, s in enumerate(entries):
+            if first.setdefault(s, i) != i:
+                raise ValueError(f"duplicate vocab entry {i} {s!r:.40}, first at {first[s]}")
+            if i >= 2 and len(s) != 1:
+                raise ValueError(f"vocab entry {i} {s!r:.40} is not one character")
+        if tuple(entries[:2]) != self.RESERVED:
+            raise ValueError(f"vocab starts {tuple(entries[:2])!s:.60}, expected {self.RESERVED}")
+        self.char_to_index = dict(zip(entries[2:], range(2, len(entries))))
 
     @property
     def size(self) -> int:
         return len(self.index_to_char)
-
-    def encode(self, ch: str) -> int:
-        return self.char_to_index.get(ch, self.UNK)
 
 
 def normalize_text(raw: str, punct: PunctConfig = DEFAULT_PUNCT) -> str:

@@ -1,11 +1,13 @@
 """Radical-augmented character embeddings, pretrained with a modified CBOW.
 
 Each position is represented by the concatenation of a character vector and
-the vector of its radical. The context of a center position is the ordered
-concatenation of these pairs over the 2N surrounding positions, and a single
-projection predicts the center character with a full softmax; keeping the
-positional order (instead of averaging the context) is what lets the model
-weight the radical slots differently from the character slots.
+the vector of its radical (`encode_chars` finds a string's radical rows with
+one gather from the table's per-codepoint ids). The context of a center
+position is the ordered concatenation of these pairs over the 2N surrounding
+positions, and a single projection predicts the center character with a full
+softmax; keeping the positional order (instead of averaging the context) is
+what lets the model weight the radical slots differently from the character
+slots.
 
 Every matrix starts uniform in [-0.5/dim, 0.5/dim], dim its row length. One
 generator draws the char vectors, then the radical vectors (`untrained_embeddings`,
@@ -21,13 +23,14 @@ projection, its waiting rows and their products are float32, the rest float64.
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from . import binio
 from .corpus import Vocab, check_units
 from .nncore import NumericError, add_low_rank, check_int, check_real, check_type, make_rng
-from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, default_table, radical_index
+from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, default_table
 
 MAGIC = b"GJEMB01\n"
 VERSION = 4
@@ -98,12 +101,13 @@ class EncodedUnit:
 
 
 def encode_chars(chars: str, vocab: Vocab, radtable: RadicalTable) -> EncodedUnit:
-    """Vocab-encode characters; radicals come from the character itself, so an
-    out-of-vocabulary character still keeps its true radical."""
-    return EncodedUnit(
-        char_ids=np.array([vocab.encode(c) for c in chars], dtype=np.intp),
-        rad_ids=np.array([radical_index(radtable, c) for c in chars], dtype=np.intp),
-    )
+    """Vocab rows (UNK if absent) and radical rows of characters, by array
+    lookups: an out-of-vocabulary character keeps its true radical."""
+    # surrogatepass keeps a lone surrogate as its own codepoint, as ord() does
+    codepoints = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), "<u4")
+    char_ids = map(vocab.char_to_index.get, chars, repeat(Vocab.UNK))
+    return EncodedUnit(char_ids=np.fromiter(char_ids, np.intp, len(chars)),
+                       rad_ids=radtable.ids[codepoints].astype(np.intp))
 
 
 def encode_units(units: list, vocab: Vocab, radtable: RadicalTable) -> tuple:

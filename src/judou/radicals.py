@@ -7,7 +7,8 @@ with index 0 reserved for symbols that have no radical at all.
 The bundled table (data/kangxi_radicals.tsv) is regenerated by
 scripts/build_radical_table.py and covers the Kangxi Radicals block, the
 original CJK Unified Ideographs block, and the CJK Compatibility Ideographs
-that NFKC maps into it, as 803 runs of consecutive codepoints with one radical.
+that NFKC maps into it, as 803 runs of consecutive codepoints with one radical;
+loaded, it is one id per codepoint, so a whole string's ids are one gather.
 """
 
 import functools
@@ -32,10 +33,11 @@ class RadicalTableError(ValueError):
 
 @dataclass(frozen=True)
 class RadicalTable:
-    """Immutable codepoint -> radical id (1..214) mapping."""
+    """Immutable codepoint -> radical id (1..214) mapping, named by its sha256."""
 
-    entries: dict[int, int]
-    sha256: str = field(default="", compare=False)
+    ids: np.ndarray = field(compare=False, repr=False)  # u8 per codepoint 0..10FFFF, 0: none
+    entries: np.ndarray = field(compare=False, repr=False)  # covered codepoints, ascending <u4
+    sha256: str
 
 
 def load_radical_table(path) -> RadicalTable:
@@ -46,7 +48,7 @@ def load_radical_table(path) -> RadicalTable:
     1..214; lines end in LF or CRLF, and lines starting with '#' are comments.
     Raises RadicalTableError naming the line of any fault, bytes that are not
     UTF-8 included. The sha256 hashes the mapping, not the file: the (codepoint,
-    id) pairs, which sorted disjoint runs insert in order, as little-endian u32.
+    id) pairs in codepoint order, as little-endian u32.
     """
     raw = Path(path).read_bytes()
     try:
@@ -54,7 +56,7 @@ def load_radical_table(path) -> RadicalTable:
     except UnicodeDecodeError as e:
         lineno = raw.count(b"\n", 0, e.start) + 1
         raise RadicalTableError(f"{path}:{lineno}: byte {raw[e.start]:#x} is not UTF-8") from None
-    entries, prev = {}, -1
+    ids, prev = np.zeros(0x10FFFF + 1, np.uint8), -1
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.removesuffix("\r")
         if not line or line.startswith("#"):
@@ -78,11 +80,12 @@ def load_radical_table(path) -> RadicalTable:
             raise RadicalTableError(f"{where} reversed run {first:04X}..{last:04X}")
         if first <= prev:
             raise RadicalTableError(f"{where} run starts at {first:04X}, not after {prev:04X}")
-        entries.update(dict.fromkeys(range(first, last + 1), int(digits)))
+        ids[first:last + 1] = int(digits)
         prev = last
-    pairs = np.stack([np.fromiter(entries, "<u4", len(entries)),
-                      np.fromiter(entries.values(), "<u4", len(entries))], axis=1)
-    return RadicalTable(entries=entries, sha256=hashlib.sha256(pairs.tobytes()).hexdigest())
+    entries = np.flatnonzero(ids).astype("<u4")
+    pairs = np.stack([entries, ids[entries]], axis=1).astype("<u4")
+    ids.flags.writeable = entries.flags.writeable = False  # default_table() is shared
+    return RadicalTable(ids, entries, hashlib.sha256(pairs.tobytes()).hexdigest())
 
 
 @functools.cache
@@ -93,12 +96,7 @@ def default_table() -> RadicalTable:
 
 def radical_of(table: RadicalTable, ch: str) -> int | None:
     """Radical id of a character, or None if it has none."""
-    return table.entries.get(ord(ch))
-
-
-def radical_index(table: RadicalTable, ch: str) -> int:
-    """Embedding row for a character: its radical id, or 0 for radical-less symbols."""
-    return table.entries.get(ord(ch), NO_RADICAL)
+    return int(table.ids[ord(ch)]) or None
 
 
 def radical_char(rid: int) -> str:

@@ -8,6 +8,7 @@ gradients that the central-difference gradient checker reads, the tag
 grammar, and the character-loop text rules that the regular expressions of
 `judou.corpus` replaced."""
 
+import functools
 import itertools
 import re
 
@@ -520,13 +521,19 @@ def clean_unsure(text: str, max_run: int = 5, punct: PunctConfig = DEFAULT_PUNCT
 # ---------------------------------------------------------------------------
 # decoding, one unit at a time
 
+@functools.cache
+def table_pairs(table) -> dict:
+    """The table's (codepoint, id) pairs as a dict, the mapping its sha256 covers."""
+    return dict(zip(table.entries.tolist(), table.ids[table.entries].tolist()))
+
+
 def oracle_emissions(model, chars: str) -> np.ndarray:
     """(1, n, 3) float32 emissions of one unit at B = 1: ids looked up
-    character by character, the full-scale BiLSTM step, then the emission."""
+    character by character in dicts, the full-scale BiLSTM step, then the emission."""
     w = model.weights
     X = w["emb.char_vectors"][[model.vocab.char_to_index.get(c, Vocab.UNK) for c in chars]]
     if model.use_radicals:
-        rads = [model.radtable.entries.get(ord(c), 0) for c in chars]
+        rads = [table_pairs(model.radtable).get(ord(c), 0) for c in chars]
         X = np.hstack([X, w["emb.radical_vectors"][rads]])
     H2, _ = full_scale_bilstm_forward_batch(w, X[None].astype(np.float32))
     return H2 @ w["emit.W"].astype(np.float32) + w["emit.b"].astype(np.float32)

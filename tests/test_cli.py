@@ -628,7 +628,7 @@ def test_a_value_float32_cannot_hold_makes_a_bad_checkpoint(runner, make_model, 
     ckpt = tmp_path / "m.bin"
     save_model(model, ckpt)
     with section_of(ckpt, section) as m:
-        m[model.vocab.encode(row) if isinstance(row, str) else row, 0] = value
+        m[model.vocab.char_to_index[row] if isinstance(row, str) else row, 0] = value
     with pytest.raises(FormatError, match=f"section '{section}'"):
         load_model(ckpt, radtable=table)
     data = tmp_path / "gold.tsv"

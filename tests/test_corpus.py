@@ -1,5 +1,7 @@
 """Tagging scheme, cleaning, chunking, splitting, vocab, and dataset files."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from judou.corpus import (DEFAULT_PUNCT, DEFAULT_STOPS, UNSURE_CHAR, LabeledSequ
                           build_vocab, chunk_units, clean_unsure, normalize_text,
                           read_units, split_corpus, tags_to_text, text_to_tags,
                           write_units)
-from judou.embedding import load_embeddings, save_embeddings
+from judou.embedding import encode_chars, load_embeddings, save_embeddings
 from judou.synthetic import random_embeddings
 import oracles
 from oracles import is_valid_tag_sequence
@@ -283,10 +285,33 @@ class TestBuildVocab:
         # 地 twice; 人 (U+4EBA) sorts before 天 (U+5929) on the tie
         assert v.index_to_char[2:] == ["地", "人", "天"]
 
-    def test_encode_unknown_is_unk(self):
+    def test_encode_unknown_is_unk(self, table):
         v = build_vocab([Unit(seq=LabeledSequence("天", "B"))])
-        assert v.encode("天") == 2
-        assert v.encode("魚") == Vocab.UNK
+        assert v.char_to_index == {"天": 2}
+        assert encode_chars("天魚", v, table).char_ids.tolist() == [2, Vocab.UNK]
+
+
+# the first three the savers used to write: the loaders refused the first two,
+# and rows 3 and 4 of the third were rows no character reaches; a repeat is
+# named before a wrong start, and a long entry is cut short in the message
+BAD_VOCABS = {
+    "repeat": (["<PAD>", "<UNK>", "天", "天"], "duplicate vocab entry 3 '天', first at 2"),
+    "unk-pad": (["<UNK>", "<PAD>", "天"], "vocab starts ('<UNK>', '<PAD>')"),
+    "not-one-char": (["<PAD>", "<UNK>", "天", "ab", ""], "vocab entry 3 'ab' is not one character"),
+    "empty": (["<PAD>", "<UNK>", ""], "vocab entry 2 '' is not one character"),
+    "reserved-later": (["<PAD>", "<UNK>", "<PAD>"], "duplicate vocab entry 2 '<PAD>', first at 0"),
+    "pad-pad": (["<PAD>", "<PAD>"], "duplicate vocab entry 1 '<PAD>', first at 0"),
+    "long-entry": (["<PAD>", "<UNK>", "天" * 10**5], "vocab entry 2 '天天天"),
+    "long-repeat": (["ab" * 10**5] * 2, "duplicate vocab entry 1 'abab"),
+    "long-start": (["天" * 10**5, "<UNK>"], "vocab starts ('天天天"),
+}
+
+
+@pytest.mark.parametrize("entries, message", BAD_VOCABS.values(), ids=BAD_VOCABS)
+def test_a_vocab_a_loader_would_refuse_cannot_be_built(entries, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as e:
+        Vocab(entries)
+    assert len(str(e.value)) < 120
 
 
 class TestDatasetFiles:

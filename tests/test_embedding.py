@@ -2,9 +2,12 @@
 
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from judou.binio import FormatError
 from judou.corpus import LabeledSequence, Unit, Vocab, build_vocab
@@ -21,7 +24,7 @@ from judou.embedding import (
     _context_rows,
 )
 from judou.nncore import OUTER_BLOCK_BYTES, NumericError, add_low_rank
-from judou.radicals import radical_index
+from judou.radicals import radical_of
 
 from oracles import (cbow_context_slots, cbow_grad_params, cbow_step, dense_cbow_forward,
                      dense_train_embeddings, grad_check, new_cbow_model)
@@ -72,7 +75,7 @@ def test_out_of_range_slots_use_pad_and_sentinel(table):
     cv, rv = emb.char_vectors, emb.radical_vectors
     expected = np.concatenate([
         cv[Vocab.PAD], rv[0],                       # left slot is off the edge
-        cv[emb.vocab.encode("地")], rv[radical_index(table, "地")],
+        cv[emb.vocab.char_to_index["地"]], rv[radical_of(table, "地")],
     ])
     assert np.array_equal(ctx, expected)
 
@@ -81,7 +84,7 @@ def test_center_character_is_excluded_from_its_context(table):
     emb, projection = small_model("天地人", table)
     enc = encode_chars("天地人", emb.vocab, table)
     before = context_h(emb, projection, enc, 1)
-    emb.char_vectors[emb.vocab.encode("地")] += 10.0
+    emb.char_vectors[emb.vocab.char_to_index["地"]] += 10.0
     assert np.array_equal(context_h(emb, projection, enc, 1), before)
 
 
@@ -171,6 +174,45 @@ def test_encode_chars_keeps_radical_for_oov(table):
     assert enc.rad_ids[0] == 85  # water radical survives the unknown character
 
 
+def chars_in(lo: int, hi: int):
+    return st.integers(lo, hi).map(chr)
+
+
+# every kind of character encode_chars meets: Han in the table (the Kangxi
+# Radicals block, the unified block up to U+9FA5, compatibility ideographs), Han
+# outside it (unified past U+9FA5, extension A, astral), □, stops, Latin, digits,
+# the last codepoint and lone surrogates
+ENCODE_ALPHABET = st.one_of(
+    chars_in(0x2F00, 0x2FD5), chars_in(0x4E00, 0x9FA5), chars_in(0xF900, 0xFAFF),
+    chars_in(0x9FA6, 0x9FFF), chars_in(0x3400, 0x4DBF), chars_in(0x20000, 0x2A6DF),
+    st.sampled_from("□，。；,;?abcXYZ0129\U0010FFFF"), chars_in(0xD800, 0xDFFF))
+
+
+@pytest.fixture(scope="module")
+def file_radicals() -> dict:
+    """codepoint -> radical id, expanded here from the bundled file's runs."""
+    path = Path(embedding.__file__).parent / "data" / "kangxi_radicals.tsv"
+    runs = [line.split("\t") for line in path.read_text("utf-8").splitlines()
+            if line and not line.startswith("#")]
+    return {cp: int(rid) for first, last, rid in runs
+            for cp in range(int(first, 16), int(last, 16) + 1)}
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_encode_chars_is_the_per_character_lookup(table, file_radicals, data):
+    chars = data.draw(st.lists(ENCODE_ALPHABET, unique=True, max_size=12), label="vocab")
+    vocab = Vocab([*Vocab.RESERVED, *chars])
+    text = "".join(data.draw(st.lists(ENCODE_ALPHABET | st.sampled_from(chars) if chars
+                                      else ENCODE_ALPHABET, max_size=60), label="text"))
+    rows = {ch: i for i, ch in enumerate(vocab.index_to_char) if i >= 2}
+    enc = encode_chars(text, vocab, table)
+    assert enc.char_ids.dtype == enc.rad_ids.dtype == np.intp
+    assert enc.char_ids.tolist() == [rows.get(c, Vocab.UNK) for c in text]
+    assert enc.rad_ids.tolist() == [file_radicals.get(ord(c), 0) for c in text]
+    assert [radical_of(table, c) for c in text] == [file_radicals.get(ord(c)) for c in text]
+
+
 # ---------------------------------------------------------------------------
 # loss and gradients
 
@@ -246,8 +288,8 @@ def test_shared_radical_pulls_vectors_together(table):
     # the shared radical row then acts as a family marker in the full vectors
     water = "江河海汁汗"
     speech = "詩語論訓記"
-    assert {radical_index(table, c) for c in water} == {85}
-    assert {radical_index(table, c) for c in speech} == {149}
+    assert {radical_of(table, c) for c in water} == {85}
+    assert {radical_of(table, c) for c in speech} == {149}
 
     rng = np.random.default_rng(42)
     corpus = []
@@ -259,8 +301,8 @@ def test_shared_radical_pulls_vectors_together(table):
     emb = train_on(corpus, table, cfg)
 
     def full_vec(ch):
-        i = emb.vocab.encode(ch)
-        rid = radical_index(table, ch)
+        i = emb.vocab.char_to_index[ch]
+        rid = radical_of(table, ch)
         return np.concatenate([emb.char_vectors[i], emb.radical_vectors[rid]])
 
     def cosine(a, b):

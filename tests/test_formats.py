@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from judou import binio, embedding, segmenter
 from judou.binio import FormatError
-from judou.corpus import Vocab, build_vocab
+from judou.corpus import build_vocab
 from judou.embedding import load_embeddings, save_embeddings
 from judou.segmenter import build_model, load_model, save_model
 from judou.synthetic import random_embeddings
@@ -33,11 +33,10 @@ class Saved:
         self.path.write_bytes(self.blob)
         return binio.read_container(self.path, *self.spec)
 
-    def rewrite(self, sections, vocab=None) -> None:
-        """Write a container with the valid file's header (or this vocab) and
-        these sections."""
+    def rewrite(self, sections) -> None:
+        """Write a container with the valid file's header and these sections."""
         c = self.contents()
-        binio.write_container(self.path, *self.spec[:2], c.field, vocab or c.vocab, sections)
+        binio.write_container(self.path, *self.spec[:2], c.field, c.vocab, sections)
 
     def header(self) -> dict:
         at = len(self.spec[0]) + 1
@@ -136,13 +135,23 @@ def test_load_rejects_a_section_with_an_extra_row(saved):
                                      lambda chars: ["<UNK>", "<PAD>"] + chars[2:]],
                          ids=["pad-only", "unk-pad-swapped"])
 def test_load_rejects_a_vocab_without_pad_then_unk_first(saved, entries):
-    # a one-entry vocab used to load, and segment() then indexed the missing UNK row
-    c = saved.contents()
-    chars = entries(c.vocab.index_to_char)
-    sections = dict(c.sections)
-    sections["emb.char_vectors"] = sections["emb.char_vectors"][:len(chars)]
-    saved.rewrite(sections.items(), Vocab(index_to_char=chars))
+    # a one-entry vocab used to load, and segment() then indexed the missing UNK row;
+    # Vocab refuses such entries, so the header is written by hand
+    header = saved.header()
+    header["vocab"] = entries(header["vocab"])
+    saved.write_with_header(json.dumps(header).encode())
     with pytest.raises(FormatError, match="vocab starts"):
+        saved.load(saved.path)
+
+
+@pytest.mark.parametrize("entry", ["ab", "", "\U00020000\u0301"],
+                         ids=["two", "empty", "astral-then-combining"])
+def test_load_rejects_a_vocab_entry_that_is_not_one_character(saved, entry):
+    # such an entry used to load, as a char_vectors row no character can reach
+    header = saved.header()
+    header["vocab"][3] = entry
+    saved.write_with_header(json.dumps(header).encode())
+    with pytest.raises(FormatError, match=f"vocab entry 3 {re.escape(repr(entry))} is not one"):
         saved.load(saved.path)
 
 

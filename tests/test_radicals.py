@@ -1,5 +1,6 @@
 """Radical table parsing and lookup semantics."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import re
@@ -7,13 +8,14 @@ import struct
 import unicodedata
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from judou.radicals import (N_RADICALS, NO_RADICAL, RadicalTableError,
                             default_table, load_radical_table, radical_char,
-                            radical_index, radical_of)
+                            radical_of)
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE_PATH = ROOT / "src" / "judou" / "data" / "kangxi_radicals.tsv"
@@ -105,6 +107,11 @@ def expand(runs) -> dict:
     return {cp: rid for first, last, rid in runs for cp in range(first, last + 1)}
 
 
+def pairs(table) -> dict:
+    """The table's (codepoint, id) pairs, the mapping its sha256 covers."""
+    return dict(zip(table.entries.tolist(), table.ids[table.entries].tolist()))
+
+
 def interleave(data, lines) -> list:
     """lines with comment and blank lines drawn into them."""
     lines = list(lines)
@@ -137,7 +144,7 @@ class TestLoadRadicalTable:
     def test_a_run_covers_first_to_last(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("4E00\t4E02\t1\n4E03\t4E03\t2\n", encoding="utf-8")
-        assert load_radical_table(p).entries == {0x4E00: 1, 0x4E01: 1, 0x4E02: 1, 0x4E03: 2}
+        assert pairs(load_radical_table(p)) == {0x4E00: 1, 0x4E01: 1, 0x4E02: 1, 0x4E03: 2}
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "t.tsv"
@@ -150,6 +157,30 @@ class TestLoadRadicalTable:
         t = load_radical_table(p)
         assert len(t.entries) == 0
         assert radical_of(t, "腿") is None
+
+    def test_a_run_at_the_last_codepoint_loads(self, tmp_path):
+        # the 10FFFF bound is what keeps every run inside the per-codepoint ids
+        p = tmp_path / "t.tsv"
+        p.write_text("10FFFF\t10FFFF\t1\n", encoding="utf-8")
+        t = load_radical_table(p)
+        assert radical_of(t, "\U0010FFFF") == 1
+        assert pairs(t) == {0x10FFFF: 1}
+
+    def test_a_table_holds_read_only_arrays_and_no_dict(self, tmp_path):
+        # default_table() is shared by every model in a process
+        t = load_radical_table(write_table(tmp_path / "t.tsv", ["4E00\t4E01\t7"]))
+        assert not any(isinstance(getattr(t, f.name), dict) for f in dataclasses.fields(t))
+        for a in (t.ids, t.entries):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert t.ids.shape == (0x110000,) and t.entries.dtype == np.dtype("<u4")
+
+    def test_tables_compare_and_hash_by_their_mapping(self, tmp_path):
+        same = [load_radical_table(write_table(tmp_path / f"{i}.tsv", lines)) for i, lines in
+                enumerate([["4E00\t4E01\t7"], ["# note", "4E00\t4E00\t7", "4E01\t4E01\t7"]])]
+        other = load_radical_table(write_table(tmp_path / "o.tsv", ["4E00\t4E01\t8"]))
+        assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+        assert same[0] != other
 
     def test_malformed_hex_names_line(self, tmp_path):
         p = tmp_path / "t.tsv"
@@ -212,15 +243,16 @@ class TestLoadRadicalTable:
     def test_leading_zeros_are_allowed(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text(f"04E00\t04E01\t{'0' * 5000}7\n", encoding="utf-8")
-        assert load_radical_table(p).entries == {0x4E00: 7, 0x4E01: 7}
+        assert pairs(load_radical_table(p)) == {0x4E00: 7, 0x4E01: 7}
 
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(runs=run_lists(), crlf=st.booleans(), final_newline=st.booleans(), data=st.data())
     def test_valid_runs_load_to_their_expansion(self, tmp_path, runs, crlf, final_newline, data):
         p = write_table(tmp_path / "t.tsv", interleave(data, run_lines(runs)), crlf, final_newline)
         t = load_radical_table(p)
-        assert t.entries == expand(runs)
-        assert list(t.entries) == sorted(t.entries)
+        assert pairs(t) == expand(runs)
+        assert list(t.entries) == sorted(expand(runs))
+        assert all(radical_of(t, chr(cp)) == rid for cp, rid in expand(runs).items())
 
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(runs=run_lists(), crlf=st.booleans(), data=st.data())
@@ -300,7 +332,7 @@ class TestTableHash:
 
     def test_bundled_table_hash(self, table):
         # a change here orphans every checkpoint: bump segmenter.VERSION with it
-        assert table.sha256 == BUNDLED_SHA256 == pairs_sha256(table.entries)
+        assert table.sha256 == BUNDLED_SHA256 == pairs_sha256(pairs(table))
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +353,7 @@ class TestBundledFile:
         assert TABLE_PATH.read_bytes() == generator.table_text().encode("utf-8")
 
     def test_loads_to_the_generated_mapping(self, generator, table):
-        assert table.entries == dict(generator.build_entries())
+        assert pairs(table) == dict(generator.build_entries())
 
     def test_holds_803_runs(self, table):
         lines = TABLE_PATH.read_text("utf-8").splitlines()
@@ -334,8 +366,8 @@ class TestDefaultTable:
         assert len(table.entries) > 20000
 
     def test_ids_in_range_and_all_radicals_used(self, table):
-        ids = set(table.entries.values())
-        assert ids == set(range(1, N_RADICALS + 1))
+        assert np.unique(table.ids).tolist() == list(range(N_RADICALS + 1))  # 0: no radical
+        assert set(table.ids[table.entries].tolist()) == set(range(1, N_RADICALS + 1))
 
     @pytest.mark.parametrize("ch,rid", REFERENCE_CHARS)
     def test_reference_characters(self, table, ch, rid):
@@ -358,23 +390,24 @@ class TestDefaultTable:
 
 class TestLookups:
     def test_radical_index_sentinel(self, table):
-        assert radical_index(table, "□") == NO_RADICAL
-        assert radical_index(table, ",") == NO_RADICAL
-        assert radical_index(table, "a") == NO_RADICAL
+        # the embedding row of a character outside the table
+        for ch in "□,a\U00020000":
+            assert table.ids[ord(ch)] == NO_RADICAL
+            assert radical_of(table, ch) is None
 
     def test_radical_of_absent_is_none(self, table):
         assert radical_of(table, "a") is None
 
     @given(st.characters())
     def test_index_always_in_range(self, ch):
-        assert 0 <= radical_index(default_table(), ch) <= N_RADICALS
+        assert 0 <= default_table().ids[ord(ch)] <= N_RADICALS
 
     @given(st.characters(min_codepoint=0x4E00, max_codepoint=0x9FA5))
     def test_of_and_index_agree(self, ch):
         t = default_table()
         rid = radical_of(t, ch)
         assert rid is not None
-        assert rid == radical_index(t, ch)
+        assert rid == t.ids[ord(ch)]
 
     def test_radical_char_round_trip(self, table):
         # the section-head character of each radical maps back to its own id
