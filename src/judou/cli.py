@@ -48,6 +48,16 @@ def _read_text(path: Path | None) -> str:
     return _load(lambda p: (p.read_bytes() if p else sys.stdin.buffer.read()).decode(), path)
 
 
+def _refuse_overwrites(outputs: list, inputs: list) -> None:
+    """Exit 2 if an output, an (option, path, what it holds) triple, resolves
+    to an input, a (path, what it holds) pair, or to an earlier output."""
+    held = {path.resolve(): what for path, what in inputs}
+    for option, path, what in outputs:
+        if (key := path.resolve()) in held:
+            _fail(f"{option} {path} would overwrite the {held[key]}")
+        held[key] = what
+
+
 class _Pipeline(click.Group):
     """The command group: a ValueError or OSError from any command exits 2."""
 
@@ -115,6 +125,8 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
 def pretrain(data_dir, dim_char, dim_radical, window, epochs, learning_rate, seed, out_path):
     """Pretrain radical-augmented character embeddings on the training split,
     over the vocabulary of its characters."""
+    _refuse_overwrites([("--out", out_path, "--out embedding file")],
+                       [(data_dir / "train.tsv", "training split")])
     units = _load(read_units, data_dir / "train.tsv")
     if not units:
         _fail("training split is empty", EXIT_EMPTY)
@@ -160,13 +172,16 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
               eval_on_train, out_path, log_path):
     """Train the tagger and write a checkpoint plus a per-epoch log."""
     log_path = log_path or out_path.with_name(out_path.name + ".log")
-    if log_path.resolve() == out_path.resolve():
-        _fail(f"--log {log_path} would overwrite the --out checkpoint")
+    valid_path = data_dir / "valid.tsv"
+    _refuse_overwrites([("--out", out_path, "--out checkpoint"),
+                        ("--log", log_path, "--log file")],
+                       [(emb_path, "--embeddings file"),
+                        (data_dir / "train.tsv", "training split"),
+                        (valid_path, "validation split")])
     model = build_model(_load(load_embeddings, emb_path, "embedding file"), hidden=hidden, seed=seed)
     train_units = _load(read_units, data_dir / "train.tsv")
     if not train_units:
         _fail("training split is empty", EXIT_EMPTY)
-    valid_path = data_dir / "valid.tsv"
     valid_units = _load(read_units, valid_path) if valid_path.exists() else []
     hp = Hyperparams(batch=batch, epochs=epochs, learning_rate=learning_rate,
                      clip_norm=clip_norm, dropout=dropout)

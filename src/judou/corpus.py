@@ -33,8 +33,11 @@ DEFAULT_STOPS = frozenset("，。；？！,;?!")
 
 UNIT_SIZE = 100  # characters per unit, the paper's; `segment` decodes units of this size
 
-_HAN = "\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff\U00020000-\U0002ebef"
-"""The Han class body: extension A, unified and compatibility ideographs, extensions B..F."""
+_HAN = ("\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff"
+        "\U00020000-\U0002ee5f\U0002f800-\U0002fa1f\U00030000-\U000323af")
+"""The Han class body, every CJK ideograph block: extension A, unified and
+compatibility ideographs, extensions B..F and I, the compatibility supplement,
+extensions G and H."""
 
 # The text rules' patterns; PunctConfig.compile puts its stop class body at {s}.
 STOP = "[{s}]"
@@ -97,9 +100,9 @@ class Unit:
 
 
 def check_units(name: str, units: list) -> None:
-    """Raise a ValueError naming the argument unless units is a list of Units."""
-    if not isinstance(units, list) or not all(isinstance(u, Unit) for u in units):
-        raise ValueError(f"{name} must be a list of corpus Units, got {units!r:.60}")
+    """Raise a ValueError naming the argument unless units is a list of non-empty Units."""
+    if not isinstance(units, list) or not all(isinstance(u, Unit) and u.seq.chars for u in units):
+        raise ValueError(f"{name} must be a list of non-empty corpus Units, got {units!r:.60}")
 
 
 @dataclass
@@ -213,6 +216,15 @@ def build_vocab(units: list) -> Vocab:
 # dataset files: one unit per line, "chars<TAB>tags"
 
 def write_units(units: list, path) -> None:
+    """Write units one per line, as read_units reads them back. Raises a
+    ValueError, before the file is opened, unless check_units passes and no
+    unit's chars hold a tab, LF or CR, which would break its line, or a lone
+    surrogate, which UTF-8 cannot hold."""
+    check_units("units", units)
+    for i, u in enumerate(units):
+        if re.search("[\t\n\r\ud800-\udfff]", u.seq.chars):
+            raise ValueError(f"unit {i} holds a tab, LF, CR or lone surrogate: "
+                             f"{u.seq.chars!r:.60}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for u in units:
             f.write(f"{u.seq.chars}\t{u.seq.tags}\n")

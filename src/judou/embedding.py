@@ -224,7 +224,7 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     Hs = np.empty((PENDING_UPDATES, projection.shape[1]), np.float32)
     k = 0  # rows of G and Hs not yet applied to the projection
     for epoch in range(cfg.epochs):
-        total, count = 0.0, 0
+        total = 0.0
         # every loss is checked, so numpy's overflow warnings would only repeat it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for unit, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
@@ -237,7 +237,6 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
                                            f"unit {unit}, position {center}; "
                                            f"try a learning rate below {lr}")
                     total += loss
-                    count += 1
                     G[k], Hs[k] = dlogits, h
                     k += 1
                     if k == PENDING_UPDATES:
@@ -248,7 +247,7 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
                         np.add.at(grad, slots, dh[cols])
                         M[slots] -= lr * grad[slots]
                         grad[slots] = 0.0
-        mean = total / max(1, count)
+        mean = total / int(offsets[-1])
         if progress is not None:
             progress(epoch, mean)
     if not (np.isfinite(emb.char_vectors).all() and np.isfinite(emb.radical_vectors).all()):

@@ -187,7 +187,7 @@ def _length_groups(offsets, idxs):
 
 
 def _decode(model: SegmenterModel, encoded, offsets) -> np.ndarray:
-    """Viterbi tag ids of an encoded stream's units (encoded and offsets as
+    """Viterbi tag ids of an encoded stream's non-empty units (encoded and offsets as
     from encode_units) as one flat array, from forward passes over equal-length
     units, at most DECODE_BATCH units per pass. Each is training's forward
     pass without dropout; its LSTM cache is dropped unread.
@@ -196,8 +196,6 @@ def _decode(model: SegmenterModel, encoded, offsets) -> np.ndarray:
     (_forward_batch), and the CRF decodes the float32 emissions in float64
     with the float64 transitions. model.weights is only read, and nothing
     read from it outlives the call."""
-    if (np.diff(offsets) == 0).any():
-        raise ValueError("cannot run the model on an empty unit")
     trans = model.weights["crf.trans"]
     if not np.isfinite(trans).all():
         raise NumericError("non-finite CRF transition scores")

@@ -429,7 +429,9 @@ _HAN_RANGES = (
     (0x3400, 0x4DBF),  # extension A
     (0x4E00, 0x9FFF),  # unified ideographs
     (0xF900, 0xFAFF),  # compatibility ideographs
-    (0x20000, 0x2EBEF),  # extensions B..F
+    (0x20000, 0x2EE5F),  # extensions B..F and I
+    (0x2F800, 0x2FA1F),  # compatibility ideographs supplement
+    (0x30000, 0x323AF),  # extensions G and H
 )
 
 

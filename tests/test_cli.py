@@ -396,6 +396,53 @@ def test_train_refuses_a_log_that_is_the_checkpoint_before_training(
     assert list(tmp_path.iterdir()) == []
 
 
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command, option, path, held", [
+    ("train", "--out", "emb.bin", "--embeddings file"),
+    ("train", "--out", "sub/../emb.bin", "--embeddings file"),
+    ("train", "--out", "data/train.tsv", "training split"),
+    ("train", "--out", "data/valid.tsv", "validation split"),
+    ("train", "--log", "emb.bin", "--embeddings file"),
+    ("train", "--log", "data/train.tsv", "training split"),
+    ("pretrain", "--out", "data/train.tsv", "training split"),
+    ("pretrain", "--out", "data/../data/train.tsv", "training split"),
+])
+def test_an_output_that_is_an_input_is_refused_before_anything_is_written(
+        runner, data_dir, emb_path, tmp_path, monkeypatch, command, option, path, held):
+    # train --out emb.bin used to replace the embeddings with a checkpoint,
+    # and --log or pretrain --out a split with a log or embeddings
+    shutil.copytree(data_dir, tmp_path / "data")
+    shutil.copy(emb_path, tmp_path / "emb.bin")
+    before = _tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = {"train": ["train", "--data", "data", "--embeddings", "emb.bin", "--hidden", "3",
+                      "--epochs", "1", "--out", "model.bin"],
+            "pretrain": ["pretrain", "--data", "data", "--epochs", "1", "--out", "emb2.bin"]}[command]
+    r = runner.invoke(main, [*args, option, path])  # a repeated option takes its last value
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr == f"error: {option} {path} would overwrite the {held}\n"
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_train_freeze_embeddings_keeps_the_embedding_files_vectors(
+        runner, data_dir, emb_path, tmp_path, freeze):
+    out = tmp_path / "model.bin"
+    r = runner.invoke(main, ["train", "--data", str(data_dir), "--embeddings", str(emb_path),
+                             "--hidden", "3", "--epochs", "1", "--learning-rate", "0.1",
+                             "--out", str(out), *(["--freeze-embeddings"] * freeze)])
+    assert r.exit_code == 0, r.output
+    weights, emb = load_model(out).weights, load_embeddings(emb_path)
+    same_chars = weights["emb.char_vectors"].tobytes() == emb.char_vectors.tobytes()
+    assert same_chars == freeze
+    if freeze:
+        assert weights["emb.radical_vectors"].tobytes() == emb.radical_vectors.tobytes()
+
+
 def test_train_holds_no_copy_of_the_loaded_embeddings(runner, data_dir, emb_path, tmp_path,
                                                       monkeypatch):
     # the loaded set used to stay alive for the whole run next to the model's own copy

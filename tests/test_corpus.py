@@ -12,9 +12,10 @@ from judou.corpus import (DEFAULT_PUNCT, DEFAULT_STOPS, UNSURE_CHAR, LabeledSequ
                           read_units, split_corpus, tags_to_text, text_to_tags,
                           write_units)
 from judou.embedding import encode_chars, load_embeddings, save_embeddings
+from judou.segmenter import segment
 from judou.synthetic import random_embeddings
 import oracles
-from oracles import is_valid_tag_sequence
+from oracles import is_han, is_valid_tag_sequence
 
 han = st.characters(min_codepoint=0x4E00, max_codepoint=0x4E2F)
 han_text = st.text(alphabet=han, max_size=40)
@@ -121,7 +122,39 @@ class TestNormalizeText:
         out = normalize_text(raw)
         allowed = DEFAULT_PUNCT.stops
         for ch in out:
-            assert ch in allowed or ch == "□" or 0x3400 <= ord(ch) <= 0x2EBEF
+            assert ch in allowed or ch == "□" or is_han(ch)
+
+
+# every CJK ideograph block, as (first, last) codepoints
+HAN_BLOCKS = {
+    "extension A": (0x3400, 0x4DBF),
+    "unified": (0x4E00, 0x9FFF),
+    "compatibility": (0xF900, 0xFAFF),
+    "extension B": (0x20000, 0x2A6DF),
+    "extension C": (0x2A700, 0x2B73F),
+    "extension D": (0x2B740, 0x2B81F),
+    "extension E": (0x2B820, 0x2CEAF),
+    "extension F": (0x2CEB0, 0x2EBEF),
+    "extension I": (0x2EBF0, 0x2EE5F),
+    "compatibility supplement": (0x2F800, 0x2FA1F),
+    "extension G": (0x30000, 0x3134F),
+    "extension H": (0x31350, 0x323AF),
+}
+
+
+@pytest.mark.parametrize("cp", [cp for block in HAN_BLOCKS.values() for cp in block],
+                         ids=[f"{name} {cp:X}" for name, block in HAN_BLOCKS.items()
+                              for cp in block])
+def test_every_han_block_is_kept_from_first_to_last(cp, make_model):
+    # extensions G, H and I and the compatibility supplement used to be
+    # deleted as non-Han, by prepare and segment alike
+    ch = chr(cp)
+    assert is_han(ch)
+    assert normalize_text(f"天{ch}地。") == f"天{ch}地。"
+    model = make_model([Unit(LabeledSequence("天地", "BE"))])
+    assert segment(model, f"天{ch}地").replace("/", "") == f"天{ch}地"
+    with pytest.raises(ValueError, match="Han"):
+        PunctConfig(stops=frozenset({"。", ch}))
 
 
 class TestTextToTags:
@@ -341,6 +374,36 @@ class TestDatasetFiles:
         p.write_text("天地\tBE\n\t\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2: malformed unit line"):
             read_units(p)
+
+
+# unit text: Han, a tab, LF and CR, which would break a line, lone
+# surrogates, which UTF-8 cannot hold, and line separators of str.splitlines
+# that a file's lines do not split on
+unit_text = st.text(alphabet=st.sampled_from(["天", "a", " ", "\t", "\n", "\r", "\ud800", "\udfff",
+                                              "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\ufeff"]),
+                    max_size=6)
+
+
+@pytest.fixture(scope="module")
+def units_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("units") / "u.tsv"
+
+
+@settings(deadline=None)
+@given(texts=st.lists(unit_text, max_size=4), data=st.data())
+def test_written_units_read_back_or_no_file_is_written(texts, data, units_path):
+    # an empty unit, a tab, LF or CR used to give a file read_units refuses,
+    # and a lone surrogate to leave the lines before it on disk
+    units = [Unit(LabeledSequence(t, data.draw(st.text("BEO", min_size=len(t),
+                                                       max_size=len(t))))) for t in texts]
+    units_path.unlink(missing_ok=True)
+    try:
+        write_units(units, units_path)
+    except ValueError:
+        assert not units_path.exists()
+        return
+    assert [(u.seq.chars, u.seq.tags) for u in read_units(units_path)] == \
+           [(u.seq.chars, u.seq.tags) for u in units]
 
 
 # line-shaped bytes: separators, line ends, tag letters, a Han character and a non-UTF-8 byte

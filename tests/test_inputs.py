@@ -76,6 +76,7 @@ def test_an_invalid_input_raises_a_value_error_naming_it(case, embeddings):
 
 
 UNIT = Unit(seq=LabeledSequence("天地", "BE"))
+EMPTY = Unit(seq=LabeledSequence("", ""))
 HP = Hyperparams(embed_dim=4, hidden=2, batch=1, epochs=1)
 CBOW = EmbeddingConfig(d_char=2, d_radical=2, epochs=1)
 VOCAB = build_vocab([UNIT])
@@ -83,7 +84,9 @@ VOCAB = build_vocab([UNIT])
 
 # Each call used to fail deep inside with a TypeError or an AttributeError,
 # save the empty separator, which returned the text with every boundary lost.
-# The train_embeddings calls take the model argument unused.
+# An empty unit used to fail inside the CRF in train, inside the decoder in
+# train's validation pass and in evaluate, and to be skipped by
+# train_embeddings. The train_embeddings calls take the model argument unused.
 @pytest.mark.parametrize("name,call", [
     ("raw", lambda m: segment(m, b"abc")),
     ("raw", lambda m: segment(m, None)),
@@ -94,11 +97,17 @@ VOCAB = build_vocab([UNIT])
     ("splits.valid", lambda m: train(m, CorpusSplits(train=[UNIT], valid=["天地"], test=[]), HP)),
     ("units", lambda m: evaluate(m, ["天地"])),
     ("units", lambda m: evaluate(m, UNIT)),
+    ("splits.train", lambda m: train(m, CorpusSplits(train=[UNIT, EMPTY], valid=[], test=[]), HP)),
+    ("splits.valid", lambda m: train(m, CorpusSplits(train=[UNIT], valid=[UNIT, EMPTY], test=[]),
+                                     HP)),
+    ("units", lambda m: evaluate(m, [UNIT, EMPTY])),
+    ("units", lambda m: train_embeddings([UNIT, EMPTY], default_table(), CBOW, vocab=VOCAB)),
     ("units", lambda m: train_embeddings(["天地人"], default_table(), CBOW, vocab=VOCAB)),
     ("radtable", lambda m: train_embeddings([UNIT], None, CBOW, vocab=VOCAB)),
     ("cfg", lambda m: train_embeddings([UNIT], default_table(), {"d_char": 2}, vocab=VOCAB)),
     ("vocab", lambda m: train_embeddings([UNIT], default_table(), CBOW, vocab=None)),
 ], ids=["bytes", "none", "empty", "none", "list", "text-unit", "text-unit", "text-unit", "unit",
+        "train-empty-unit", "valid-empty-unit", "evaluate-empty-unit", "pretrain-empty-unit",
         "pretrain-text-unit", "no-table", "dict-config", "no-vocab"])
 def test_an_entry_points_invalid_argument_raises_a_value_error_naming_it(name, call, embeddings):
     with pytest.raises(ValueError, match=f"^{name} must be"):
