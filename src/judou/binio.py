@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocab
+from .corpus import Vocab, replacing
 from .nncore import fits_float32
 
 
@@ -41,7 +41,7 @@ def write_container(path, magic: bytes, version: int, field, vocab: Vocab, secti
     header = json.dumps({"field": field, "vocab": vocab.index_to_char,
                          "sections": [[name, *m.shape] for name, m in sections]},
                         separators=(",", ":")).encode("ascii")
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(magic + _PREAMBLE.pack(version, len(header)) + header)
         f.writelines(m.data for _, m in sections)
 

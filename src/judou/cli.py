@@ -14,8 +14,8 @@ import click
 
 from . import __version__, binio, corpus
 from .corpus import (CorpusSplits, PunctConfig, build_vocab, chunk_units,
-                     clean_unsure, normalize_text, read_units, split_corpus,
-                     text_to_tags, write_units)
+                     clean_unsure, normalize_text, read_units, replacing,
+                     split_corpus, text_to_tags, write_units)
 from .embedding import EmbeddingConfig, load_embeddings, save_embeddings, train_embeddings
 from .radicals import default_table, radical_char, radical_of
 from .segmenter import (Hyperparams, build_model, evaluate, load_model,
@@ -103,7 +103,7 @@ def prepare(input_dir, stops, unit_size, max_unsure_run, seed, out_dir):
     names = ("train", "valid", "test")
     for name in names:
         write_units(getattr(splits, name), out_dir / f"{name}.tsv")
-    with open(out_dir / "manifest.tsv", "w", encoding="utf-8", newline="\n") as f:
+    with replacing(out_dir / "manifest.tsv", encoding="utf-8", newline="\n") as f:
         f.writelines(f"{name}\t{name}.tsv\n" for name in names)
         f.write(f"seed\t{seed}\n")
     for name in names:
@@ -202,7 +202,8 @@ def train_cmd(data_dir, emb_path, hidden, batch, epochs,
 
     train(model, splits, hp, seed=seed, freeze_embeddings=freeze_embeddings, progress=report)
     save_model(model, out_path)
-    log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with replacing(log_path, encoding="utf-8") as f:
+        f.writelines(line + "\n" for line in lines)
 
 
 @main.command(name="eval")

@@ -14,8 +14,10 @@ more than max_run '□' in a row; `tags_to_text` cuts after each E but a final o
 A `Vocab` is built from its entries alone, PAD, UNK, then characters, and indexes itself.
 """
 
+import os
 import re
 from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -215,6 +217,30 @@ def build_vocab(units: list) -> Vocab:
 # ---------------------------------------------------------------------------
 # dataset files: one unit per line, "chars<TAB>tags"
 
+@contextmanager
+def replacing(path, mode: str = "w", **kwargs):
+    """A file open for writing as open(path, mode, **kwargs) would give, but
+    on a sibling temporary file, which replaces path when the block ends
+    without an exception and is removed, path left as it was, when it ends in
+    one. A symlink is written through; a path that exists but is not a
+    regular file (a device, a pipe) is opened directly."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, mode, **kwargs) as f:
+            yield f
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_units(units: list, path) -> None:
     """Write units one per line, as read_units reads them back. Raises a
     ValueError, before the file is opened, unless check_units passes and no
@@ -225,7 +251,7 @@ def write_units(units: list, path) -> None:
         if re.search("[\t\n\r\ud800-\udfff]", u.seq.chars):
             raise ValueError(f"unit {i} holds a tab, LF, CR or lone surrogate: "
                              f"{u.seq.chars!r:.60}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with replacing(path, encoding="utf-8", newline="\n") as f:
         for u in units:
             f.write(f"{u.seq.chars}\t{u.seq.tags}\n")
 

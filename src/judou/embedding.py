@@ -13,12 +13,13 @@ Every matrix starts uniform in [-0.5/dim, 0.5/dim], dim its row length. One
 generator draws the char vectors, then the radical vectors (`untrained_embeddings`,
 also behind `synthetic.random_embeddings`), then the projection.
 
-Training is per-position SGD, but the projection is not rewritten at every
-step: its rank-1 steps wait as the rows of two small arrays, every step
-corrects its two products with the projection by them, and one blocked GEMM
-applies PENDING_UPDATES of them at a time, so that a pass that writes the
-(|V|, 2N * d) projection serves that many positions instead of one. The
-projection, its waiting rows and their products are float32, the rest float64.
+Training is minibatch SGD over BATCH consecutive centers of the corpus stream
+(HogBatch, Ji et al., arXiv 1604.04661): one step gathers their contexts, runs
+one logits GEMM and one context-gradient GEMM against the (|V|, 2N * d)
+projection and writes it once, so that one pass over it serves BATCH centers
+instead of one. The gradients are summed over the batch, not averaged, so each
+center's step is still lr. The projection and its products are float32, the
+rest float64.
 """
 
 import math
@@ -35,10 +36,11 @@ from .radicals import N_RADICALS, NO_RADICAL, RadicalTable, default_table
 MAGIC = b"GJEMB01\n"
 VERSION = 4
 N_RADICAL_ROWS = N_RADICALS + 1  # row 0 is the no-radical sentinel
-# Projection steps applied by one GEMM. Over one epoch at |V| = 2983 (dims
-# 70+30, window 2, one BLAS thread), 8 gave 2.4 times the positions/s of a
-# rank-1 update at every step, and 16 to 64 gave 2.5 to 2.7 times.
-PENDING_UPDATES = 16
+# Centers per SGD step, the rate at which the projection is written. At |V|
+# about 3000 (dims 70+30, window 2, one BLAS thread, 2-vCPU Xeon), 16 gave 2.4
+# to 2.8 times the positions/s of per-position steps whose projection updates
+# waited to be applied 16 at a time.
+BATCH = 16
 # the char then the radical table, as the two formats save them
 EMBEDDING_NAMES = ("emb.char_vectors", "emb.radical_vectors")
 
@@ -134,77 +136,75 @@ def untrained_embeddings(vocab: Vocab, radtable: RadicalTable, cfg: EmbeddingCon
                         vocab=vocab, radtable=radtable, config=cfg)
 
 
-def _context_rows(encoded: EncodedUnit, lo: int, hi: int, window: int) -> tuple:
-    """(hi - lo, 2N) char and radical rows of every center's context slots in
-    order, for the unit at stream positions lo:hi of encoded; the center is
-    excluded and slots outside the unit take the PAD and NO_RADICAL rows."""
-    pos = np.arange(lo, hi)[:, None] + np.r_[-window:0, 1:window + 1]
-    inside = (pos >= lo) & (pos < hi)
+def _context_rows(encoded: EncodedUnit, offsets: np.ndarray, start: int, stop: int,
+                  window: int) -> tuple:
+    """(stop - start, 2N) char and radical rows of the context slots of the
+    centers at stream positions start:stop of encoded, in order, each masked to
+    its own unit of offsets: the center is excluded and slots outside its unit
+    take the PAD and NO_RADICAL rows."""
+    centers = np.arange(start, stop)
+    unit = np.searchsorted(offsets, centers, side="right") - 1
+    pos = centers[:, None] + np.r_[-window:0, 1:window + 1]
+    inside = (pos >= offsets[unit, None]) & (pos < offsets[unit + 1, None])
     pos[~inside] = 0
     return (np.where(inside, encoded.char_ids[pos], Vocab.PAD),
             np.where(inside, encoded.rad_ids[pos], NO_RADICAL))
 
 
 def cbow_loss_and_grads(emb: EmbeddingSet, projection: np.ndarray, chars: np.ndarray,
-                        rads: np.ndarray, target: int, pending: tuple = None) -> tuple:
-    """Forward plus hand-derived backward at one center, from the (2N,) char
-    and radical rows of its context (a row of _context_rows) and its char
-    row target; writes nothing. Returns (loss, dlogits, h, dh).
+                        rads: np.ndarray, target) -> tuple:
+    """Forward plus hand-derived backward at B centers, from the (B, 2N) char
+    and radical rows of their contexts (rows of _context_rows) and their (B,)
+    char row targets; writes nothing. Returns (losses, dlogits, h, dh).
 
-    h concatenates (char vector, radical vector) over the slots in order,
-    and the projection's gradient is outer(dlogits, h). dh, shaped
-    (2N, d_char + d_radical), holds each slot's gradient: its first d_char
-    columns belong to the slot's char row and the rest to its radical row.
-
-    pending, if given, is (G, Hs, scale): updates not yet applied, so that
-    the projection in effect is projection + scale * G.T @ Hs. Both products
-    with it go through the k rows of G and Hs, not through a new matrix. They
-    run in the projection's dtype; everything else, the returns included, is float64."""
-    h = np.hstack([emb.char_vectors[chars], emb.radical_vectors[rads]]).reshape(-1)
-    h_p = h.astype(projection.dtype, copy=False)
-    logits = projection @ h_p
-    if pending is not None:
-        G, Hs, scale = pending
-        logits += G.T @ (scale * (Hs @ h_p))
-    logits = logits.astype(np.float64, copy=False)
-    logits -= logits.max()
-    exp = np.exp(logits)
-    dlogits = exp / exp.sum()  # the softmax, until the target's one-hot is taken off
-    loss = -float(np.log(dlogits[target]))
-    dlogits[target] -= 1.0
-    d_p = dlogits.astype(projection.dtype, copy=False)
-    dh = projection.T @ d_p
-    if pending is not None:
-        dh += Hs.T @ (scale * (G @ d_p))
-    return loss, dlogits, h, dh.astype(np.float64, copy=False).reshape(len(chars), -1)
+    h, (B, 2N * d), concatenates (char vector, radical vector) over the slots
+    in order, and the projection's gradient is dlogits.T @ h, summed over the
+    centers; both are in the projection's dtype, as its two products are. dh,
+    float64 and shaped (B, 2N, d_char + d_radical), holds each slot's
+    gradient: its first d_char columns belong to the slot's char row and the
+    rest to its radical row. The softmax and the float64 losses run in place
+    in one (B, |V|) buffer. One center, given as (2N,) rows and an int target,
+    gives a float loss and each array without its batch axis."""
+    one = np.ndim(target) == 0
+    chars, rads, target = np.atleast_2d(chars), np.atleast_2d(rads), np.atleast_1d(target)
+    h = np.concatenate([emb.char_vectors[chars], emb.radical_vectors[rads]], axis=2)
+    h = h.reshape(len(target), -1).astype(projection.dtype, copy=False)
+    # the projection on the left: about half the time of h @ projection.T, same bits
+    probs = (projection @ h.T).T.astype(np.float64, order="C")
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    rows = np.arange(len(target))
+    losses = -np.log(probs[rows, target])
+    probs[rows, target] -= 1.0  # dlogits: the softmax less the targets' one-hots
+    dlogits = probs.astype(projection.dtype, copy=False)
+    dh = (dlogits @ projection).astype(np.float64, copy=False).reshape(*chars.shape, -1)
+    if one:
+        return float(losses[0]), dlogits[0], h[0], dh[0]
+    return losses, dlogits, h, dh
 
 
 def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
                      vocab: Vocab, progress=None) -> EmbeddingSet:
     """Pretrain on a list of units over vocab and return the embeddings.
 
-    Plain per-pair SGD over every (unit, center) position, in corpus order,
-    for cfg.epochs epochs. Context windows never cross unit boundaries. A step
-    changes only the 2N context rows of the char and radical matrices: it sums
-    their slot gradients into a zeroed scratch array made once per call,
-    applies them at those rows and zeroes them there again. The projection's
-    step -lr * outer(dlogits, h) is kept as dlogits in a row of G and h in a
-    row of Hs; the steps after it see it through cbow_loss_and_grads' pending
-    rows, and once PENDING_UPDATES rows wait, add_low_rank applies them in
-    cache-sized row blocks. Pending rows carry across units and epochs; those
-    left at the end go with the projection, which is not returned. The units
-    are encoded once, as one stream, and each unit's context rows are built
-    from its span as it comes up.
+    Minibatch SGD for cfg.epochs epochs over the units encoded once, as one
+    stream: each step takes the next BATCH centers of the stream, a batch
+    that may cross unit joins (the last of an epoch may be shorter), though a
+    context never does. A step builds its centers' context rows, gets their
+    summed gradients from one cbow_loss_and_grads call and applies them: the
+    projection's with add_low_rank, a rank-B update in cache-sized row blocks,
+    and the char and radical rows' by summing all B * 2N slot gradients with
+    one np.add.at into a zeroed scratch array made once per call, applying
+    them at those rows and zeroing them there again.
 
     One generator seeded cfg.seed draws the untrained embeddings, then the
-    (|V|, 2N * d) projection, float32 as G and Hs are. The iterates are those
-    of the dense update `value -= lr * grad` over all three matrices with the
-    projection in float32: with PENDING_UPDATES = 1 bit for bit, otherwise
-    with the products summed in another order, so that the vectors differ
-    from it by about 2e-7 of their largest entry (and from all-float64
-    pretraining by about 1e-7 relative).
-    The model keeps no gradient buffers. Raises NumericError at the first
-    non-finite loss, or if the returned vectors are not finite.
+    (|V|, 2N * d) float32 projection. The iterates are those of the dense
+    update `value -= lr * grad` over all three matrices, grad summed over the
+    batch, bit for bit. The model keeps no gradient buffers. Raises
+    NumericError at the first batch with a non-finite loss, naming its first
+    such position and applying none of its update, or if the returned vectors
+    are not finite.
     """
     check_units("units", units)
     check_type("radtable", radtable, RadicalTable)
@@ -216,40 +216,37 @@ def train_embeddings(units: list, radtable: RadicalTable, cfg: EmbeddingConfig,
     emb = untrained_embeddings(vocab, radtable, cfg, rng)
     projection = _uniform(rng, vocab.size, 2 * cfg.window * cfg.d_total, np.float32)
     encoded, offsets = encode_units(units, vocab, radtable)
+    n = int(offsets[-1])
     lr, d_c = float(cfg.learning_rate), cfg.d_char  # a numpy rate would promote to float64
     # (matrix, its scratch gradient, its columns of dh)
     sparse = ((emb.char_vectors, np.zeros_like(emb.char_vectors), np.s_[:, :d_c]),
               (emb.radical_vectors, np.zeros_like(emb.radical_vectors), np.s_[:, d_c:]))
-    G = np.empty((PENDING_UPDATES, projection.shape[0]), np.float32)
-    Hs = np.empty((PENDING_UPDATES, projection.shape[1]), np.float32)
-    k = 0  # rows of G and Hs not yet applied to the projection
     for epoch in range(cfg.epochs):
         total = 0.0
         # every loss is checked, so numpy's overflow warnings would only repeat it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for unit, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-                for center, rows in enumerate(zip(*_context_rows(encoded, lo, hi, cfg.window))):
-                    loss, dlogits, h, dh = cbow_loss_and_grads(
-                        emb, projection, *rows, encoded.char_ids[lo + center],
-                        (G[:k], Hs[:k], -lr) if k else None)
-                    if not math.isfinite(loss):
-                        raise NumericError(f"CBOW loss is {loss} at epoch {epoch + 1}, "
-                                           f"unit {unit}, position {center}; "
-                                           f"try a learning rate below {lr}")
-                    total += loss
-                    G[k], Hs[k] = dlogits, h
-                    k += 1
-                    if k == PENDING_UPDATES:
-                        add_low_rank(projection, G, Hs, -lr)
-                        k = 0
-                    for (M, grad, cols), slots in zip(sparse, rows):
-                        # add.at sums a row repeated across slots in slot order
-                        np.add.at(grad, slots, dh[cols])
-                        M[slots] -= lr * grad[slots]
-                        grad[slots] = 0.0
-        mean = total / int(offsets[-1])
+            for start in range(0, n, BATCH):
+                stop = min(start + BATCH, n)
+                rows = _context_rows(encoded, offsets, start, stop, cfg.window)
+                losses, dlogits, h, dh = cbow_loss_and_grads(
+                    emb, projection, *rows, encoded.char_ids[start:stop])
+                if not np.isfinite(losses).all():
+                    first = int(np.argmin(np.isfinite(losses)))
+                    unit = int(np.searchsorted(offsets, start + first, side="right")) - 1
+                    raise NumericError(f"CBOW loss is {losses[first]} at epoch {epoch + 1}, "
+                                       f"unit {unit}, position {start + first - offsets[unit]}; "
+                                       f"try a learning rate below {lr}")
+                total += float(losses.sum())
+                add_low_rank(projection, dlogits, h, -lr)
+                dh = dh.reshape(-1, cfg.d_total)
+                for (M, grad, cols), slots in zip(sparse, rows):
+                    slots = slots.reshape(-1)
+                    # add.at sums a row repeated across slots in slot order
+                    np.add.at(grad, slots, dh[cols])
+                    M[slots] -= lr * grad[slots]
+                    grad[slots] = 0.0
         if progress is not None:
-            progress(epoch, mean)
+            progress(epoch, total / n)
     if not (np.isfinite(emb.char_vectors).all() and np.isfinite(emb.radical_vectors).all()):
         raise NumericError("CBOW training left non-finite embedding vectors; "
                            f"try a learning rate below {lr}")

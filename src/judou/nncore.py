@@ -126,8 +126,9 @@ def sgd_step(weights: dict, grads: dict, learning_rate: float, clip_norm: float)
     return scale
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability rate, else 1/(1-rate)."""
+def dropout_mask(shape, rate: float, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
+    """Inverted-dropout mask in dtype: zeros with probability rate, else
+    1/(1-rate), computed in float64 and rounded once to dtype."""
     if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return np.multiply(rng.random(shape) >= rate, 1.0 / (1.0 - rate), dtype=dtype)

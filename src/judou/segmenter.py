@@ -123,8 +123,8 @@ def build_model(embeddings: EmbeddingSet, hidden: int = 100, seed: int = 0,
 def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndarray,
                    rng=None, dropout: float = 0.0, dtype=np.float64):
     """Emissions (B, n, 3) in dtype, and the cache. Each layer casts the weights
-    it reads to dtype, the BiLSTM its own; rows are cast after the gather, masks
-    after their float64 draw (a float64 mask would upcast the pass)."""
+    it reads to dtype, the BiLSTM its own; rows are cast after the gather, and
+    the masks are made in dtype (a float64 mask would upcast the pass)."""
     w = model.weights
     X = w["emb.char_vectors"][char_ids]
     if model.use_radicals:
@@ -132,11 +132,11 @@ def _forward_batch(model: SegmenterModel, char_ids: np.ndarray, rad_ids: np.ndar
     X = X.astype(dtype, copy=False)
     in_mask = out_mask = None
     if dropout > 0:
-        in_mask = dropout_mask(X.shape, dropout, rng).astype(dtype, copy=False)
+        in_mask = dropout_mask(X.shape, dropout, rng, dtype)
         X = X * in_mask
     H2, lstm_cache = bilstm_forward_batch(w, X)
     if dropout > 0:
-        out_mask = dropout_mask(H2.shape, dropout, rng).astype(dtype, copy=False)
+        out_mask = dropout_mask(H2.shape, dropout, rng, dtype)
         H2 = H2 * out_mask
     P = (np.tensordot(H2, w["emit.W"].astype(dtype, copy=False), axes=([2], [0]))
          + w["emit.b"].astype(dtype, copy=False))

@@ -277,7 +277,7 @@ def full_scale_bilstm_backward_batch(weights, grads, cache, douts):
 
 
 # ---------------------------------------------------------------------------
-# CBOW pretraining with the dense per-position update
+# CBOW pretraining with the dense update, one step per batch of positions
 
 def new_cbow_model(vocab, radtable, cfg, dtype=np.float64) -> tuple:
     """(embeddings, projection): the untrained embeddings, then the
@@ -310,56 +310,62 @@ def cbow_step(emb, projection, enc, center) -> tuple:
     return cbow_loss_and_grads(emb, projection, chars, rads, int(enc.char_ids[center]))
 
 
-def dense_cbow_forward(emb, projection, enc, center) -> tuple:
-    """The CBOW forward at one center: (loss, context vector h, softmax probs).
-    h is put together slot by slot and cast to the projection's dtype for
-    the product, whose logits are upcast to float64; the softmax repeats
-    the shipped op sequence, so that its bits match."""
-    h = np.concatenate([np.concatenate([emb.char_vectors[cid], emb.radical_vectors[rid]])
-                        for cid, rid in cbow_context_slots(enc, center, emb.config.window)])
-    logits = (projection @ h.astype(projection.dtype)).astype(np.float64)
-    logits -= logits.max()
+def dense_cbow_forward(emb, projection, centers) -> tuple:
+    """The CBOW forward at a batch of (enc, center) pairs: (losses, context
+    vectors H, softmax probs), a row each. Each row of H is put together slot
+    by slot and cast to the projection's dtype for one product with it, whose
+    logits are upcast to float64; the softmax repeats the shipped op sequence,
+    so that its bits match."""
+    H = np.array([np.concatenate([np.concatenate([emb.char_vectors[cid], emb.radical_vectors[rid]])
+                                  for cid, rid in cbow_context_slots(enc, center, emb.config.window)])
+                  for enc, center in centers])
+    logits = (projection @ H.astype(projection.dtype).T).T.astype(np.float64, order="C")
+    logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
-    probs = exp / exp.sum()
-    return -float(np.log(probs[int(enc.char_ids[center])])), h, probs
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    targets = [int(enc.char_ids[center]) for enc, center in centers]
+    return -np.log(probs[np.arange(len(centers)), targets]), H, probs
 
 
-def dense_cbow_step(emb, projection, enc, center) -> float:
-    """One position's forward and backward into zeroed full-size gradients of
-    all three matrices, the (|V|, 2N*d) projection's included, then
-    value -= lr * grad over each. The projection's gradient and its product
-    with dlogits are in the projection's dtype, h and dlogits cast to it."""
+def dense_cbow_step(emb, projection, centers) -> np.ndarray:
+    """One batch of centers' forward and backward into zeroed full-size
+    gradients of all three matrices, the (|V|, 2N*d) projection's included,
+    summed over the batch, then value -= lr * grad over each; returns the
+    losses. The projection's gradient and its product with dlogits are in the
+    projection's dtype, H and dlogits cast to it."""
     cfg = emb.config
     d, d_c = cfg.d_total, cfg.d_char
     values = (emb.char_vectors, emb.radical_vectors, projection)
     g_char, g_rad, g_proj = (np.zeros_like(v) for v in values)
-    loss, h, dlogits = dense_cbow_forward(emb, projection, enc, center)
-    dlogits[int(enc.char_ids[center])] -= 1.0
-    dlogits, h = (a.astype(projection.dtype) for a in (dlogits, h))
-    g_proj += np.outer(dlogits, h)
-    dh = projection.T @ dlogits
-    for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, cfg.window)):
-        g_char[cid] += dh[slot * d:slot * d + d_c]
-        g_rad[rid] += dh[slot * d + d_c:(slot + 1) * d]
+    losses, H, dlogits = dense_cbow_forward(emb, projection, centers)
+    for b, (enc, center) in enumerate(centers):
+        dlogits[b, int(enc.char_ids[center])] -= 1.0
+    dlogits, H = (a.astype(projection.dtype) for a in (dlogits, H))
+    g_proj += dlogits.T @ H
+    dH = dlogits @ projection
+    for b, (enc, center) in enumerate(centers):
+        for slot, (cid, rid) in enumerate(cbow_context_slots(enc, center, cfg.window)):
+            g_char[cid] += dH[b, slot * d:slot * d + d_c]
+            g_rad[rid] += dH[b, slot * d + d_c:(slot + 1) * d]
     for v, g in zip(values, (g_char, g_rad, g_proj)):
         v -= cfg.learning_rate * g
-    return loss
+    return losses
 
 
-def dense_train_embeddings(texts, vocab, radtable, cfg, dtype=np.float32):
-    """CBOW SGD over every position in corpus order, one dense step each,
-    with the projection in dtype. Returns (char vectors, radical vectors,
-    per-epoch mean losses)."""
+def dense_train_embeddings(texts, vocab, radtable, cfg, dtype=np.float32, batch=1):
+    """CBOW SGD over every position in corpus order, one dense step per batch
+    consecutive positions, a batch running on across unit ends, with the
+    projection in dtype. Returns (char vectors, radical vectors, per-epoch
+    mean losses)."""
     emb, projection = new_cbow_model(vocab, radtable, cfg, dtype)
     encoded = [encode_chars(t, vocab, radtable) for t in texts]
+    centers = [(enc, center) for enc in encoded for center in range(len(enc.char_ids))]
     losses = []
     for _ in range(cfg.epochs):
-        total, count = 0.0, 0
-        for enc in encoded:
-            for center in range(len(enc.char_ids)):
-                total += dense_cbow_step(emb, projection, enc, center)
-                count += 1
-        losses.append(total / count)
+        total = 0.0
+        for start in range(0, len(centers), batch):
+            total += float(dense_cbow_step(emb, projection, centers[start:start + batch]).sum())
+        losses.append(total / len(centers))
     return emb.char_vectors, emb.radical_vectors, losses
 
 

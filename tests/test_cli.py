@@ -3,9 +3,12 @@
 import errno
 import gc
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import weakref
 from contextlib import contextmanager
 from dataclasses import fields
@@ -16,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 import judou
-from judou import cli
+from judou import cli, corpus
 from judou.binio import FormatError
 from judou.cli import main
 from judou.corpus import build_vocab, read_units
@@ -795,6 +798,107 @@ def test_a_value_error_from_any_command_exits_2_with_its_message(
 
 
 # ---------------------------------------------------------------------------
+# the console script fixes BLAS at one thread unless the environment sets a count
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_console_script(args: list, threads) -> None:
+    """Run the `judou` script's entry point, as pyproject.toml names it, from
+    this checkout's src/ in a fresh interpreter, with the BLAS thread
+    variables unset (threads None) or all set to threads."""
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text("utf-8")
+    module, func = re.search(r'^judou = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(dict.fromkeys(BLAS_VARIABLES, threads) if threads else {})
+    src = str(Path(judou.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, check=True,
+                   capture_output=True, timeout=300)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="on one core BLAS runs one thread whatever the environment says")
+def test_the_script_writes_the_same_bytes_with_the_thread_variables_unset_or_at_1(
+        runner, tmp_path):
+    # unset, OpenBLAS ran a thread per core; on these 11 training units at
+    # hidden 32 the checkpoint's bytes then differed from one thread's
+    rng = np.random.default_rng(0)
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "doc.txt").write_text("".join(
+        "".join(rng.choice(list("天地玄黃宇宙洪荒日月盈昃辰宿列張寒來暑往秋收冬藏"), rng.integers(2, 7)))
+        + rng.choice(list("也矣乎")) + "。" for _ in range(400)), encoding="utf-8")
+    data_dir = tmp_path / "data"
+    r = runner.invoke(main, ["prepare", "--input", tmp_path / "docs", "--out", data_dir])
+    assert r.stdout == "train\t11\nvalid\t5\ntest\t5\n"
+    written = []
+    for threads in (None, "1"):
+        out = tmp_path / (threads or "unset")
+        run_console_script(["pretrain", "--data", data_dir, "--epochs", "1",
+                            "--out", out / "emb.bin"], threads)
+        run_console_script(["train", "--data", data_dir, "--embeddings", out / "emb.bin",
+                            "--hidden", "32", "--batch", "16", "--epochs", "2",
+                            "--out", out / "model.bin"], threads)
+        written.append([(out / name).read_bytes() for name in ("emb.bin", "model.bin")])
+    assert written[0] == written[1]
+
+
+# outputs are replaced whole: a failed write leaves the file it would replace
+
+def fail_writes_to(monkeypatch, name: str) -> None:
+    """Make the temporary file that would replace name raise ENOSPC after
+    its first 8 bytes or characters, with those written."""
+    real_open = open
+
+    class Failing:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            data = data if isinstance(data, str) else bytes(data)
+            self.f.write(data[:8])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return Failing(f) if re.fullmatch(rf"\.{re.escape(name)}\.\d+\.tmp", Path(file).name) else f
+
+    monkeypatch.setattr(corpus, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("prepare", "valid.tsv"), ("prepare", "manifest.tsv"), ("pretrain", "emb.bin"),
+    ("train", "model.bin"), ("train", "model.bin.log")])
+def test_a_write_that_fails_mid_way_leaves_the_old_file(
+        runner, docs_dir, data_dir, emb_path, tmp_path, monkeypatch, command, name):
+    out = tmp_path / "out"
+    args = {"prepare": ["--input", str(docs_dir), "--out", str(out)],
+            "pretrain": ["--data", str(data_dir), "--dim-char", "3", "--dim-radical", "2",
+                         "--epochs", "1", "--out", str(out / "emb.bin")],
+            "train": ["--data", str(data_dir), "--embeddings", str(emb_path), "--hidden", "4",
+                      "--epochs", "1", "--out", str(out / "model.bin")]}[command]
+    r = runner.invoke(main, [command, *args])
+    assert r.exit_code == 0, r.stdout + r.stderr
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    fail_writes_to(monkeypatch, name)
+    r = runner.invoke(main, [command, *args, "--seed", "1"])
+    assert r.exit_code == 2, r.output
+    assert r.stderr == "error: [Errno 28] No space left on device\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()}.keys() == before.keys()
+    assert (out / name).read_bytes() == before[name]
+
+
 # the I/O boundary: any OSError a command raises exits 2 with the file it names
 
 @pytest.mark.parametrize("command, name", [

@@ -1,6 +1,8 @@
 """Tagging scheme, cleaning, chunking, splitting, vocab, and dataset files."""
 
+import os
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from judou.corpus import (DEFAULT_PUNCT, DEFAULT_STOPS, UNSURE_CHAR, LabeledSequence,
                           PunctConfig, Unit, Vocab, boundary_positions,
                           build_vocab, chunk_units, clean_unsure, normalize_text,
-                          read_units, split_corpus, tags_to_text, text_to_tags,
-                          write_units)
+                          read_units, replacing, split_corpus, tags_to_text,
+                          text_to_tags, write_units)
 from judou.embedding import encode_chars, load_embeddings, save_embeddings
 from judou.segmenter import segment
 from judou.synthetic import random_embeddings
@@ -368,6 +370,40 @@ class TestDatasetFiles:
         p.write_text("天地\tBX\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1:"):
             read_units(p)
+
+    def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(self, tmp_path):
+        p = tmp_path / "u.tsv"
+        p.write_text("old\n", encoding="utf-8")
+        with pytest.raises(KeyError):
+            with replacing(p, encoding="utf-8") as f:
+                f.write("new, half written")
+                f.flush()
+                raise KeyError("mid-way")
+        assert p.read_bytes() == b"old\n" and os.listdir(tmp_path) == ["u.tsv"]
+        with replacing(p, encoding="utf-8") as f:
+            f.write("new\n")
+        assert p.read_bytes() == b"new\n" and os.listdir(tmp_path) == ["u.tsv"]
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "real.tsv").write_text("old\n", encoding="utf-8")
+        (tmp_path / "link.tsv").symlink_to("real.tsv")
+        with replacing(tmp_path / "link.tsv", encoding="utf-8") as f:
+            f.write("new\n")
+        assert (tmp_path / "link.tsv").is_symlink()
+        assert (tmp_path / "real.tsv").read_bytes() == b"new\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.tsv", "real.tsv"]
+
+    def test_a_pipe_is_written_to_not_replaced(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with replacing(fifo, "wb") as f:
+            f.write(b"through the pipe")
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == [b"through the pipe"]
+        assert fifo.is_fifo() and os.listdir(tmp_path) == ["fifo"]
 
     def test_empty_unit_rejected(self, tmp_path):
         p = tmp_path / "u.tsv"

@@ -53,7 +53,8 @@ def small_model(text, table, **cfg_kwargs) -> tuple:
 def context_h(emb, projection, enc, center) -> np.ndarray:
     """The context vector h that cbow_loss_and_grads takes from _context_rows,
     enc being the whole stream."""
-    chars, rads = _context_rows(enc, 0, len(enc.char_ids), emb.config.window)
+    n = len(enc.char_ids)
+    chars, rads = _context_rows(enc, np.array([0, n]), 0, n, emb.config.window)
     return cbow_loss_and_grads(emb, projection, chars[center], rads[center],
                                enc.char_ids[center])[2]
 
@@ -101,20 +102,22 @@ def test_context_is_ordered_not_averaged(table):
 
 @pytest.mark.parametrize("window", [1, 2, 3, 4])
 def test_context_rows_match_the_per_slot_loop(table, window):
-    """Every unit lo:hi of a 12-character stream, of lengths 0 to 12, units
-    shorter than the window included, with out-of-vocabulary and repeated
-    characters: the slots of a unit of the stream are those of the unit alone."""
+    """A 12-character stream, with out-of-vocabulary and repeated characters,
+    cut into units of 1 to 5 characters, shorter than the window included:
+    the rows of every span of centers start:stop, across unit joins, are the
+    slots of each center in its unit alone."""
     text = "天地人山水天地江河海天天"  # 山 on are out of vocabulary
     vocab = vocab_over("天地人")
     stream = encode_chars(text, vocab, table)
-    for lo in range(len(text) + 1):
-        for hi in range(lo, len(text) + 1):
-            enc = encode_chars(text[lo:hi], vocab, table)
-            chars, rads = _context_rows(stream, lo, hi, window)
-            assert chars.shape == rads.shape == (hi - lo, 2 * window)
-            for center in range(hi - lo):
-                assert list(zip(chars[center].tolist(), rads[center].tolist())) == \
-                    cbow_context_slots(enc, center, window)
+    offsets = np.array([0, 1, 4, 6, 11, 12])
+    slots = [cbow_context_slots(encode_chars(text[lo:hi], vocab, table), center, window)
+             for lo, hi in zip(offsets[:-1], offsets[1:]) for center in range(hi - lo)]
+    for start in range(len(text) + 1):
+        for stop in range(start, len(text) + 1):
+            chars, rads = _context_rows(stream, offsets, start, stop, window)
+            assert chars.shape == rads.shape == (stop - start, 2 * window)
+            assert [list(zip(*row)) for row in zip(chars.tolist(), rads.tolist())] == \
+                slots[start:stop]
 
 
 def test_repeated_context_rows_sum_in_slot_order(table):
@@ -126,12 +129,12 @@ def test_repeated_context_rows_sum_in_slot_order(table):
     before = [a.copy() for a in (emb.char_vectors, emb.radical_vectors, projection)]
     enc = encode_chars("天天天地", emb.vocab, table)
     d, d_c = emb.config.d_total, emb.config.d_char
-    chars, rads = _context_rows(enc, 0, 4, 3)
+    chars, rads = _context_rows(enc, np.array([0, 4]), 0, 4, 3)
     for center in range(4):
         _, dlogits, h, dh = cbow_loss_and_grads(emb, projection, chars[center], rads[center],
                                                 enc.char_ids[center])
         assert dh.shape == (2 * 3, d)
-        _, ref_h, probs = dense_cbow_forward(emb, projection, enc, center)
+        _, [ref_h], [probs] = dense_cbow_forward(emb, projection, [(enc, center)])
         probs[enc.char_ids[center]] -= 1.0
         assert dlogits.tobytes() == probs.tobytes() and h.tobytes() == ref_h.tobytes()
         ref_dh = projection.T @ probs
@@ -319,7 +322,9 @@ def test_shared_radical_pulls_vectors_together(table):
     assert np.mean(same) > np.mean(cross)
 
 
-def test_lr_too_high_fails_at_the_first_non_finite_loss(table):
+def test_lr_too_high_fails_at_the_first_non_finite_loss(table, monkeypatch):
+    # one center per step: the first non-finite loss is the first position's
+    monkeypatch.setattr(embedding, "BATCH", 1)
     corpus = ["天地人山水火天地", "山水火天地人山水"]
     cfg = EmbeddingConfig(d_char=6, d_radical=4, window=2, epochs=3, learning_rate=50.0)
     losses = []
@@ -328,22 +333,77 @@ def test_lr_too_high_fails_at_the_first_non_finite_loss(table):
     assert losses == []
 
 
-def test_non_finite_vectors_after_the_last_step_fail(table, monkeypatch):
-    # the last step's loss is finite; only the final check can see its update
+def test_lr_too_high_fails_at_the_first_non_finite_batch(table):
+    # the 16 positions are one batch, all of whose losses are taken before its
+    # update: the first epoch is finite, and the epoch that fails reports no mean
+    corpus = ["天地人山水火天地", "山水火天地人山水"]
+    cfg = EmbeddingConfig(d_char=6, d_radical=4, window=2, epochs=3, learning_rate=50.0)
+    losses = []
+    with pytest.raises(NumericError, match=r"CBOW loss is (inf|nan) at epoch (\d), unit") as e:
+        train_on(corpus, table, cfg, progress=lambda e, m: losses.append(m))
+    assert len(losses) >= 1 and e.match(fr"at epoch {len(losses) + 1}, ")
+
+
+@pytest.mark.parametrize("bad", [5, 9, 15])
+def test_a_non_finite_loss_names_its_position_and_leaves_its_batch_unapplied(
+        table, monkeypatch, bad):
+    """Units of 8 and 12 characters make batches of 16 and 4 centers, the
+    first across the join: the loss at batch position bad, in the first unit
+    or the second, is named by its unit and position in it, after no
+    projection update and with the char and radical rows untouched."""
+    real = embedding.cbow_loss_and_grads
+    steps, rows = [], []
+
+    def poisoned(emb, *args):
+        out = real(emb, *args)
+        out[0][bad] = np.nan
+        rows.append([emb.char_vectors.copy(), emb.radical_vectors.copy()])
+        return out
+
+    monkeypatch.setattr(embedding, "cbow_loss_and_grads", poisoned)
+    monkeypatch.setattr(embedding, "add_low_rank", lambda *args: steps.append(args))
+    unit, position = (0, bad) if bad < 8 else (1, bad - 8)
+    with pytest.raises(NumericError, match=fr"CBOW loss is nan at epoch 1, unit {unit}, "
+                                           fr"position {position};"):
+        train_on(["天地人山水火天地", "山水火天地人山水江河海天"], table,
+                 EmbeddingConfig(d_char=3, d_radical=2, epochs=2))
+    assert steps == [] and len(rows) == 1
+
+
+def poisoned_calls(monkeypatch, last: int) -> list:
+    """Make cbow_loss_and_grads' call number last return an infinite dh in its
+    last center's first slot; returns the list its calls append to."""
     real = embedding.cbow_loss_and_grads
     calls = []
 
     def poisoned(*args):
         out = real(*args)
         calls.append(out[0])
-        if len(calls) == 3:
-            out[3][0] = np.inf
+        if len(calls) == last:
+            out[3][-1, 0] = np.inf
         return out
 
     monkeypatch.setattr(embedding, "cbow_loss_and_grads", poisoned)
+    return calls
+
+
+def test_non_finite_vectors_after_the_last_step_fail(table, monkeypatch):
+    # the last step's loss is finite; only the final check can see its update
+    monkeypatch.setattr(embedding, "BATCH", 1)
+    calls = poisoned_calls(monkeypatch, 3)
     with pytest.raises(NumericError, match="non-finite embedding vectors"):
         train_on(["天地人"], table, EmbeddingConfig(d_char=3, d_radical=2, epochs=1))
     assert len(calls) == 3
+
+
+def test_non_finite_vectors_after_the_last_batch_fail(table, monkeypatch):
+    # 40 positions are batches of 16, 16 and 8; the last one's losses are
+    # finite, and only the final check can see its update
+    calls = poisoned_calls(monkeypatch, 3)
+    with pytest.raises(NumericError, match="non-finite embedding vectors"):
+        train_on(["天地人山水火" * 5, "江河海天地人山水火天"], table,
+                 EmbeddingConfig(d_char=3, d_radical=2, epochs=1))
+    assert [len(losses) for losses in calls] == [16, 16, 8]
 
 
 def block_rows(cols: int, itemsize: int = 8) -> int:
@@ -396,10 +456,10 @@ def dense_oracle_case(window) -> tuple:
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_sparse_steps_match_the_dense_oracle_bytewise(table, window, monkeypatch):
-    """Context-row updates and the blocked projection update, applied at
-    every step, give the dense per-position step's vectors and losses, bit
-    for bit."""
-    monkeypatch.setattr(embedding, "PENDING_UPDATES", 1)
+    """One center per step, context-row updates and the blocked projection
+    update give the dense per-position step's vectors and losses, bit for
+    bit."""
+    monkeypatch.setattr(embedding, "BATCH", 1)
     vocab, cfg, corpus = dense_oracle_case(window)
     losses = []
     emb = train_embeddings(units_over(corpus), table, cfg, vocab=vocab,
@@ -411,33 +471,35 @@ def test_sparse_steps_match_the_dense_oracle_bytewise(table, window, monkeypatch
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
-def test_pending_projection_updates_match_the_dense_oracle_to_rounding(table, window):
-    """At the shipped PENDING_UPDATES the projection's steps wait and are
-    applied together, within units (40 positions), across unit joins and
-    across epochs (127 positions each); only the order of the sums changes,
-    and float32 rounds each reordered sum at about 1e-7 of its size."""
+def test_batched_steps_match_the_dense_batched_oracle_bytewise(table, window):
+    """At the shipped BATCH, steps within units (40 positions), across unit
+    joins, over units shorter than the window and ending in a partial batch
+    (127 positions an epoch) give the dense batched step's vectors and
+    losses, bit for bit."""
     vocab, cfg, corpus = dense_oracle_case(window)
-    assert max(map(len, corpus)) > embedding.PENDING_UPDATES > 1
-    assert sum(map(len, corpus)) % embedding.PENDING_UPDATES
+    assert max(map(len, corpus)) > embedding.BATCH > 1
+    assert sum(map(len, corpus)) % embedding.BATCH
     losses = []
     emb = train_embeddings(units_over(corpus), table, cfg, vocab=vocab,
                            progress=lambda e, m: losses.append(m))
-    chars, rads, ref_losses = dense_train_embeddings(corpus, vocab, table, cfg)
-    for got, want in ((emb.char_vectors, chars), (emb.radical_vectors, rads),
-                      (np.array(losses), np.array(ref_losses))):
-        assert abs(got - want).max() <= 1e-6 * abs(want).max()
+    chars, rads, ref_losses = dense_train_embeddings(corpus, vocab, table, cfg,
+                                                     batch=embedding.BATCH)
+    assert emb.char_vectors.tobytes() == chars.tobytes()
+    assert emb.radical_vectors.tobytes() == rads.tobytes()
+    assert losses == ref_losses
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_float32_pretraining_stays_near_the_float64_dense_oracle(table, window):
     """The float32 projection moves the per-epoch losses by under 1e-9
     relative and the vectors by under 1e-6 of their largest entry from
-    all-float64 dense steps."""
+    all-float64 dense steps over the same batches."""
     vocab, cfg, corpus = dense_oracle_case(window)
     losses = []
     emb = train_embeddings(units_over(corpus), table, cfg, vocab=vocab,
                            progress=lambda e, m: losses.append(m))
-    chars, rads, ref_losses = dense_train_embeddings(corpus, vocab, table, cfg, np.float64)
+    chars, rads, ref_losses = dense_train_embeddings(corpus, vocab, table, cfg, np.float64,
+                                                     batch=embedding.BATCH)
     assert np.allclose(losses, ref_losses, rtol=1e-9, atol=0)
     for got, want in ((emb.char_vectors, chars), (emb.radical_vectors, rads)):
         assert abs(got - want).max() <= 1e-6 * abs(want).max()

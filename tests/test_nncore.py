@@ -158,6 +158,14 @@ class TestDropoutMask:
         b = dropout_mask((5, 5), 0.3, make_rng(7))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_mask_in_dtype_is_the_float64_mask_cast(self, rate, dtype):
+        # the float64 mask, as (draw >= rate) / (1 - rate) made it, then cast
+        want = ((make_rng(3).random((40, 50)) >= rate) / (1.0 - rate)).astype(dtype)
+        got = dropout_mask((40, 50), rate, make_rng(3), dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     def test_rate_validated(self):
         with pytest.raises(ValueError):
             dropout_mask((2,), 1.0, make_rng(0))
